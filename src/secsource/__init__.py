@@ -10,9 +10,6 @@ from .probability import (
     StochasticMatrix,
     bsc,
     build_joint,
-    conditional_mutual_information,
-    entropy,
-    marginal,
 )
 from .regions import (
     AuxScheme,

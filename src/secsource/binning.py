@@ -20,18 +20,19 @@ message is exactly uniform and independent of everything.
 
 Decoding and the two simulation engines
 ---------------------------------------
-Decoding is maximum likelihood within the received bin, layer by layer
-(V from y, then U from (v, y)); ambiguity counts as failure.  A literal
-in-bin search touches the whole sequence space, so it is only available when
-the space is enumerable ("explicit" engine; bins are materialized arrays).
-At larger blocklengths ``run_experiment`` switches to the "collision" engine:
-it counts the sequences at least as likely as the truth with an exact
-composition-type enumeration, and samples the event "some such competitor
-shares the transmitted bin" from its exact Binomial law (bins are i.i.d.
-uniform and independent of everything else).  That reproduces the ML-in-bin
-error event exactly in distribution, with fresh bin randomness per trial,
-i.e. the reported error rate estimates the expectation over random bin
-assignments - the quantity the achievability analysis controls.
+Decoding is maximum likelihood within the received bin, layer by layer (V
+from y, then U from (v, y)); ambiguity counts as failure.  A literal in-bin
+search touches the whole sequence space, so it is only available when the
+space is enumerable ("explicit" engine; bins are materialized arrays).
+Above that size a code carries no bins at all, so ``encode``, ``decode`` and
+the exact enumerations refuse it, and ``run_experiment`` switches to the
+"collision" engine: it counts the sequences at least as likely as the truth
+with an exact composition-type enumeration, and samples the event "some such
+competitor shares the transmitted bin" from its exact Binomial law (bins are
+i.i.d. uniform and independent of everything else).  That reproduces the
+ML-in-bin error event exactly in distribution, with fresh bin randomness per
+trial, i.e. the reported error rate estimates the expectation over random
+bin assignments - the quantity the achievability analysis controls.
 
 Leakage reporting
 -----------------
@@ -47,7 +48,7 @@ by enumeration for small blocklengths.
 
 from __future__ import annotations
 
-import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -67,6 +68,7 @@ from .probability import (
     JointPmf,
     ModelError,
     SourceModel,
+    entropy_bits,
 )
 from .regions import DistortionMetric, VU_AXES, _optimal_reconstruction_from_uxty
 
@@ -145,9 +147,10 @@ class BinningCode:
     """A concrete layered binning code (alphabets, rates, bins, key handling).
 
     ``tables`` holds the materialized i.i.d. uniform bin assignments when the
-    sequence spaces are enumerable (index order: sequence digits big-endian);
-    otherwise bins are evaluated lazily through a seeded extendable-output
-    hash, which stands in for i.i.d. uniform assignments.
+    sequence spaces are enumerable (index order: sequence digits big-endian).
+    Otherwise it is None: such a code has no explicit bins, so ``encode``,
+    ``decode`` and the exact enumerations refuse it, and ``run_experiment``
+    simulates it with the collision engine.
     """
 
     n: int
@@ -156,7 +159,6 @@ class BinningCode:
     rates: BinningRates
     bits: IndexBits
     mode: PadMode
-    seed: int
     p_u_given_xtilde: np.ndarray   # (Xt, U)
     p_v_given_u: np.ndarray        # (U, V)
     reconstruction: np.ndarray     # (U, Y) -> xhat
@@ -191,27 +193,12 @@ class BinningCode:
         return tuple(_rand_bits(rng, b) for b in self.key_bit_widths())
 
     def v_bins(self, seq: np.ndarray) -> tuple[int, int]:
-        if self.materialized:
-            i = _seq_index(seq, self.v_size)
-            return int(self.tables[0][i]), int(self.tables[1][i])
-        return (
-            _hash_bits(self.seed, b"Fv", seq, self.bits.f_v),
-            _hash_bits(self.seed, b"Wv", seq, self.bits.w_v),
-        )
+        i = _seq_index(seq, self.v_size)
+        return int(self.tables[0][i]), int(self.tables[1][i])
 
     def u_bins(self, seq: np.ndarray) -> tuple[int, int, int]:
-        if self.materialized:
-            i = _seq_index(seq, self.u_size)
-            return (
-                int(self.tables[2][i]),
-                int(self.tables[3][i]),
-                int(self.tables[4][i]),
-            )
-        return (
-            _hash_bits(self.seed, b"Fu", seq, self.bits.f_u),
-            _hash_bits(self.seed, b"Wu", seq, self.bits.w_u),
-            _hash_bits(self.seed, b"Ku", seq, self.bits.k_u),
-        )
+        i = _seq_index(seq, self.u_size)
+        return int(self.tables[2][i]), int(self.tables[3][i]), int(self.tables[4][i])
 
 
 def _rand_bits(rng: np.random.Generator, bits: int) -> int:
@@ -231,17 +218,6 @@ def _seq_index(seq: np.ndarray, q: int) -> int:
     for s in np.asarray(seq, dtype=int):
         idx = idx * q + int(s)
     return idx
-
-
-def _hash_bits(seed: int, tag: bytes, seq: np.ndarray, bits: int) -> int:
-    if bits == 0:
-        return 0
-    h = hashlib.shake_256()
-    h.update(seed.to_bytes(8, "big", signed=True))
-    h.update(tag)
-    h.update(np.asarray(seq, dtype=np.uint8).tobytes())
-    raw = int.from_bytes(h.digest((bits + 7) // 8), "big")
-    return raw & ((1 << bits) - 1)
 
 
 @lru_cache(maxsize=16)
@@ -392,7 +368,6 @@ def design_code(
         rates=rates,
         bits=bits,
         mode=mode,
-        seed=seed,
         p_u_given_xtilde=p_u_given_xt,
         p_v_given_u=p_v_given_u,
         reconstruction=recon,
@@ -461,8 +436,14 @@ def encode(
     The layers (V^n, U^n) are drawn by forward per-letter sampling from the
     auxiliary channels (the public indices are then read off the sampled
     sequences), and the key is mixed into the slot dictated by the pad
-    regime.
+    regime.  Requires materialized bins.
     """
+    if not code.materialized:
+        raise BinningScaleError(
+            "encoding needs materialized bin tables, which this code's sequence "
+            "space is too large for; use run_experiment, whose collision engine "
+            "simulates such codes"
+        )
     xt = np.asarray(xtilde_seq, dtype=int)
     if xt.size != code.n:
         raise DimensionError(f"sequence length {xt.size} != blocklength {code.n}")
@@ -855,16 +836,7 @@ def exact_message_table(code: BinningCode, model: SourceModel) -> ExactMessageTa
     columns: dict[tuple, int] = {}
     rows: list[dict[int, float]] = [dict() for _ in range(p_seq.size)]
 
-    def all_keys():
-        if len(key_widths) == 1:
-            for k in range(1 << key_widths[0]):
-                yield (k,)
-        else:
-            for k0 in range(1 << key_widths[0]):
-                for k1 in range(1 << key_widths[1]):
-                    yield (k0, k1)
-
-    keys = list(all_keys())
+    keys = list(itertools.product(*(range(1 << b) for b in key_widths)))
     key_p = 1.0 / len(keys)
 
     for s_idx, xt in enumerate(seqs):
@@ -893,26 +865,14 @@ def exact_message_table(code: BinningCode, model: SourceModel) -> ExactMessageTa
     return ExactMessageTable(p_seq, table, list(columns.keys()))
 
 
-def _entropy_rows(p_rows: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(p_rows > 0.0, p_rows * np.log2(p_rows), 0.0)
-    return -t.sum(axis=1)
-
-
-def _entropy_flat(p: np.ndarray) -> float:
-    p = p.ravel()
-    p = p[p > 0.0]
-    return float(-(p * np.log2(p)).sum()) if p.size else 0.0
-
-
 def message_source_mutual_information(
     code: BinningCode, model: SourceModel
 ) -> tuple[float, np.ndarray]:
     """Exact I(Xt^n; message) in bits, plus the message marginal."""
     t = exact_message_table(code, model)
     p_w = t.p_sequence @ t.p_message_given_sequence
-    h_w = _entropy_flat(p_w)
-    h_w_given_xt = float(t.p_sequence @ _entropy_rows(t.p_message_given_sequence))
+    h_w = entropy_bits(p_w)
+    h_w_given_xt = float(t.p_sequence @ entropy_bits(t.p_message_given_sequence, axis=1))
     return h_w - h_w_given_xt, p_w
 
 
@@ -947,7 +907,7 @@ def padded_indices_mutual_information(
     for j, g in enumerate(cols):
         table[:, g] += t.p_message_given_sequence[:, j]
     p_pad = t.p_sequence @ table
-    mi = _entropy_flat(p_pad) - float(t.p_sequence @ _entropy_rows(table))
+    mi = entropy_bits(p_pad) - float(t.p_sequence @ entropy_bits(table, axis=1))
     return mi, p_pad
 
 
@@ -982,14 +942,14 @@ def exact_leakage(code: BinningCode, model: SourceModel) -> ExactLeakage:
 
     joint_xt_z = reduce(np.kron, [p_xt_z] * n)                   # (q^n, qz^n)
     p_zw = joint_xt_z.T @ t.p_message_given_sequence             # (qz^n, C)
-    h_w_given_z = _entropy_flat(p_zw) - _entropy_flat(joint_xt_z.sum(axis=0))
+    h_w_given_z = entropy_bits(p_zw) - entropy_bits(joint_xt_z.sum(axis=0))
 
-    h_w_given_xt = float(t.p_sequence @ _entropy_rows(t.p_message_given_sequence))
+    h_w_given_xt = float(t.p_sequence @ entropy_bits(t.p_message_given_sequence, axis=1))
     secrecy = (h_w_given_z - h_w_given_xt) / n
 
     enc_n = reduce(np.kron, [model.meas_enc.rows] * n)           # (qx^n, qxt^n)
     p_x_seq = reduce(np.kron, [model.px.probs] * n)
     p_w_given_x = enc_n @ t.p_message_given_sequence
-    h_w_given_x = float(p_x_seq @ _entropy_rows(p_w_given_x))
+    h_w_given_x = float(p_x_seq @ entropy_bits(p_w_given_x, axis=1))
     privacy = (h_w_given_z - h_w_given_x) / n
     return ExactLeakage(secrecy=max(0.0, secrecy), privacy=max(0.0, privacy))

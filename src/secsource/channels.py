@@ -15,8 +15,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import linprog
 
-from .probability import DimensionError, Pmf, StochasticMatrix
-from .regions import _mi_from_2d
+from .probability import DimensionError, Pmf, StochasticMatrix, mutual_information_2d
 
 RESIDUAL_TOL = 1e-8
 FALSIFY_TOL = 1e-9
@@ -130,7 +129,7 @@ def _informations(px: np.ndarray, pl: np.ndarray, py: np.ndarray, pz: np.ndarray
     """I(L;Y) and I(L;Z) for P(l|x) = pl, input law px."""
     j_ly = (pl * px[:, None]).T @ py  # (L, Y)
     j_lz = (pl * px[:, None]).T @ pz
-    return _mi_from_2d(j_ly), _mi_from_2d(j_lz)
+    return mutual_information_2d(j_ly), mutual_information_2d(j_lz)
 
 
 def less_noisy_falsify(

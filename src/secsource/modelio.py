@@ -120,18 +120,6 @@ def parse_aux(path: PathLike) -> AuxScheme:
     return AuxScheme.from_channels(p_u, p_v, p_q, recon)
 
 
-def write_aux(scheme: AuxScheme, path: PathLike) -> None:
-    data = {
-        "schema": SCHEMA_VERSION,
-        "p_u_given_xtilde": scheme.p_u_given_xtilde.rows.tolist(),
-        "p_v_given_u": scheme.p_v_given_u.rows.tolist(),
-        "p_q_given_v": scheme.p_q_given_v.rows.tolist(),
-    }
-    if scheme.reconstruction is not None:
-        data["reconstruction"] = np.asarray(scheme.reconstruction).tolist()
-    Path(path).write_text(json.dumps(data, indent=2) + "\n")
-
-
 def parse_channel_pair(path: PathLike) -> tuple[StochasticMatrix, StochasticMatrix]:
     """Parse a decoder/eavesdropper channel pair for the ordering checks."""
     data = _load(path, "channel")

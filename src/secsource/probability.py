@@ -11,8 +11,6 @@ Tolerances
 ----------
 PMF_ATOL      normalization required of user-supplied pmfs / matrix rows
 JOINT_ATOL    normalization required of (derived) joint tables
-IDENT_ATOL    slack allowed on exact information identities (chain rule,
-              Markov-chain certificates, ...)
 
 Every object is immutable after construction (arrays are copied and marked
 read-only), so all functions here are pure and safe to call from parallel
@@ -28,7 +26,6 @@ import numpy as np
 
 PMF_ATOL = 1e-12
 JOINT_ATOL = 1e-10
-IDENT_ATOL = 1e-9
 
 # Canonical axis names used by the region machinery.  "Xt" is the encoder's
 # measurement of the remote source X; Y and Z are the decoder's and the
@@ -67,6 +64,8 @@ class Pmf:
         arr = _frozen_array(self.probs)
         if arr.ndim != 1 or arr.size == 0:
             raise DimensionError("a pmf must be a non-empty vector")
+        if not np.all(np.isfinite(arr)):
+            raise ModelError("pmf entries must be finite")
         if np.any(arr < 0.0):
             raise ModelError("pmf entries must be non-negative")
         if abs(float(arr.sum()) - 1.0) > PMF_ATOL:
@@ -92,6 +91,8 @@ class StochasticMatrix:
         arr = _frozen_array(self.rows)
         if arr.ndim != 2 or arr.size == 0:
             raise DimensionError("a stochastic matrix must be 2-D and non-empty")
+        if not np.all(np.isfinite(arr)):
+            raise ModelError("channel entries must be finite")
         if np.any(arr < 0.0):
             raise ModelError("channel entries must be non-negative")
         sums = arr.sum(axis=1)
@@ -109,9 +110,6 @@ class StochasticMatrix:
     @property
     def output_size(self) -> int:
         return self.rows.shape[1]
-
-    def row(self, i: int) -> Pmf:
-        return Pmf(self.rows[i])
 
     @staticmethod
     def identity(n: int) -> "StochasticMatrix":
@@ -221,6 +219,8 @@ class JointPmf:
             raise DimensionError("axis names must be unique")
         if arr.ndim != len(names):
             raise DimensionError("table rank must equal the number of axes")
+        if not np.all(np.isfinite(arr)):
+            raise ModelError("joint table entries must be finite")
         if np.any(arr < -PMF_ATOL):
             raise ModelError("joint table has a negative entry")
         if abs(float(arr.sum()) - 1.0) > JOINT_ATOL:
@@ -273,8 +273,7 @@ class JointPmf:
     def entropy(self, variables: Optional[Iterable[str]] = None) -> float:
         """Shannon entropy in bits of the marginal on ``variables``."""
         names = tuple(variables) if variables is not None else self.names
-        m = self.marginal_table(names)
-        return _entropy_bits(m)
+        return entropy_bits(self.marginal_table(names))
 
     def mutual_information(
         self,
@@ -304,12 +303,32 @@ class JointPmf:
         return header + "\n" + body
 
 
-def _entropy_bits(table: np.ndarray) -> float:
-    p = np.asarray(table, dtype=float).ravel()
+def entropy_bits(table: np.ndarray, axis: Optional[int] = None):
+    """Shannon entropy in bits of a probability table.
+
+    With ``axis`` given, the entropies of the slices along that axis are
+    returned instead (for example one per row of a conditional table).
+    """
+    p = np.asarray(table, dtype=float)
+    if axis is not None:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return -np.where(p > 0.0, p * np.log2(p), 0.0).sum(axis=axis)
+    p = p.ravel()
     p = p[p > 0.0]
     if p.size == 0:
         return 0.0
     return float(-(p * np.log2(p)).sum())
+
+
+def mutual_information_2d(p: np.ndarray) -> float:
+    """Mutual information in bits of a 2-D joint table."""
+    pa = p.sum(axis=1, keepdims=True)
+    pb = p.sum(axis=0, keepdims=True)
+    mask = p > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(mask, p * np.log2(p / (pa * pb)), 0.0)
+    v = float(terms.sum())
+    return 0.0 if v < 0.0 else v
 
 
 def build_joint(model: SourceModel) -> JointPmf:
@@ -322,19 +341,3 @@ def build_joint(model: SourceModel) -> JointPmf:
     )
     return JointPmf(SOURCE_AXES, table)
 
-
-def marginal(joint: JointPmf, keep: Iterable[str]) -> JointPmf:
-    return joint.marginal(keep)
-
-
-def entropy(joint: JointPmf, variables: Optional[Iterable[str]] = None) -> float:
-    return joint.entropy(variables)
-
-
-def conditional_mutual_information(
-    joint: JointPmf,
-    a: Iterable[str],
-    b: Iterable[str],
-    given: Iterable[str] = (),
-) -> float:
-    return joint.mutual_information(a, b, given)

@@ -4,15 +4,20 @@ over auxiliary schemes that traces achievable-region boundaries.
 An auxiliary scheme is a layered test channel Xt -> U -> V -> Q together with
 a reconstruction map (U, Y) -> Xhat.  ``lossy_point`` evaluates the storage,
 secrecy-leakage and privacy-leakage bounds of the general lossy region for a
-fixed scheme and private-key rate; ``lossless_point`` is its U = Xt
-specialization; ``corollary_point`` is the no-key form that is tight when the
-eavesdropper's channel is less noisy than the decoder's.
+fixed scheme and private-key rate from the joint over all seven variables; it
+is the reference, and every reported ``TracePoint`` comes from it.
+``lossless_point`` is its U = Xt specialization; ``corollary_point`` is the
+no-key form that is tight when the eavesdropper's channel is less noisy than
+the decoder's.
 
 The "for some scheme" existential in the region statement is resolved
-numerically: ``trace_region`` minimizes a scalarized rate over the rows of
-the conditional-pmf matrices with multi-restart projected coordinate descent,
-and an exhaustive simplex-grid oracle is available for desk-scale
-certification of the search.
+numerically: ``trace_region`` minimizes one rate (storage, secrecy leakage or
+privacy leakage) over the rows of the conditional-pmf matrices with
+multi-restart projected coordinate descent.  The descent scores candidates
+with ``_SchemeEvaluator``, which computes the same bounds as ``lossy_point``
+from pairwise source marginals and the raw matrices without building the
+joint.  An exhaustive simplex-grid oracle is available for desk-scale
+certification of the storage search.
 """
 
 from __future__ import annotations
@@ -38,12 +43,17 @@ from .probability import (
     SourceModel,
     StochasticMatrix,
     build_joint,
+    entropy_bits,
 )
 
 FULL_AXES = (AX_Q, AX_V, AX_U) + SOURCE_AXES
 VU_AXES = (AX_V, AX_U) + SOURCE_AXES
 
 Regime = Literal["small_key", "middle_key", "large_key"]
+
+# Largest number of P(U|Xt) row combinations the grid oracle enumerates
+# (|U| = 3 at step 0.05 over a binary Xt is 231^2 = 53,361).
+GRID_CELL_LIMIT = 5_000_000
 
 
 class InfeasibleTargetError(RuntimeError):
@@ -411,17 +421,6 @@ def lossless_point(
     return lossy_point(extend_with_auxiliaries(joint, aux), r0, DistortionMetric.hamming(nxt))
 
 
-def _mi_from_2d(p: np.ndarray) -> float:
-    """Mutual information in bits of a 2-D joint table."""
-    pa = p.sum(axis=1, keepdims=True)
-    pb = p.sum(axis=0, keepdims=True)
-    mask = p > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(mask, p * np.log2(p / (pa * pb)), 0.0)
-    v = float(terms.sum())
-    return 0.0 if v < 0.0 else v
-
-
 def corollary_point(
     joint: JointPmf, aux_u: StochasticMatrix, metric: DistortionMetric
 ) -> RateTuple:
@@ -431,30 +430,23 @@ def corollary_point(
     The caller is responsible for the less-noisy ordering (see
     ``channels.check_stochastic_degraded`` for a sufficient certificate);
     under it this equals the small-key ``lossy_point`` with constant V, Q and
-    r0 = 0.  Implemented from pairwise marginals so it stays cheap on the
-    finely quantized models of the Gaussian bridge.
+    r0 = 0.  Evaluated by the scheme evaluator, which never forms the joint
+    with U, so it stays cheap on the finely quantized models of the Gaussian
+    bridge.
     """
     _require_axes(joint, SOURCE_AXES, "corollary_point")
-    t = aux_u.rows  # (Xt, U)
     if aux_u.input_size != joint.size_of(AX_XT):
         raise DimensionError("P(U|Xt) input size must equal |Xt|")
-    p_xt_x = joint.marginal_table((AX_XT, AX_X))
-    p_xt_y = joint.marginal_table((AX_XT, AX_Y))
-    p_xt_z = joint.marginal_table((AX_XT, AX_Z))
-    p_xt = p_xt_x.sum(axis=1)
-
-    i_u_xt = _mi_from_2d(p_xt[:, None] * t)
-    i_u_x = _mi_from_2d(t.T @ p_xt_x)
-    i_u_y = _mi_from_2d(t.T @ p_xt_y)
-    i_u_z = _mi_from_2d(t.T @ p_xt_z)
-
-    p_u_xt_y = np.einsum("au,ay->uay", t, p_xt_y)
-    _, dist = _optimal_reconstruction_from_uxty(p_u_xt_y, metric)
+    nu = aux_u.output_size
+    rep = _SchemeEvaluator(joint, metric).evaluate(
+        aux_u.rows, np.ones((nu, 1)), np.ones((1, 1)), 0.0
+    )
+    # At r0 = 0 the small-key leakages are the corollary's plus R'.  In the
+    # other regimes I(U;Xt|Y) = 0, the leakages are zero and the corollary's
+    # equal -R'.  Either way subtracting R' recovers them.
+    b = rep.bounds
     return RateTuple(
-        rw=_clamp(i_u_xt - i_u_y),
-        rs=_clamp(i_u_xt - i_u_z),
-        rl=_clamp(i_u_x - i_u_z),
-        d=dist,
+        rw=b.rw, rs=_clamp(b.rs - rep.r_prime), rl=_clamp(b.rl - rep.r_prime), d=b.d
     )
 
 
@@ -472,46 +464,88 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - cssv[k], 0.0)
 
 
-class _StorageObjective:
-    """Fast evaluator of (I(U;Xt|Y), optimal-map distortion) in P(U|Xt).
+class _SchemeEvaluator:
+    """The bounds of ``lossy_point`` straight from the raw rows of P(U|Xt),
+    P(V|U) and P(Q|V), without forming the joint with the auxiliaries.
 
-    Only the P(U|Xt) rows matter for the storage rate and the distortion, so
-    coordinate descent under this objective skips the V and Q rows.
+    Built once per (joint, metric) from P(Xt,Y), P(Xt,Z) and P(Xt,X,Z); every
+    term is an entropy of a small table over the auxiliaries and one source
+    variable, using the chain (Q,V) - U - Xt - X - (Y,Z).  ``rates`` gives the
+    storage rate and distortion alone, which depend on P(U|Xt) only.
     """
 
     def __init__(self, joint: JointPmf, metric: DistortionMetric):
         self.p_xt_y = joint.marginal_table((AX_XT, AX_Y))  # (Xt, Y)
         self.p_xt = self.p_xt_y.sum(axis=1)
-        self.h_y = _entropy_of(self.p_xt_y.sum(axis=0))
+        self.h_y = entropy_bits(self.p_xt_y.sum(axis=0))
+        self.h_xt = entropy_bits(self.p_xt)
         # dist_core[xt, y, xhat] = P(xt, y) d(xt, xhat)
         self.dist_core = np.einsum("ay,ab->ayb", self.p_xt_y, metric.table)
+        self.p_xt_z = joint.marginal_table((AX_XT, AX_Z))  # (Xt, Z)
+        self.p_xt_xz = joint.marginal_table((AX_XT, AX_X, AX_Z)).reshape(self.p_xt.size, -1)
+        self.h_z = entropy_bits(self.p_xt_z.sum(axis=0))
+        self.h_xz = entropy_bits(self.p_xt_xz.sum(axis=0))
 
     def rates(self, t: np.ndarray) -> tuple[float, float]:
         # I(U;Xt|Y) = H(U|Y) - H(U|Xt) via the chain U - Xt - Y.
         p_u_y = t.T @ self.p_xt_y  # (U, Y)
-        h_u_y = _entropy_of(p_u_y) - self.h_y
+        h_u_y = entropy_bits(p_u_y) - self.h_y
         p_u_xt = self.p_xt[:, None] * t
-        h_u_xt = _entropy_of(p_u_xt) - _entropy_of(self.p_xt)
+        h_u_xt = entropy_bits(p_u_xt) - self.h_xt
         rw = max(0.0, h_u_y - h_u_xt)
         cost = np.einsum("au,ayb->uyb", t, self.dist_core)
         dist = float(np.min(cost, axis=2).sum())
         return rw, dist
 
+    def evaluate(
+        self, pu: np.ndarray, pv: np.ndarray, pq: np.ndarray, r0: float
+    ) -> RegimeReport:
+        """``lossy_point`` for the scheme with these rows, at key rate r0."""
+        t_high, dist = self.rates(pu)
+        p_xt_u = self.p_xt[:, None] * pu
+        p_u_y = pu.T @ self.p_xt_y
+        p_u_z = pu.T @ self.p_xt_z
+        p_u_xz = pu.T @ self.p_xt_xz
+        h_u_xt = entropy_bits(p_xt_u) - self.h_xt
+        h_u_z = entropy_bits(p_u_z) - self.h_z
 
-def _entropy_of(p: np.ndarray) -> float:
-    p = p.ravel()
-    p = p[p > 0.0]
-    return float(-(p * np.log2(p)).sum()) if p.size else 0.0
+        # I(U;Xt|Y,V) = H(U|Y,V) - H(U|Xt,V); V depends on U alone.
+        p_xt_v = p_xt_u @ pv
+        p_v_y = pv.T @ p_u_y
+        t_low = _clamp(
+            entropy_bits(p_u_y[:, None, :] * pv[:, :, None]) - entropy_bits(p_v_y)
+            - entropy_bits(p_xt_u[:, :, None] * pv[None]) + entropy_bits(p_xt_v)
+        )
 
+        # R' = [I(U;Z|V,Q) - I(U;Y|V,Q)]^-; H(U,V,Q) cancels in the difference.
+        p_vq_u = pv[:, :, None] * pq[None]  # P(v, q | u)
+        p_uvqz = p_u_z[:, None, None, :] * p_vq_u[..., None]
+        p_uvqy = p_u_y[:, None, None, :] * p_vq_u[..., None]
+        rp = min(
+            entropy_bits(p_uvqz.sum(axis=0)) - entropy_bits(p_uvqz)
+            - entropy_bits(p_uvqy.sum(axis=0)) + entropy_bits(p_uvqy),
+            0.0,
+        )
 
-def _random_scheme(
-    rng: np.random.Generator, nxt: int, sizes: tuple[int, int, int]
-) -> AuxScheme:
-    nu, nv, nq = sizes
-    draw = lambda n_in, n_out: StochasticMatrix(
-        rng.dirichlet(np.ones(n_out), size=n_in)
-    )
-    return AuxScheme(draw(nxt, nu), draw(nu, nv), draw(nv, nq))
+        if r0 >= t_high:
+            regime: Regime = "large_key"
+            rs = rl = 0.0
+        elif r0 >= t_low:
+            regime = "middle_key"
+            h_v_z = entropy_bits(pv.T @ p_u_z) - self.h_z
+            rs = _clamp(h_v_z - entropy_bits(p_xt_v) + self.h_xt)
+            rl = _clamp(h_v_z - entropy_bits(pv.T @ p_u_xz) + self.h_xz)
+        else:
+            regime = "small_key"
+            rs = _clamp(h_u_z - h_u_xt + rp - r0)
+            rl = _clamp(h_u_z - entropy_bits(p_u_xz) + self.h_xz + rp - r0)
+        return RegimeReport(
+            regime=regime,
+            threshold_low=t_low,
+            threshold_high=t_high,
+            r_prime=rp,
+            bounds=RateTuple(rw=t_high, rs=rs, rl=rl, d=dist),
+        )
 
 
 def _anchor_u_rows(nxt: int, nu: int) -> np.ndarray:
@@ -524,66 +558,60 @@ def _anchor_u_rows(nxt: int, nu: int) -> np.ndarray:
     return t
 
 
-def _descend_u_rows(
-    obj: _StorageObjective,
-    t0: np.ndarray,
-    target_d: float,
-    cfg: SearchConfig,
-) -> np.ndarray:
-    """Projected coordinate descent on the rows of P(U|Xt).
+def _descend(objective, mats: list[np.ndarray], target_d: float, cfg: SearchConfig,
+             max_iters: int) -> list[np.ndarray]:
+    """Projected coordinate descent on the rows of row-stochastic matrices.
 
-    Minimizes rw + penalty * max(0, dist - D) with an escalating exact
-    penalty; gradients are forward finite differences on each row.
+    ``objective(mats)`` returns (rate, distortion).  Minimizes
+    rate + penalty * max(0, distortion - D) with an escalating exact penalty;
+    gradients are forward finite differences on one row at a time.
     """
-    t = t0.copy()
+    mats = [m.copy() for m in mats]
     fd = 1e-6
     penalty = 32.0
+
+    def penalized(ms: list[np.ndarray]) -> float:
+        rate, dist = objective(ms)
+        return rate + penalty * max(0.0, dist - target_d)
+
+    def with_row(mi: int, row: int, values: np.ndarray) -> list[np.ndarray]:
+        trial = list(mats)
+        trial[mi] = mats[mi].copy()
+        trial[mi][row] = project_to_simplex(values)
+        return trial
+
     for _ in range(6):  # penalty escalations
-        value = _penalized(obj, t, target_d, penalty)
-        for _ in range(cfg.max_iters):
+        for _ in range(max_iters):
             improvement = 0.0
-            for row in range(t.shape[0]):
-                base = _penalized(obj, t, target_d, penalty)
-                grad = np.empty(t.shape[1])
-                for j in range(t.shape[1]):
-                    t_try = t.copy()
-                    t_try[row] = project_to_simplex(_bump(t[row], j, fd))
-                    grad[j] = (_penalized(obj, t_try, target_d, penalty) - base) / fd
-                step = 0.25
-                while step > 1e-10:
-                    t_try = t.copy()
-                    t_try[row] = project_to_simplex(t[row] - step * grad)
-                    v_try = _penalized(obj, t_try, target_d, penalty)
-                    if v_try < base - 1e-12:
-                        t = t_try
-                        improvement += base - v_try
-                        break
-                    step *= 0.5
+            for mi in range(len(mats)):
+                for row in range(mats[mi].shape[0]):
+                    base = penalized(mats)
+                    current = mats[mi][row]
+                    grad = np.empty(current.size)
+                    for j in range(current.size):
+                        bumped = current.copy()
+                        bumped[j] += fd
+                        grad[j] = (penalized(with_row(mi, row, bumped)) - base) / fd
+                    step = 0.25
+                    while step > 1e-10:
+                        trial = with_row(mi, row, current - step * grad)
+                        v_try = penalized(trial)
+                        if v_try < base - 1e-12:
+                            mats = trial
+                            improvement += base - v_try
+                            break
+                        step *= 0.5
             if improvement < cfg.convergence_tol:
                 break
-        value = _penalized(obj, t, target_d, penalty)
-        _, dist = obj.rates(t)
+        _, dist = objective(mats)
         if dist <= target_d + 1e-9:
             break
         penalty *= 8.0
-    return t
-
-
-def _bump(row: np.ndarray, j: int, fd: float) -> np.ndarray:
-    out = row.copy()
-    out[j] += fd
-    return out
-
-
-def _penalized(
-    obj: _StorageObjective, t: np.ndarray, target_d: float, penalty: float
-) -> float:
-    rw, dist = obj.rates(t)
-    return rw + penalty * max(0.0, dist - target_d)
+    return mats
 
 
 def _repair_feasibility(
-    obj: _StorageObjective, t: np.ndarray, anchor: np.ndarray, target_d: float
+    obj: _SchemeEvaluator, t: np.ndarray, anchor: np.ndarray, target_d: float
 ) -> Optional[np.ndarray]:
     """Blend toward the zero-distortion anchor until the target is met."""
     _, dist = obj.rates(t)
@@ -633,11 +661,18 @@ def grid_minimum_storage(
     ``step``-grid of the |U|-simplex, subject to optimal-map distortion <= D.
 
     Returns (min rw, argmin row matrix).  Exponential in |Xt|; meant for
-    desk-scale certification of ``trace_region``.
+    desk-scale certification of ``trace_region``.  Grids of more than
+    ``GRID_CELL_LIMIT`` row combinations are refused before enumeration.
     """
     _require_axes(joint, SOURCE_AXES, "grid_minimum_storage")
-    obj = _StorageObjective(joint, metric)
     nxt = joint.size_of(AX_XT)
+    cells = math.comb(int(round(1.0 / step)) + u_size - 1, u_size - 1) ** nxt
+    if cells > GRID_CELL_LIMIT:
+        raise ModelError(
+            f"the grid at |U| = {u_size}, step {step} and |Xt| = {nxt} has {cells:.3g} "
+            f"cells, above the limit of {GRID_CELL_LIMIT:.3g}; lower |U| or coarsen the step"
+        )
+    obj = _SchemeEvaluator(joint, metric)
     rows = simplex_grid(u_size, step)
     best = math.inf
     best_t: Optional[np.ndarray] = None
@@ -726,14 +761,15 @@ def trace_region(
     joint = build_joint(model)
     nxt = joint.size_of(AX_XT)
     nu, nv, nq = cfg.resolved_sizes(nxt)
-    obj = _StorageObjective(joint, metric)
+    obj = _SchemeEvaluator(joint, metric)
     anchor = _anchor_u_rows(nxt, nu)
 
     if cfg.objective != "rw":
-        return _trace_region_generic(joint, r0, metric, sorted(targets), cfg, (nu, nv, nq))
+        return _trace_region_generic(joint, obj, r0, metric, sorted(targets), cfg, (nu, nv, nq))
 
     points: list[TracePoint] = []
     carry: Optional[np.ndarray] = None
+    rw_of = lambda ms: obj.rates(ms[0])
     for target in sorted(targets):
         candidates: list[np.ndarray] = []
         if cfg.method == "grid":
@@ -748,7 +784,7 @@ def trace_region(
                 rng = np.random.default_rng([cfg.seed, restart])
                 starts.append(rng.dirichlet(np.ones(nu), size=nxt))
             for t0 in starts:
-                t = _descend_u_rows(obj, np.asarray(t0, dtype=float), target, cfg)
+                [t] = _descend(rw_of, [np.asarray(t0, dtype=float)], target, cfg, cfg.max_iters)
                 repaired = _repair_feasibility(obj, t, anchor, target)
                 if repaired is not None:
                     candidates.append(repaired)
@@ -759,38 +795,37 @@ def trace_region(
             )
         best_t = min(candidates, key=lambda t: obj.rates(t)[0])
         carry = best_t
-        scheme = AuxScheme.from_channels(
-            StochasticMatrix(best_t),
-            StochasticMatrix.constant(nu, nv),
-            StochasticMatrix.constant(nv, nq),
-        )
-        full = extend_with_auxiliaries(joint, scheme)
-        report = lossy_point(full, r0, metric)
-        points.append(TracePoint(target, report.bounds, scheme, report))
+        mats = [best_t, np.full((nu, nv), 1.0 / nv), np.full((nv, nq), 1.0 / nq)]
+        points.append(_trace_point(joint, r0, metric, target, mats))
     return points
+
+
+def _trace_point(
+    joint: JointPmf, r0: float, metric: DistortionMetric, target: float,
+    mats: list[np.ndarray],
+) -> TracePoint:
+    """The reported point of a search: ``lossy_point`` on the argmin scheme."""
+    scheme = AuxScheme(*(StochasticMatrix(m) for m in mats))
+    report = lossy_point(extend_with_auxiliaries(joint, scheme), r0, metric)
+    return TracePoint(target, report.bounds, scheme, report)
 
 
 def _trace_region_generic(
     joint: JointPmf,
+    obj: _SchemeEvaluator,
     r0: float,
     metric: DistortionMetric,
     targets: Sequence[float],
     cfg: SearchConfig,
     sizes: tuple[int, int, int],
 ) -> list[TracePoint]:
-    """Slow generic path for non-storage objectives: finite-difference
-    coordinate descent over the rows of all three conditional matrices with
-    the full regime evaluation as the objective."""
-    component = {"rs": "rs", "rl": "rl"}[cfg.objective]
+    """Generic path for the leakage objectives: coordinate descent over the
+    rows of all three conditional matrices, scored by the scheme evaluator."""
     nxt = joint.size_of(AX_XT)
 
-    def evaluate(mats: list[np.ndarray]) -> tuple[float, float]:
-        scheme = AuxScheme(
-            StochasticMatrix(mats[0]), StochasticMatrix(mats[1]), StochasticMatrix(mats[2])
-        )
-        full = extend_with_auxiliaries(joint, scheme)
-        report = lossy_point(full, r0, metric)
-        return getattr(report.bounds, component), report.bounds.d
+    def objective(mats: list[np.ndarray]) -> tuple[float, float]:
+        bounds = obj.evaluate(mats[0], mats[1], mats[2], r0).bounds
+        return getattr(bounds, cfg.objective), bounds.d
 
     points: list[TracePoint] = []
     for target in sorted(targets):
@@ -798,66 +833,19 @@ def _trace_region_generic(
         best_mats: Optional[list[np.ndarray]] = None
         for restart in range(cfg.restarts):
             rng = np.random.default_rng([cfg.seed, restart])
-            scheme = _random_scheme(rng, nxt, sizes)
             mats = [
-                scheme.p_u_given_xtilde.rows.copy(),
-                scheme.p_v_given_u.rows.copy(),
-                scheme.p_q_given_v.rows.copy(),
+                rng.dirichlet(np.ones(n_out), size=n_in)
+                for n_in, n_out in zip((nxt,) + sizes[:2], sizes)
             ]
-            mats[0] = _anchor_u_rows(nxt, sizes[0]) if restart == 0 else mats[0]
-            mats = _descend_generic(evaluate, mats, target, cfg)
-            val, dist = evaluate(mats)
+            if restart == 0:
+                mats[0] = _anchor_u_rows(nxt, sizes[0])
+            mats = _descend(objective, mats, target, cfg, min(cfg.max_iters, 60))
+            val, dist = objective(mats)
             if dist <= target + 1e-9 and val < best_val:
-                best_val, best_mats = val, [m.copy() for m in mats]
+                best_val, best_mats = val, mats
         if best_mats is None:
             raise InfeasibleTargetError(
                 f"no feasible scheme found for distortion target {target}"
             )
-        scheme = AuxScheme(
-            StochasticMatrix(best_mats[0]),
-            StochasticMatrix(best_mats[1]),
-            StochasticMatrix(best_mats[2]),
-        )
-        full = extend_with_auxiliaries(joint, scheme)
-        report = lossy_point(full, r0, metric)
-        points.append(TracePoint(target, report.bounds, scheme, report))
+        points.append(_trace_point(joint, r0, metric, target, best_mats))
     return points
-
-
-def _descend_generic(evaluate, mats, target_d, cfg: SearchConfig):
-    fd = 1e-6
-    penalty = 32.0
-
-    def penalized(ms) -> float:
-        val, dist = evaluate(ms)
-        return val + penalty * max(0.0, dist - target_d)
-
-    for _ in range(4):
-        for _ in range(min(cfg.max_iters, 60)):
-            improvement = 0.0
-            for mi in range(len(mats)):
-                for row in range(mats[mi].shape[0]):
-                    base = penalized(mats)
-                    width = mats[mi].shape[1]
-                    grad = np.empty(width)
-                    for j in range(width):
-                        trial = [m.copy() for m in mats]
-                        trial[mi][row] = project_to_simplex(_bump(mats[mi][row], j, fd))
-                        grad[j] = (penalized(trial) - base) / fd
-                    step = 0.25
-                    while step > 1e-9:
-                        trial = [m.copy() for m in mats]
-                        trial[mi][row] = project_to_simplex(mats[mi][row] - step * grad)
-                        v_try = penalized(trial)
-                        if v_try < base - 1e-12:
-                            mats = trial
-                            improvement += base - v_try
-                            break
-                        step *= 0.5
-            if improvement < cfg.convergence_tol:
-                break
-        _, dist = evaluate(mats)
-        if dist <= target_d + 1e-9:
-            break
-        penalty *= 8.0
-    return mats

@@ -167,6 +167,12 @@ class TestDecode:
             decode(code, np.zeros(100, dtype=int), (0,),
                    dataclasses.replace(encode_dummy()))
 
+    def test_encode_large_space_raises(self, binary_full6):
+        code = design_code(binary_full6, n=100, epsilon=0.15, r0=0.0, seed=7)
+        assert not code.materialized
+        with pytest.raises(BinningScaleError, match="materialized bin tables"):
+            encode(code, np.zeros(100, dtype=int), (0,))
+
     def test_roundtrip_through_pad_modes(self, binary_model, binary_joint):
         h_xt_y = binary_joint.entropy(("Xt", "Y")) - binary_joint.entropy(("Y",))
         full = _full6(binary_model)

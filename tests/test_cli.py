@@ -1,11 +1,14 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from secsource import cli, modelio
 from secsource.probability import ModelError, Pmf, SourceModel, bsc
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -22,6 +25,16 @@ def aux_identity_file(tmp_path):
         "schema": 1,
         "p_u_given_xtilde": [[1.0, 0.0], [0.0, 1.0]],
     }))
+    return path
+
+
+@pytest.fixture()
+def nan_model_file(tmp_path):
+    """The demo binary instance with p_x replaced by [NaN, NaN]."""
+    data = json.loads((ROOT / "demos" / "models" / "binary_instance.json").read_text())
+    data["p_x"] = [float("nan"), float("nan")]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(data))
     return path
 
 
@@ -70,6 +83,10 @@ class TestModelIO:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ModelError, match="not found"):
             modelio.parse_model(tmp_path / "absent.json")
+
+    def test_non_finite_pmf_rejected(self, nan_model_file):
+        with pytest.raises(ModelError, match="p_x: pmf entries must be finite"):
+            modelio.parse_model(nan_model_file)
 
     def test_schema_version_checked(self, tmp_path):
         path = tmp_path / "v2.json"
@@ -187,3 +204,24 @@ class TestCommands:
         assert rc == 1
         assert not out.exists()
         assert "error" in capsys.readouterr().err
+
+    def test_non_finite_model_fails_with_message(self, tmp_path, capsys, nan_model_file):
+        out = tmp_path / "never.csv"
+        rc = cli.main([
+            "compute-region", "--model", str(nan_model_file),
+            "--targets", "0.1", "--output", str(out),
+        ])
+        assert rc == 1
+        assert not out.exists()
+        assert "p_x: pmf entries must be finite" in capsys.readouterr().err
+
+    def test_oversized_grid_fails_fast(self, tmp_path, capsys, model_file):
+        # Without --u-size the grid oracle would enumerate |U| = 25 rows.
+        out = tmp_path / "never.csv"
+        rc = cli.main([
+            "compute-region", "--model", str(model_file), "--grid",
+            "--targets", "0.1", "--output", str(out),
+        ])
+        assert rc == 1
+        assert not out.exists()
+        assert "above the limit" in capsys.readouterr().err

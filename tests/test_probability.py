@@ -13,9 +13,6 @@ from secsource.probability import (
     StochasticMatrix,
     bsc,
     build_joint,
-    conditional_mutual_information,
-    entropy,
-    marginal,
 )
 from secsource.regions import AuxScheme, extend_with_auxiliaries
 
@@ -49,6 +46,16 @@ class TestConstruction:
     def test_joint_axes_unique(self):
         with pytest.raises(DimensionError):
             JointPmf(("A", "A"), np.full((2, 2), 0.25))
+
+    def test_non_finite_entries_rejected(self):
+        with pytest.raises(ModelError, match="finite"):
+            Pmf(np.array([np.nan, np.nan]))
+        with pytest.raises(ModelError, match="finite"):
+            Pmf(np.array([np.inf, 0.0]))
+        with pytest.raises(ModelError, match="finite"):
+            StochasticMatrix(np.array([[np.nan, np.nan]]))
+        with pytest.raises(ModelError, match="finite"):
+            JointPmf(("A",), np.array([np.nan, 1.0]))
 
     def test_immutability(self):
         p = Pmf.uniform(2)
@@ -88,18 +95,18 @@ class TestBuildJoint:
 
 class TestMarginal:
     def test_identity(self, binary_joint):
-        m = marginal(binary_joint, ("Xt", "X", "Y", "Z"))
+        m = binary_joint.marginal(("Xt", "X", "Y", "Z"))
         np.testing.assert_allclose(m.table, binary_joint.table)
 
     def test_keep_x_uniform(self, binary_joint):
         np.testing.assert_allclose(
-            marginal(binary_joint, ("X",)).table, [0.5, 0.5], atol=1e-15
+            binary_joint.marginal(("X",)).table, [0.5, 0.5], atol=1e-15
         )
 
     def test_keep_xt_uniform(self, binary_joint):
         # 0.5 * 0.9 + 0.5 * 0.1 per symbol under the symmetric channel.
         np.testing.assert_allclose(
-            marginal(binary_joint, ("Xt",)).table, [0.5, 0.5], atol=1e-15
+            binary_joint.marginal(("Xt",)).table, [0.5, 0.5], atol=1e-15
         )
 
     def test_reproduces_px(self):
@@ -109,52 +116,52 @@ class TestMarginal:
             model = random_model(rng, nx=3, nxt=2, ny=2, nz=3)
             j = build_joint(model)
             np.testing.assert_allclose(
-                marginal(j, ("X",)).table, model.px.probs, rtol=0, atol=1e-15
+                j.marginal(("X",)).table, model.px.probs, rtol=0, atol=1e-15
             )
 
     def test_unknown_name(self, binary_joint):
         with pytest.raises(DimensionError):
-            marginal(binary_joint, ("W",))
+            binary_joint.marginal(("W",))
 
 
 class TestEntropy:
     def test_uniform_binary(self):
         j = JointPmf(("A",), np.array([0.5, 0.5]))
-        assert entropy(j) == pytest.approx(1.0, abs=1e-15)
+        assert j.entropy() == pytest.approx(1.0, abs=1e-15)
 
     def test_point_mass(self):
         j = JointPmf(("A",), np.array([1.0, 0.0]))
-        assert entropy(j) == 0.0
+        assert j.entropy() == 0.0
 
     def test_quarter_three_quarter(self):
         j = JointPmf(("A",), np.array([0.25, 0.75]))
         want = entropy_oracle([0.25, 0.75])
         assert want == pytest.approx(0.811278, abs=5e-7)
-        assert entropy(j) == pytest.approx(want, abs=1e-12)
+        assert j.entropy() == pytest.approx(want, abs=1e-12)
 
 
 class TestConditionalMutualInformation:
     def test_independent(self):
         j = JointPmf(("A", "B"), np.outer([0.3, 0.7], [0.6, 0.4]))
-        assert conditional_mutual_information(j, ("A",), ("B",)) == 0.0
+        assert j.mutual_information(("A",), ("B",)) == 0.0
 
     def test_identical_uniform(self):
         j = JointPmf(("A", "B"), np.eye(2) / 2)
-        assert conditional_mutual_information(j, ("A",), ("B",)) == pytest.approx(1.0, abs=1e-12)
+        assert j.mutual_information(("A",), ("B",)) == pytest.approx(1.0, abs=1e-12)
 
     def test_bsc_point_two(self, binary_joint):
         want = 1.0 - h2(0.2)
         assert want == pytest.approx(0.278072, abs=5e-7)
-        got = conditional_mutual_information(binary_joint, ("X",), ("Y",))
+        got = binary_joint.mutual_information(("X",), ("Y",))
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_overlap_rejected(self, binary_joint):
         with pytest.raises(DimensionError):
-            conditional_mutual_information(binary_joint, ("X",), ("X", "Y"))
+            binary_joint.mutual_information(("X",), ("X", "Y"))
 
     def test_conditioning_variable(self, binary_joint):
         # I(Y;Z|X) = 0 by construction (product channel).
-        assert conditional_mutual_information(binary_joint, ("Y",), ("Z",), ("X",)) <= 1e-12
+        assert binary_joint.mutual_information(("Y",), ("Z",), ("X",)) <= 1e-12
 
 
 def _random_joint(rng, max_axes=4, max_size=4):

@@ -23,6 +23,7 @@ from secsource.regions import (
     optimal_reconstruction,
     r_prime,
     reconstruction_distortion,
+    _SchemeEvaluator,
 )
 from secsource.probability import ModelError
 
@@ -150,6 +151,38 @@ class TestLossyPoint:
             rep = lossy_point(full, t_high, metric)  # equality -> higher regime
             assert rep.regime == "large_key"
             assert rep.bounds.rs == 0.0 and rep.bounds.rl == 0.0
+
+    def test_scheme_evaluator_matches_reference(self, binary_joint):
+        # The searches score schemes with _SchemeEvaluator; it must reproduce
+        # lossy_point on the 7-axis joint in every regime.
+        rng = np.random.default_rng(41)
+        metric = DistortionMetric.hamming(2)
+        evaluator = _SchemeEvaluator(binary_joint, metric)
+        seen = set()
+        for nu, nv, nq in ((3, 2, 2), (25, 5, 2)):
+            for _ in range(8):
+                aux = _random_aux(rng, 2, nu=nu, nv=nv, nq=nq)
+                mats = (aux.p_u_given_xtilde.rows, aux.p_v_given_u.rows, aux.p_q_given_v.rows)
+                full = extend_with_auxiliaries(binary_joint, aux)
+                ref = lossy_point(full, 0.0, metric)
+                lo, hi = ref.threshold_low, ref.threshold_high
+                assert lo > 1e-6 and hi - lo > 1e-6
+                for r0 in (0.5 * lo, 0.5 * (lo + hi), hi + 0.1):
+                    want = lossy_point(full, r0, metric)
+                    got = evaluator.evaluate(*mats, r0)
+                    assert got.regime == want.regime
+                    seen.add(got.regime)
+                    for attr in ("threshold_low", "threshold_high", "r_prime"):
+                        assert getattr(got, attr) == pytest.approx(getattr(want, attr), abs=1e-12)
+                    for attr in ("rw", "rs", "rl", "d"):
+                        assert getattr(got.bounds, attr) == pytest.approx(
+                            getattr(want.bounds, attr), abs=1e-12
+                        )
+                # Exactly at a threshold the higher regime applies.
+                at_low = evaluator.evaluate(*mats, got.threshold_low)
+                at_high = evaluator.evaluate(*mats, got.threshold_high)
+                assert at_low.regime == "middle_key" and at_high.regime == "large_key"
+        assert seen == {"small_key", "middle_key", "large_key"}
 
     def test_noiseless_y_gives_all_zero(self):
         model = SourceModel.from_channels(

@@ -99,10 +99,13 @@ def test_search_config_validation():
 
 
 def test_generic_objective_path(binary_model):
-    cfg = SearchConfig(restarts=2, seed=5, u_size=2, v_size=1, q_size=1,
-                       objective="rs", max_iters=20)
-    pts = trace_region(binary_model, 0.0, METRIC, [0.2], cfg)
-    assert pts[0].rates.d <= 0.2 + 1e-9
+    for objective, r0 in (("rs", 0.0), ("rl", 0.1)):
+        cfg = SearchConfig(restarts=2, seed=5, u_size=2, v_size=1, q_size=1,
+                           objective=objective, max_iters=20)
+        pts = trace_region(binary_model, r0, METRIC, [0.2], cfg)
+        assert pts[0].rates.d <= 0.2 + 1e-9
+        full = extend_with_auxiliaries(build_joint(binary_model), pts[0].scheme)
+        assert lossy_point(full, r0, METRIC) == pts[0].report
 
 
 def test_convexified_trace_is_convex_and_below(binary_model):
