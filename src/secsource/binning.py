@@ -43,7 +43,12 @@ functionals evaluated on the pooled empirical type of the per-position
 tuples (v, u, xt, x, y, z), minus the key rate actually consumed, clamped at
 zero.  These indicate the asymptotic targets and are not finite-n proofs;
 ``exact_leakage`` computes the exact finite-n conditional mutual informations
-by enumeration for small blocklengths.
+for small blocklengths.  It enumerates P(message | xt^n) over every
+(sequence, auxiliary path, key) triple (at most ``ENUMERATION_BUDGET`` of
+them) and applies the per-letter laws P(xt, z) and P(xt, x) to that table a
+few letters at a time, in O(n m^n C) arithmetic for C messages and
+m = max(|Xt|, |Z|, |X|), without building any |Xt|^n x |Z|^n table; its
+working arrays are capped at ``LEAKAGE_CELL_LIMIT`` cells per message.
 """
 
 from __future__ import annotations
@@ -76,6 +81,9 @@ PadMode = Literal["key_slot", "pad_u", "pad_all"]
 
 MATERIALIZE_LIMIT = 1 << 14   # largest sequence space kept as explicit tables
 ENUMERATION_BUDGET = 5_000_000  # cells in composition cross-products / exact sums
+LEAKAGE_CELL_LIMIT = 64_000_000  # cells per message column in exact_leakage's working arrays
+_LEAKAGE_BLOCK_CELLS = 1 << 15  # working-block size of exact_leakage (cache-sized)
+_LETTER_POWER_SIZE = 16         # largest Kronecker power exact_leakage applies in one step
 _LL_TIE_TOL = 1e-6            # log-likelihood slack treated as a tie
 
 
@@ -404,7 +412,8 @@ def _sample_aux(code: BinningCode, xtilde_seq: np.ndarray, rng) -> tuple[np.ndar
     return v, u
 
 
-def _pad(value: int, key: int, bits: int) -> int:
+def _pad(value, key, bits: int):
+    """One-time pad modulo 2^bits; elementwise on numpy arrays."""
     return (value + key) & ((1 << bits) - 1) if bits > 0 else 0
 
 
@@ -412,20 +421,27 @@ def _unpad(value: int, key: int, bits: int) -> int:
     return (value - key) & ((1 << bits) - 1) if bits > 0 else 0
 
 
-def _assemble_message(code: BinningCode, v_seq, u_seq, key) -> Message:
-    f_v, w_v = code.v_bins(v_seq)
-    f_u, w_u, k_u = code.u_bins(u_seq)
+def _message_fields(code: BinningCode, v_idx, u_idx, key) -> tuple:
+    """(f_v, w_v, f_u, w_u, key_slot) for v/u sequence indices and a key.
+
+    Elementwise on numpy arrays of indices and key components; ``key_slot``
+    is None outside the key-slot regime.
+    """
+    f_v, w_v = code.tables[0][v_idx], code.tables[1][v_idx]
+    f_u, w_u, k_u = code.tables[2][u_idx], code.tables[3][u_idx], code.tables[4][u_idx]
+    bits = code.bits
     if code.mode == "key_slot":
-        return Message(f_v, w_v, f_u, w_u, _pad(k_u, key[0], code.bits.k_u))
+        return f_v, w_v, f_u, w_u, _pad(k_u, key[0], bits.k_u)
     if code.mode == "pad_u":
-        return Message(f_v, w_v, f_u, _pad(w_u, key[0], code.bits.w_u), None)
-    return Message(
-        f_v,
-        _pad(w_v, key[0], code.bits.w_v),
-        f_u,
-        _pad(w_u, key[1], code.bits.w_u),
-        None,
+        return f_v, w_v, f_u, _pad(w_u, key[0], bits.w_u), None
+    return f_v, _pad(w_v, key[0], bits.w_v), f_u, _pad(w_u, key[1], bits.w_u), None
+
+
+def _assemble_message(code: BinningCode, v_seq, u_seq, key) -> Message:
+    fields = _message_fields(
+        code, _seq_index(v_seq, code.v_size), _seq_index(u_seq, code.u_size), key
     )
+    return Message(*(None if f is None else int(f) for f in fields))
 
 
 def encode(
@@ -563,14 +579,24 @@ def _ml_in_bin(
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=512)
 def _compositions(total: int, parts: int) -> np.ndarray:
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    rows = []
-    for k in range(total + 1):
-        rest = _compositions(total - k, parts - 1)
-        rows.append(np.column_stack([np.full(len(rest), k, dtype=np.int64), rest]))
-    return np.vstack(rows)
+    """All ``parts``-tuples of non-negative integers summing to ``total``.
+
+    Rows are in lexicographic order (stars and bars: bar positions from
+    ``itertools.combinations``).  Cached, so the array is read-only.
+    """
+    width = parts - 1
+    rows = math.comb(total + width, width)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(total + width), width)),
+        dtype=np.int64,
+        count=rows * width,
+    ).reshape(rows, width)
+    edges = np.hstack([np.full((rows, 1), -1), bars, np.full((rows, 1), total + width)])
+    comps = np.diff(edges, axis=1) - 1
+    comps.flags.writeable = False
+    return comps
 
 
 def log2_competitor_count(
@@ -581,31 +607,35 @@ def log2_competitor_count(
     ``per_pos_logp[g]`` is the per-symbol log-probability vector of group g
     (positions sharing the same side-information symbol form a group);
     ``groups[i]`` labels position i.  Counts by enumerating composition types
-    per group and crossing the groups, which is exact; the count includes the
-    true sequence itself.
+    per group, which is exact; the count includes the true sequence itself.
+    The group with the most types is merged last: its log-likelihoods are
+    sorted once and each type of the cross product of the other groups
+    (budget-guarded) finds the qualifying ones by binary search against
+    suffix log-sums of their counts, so it costs |A| log |B| rather than
+    |A| |B|.
     """
-    n_groups = per_pos_logp.shape[0]
     q = per_pos_logp.shape[1]
-    true_ll = 0.0
-    for g, a in zip(groups, true_seq):
-        true_ll += per_pos_logp[g, a]
+    true_ll = float(per_pos_logp[groups, true_seq].sum())
     if not math.isfinite(true_ll):
         raise ValueError("the true sequence must have positive probability")
 
-    lls = np.zeros(1)
-    logcounts = np.zeros(1)
-    budget = ENUMERATION_BUDGET
-    for g in range(n_groups):
-        n_g = int(np.count_nonzero(groups == g))
-        if n_g == 0:
-            continue
+    sizes = np.bincount(groups, minlength=per_pos_logp.shape[0])
+    types = []
+    for g in np.flatnonzero(sizes):
+        n_g = int(sizes[g])
         comps = _compositions(n_g, q)
         lp = per_pos_logp[g]
-        terms = np.where(comps > 0, comps * lp[None, :], 0.0)
-        ll_g = terms.sum(axis=1)
+        with np.errstate(invalid="ignore"):  # 0 * -inf; such types are set to -inf below
+            ll_g = np.where(comps > 0, comps * lp[None, :], 0.0).sum(axis=1)
         ll_g[np.any((comps > 0) & np.isneginf(lp)[None, :], axis=1)] = -np.inf
         logcnt_g = gammaln(n_g + 1) - gammaln(comps + 1).sum(axis=1)
-        if lls.size * ll_g.size > budget:
+        types.append((ll_g, logcnt_g))
+
+    ll_last, logcnt_last = types.pop(max(range(len(types)), key=lambda i: types[i][0].size))
+    lls = np.zeros(1)
+    logcounts = np.zeros(1)
+    for ll_g, logcnt_g in types:
+        if lls.size * ll_g.size > ENUMERATION_BUDGET:
             raise BinningScaleError(
                 "composition enumeration exceeds the desk-scale budget "
                 "(too many side-information groups or too large an alphabet)"
@@ -613,8 +643,10 @@ def log2_competitor_count(
         lls = (lls[:, None] + ll_g[None, :]).ravel()
         logcounts = (logcounts[:, None] + logcnt_g[None, :]).ravel()
 
-    mask = lls >= true_ll - _LL_TIE_TOL
-    return float(logsumexp(logcounts[mask]) / math.log(2.0))
+    order = np.argsort(ll_last, kind="stable")
+    suffix = np.append(np.logaddexp.accumulate(logcnt_last[order][::-1])[::-1], -np.inf)
+    first = np.searchsorted(ll_last[order], true_ll - _LL_TIE_TOL - lls, side="left")
+    return float(logsumexp(logcounts + suffix[first]) / math.log(2.0))
 
 
 def collision_free_probability(log2_count_including_truth: float, bits: int) -> float:
@@ -648,35 +680,20 @@ def collision_free_probability(log2_count_including_truth: float, bits: int) -> 
     return math.exp(-math.log(2.0) * 2.0**r)
 
 
-def _group_labels(*symbol_seqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Composite side-information labels -> dense group ids."""
-    stacked = np.stack(symbol_seqs, axis=1)
-    uniq, inverse = np.unique(stacked, axis=0, return_inverse=True)
-    return uniq, inverse
-
-
 def _layer_success_probability(
-    code: BinningCode,
-    layer: Literal["v", "u"],
-    true_seq: np.ndarray,
-    v_seq: Optional[np.ndarray],
-    y_seq: np.ndarray,
+    log_p: np.ndarray, true_seq: np.ndarray, side: tuple[np.ndarray, ...], bits: int
 ) -> float:
-    if layer == "v":
-        if code.v_size == 1:
-            return 1.0
-        log_v = _log_conditional(code.p_v_y, 1)  # (V, Y)
-        uniq, groups = _group_labels(y_seq)
-        table = log_v[:, uniq[:, 0]].T  # (groups, V)
-        log2n = log2_competitor_count(table, true_seq, groups)
-        return collision_free_probability(log2n, code.bits.f_v + code.bits.w_v)
-    if code.u_size == 1:
+    """P(the layer decodes) for one trial of the collision engine.
+
+    ``log_p[s, c...]`` is ln P(symbol s | side symbols c...) and ``side`` the
+    side-information sequences; positions with equal side symbols form one
+    group of the competitor count.  A one-symbol layer always decodes.
+    """
+    if log_p.shape[0] == 1:
         return 1.0
-    log_u = _log_conditional(np.moveaxis(code.p_vu_y, 1, 0), 2)  # (U, V, Y)
-    uniq, groups = _group_labels(v_seq, y_seq)
-    table = log_u[:, uniq[:, 0], uniq[:, 1]].T  # (groups, U)
-    log2n = log2_competitor_count(table, true_seq, groups)
-    return collision_free_probability(log2n, code.bits.u_layer_total())
+    labels, groups = np.unique(np.ravel_multi_index(side, log_p.shape[1:]), return_inverse=True)
+    table = log_p.reshape(log_p.shape[0], -1)[:, labels].T  # (groups, alphabet)
+    return collision_free_probability(log2_competitor_count(table, true_seq, groups), bits)
 
 
 # ---------------------------------------------------------------------------
@@ -727,6 +744,8 @@ def run_experiment(
     counts = np.zeros(sizes)
     errors = 0
     distortions: list[float] = []
+    log_v = _log_conditional(code.p_v_y, 1)                          # (V, Y)
+    log_u = _log_conditional(np.moveaxis(code.p_vu_y, 1, 0), 2)      # (U, V, Y)
 
     for t in range(trials):
         rng = np.random.default_rng([seed, 7, t])
@@ -740,10 +759,11 @@ def run_experiment(
             v_hat, u_hat, unique = _decode_layers(code, y, key, msg)
             ok = unique and np.array_equal(v_hat, v_seq) and np.array_equal(u_hat, u_seq)
         else:
-            p_v = _layer_success_probability(code, "v", v_seq, None, y)
+            p_v = _layer_success_probability(log_v, v_seq, (y,), code.bits.f_v + code.bits.w_v)
             ok = bool(rng.random() < p_v)
             if ok:
-                p_u = _layer_success_probability(code, "u", u_seq, v_seq, y)
+                p_u = _layer_success_probability(log_u, u_seq, (v_seq, y),
+                                                 code.bits.u_layer_total())
                 ok = bool(rng.random() < p_u)
         if ok:
             xhat = code.reconstruction[u_seq, y]
@@ -803,7 +823,9 @@ def exact_message_table(code: BinningCode, model: SourceModel) -> ExactMessageTa
 
     Sums over the auxiliary sampling (support of P(V,U|Xt) per letter) and
     over all keys; feasible for deterministic auxiliaries or tiny
-    blocklengths (budget-guarded).
+    blocklengths (budget-guarded).  Every (sequence, auxiliary path, key)
+    triple is one entry of numpy index arrays; columns are the distinct
+    message tuples in lexicographic order.
     """
     if not code.materialized:
         raise BinningScaleError("exact enumeration needs a materialized code")
@@ -813,56 +835,62 @@ def exact_message_table(code: BinningCode, model: SourceModel) -> ExactMessageTa
     p_xt_letter = model.px.probs @ model.meas_enc.rows
     p_seq = np.prod(p_xt_letter[seqs], axis=1)
 
-    # Per-letter support of (u, v) given xt.
-    joint_uv_given_xt = np.einsum("au,uv->avu", code.p_u_given_xtilde, code.p_v_given_u)
-    supports: list[list[tuple[int, int, float]]] = []
-    for a in range(q):
-        entries = [
-            (v, u, float(joint_uv_given_xt[a, v, u]))
-            for v in range(code.v_size)
-            for u in range(code.u_size)
-            if joint_uv_given_xt[a, v, u] > 0.0
-        ]
-        supports.append(entries)
+    # Per-letter law of (v, u) given xt, flattened to v * |U| + u.
+    p_vu_given_xt = np.einsum(
+        "au,uv->avu", code.p_u_given_xtilde, code.p_v_given_u
+    ).reshape(q, -1)
+    support = p_vu_given_xt > 0.0
 
     key_widths = code.key_bit_widths()
-    n_keys = 1
-    for b in key_widths:
-        n_keys <<= b
-    max_support = max(len(s) for s in supports)
+    n_keys = 1 << sum(key_widths)
+    max_support = int(support.sum(axis=1).max())
     if p_seq.size * (max_support**n) * n_keys > ENUMERATION_BUDGET:
         raise BinningScaleError("exact message enumeration exceeds the budget")
 
-    columns: dict[tuple, int] = {}
-    rows: list[dict[int, float]] = [dict() for _ in range(p_seq.size)]
+    # Grow all (sequence, path) pairs one letter at a time; the v and u paths
+    # are kept as big-endian sequence indices.
+    row = np.arange(p_seq.size)
+    v_idx = np.zeros_like(row)
+    u_idx = np.zeros_like(row)
+    p_path = np.ones(p_seq.size)
+    for i in range(n):
+        letter = seqs[row, i]
+        parent, vu = np.nonzero(support[letter])
+        v, u = np.divmod(vu, code.u_size)
+        p_path = p_path[parent] * p_vu_given_xt[letter[parent], vu]
+        v_idx = v_idx[parent] * code.v_size + v
+        u_idx = u_idx[parent] * code.u_size + u
+        row = row[parent]
 
-    keys = list(itertools.product(*(range(1 << b) for b in key_widths)))
-    key_p = 1.0 / len(keys)
+    keys = np.indices([1 << b for b in key_widths]).reshape(len(key_widths), 1, n_keys)
+    fields = _message_fields(code, v_idx[:, None], u_idx[:, None], keys)
+    slot_free = fields[4] is None
+    stacked = np.stack(np.broadcast_arrays(*fields[:4], 0 if slot_free else fields[4]), axis=-1)
+    messages, column = _unique_rows(stacked.reshape(-1, 5))
 
-    for s_idx, xt in enumerate(seqs):
-        paths: list[tuple[np.ndarray, np.ndarray, float]] = [
-            (np.empty(0, dtype=int), np.empty(0, dtype=int), 1.0)
-        ]
-        for a in xt:
-            new_paths = []
-            for v_part, u_part, p in paths:
-                for v, u, pv in supports[a]:
-                    new_paths.append(
-                        (np.append(v_part, v), np.append(u_part, u), p * pv)
-                    )
-            paths = new_paths
-        for v_seq, u_seq, p_path in paths:
-            for key in keys:
-                msg = _assemble_message(code, v_seq, u_seq, key)
-                tup = (msg.f_v, msg.w_v, msg.f_u, msg.w_u, msg.key_slot)
-                col = columns.setdefault(tup, len(columns))
-                rows[s_idx][col] = rows[s_idx].get(col, 0.0) + p_path * key_p
+    n_cols = len(messages)
+    table = np.bincount(
+        np.repeat(row, n_keys) * n_cols + column,
+        weights=np.repeat(p_path * (1.0 / n_keys), n_keys),
+        minlength=p_seq.size * n_cols,
+    ).reshape(p_seq.size, n_cols)
+    tuples = [tuple(m[:4]) + ((None,) if slot_free else (m[4],)) for m in messages.tolist()]
+    return ExactMessageTable(p_seq, table, tuples)
 
-    table = np.zeros((p_seq.size, len(columns)))
-    for i, row in enumerate(rows):
-        for col, p in row.items():
-            table[i, col] = p
-    return ExactMessageTable(p_seq, table, list(columns.keys()))
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(rows, axis=0, return_inverse=True)`` by one lexsort.
+
+    Same result; numpy's axis-0 unique sorts rows as opaque byte strings,
+    which is about ten times slower on integer rows.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
 
 
 def message_source_mutual_information(
@@ -922,34 +950,69 @@ class ExactLeakage:
 def exact_leakage(code: BinningCode, model: SourceModel) -> ExactLeakage:
     """Exact finite-n leakage of the full transmitted+public message tuple.
 
-    Computes I(Xt^n; W | Z^n)/n and I(X^n; W | Z^n)/n by enumeration, using
+    Computes I(Xt^n; W | Z^n)/n and I(X^n; W | Z^n)/n exactly, using
     W - Xt^n - Z^n and W - X^n - Z^n (the message is a function of the
     source block and private randomness).  The public indices F are part of
     W here, matching what the eavesdropper observes.
+
+    P(Z^n, W) and P(X^n, W) come from the (|Xt|^n, C) table P(W | Xt^n) by
+    applying the per-letter joints P(Xt, Z) and P(Xt, X) a few letters at a
+    time, over blocks of message columns, so no |Xt|^n x |Z|^n table is
+    built and the cost is O(n m^n C) arithmetic with m = max(|Xt|, |Z|,
+    |X|), against O(|Xt|^n |Z|^n C) for the Kronecker product.  Each
+    conditional entropy is a joint entropy minus n times a per-letter one.  The widest working array has m^n cells per column; it
+    must not exceed ``LEAKAGE_CELL_LIMIT``.  The message table itself is
+    bounded by the enumeration budget of ``exact_message_table``.
     """
     t = exact_message_table(code, model)
     n = code.n
-    q = model.xtilde_size
+    widest = max(model.xtilde_size, model.z_size, model.x_size) ** n
+    if widest > LEAKAGE_CELL_LIMIT:
+        raise BinningScaleError("exact leakage working arrays exceed the budget")
 
-    p_xt_z = np.einsum("x,xa,xz->az", model.px.probs, model.meas_enc.rows,
-                       model.p_z_given_x().rows)
+    p_x_xt = model.px.probs[:, None] * model.meas_enc.rows        # (X, Xt)
+    p_xt_z = p_x_xt.T @ model.p_z_given_x().rows                   # (Xt, Z)
 
-    cells = max(
-        (q**n) * (model.z_size**n), (model.x_size**n) * (q**n)
-    )
-    if cells > 64_000_000:
-        raise BinningScaleError("exact leakage joint tables exceed the budget")
-
-    joint_xt_z = reduce(np.kron, [p_xt_z] * n)                   # (q^n, qz^n)
-    p_zw = joint_xt_z.T @ t.p_message_given_sequence             # (qz^n, C)
-    h_w_given_z = entropy_bits(p_zw) - entropy_bits(joint_xt_z.sum(axis=0))
-
-    h_w_given_xt = float(t.p_sequence @ entropy_bits(t.p_message_given_sequence, axis=1))
+    to_z = _letter_powers(p_xt_z, n)
+    to_x = _letter_powers(p_x_xt.T, n)
+    h_xt_w = h_z_w = h_x_w = 0.0
+    table = t.p_message_given_sequence
+    step = max(1, _LEAKAGE_BLOCK_CELLS // widest)
+    for start in range(0, table.shape[1], step):
+        block = table[:, start:start + step]
+        h_xt_w += entropy_bits(t.p_sequence[:, None] * block)
+        h_z_w += entropy_bits(_apply_per_letter(block, to_z))
+        h_x_w += entropy_bits(_apply_per_letter(block, to_x))
+    h_w_given_xt = h_xt_w - n * entropy_bits(p_x_xt.sum(axis=0))
+    h_w_given_z = h_z_w - n * entropy_bits(p_xt_z.sum(axis=0))
+    h_w_given_x = h_x_w - n * entropy_bits(model.px.probs)
     secrecy = (h_w_given_z - h_w_given_xt) / n
-
-    enc_n = reduce(np.kron, [model.meas_enc.rows] * n)           # (qx^n, qxt^n)
-    p_x_seq = reduce(np.kron, [model.px.probs] * n)
-    p_w_given_x = enc_n @ t.p_message_given_sequence
-    h_w_given_x = float(p_x_seq @ entropy_bits(p_w_given_x, axis=1))
     privacy = (h_w_given_z - h_w_given_x) / n
     return ExactLeakage(secrecy=max(0.0, secrecy), privacy=max(0.0, privacy))
+
+
+def _letter_powers(joint: np.ndarray, n: int) -> list[np.ndarray]:
+    """Kronecker powers of ``joint`` (Xt, A) covering n letters, transposed.
+
+    Each power spans as many letters as keeps it within
+    ``_LETTER_POWER_SIZE`` rows and columns: few wide steps beat n narrow
+    ones, since each step is one pass over the working block.
+    """
+    width = max(joint.shape)
+    k = 1
+    while k < n and width ** (k + 1) <= _LETTER_POWER_SIZE:
+        k += 1
+    return [reduce(np.kron, [joint] * min(k, n - done)).T for done in range(0, n, k)]
+
+
+def _apply_per_letter(block: np.ndarray, powers: list[np.ndarray]) -> np.ndarray:
+    """sum over xt^n of prod_i joint[xt_i, a_i] * block[xt^n, c].
+
+    ``block`` rows are indexed by the big-endian digits of xt^n.  Each power
+    from ``_letter_powers`` contracts the leading digits and rotates the new
+    ones to the back, so the result has axes (c, a_1, ..., a_n).
+    """
+    out = block
+    for power in powers:
+        out = (power @ out.reshape(power.shape[1], -1)).T
+    return out

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .probability import DimensionError, Pmf, StochasticMatrix, mutual_information_2d
 
@@ -68,6 +67,8 @@ def check_stochastic_degraded(
     T >= 0 as a linear program (HiGHS); feasibility holds iff the optimum is
     within 1e-8.
     """
+    from scipy.optimize import linprog  # deferred: scipy.optimize is slow to import
+
     if p_y_given_x.input_size != p_z_given_x.input_size:
         raise DimensionError("channels must share the input alphabet")
     py = p_y_given_x.rows

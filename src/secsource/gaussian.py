@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .probability import ModelError, Pmf, SourceModel, StochasticMatrix
 from .regions import RateTuple
@@ -140,11 +140,15 @@ _TAIL_SIGMAS = 4.0
 _QUAD_NODES = 24
 
 
+def _std_normal_pdf(x: np.ndarray) -> np.ndarray:
+    return np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi)
+
+
 def _quantile_edges(sigma: float, levels: int) -> np.ndarray:
     """Equal-probability cell edges of N(0, sigma^2) truncated to +/- 4 sigma."""
-    lo, hi = norm.cdf(-_TAIL_SIGMAS), norm.cdf(_TAIL_SIGMAS)
+    lo, hi = ndtr(-_TAIL_SIGMAS), ndtr(_TAIL_SIGMAS)
     qs = np.linspace(lo, hi, levels + 1)
-    edges = sigma * norm.ppf(qs)
+    edges = sigma * ndtri(qs)
     edges[0] = -_TAIL_SIGMAS * sigma
     edges[-1] = _TAIL_SIGMAS * sigma
     return edges
@@ -174,8 +178,8 @@ def _gaussian_channel(
     for i in range(levels):
         lo, hi = edges_a[i], edges_a[i + 1]
         a = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-        w = 0.5 * (hi - lo) * weights * norm.pdf(a / sigma_a) / sigma_a
-        cdfs = norm.cdf((inner[None, :] - slope * a[:, None]) / s)
+        w = 0.5 * (hi - lo) * weights * _std_normal_pdf(a / sigma_a) / sigma_a
+        cdfs = ndtr((inner[None, :] - slope * a[:, None]) / s)
         cell = cdfs[:, 1:] - cdfs[:, :-1]
         rows[i] = w @ cell
     rows /= rows.sum(axis=1, keepdims=True)
@@ -200,7 +204,7 @@ def discretize(
         raise ModelError("levels must be >= 2")
 
     edges_x = _quantile_edges(1.0, levels)
-    px_raw = np.diff(norm.cdf(edges_x))
+    px_raw = np.diff(ndtr(edges_x))
     px = Pmf(px_raw / px_raw.sum())
 
     # Channels along the chain U - Xt - X - (Y, Z); all marginals unit

@@ -1,10 +1,13 @@
 import dataclasses
+import itertools
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
-from conftest import h2, star
+from conftest import h2, random_model, star
 from secsource.binning import (
     BinningRates,
     BinningScaleError,
@@ -19,6 +22,7 @@ from secsource.binning import (
     message_source_mutual_information,
     padded_indices_mutual_information,
     run_experiment,
+    _compositions,
 )
 from secsource.probability import (
     Pmf,
@@ -26,6 +30,7 @@ from secsource.probability import (
     StochasticMatrix,
     bsc,
     build_joint,
+    entropy_bits,
 )
 from secsource.regions import AuxScheme, extend_with_vu
 
@@ -218,6 +223,46 @@ class TestCollisionMath:
             got = log2_competitor_count(logp, true_seq, groups)
             assert got == pytest.approx(math.log2(want), abs=1e-9)
 
+    def test_competitor_count_ternary_cross_product(self):
+        # Three ternary groups of about 16 positions: the sorted merge of the
+        # largest group equals the explicit cross product of all three.
+        rng = np.random.default_rng(15)
+        for case in range(5):
+            n = 48
+            logp = np.log(rng.dirichlet(np.ones(3), size=3))
+            groups = rng.integers(0, 3, size=n)
+            true_seq = rng.integers(0, 3, size=n)
+            if case == 0:  # an impossible symbol in one group
+                logp[0, 2] = -np.inf
+                true_seq[(groups == 0) & (true_seq == 2)] = 0
+            t = sum(logp[g, a] for g, a in zip(groups, true_seq))
+            lls, logcounts = np.zeros(1), np.zeros(1)
+            for g in range(3):
+                n_g = int(np.count_nonzero(groups == g))
+                comps = np.array([c for c in itertools.product(range(n_g + 1), repeat=3)
+                                  if sum(c) == n_g])
+                with np.errstate(invalid="ignore"):
+                    ll = np.where(comps > 0, comps * logp[g], 0.0).sum(axis=1)
+                cnt = np.array([math.lgamma(n_g + 1) - sum(math.lgamma(c + 1) for c in row)
+                                for row in comps])
+                lls = (lls[:, None] + ll[None, :]).ravel()
+                logcounts = (logcounts[:, None] + cnt[None, :]).ravel()
+            want = logsumexp(logcounts[lls >= t - 1e-6]) / math.log(2.0)
+            got = log2_competitor_count(logp, true_seq, groups)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-9)
+
+    def test_compositions_cached_read_only(self):
+        comps = _compositions(5, 3)
+        assert not comps.flags.writeable
+        assert _compositions(5, 3) is comps
+        assert comps.shape == (math.comb(7, 2), 3)
+        np.testing.assert_array_equal(comps.sum(axis=1), 5)
+        # Lexicographic order, as the competitor count's type enumeration uses.
+        assert [tuple(r) for r in comps] == sorted(
+            c for c in itertools.product(range(6), repeat=3) if sum(c) == 5)
+        with pytest.raises(ValueError):
+            comps[0, 0] = 1
+
     def test_collision_free_probability_limits(self):
         assert collision_free_probability(0.0, 10) == 1.0
         assert collision_free_probability(5.0, 0) == 0.0
@@ -296,6 +341,14 @@ class TestRunExperiment:
             gaps.append(abs(rep.leak_secrecy - target))
         assert gaps[-1] <= 0.05  # plug-in estimate concentrates on the target
 
+    def test_collision_engine_reaches_binary_n_1e4(self, binary_model, binary_full6):
+        # Two side-information groups of about 5000 positions each: crossing
+        # their composition lists would exceed the enumeration budget.
+        code = design_code(binary_full6, n=10_000, epsilon=0.02, r0=0.0, seed=16)
+        rep = run_experiment(code, binary_model, trials=2, seed=17)
+        assert rep.engine == "collision" and rep.n == 10_000
+        assert rep.error_rate == 0.0
+
     def test_determinism(self, binary_model, binary_full6):
         code = design_code(binary_full6, n=300, epsilon=0.15, r0=0.0, seed=12)
         a = run_experiment(code, binary_model, trials=60, seed=13)
@@ -338,10 +391,101 @@ class TestExactSmallN:
         assert abs(leak.secrecy - target_s) <= 0.1
         assert abs(leak.privacy - target_p) <= 0.1
 
+    @pytest.mark.parametrize("case", ["key_slot", "pad_u", "pad_all", "stochastic_v",
+                                      "stochastic_pad", "ternary"])
+    def test_exact_leakage_matches_kronecker_formula(self, case, binary_model):
+        code, model = _leakage_case(case, binary_model, n=None)
+        leak = exact_leakage(code, model)
+        want_s, want_p = _kronecker_leakage(code, model)
+        assert leak.secrecy == pytest.approx(max(0.0, want_s), abs=1e-12)
+        assert leak.privacy == pytest.approx(max(0.0, want_p), abs=1e-12)
+
+    @pytest.mark.parametrize("case", ["key_slot", "pad_u", "pad_all", "stochastic_v",
+                                      "stochastic_pad", "ternary"])
+    def test_message_table_matches_loop_enumeration(self, case, binary_model):
+        code, model = _leakage_case(case, binary_model, n=3)
+        t = exact_message_table(code, model)
+        p_seq, law = _message_law_by_loops(code, model)
+        np.testing.assert_allclose(t.p_sequence, p_seq, rtol=1e-14, atol=0.0)
+        assert len(set(t.messages)) == len(t.messages)
+        assert set(t.messages) == set().union(*law)
+        for row, probs in zip(t.p_message_given_sequence, law):
+            want = np.array([probs.get(m, 0.0) for m in t.messages])
+            np.testing.assert_allclose(row, want, rtol=1e-14, atol=1e-17)
+
     def test_budget_guard(self, binary_full6, binary_model):
         code = design_code(binary_full6, n=100, epsilon=0.15, r0=0.0, seed=5)
         with pytest.raises(BinningScaleError):
             exact_message_table(code, binary_model)
+
+
+def _leakage_case(case, binary_model, n):
+    """A small materialized code and its model, one per exact-analysis case."""
+    live_v = AuxScheme(bsc(0.2), bsc(0.1), StochasticMatrix.constant(2, 1))
+    recon = np.tile([0, 1], (2, 1))
+    if case == "ternary":
+        model = random_model(np.random.default_rng(18), nx=2, nxt=3, ny=2, nz=2)
+        full = _full6(model)
+        return design_code(full, n=n or 5, epsilon=0.1, r0=0.4, seed=19), model
+    if case in ("stochastic_v", "stochastic_pad"):
+        # Four (v, u) pairs per letter: 4^n auxiliary paths per block.
+        r0 = 0.0 if case == "stochastic_v" else 3.0
+        code = design_code(_full6(binary_model, live_v), n=n or 4, epsilon=0.05, r0=r0,
+                           seed=20, reconstruction=recon)
+        assert code.v_size == 2 and code.bits.w_v > 0
+        return code, binary_model
+    r0 = {"key_slot": 0.3, "pad_u": 1.1, "pad_all": 3.0}[case]
+    code = design_code(_full6(binary_model), n=n or 6, epsilon=0.1, r0=r0, seed=21)
+    assert code.mode == case and sum(code.key_bit_widths()) > 0
+    return code, binary_model
+
+
+def _kronecker_leakage(code, model):
+    """Reference leakage from dense |Xt|^n x |Z|^n and |X|^n x |Xt|^n tables."""
+    t = exact_message_table(code, model)
+    n = code.n
+    p_xt_z = np.einsum("x,xa,xz->az", model.px.probs, model.meas_enc.rows,
+                       model.p_z_given_x().rows)
+    joint_xt_z = reduce(np.kron, [p_xt_z] * n)
+    p_zw = joint_xt_z.T @ t.p_message_given_sequence
+    h_w_given_z = entropy_bits(p_zw) - entropy_bits(joint_xt_z.sum(axis=0))
+    h_w_given_xt = t.p_sequence @ entropy_bits(t.p_message_given_sequence, axis=1)
+    enc_n = reduce(np.kron, [model.meas_enc.rows] * n)
+    p_x_seq = reduce(np.kron, [model.px.probs] * n)
+    h_w_given_x = p_x_seq @ entropy_bits(enc_n @ t.p_message_given_sequence, axis=1)
+    return (h_w_given_z - h_w_given_xt) / n, (h_w_given_z - h_w_given_x) / n
+
+
+def _message_law_by_loops(code, model):
+    """P(xt^n) and {message tuple: P(message | xt^n)} per block, by plain loops."""
+    joint = np.einsum("au,uv->avu", code.p_u_given_xtilde, code.p_v_given_u)
+    p_xt = model.px.probs @ model.meas_enc.rows
+    bits = code.bits
+    keys = list(itertools.product(*(range(1 << b) for b in code.key_bit_widths())))
+    p_seq, law = [], []
+    for xt in itertools.product(range(model.xtilde_size), repeat=code.n):
+        p_seq.append(math.prod(p_xt[a] for a in xt))
+        probs = {}
+        letters = [[(v, u, joint[a, v, u]) for v in range(code.v_size)
+                    for u in range(code.u_size) if joint[a, v, u] > 0.0] for a in xt]
+        for path in itertools.product(*letters):
+            v_i = u_i = 0
+            p_path = 1.0
+            for v, u, p in path:
+                v_i, u_i, p_path = v_i * code.v_size + v, u_i * code.u_size + u, p_path * p
+            f_v, w_v = int(code.tables[0][v_i]), int(code.tables[1][v_i])
+            f_u, w_u, k_u = (int(code.tables[j][u_i]) for j in (2, 3, 4))
+            for key in keys:
+                if code.mode == "key_slot":
+                    m = (f_v, w_v, f_u, w_u, (k_u + key[0]) % (1 << bits.k_u))
+                elif code.mode == "pad_u":
+                    m = (f_v, w_v, f_u, (w_u + key[0]) % (1 << bits.w_u), None)
+                else:
+                    m = (f_v, (w_v + key[0]) % (1 << bits.w_v), f_u,
+                         (w_u + key[1]) % (1 << bits.w_u), None)
+                probs[m] = probs.get(m, 0.0) + p_path / len(keys)
+        law.append(probs)
+    return np.array(p_seq), law
 
 
 class TestRateViolation:

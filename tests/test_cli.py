@@ -225,3 +225,19 @@ class TestCommands:
         assert rc == 1
         assert not out.exists()
         assert "above the limit" in capsys.readouterr().err
+
+
+class TestImport:
+    def test_import_leaves_slow_scipy_modules_unloaded(self):
+        # scipy.stats and scipy.optimize cost about a second of every CLI
+        # call; only the functions that need them may import them.
+        import os
+        import subprocess
+        import sys
+
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        code = ("import sys, secsource; "
+                "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"
