@@ -53,14 +53,12 @@ working arrays are capped at ``LEAKAGE_CELL_LIMIT`` cells per message.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Literal, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .probability import (
     AX_U,
@@ -73,6 +71,7 @@ from .probability import (
     JointPmf,
     ModelError,
     SourceModel,
+    compositions,
     entropy_bits,
 )
 from .regions import DistortionMetric, VU_AXES, _optimal_reconstruction_from_uxty
@@ -579,26 +578,6 @@ def _ml_in_bin(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=512)
-def _compositions(total: int, parts: int) -> np.ndarray:
-    """All ``parts``-tuples of non-negative integers summing to ``total``.
-
-    Rows are in lexicographic order (stars and bars: bar positions from
-    ``itertools.combinations``).  Cached, so the array is read-only.
-    """
-    width = parts - 1
-    rows = math.comb(total + width, width)
-    bars = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(total + width), width)),
-        dtype=np.int64,
-        count=rows * width,
-    ).reshape(rows, width)
-    edges = np.hstack([np.full((rows, 1), -1), bars, np.full((rows, 1), total + width)])
-    comps = np.diff(edges, axis=1) - 1
-    comps.flags.writeable = False
-    return comps
-
-
 def log2_competitor_count(
     per_pos_logp: np.ndarray, true_seq: np.ndarray, groups: np.ndarray
 ) -> float:
@@ -614,6 +593,8 @@ def log2_competitor_count(
     suffix log-sums of their counts, so it costs |A| log |B| rather than
     |A| |B|.
     """
+    from scipy.special import gammaln, logsumexp  # deferred: scipy.special is slow to import
+
     q = per_pos_logp.shape[1]
     true_ll = float(per_pos_logp[groups, true_seq].sum())
     if not math.isfinite(true_ll):
@@ -623,7 +604,7 @@ def log2_competitor_count(
     types = []
     for g in np.flatnonzero(sizes):
         n_g = int(sizes[g])
-        comps = _compositions(n_g, q)
+        comps = compositions(n_g, q)
         lp = per_pos_logp[g]
         with np.errstate(invalid="ignore"):  # 0 * -inf; such types are set to -inf below
             ll_g = np.where(comps > 0, comps * lp[None, :], 0.0).sum(axis=1)
@@ -674,10 +655,12 @@ def collision_free_probability(log2_count_including_truth: float, bits: int) -> 
         return 0.0
     if r < -40.0:
         return 1.0
-    if math.isfinite(n_comp) and n_comp < 2.0**50:
+    if math.isfinite(n_comp):
         base = math.log1p(-(2.0**-bits)) if bits < 1070 else -(2.0**-bits)
         return math.exp(n_comp * base)
-    return math.exp(-math.log(2.0) * 2.0**r)
+    # N >= 2^50: (1 - 2^-bits)^N = exp(-N 2^-bits (1 + O(2^-bits))) = exp(-2^r)
+    # to double precision wherever the result is not negligible.
+    return math.exp(-(2.0**r))
 
 
 def _layer_success_probability(

@@ -18,7 +18,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import ndtr, ndtri
 
 from .probability import ModelError, Pmf, SourceModel, StochasticMatrix
 from .regions import RateTuple
@@ -146,6 +145,8 @@ def _std_normal_pdf(x: np.ndarray) -> np.ndarray:
 
 def _quantile_edges(sigma: float, levels: int) -> np.ndarray:
     """Equal-probability cell edges of N(0, sigma^2) truncated to +/- 4 sigma."""
+    from scipy.special import ndtr, ndtri  # deferred: scipy.special is slow to import
+
     lo, hi = ndtr(-_TAIL_SIGMAS), ndtr(_TAIL_SIGMAS)
     qs = np.linspace(lo, hi, levels + 1)
     edges = sigma * ndtri(qs)
@@ -164,6 +165,8 @@ def _gaussian_channel(
     Gauss-Legendre quadrature and renormalizes (the mass beyond 4 sigma is
     folded into the outer cells).
     """
+    from scipy.special import ndtr  # deferred: scipy.special is slow to import
+
     edges_a = _quantile_edges(sigma_a, levels)
     edges_b = _quantile_edges(sigma_b, levels)
     slope = cov / sigma_a**2
@@ -202,6 +205,8 @@ def discretize(
         raise ModelError("discretize requires alpha < 1 (U degenerates at alpha = 1)")
     if levels < 2:
         raise ModelError("levels must be >= 2")
+
+    from scipy.special import ndtr  # deferred: scipy.special is slow to import
 
     edges_x = _quantile_edges(1.0, levels)
     px_raw = np.diff(ndtr(edges_x))

@@ -5,7 +5,9 @@ scale is at most ~16 symbols per axis, ~32 for the Gaussian quantization
 bridge).  Logarithms are base 2 everywhere, so every entropy or mutual
 information is in bits.  The conventions 0*log(0) = 0 and "conditioning on
 a zero-probability event contributes zero" are applied throughout; they are
-what make deterministic channels behave continuously.
+what make deterministic channels behave continuously.  ``compositions``
+enumerates the integer types that both the simplex-grid oracle and the
+collision engine's competitor count walk through.
 
 Tolerances
 ----------
@@ -19,7 +21,10 @@ workers.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -329,6 +334,26 @@ def mutual_information_2d(p: np.ndarray) -> float:
         terms = np.where(mask, p * np.log2(p / (pa * pb)), 0.0)
     v = float(terms.sum())
     return 0.0 if v < 0.0 else v
+
+
+@lru_cache(maxsize=512)
+def compositions(total: int, parts: int) -> np.ndarray:
+    """All ``parts``-tuples of non-negative integers summing to ``total``.
+
+    Rows are in lexicographic order (stars and bars: bar positions from
+    ``itertools.combinations``).  Cached, so the array is read-only.
+    """
+    width = parts - 1
+    rows = math.comb(total + width, width)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(total + width), width)),
+        dtype=np.int64,
+        count=rows * width,
+    ).reshape(rows, width)
+    edges = np.hstack([np.full((rows, 1), -1), bars, np.full((rows, 1), total + width)])
+    comps = np.diff(edges, axis=1) - 1
+    comps.flags.writeable = False
+    return comps
 
 
 def build_joint(model: SourceModel) -> JointPmf:

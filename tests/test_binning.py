@@ -22,7 +22,6 @@ from secsource.binning import (
     message_source_mutual_information,
     padded_indices_mutual_information,
     run_experiment,
-    _compositions,
 )
 from secsource.probability import (
     Pmf,
@@ -30,6 +29,7 @@ from secsource.probability import (
     StochasticMatrix,
     bsc,
     build_joint,
+    compositions,
     entropy_bits,
 )
 from secsource.regions import AuxScheme, extend_with_vu
@@ -252,9 +252,9 @@ class TestCollisionMath:
             assert got == pytest.approx(want, rel=1e-12, abs=1e-9)
 
     def test_compositions_cached_read_only(self):
-        comps = _compositions(5, 3)
+        comps = compositions(5, 3)
         assert not comps.flags.writeable
-        assert _compositions(5, 3) is comps
+        assert compositions(5, 3) is comps
         assert comps.shape == (math.comb(7, 2), 3)
         np.testing.assert_array_equal(comps.sum(axis=1), 5)
         # Lexicographic order, as the competitor count's type enumeration uses.
@@ -271,6 +271,17 @@ class TestCollisionMath:
         # Exact small case: N = 3 competitors (count 4 incl. truth), 2 bits.
         want = (1.0 - 0.25) ** 3
         assert collision_free_probability(2.0, 2) == pytest.approx(want, rel=1e-9)
+
+    def test_collision_free_probability_large_counts(self):
+        # (1 - 2^-b)^N -> exp(-N 2^-b): N = 2^60 competitors in 2^60 bins.
+        assert collision_free_probability(60.0, 60) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        # Continuous across the switch to the asymptotic form at N = 2^50,
+        # and equal on both sides to the exact log1p form.
+        for log2n in (50.0 - 1e-6, 50.0 - 1e-12, 50.0, 50.0 + 1e-12, 50.0 + 1e-6):
+            for bits in (48, 50, 52):
+                want = math.exp((2.0**log2n - 1.0) * math.log1p(-(2.0**-bits)))
+                got = collision_free_probability(log2n, bits)
+                assert got == pytest.approx(want, rel=1e-9), (log2n, bits)
 
     def test_engines_agree_statistically(self, binary_model, binary_full6):
         # Same code rates, explicit search vs collision sampling at n = 12.

@@ -229,15 +229,16 @@ class TestCommands:
 
 class TestImport:
     def test_import_leaves_slow_scipy_modules_unloaded(self):
-        # scipy.stats and scipy.optimize cost about a second of every CLI
-        # call; only the functions that need them may import them.
+        # scipy.stats, scipy.optimize and scipy.special cost up to a second
+        # of every CLI call; only the functions that need them may import them.
         import os
         import subprocess
         import sys
 
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         code = ("import sys, secsource; "
-                "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
+                "print(sorted(m for m in ('scipy.stats', 'scipy.optimize', 'scipy.special') "
+                "if m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
         assert out.stdout.strip() == "[]"

@@ -1,6 +1,11 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
+from conftest import random_model
+from secsource import regions
 from secsource.probability import Pmf, SourceModel, StochasticMatrix, bsc, build_joint
 from secsource.regions import (
     AuxScheme,
@@ -89,6 +94,65 @@ def test_simplex_grid_counts():
     np.testing.assert_allclose(g.sum(axis=1), 1.0)
     g2 = simplex_grid(2, 0.05)
     assert g2.shape == (21, 2)
+    # Lexicographic in the tick counts: the grid oracle's tie-break order.
+    ticks = sorted(c for c in itertools.product(range(21), repeat=3) if sum(c) == 20)
+    np.testing.assert_array_equal(simplex_grid(3, 0.05), np.array(ticks, dtype=float) * 0.05)
+
+
+def _scalar_grid_scan(joint, metric, targets, u_size, step):
+    """Reference oracle: every grid cell scored by the scalar evaluator in
+    odometer order (last Xt row fastest); per target the first cell with the
+    smallest storage rate among those meeting D wins, or None."""
+    obj = regions._SchemeEvaluator(joint, metric)
+    rows = simplex_grid(u_size, step)
+    nxt = joint.size_of("Xt")
+    best = dict.fromkeys(targets)
+    idx = [0] * nxt
+    while True:
+        t = np.array([rows[i] for i in idx])
+        rw, dist = obj.rates(t)
+        for d in targets:
+            if dist <= d + 1e-12 and (best[d] is None or rw < best[d][0]):
+                best[d] = (rw, t)
+        for pos in range(nxt - 1, -1, -1):
+            idx[pos] += 1
+            if idx[pos] < rows.shape[0]:
+                break
+            idx[pos] = 0
+        else:
+            return best
+
+
+def _assert_grid_matches(joint, metric, targets, u_size, step):
+    """Check the oracle against the reference scan; returns the reference."""
+    want = _scalar_grid_scan(joint, metric, targets, u_size, step)
+    for d in targets:
+        if want[d] is None:
+            with pytest.raises(InfeasibleTargetError):
+                grid_minimum_storage(joint, metric, d, u_size=u_size, step=step)
+            continue
+        best, best_t = grid_minimum_storage(joint, metric, d, u_size=u_size, step=step)
+        assert best == want[d][0]
+        assert np.array_equal(best_t, want[d][1])
+    return want
+
+
+def test_grid_oracle_matches_scalar_enumeration(binary_joint):
+    # Binary model, |U| = 3, step 0.05: 53,361 cells over many screening
+    # blocks.  At D = 0.30 the 231 cells with two equal rows score rw = 0
+    # within 1e-9, and 210 of them exactly: the first of these must win.
+    want = _assert_grid_matches(binary_joint, METRIC, (0.05, 0.10, 0.15, 0.30), 3, 0.05)
+    assert want[0.30][0] == 0.0
+
+    # |Xt| = 3, |U| = 2, step 0.1: 11^3 cells, more than one block; D = 0.1
+    # is out of reach of this grid.
+    assert 11**3 > regions._GRID_BLOCK
+    joint = build_joint(random_model(np.random.default_rng(7), nx=3, nxt=3))
+    want = _assert_grid_matches(joint, DistortionMetric.hamming(3), (0.1, 0.2, 0.3), 2, 0.1)
+    assert want[0.1] is None
+
+    # |U| = 1 cannot beat the no-encoder distortion.
+    assert _assert_grid_matches(binary_joint, METRIC, (0.05,), 1, 0.5)[0.05] is None
 
 
 def test_search_config_validation():
