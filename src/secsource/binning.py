@@ -199,14 +199,6 @@ class BinningCode:
     def draw_key(self, rng: np.random.Generator) -> tuple[int, ...]:
         return tuple(_rand_bits(rng, b) for b in self.key_bit_widths())
 
-    def v_bins(self, seq: np.ndarray) -> tuple[int, int]:
-        i = _seq_index(seq, self.v_size)
-        return int(self.tables[0][i]), int(self.tables[1][i])
-
-    def u_bins(self, seq: np.ndarray) -> tuple[int, int, int]:
-        i = _seq_index(seq, self.u_size)
-        return int(self.tables[2][i]), int(self.tables[3][i]), int(self.tables[4][i])
-
 
 def _rand_bits(rng: np.random.Generator, bits: int) -> int:
     if bits == 0:
@@ -271,10 +263,10 @@ def design_code(
         raise DimensionError(f"design_code expects axes {VU_AXES}, got {full.names}")
     if n < 1:
         raise ValueError("blocklength n must be >= 1")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be > 0")
-    if r0 < 0.0:
-        raise ValueError("r0 must be >= 0")
+    if not 0.0 < epsilon < math.inf:
+        raise ModelError(f"epsilon={epsilon!r} must be finite and > 0")
+    if not math.isfinite(r0) or r0 < 0.0:
+        raise ModelError(f"private-key rate r0={r0!r} must be finite and >= 0")
 
     v_size = full.size_of(AX_V)
     u_size = full.size_of(AX_U)

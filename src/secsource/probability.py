@@ -248,9 +248,6 @@ class JointPmf:
         except ValueError:
             raise DimensionError(f"unknown variable name {name!r}") from None
 
-    def _axes(self, names: Iterable[str]) -> tuple[int, ...]:
-        return tuple(self._axis(n) for n in names)
-
     def marginal(self, keep: Iterable[str]) -> "JointPmf":
         """Sum out every axis not in ``keep``; axis order follows this joint."""
         keep_set = set(keep)

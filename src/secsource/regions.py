@@ -13,15 +13,17 @@ the decoder's.
 The "for some scheme" existential in the region statement is resolved
 numerically: ``trace_region`` minimizes one rate (storage, secrecy leakage or
 privacy leakage) over the rows of the conditional-pmf matrices with
-multi-restart projected coordinate descent.  The descent scores candidates
-with ``_SchemeEvaluator``, which computes the same bounds as ``lossy_point``
-from pairwise source marginals and the raw matrices without building the
-joint.  An exhaustive simplex-grid oracle, ``grid_minimum_storage``, is
-available for desk-scale certification of the storage search: it screens
-the grid a fixed-size block of cells at a time with a vectorized form of the
-evaluator, so its memory is bounded by the block, and re-scores every cell
-the screen cannot rule out with the scalar evaluator, so its argmin is the
-one a cell-by-cell scan returns, bit for bit.
+multi-start exponentiated-gradient (KL mirror) descent, one step rule for all
+three objectives.  ``_SchemeEvaluator`` computes the same bounds as
+``lossy_point`` from pairwise source marginals and the raw matrices without
+building the joint, each term as the entropy of a table linear in each
+matrix, and gives the descent their analytic gradient.  An exhaustive
+simplex-grid oracle, ``grid_minimum_storage``, is available for desk-scale
+certification of the storage search: it screens the grid a fixed-size block
+of cells at a time with a vectorized form of the evaluator, so its memory
+is bounded by the block, and re-scores every cell the screen cannot rule out
+with the scalar evaluator, so its argmin is the one a cell-by-cell scan
+returns, bit for bit.
 """
 
 from __future__ import annotations
@@ -103,10 +105,6 @@ class DistortionMetric:
     @property
     def xtilde_size(self) -> int:
         return self.table.shape[0]
-
-    @property
-    def xhat_size(self) -> int:
-        return self.table.shape[1]
 
     @staticmethod
     def hamming(n: int, m: Optional[int] = None) -> "DistortionMetric":
@@ -211,10 +209,11 @@ class SearchConfig:
 
     ``u_size``/``v_size``/``q_size`` default to the sufficient cardinality
     bounds of the region (they may be lowered for speed; raising them beyond
-    the bounds buys nothing).  ``method`` selects projected coordinate
+    the bounds buys nothing).  ``method`` selects exponentiated-gradient
     descent or the exhaustive simplex-grid oracle (grid mode searches
     P(U|Xt) with constant V and Q, which is exact for the default storage
-    objective).
+    objective).  Every descent stops after ``max_iters`` steps, or earlier
+    once a step gains less than ``convergence_tol``, per penalty level.
     """
 
     restarts: int = 8
@@ -375,8 +374,8 @@ def lossy_point(full: JointPmf, r0: float, metric: DistortionMetric) -> RegimeRe
     and rl = I(V;X|Z); at or above I(U;Xt|Y) both leakages are exactly zero.
     """
     _require_axes(full, FULL_AXES, "lossy_point")
-    if r0 < 0.0:
-        raise ValueError("private-key rate r0 must be >= 0")
+    if not math.isfinite(r0) or r0 < 0.0:
+        raise ModelError(f"private-key rate r0={r0!r} must be finite and >= 0")
     t_high = _clamp(full.mutual_information((AX_U,), (AX_XT,), (AX_Y,)))
     t_low = _clamp(full.mutual_information((AX_U,), (AX_XT,), (AX_Y, AX_V)))
     rp = r_prime(full)
@@ -465,13 +464,40 @@ def corollary_point(
 # ---------------------------------------------------------------------------
 
 
-def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    v = np.asarray(v, dtype=float)
-    a = -np.sort(-v)
-    cssv = (np.cumsum(a) - 1.0) / np.arange(1, v.size + 1)
-    k = np.nonzero(a > cssv)[0][-1]
-    return np.maximum(v - cssv[k], 0.0)
+# Every entropy the scheme evaluator takes, as the einsum that forms its table
+# from the rows of P(U|Xt) (au), P(V|U) (uv) and P(Q|V) (vq), in that order,
+# and one source table: P(Xt) (a), P(Xt,Y) (ay), P(Xt,Z) (az) or P(Xt,(X,Z))
+# (ak).  The chain (Q,V) - U - Xt - X - (Y,Z) makes each table linear in each
+# matrix, so the gradient of its entropy is the adjoint einsum applied to
+# -(log2 T + 1/ln 2).  Terms are named by their output subscripts.
+_TERM_SPECS = (
+    "au,a->au", "au,ay->uy", "au,az->uz", "au,ak->uk", "au,uv,a->auv", "au,uv,a->av",
+    "au,uv,ay->uvy", "au,uv,ay->vy", "au,uv,az->vz", "au,uv,ak->vk",
+    "au,uv,vq,ay->uvqy", "au,uv,vq,ay->vqy", "au,uv,vq,az->uvqz", "au,uv,vq,az->vqz",
+)
+
+
+def _term(spec: str) -> tuple[str, tuple[str, int, str, list[str]]]:
+    """name -> (spec, number of matrices, source subscripts, adjoint spec per matrix)."""
+    ins, out = spec.split("->")
+    ins = ins.split(",")
+    k = len(ins) - 1
+    return out, (spec, k, ins[k], [
+        ",".join([out, *ins[:i], *ins[i + 1:]]) + "->" + ins[i] for i in range(k)])
+
+
+_TERMS = dict(_term(spec) for spec in _TERM_SPECS)
+_LOG2E = 1.0 / math.log(2.0)
+# The bounds as signed sums of the terms; source entropies are added apart.
+_T_HIGH = {"uy": 1.0, "au": -1.0}                                 # I(U;Xt|Y) - H(Xt) + H(Y)
+_T_LOW = {"uvy": 1.0, "vy": -1.0, "auv": -1.0, "av": 1.0}         # I(U;Xt|Y,V)
+_R_DIFF = {"vqz": 1.0, "uvqz": -1.0, "vqy": -1.0, "uvqy": 1.0}    # I(U;Z|V,Q) - I(U;Y|V,Q)
+_LEAKAGE = {  # each leakage by (regime, objective), less its source entropies
+    ("small_key", "rs"): {"uz": 1.0, "au": -1.0},                 # I(U;Xt|Z)
+    ("small_key", "rl"): {"uz": 1.0, "uk": -1.0},                 # I(U;X|Z)
+    ("middle_key", "rs"): {"vz": 1.0, "av": -1.0},                # I(V;Xt|Z)
+    ("middle_key", "rl"): {"vz": 1.0, "vk": -1.0},                # I(V;X|Z)
+}
 
 
 class _SchemeEvaluator:
@@ -479,10 +505,11 @@ class _SchemeEvaluator:
     P(V|U) and P(Q|V), without forming the joint with the auxiliaries.
 
     Built once per (joint, metric) from P(Xt,Y), P(Xt,Z) and P(Xt,X,Z); every
-    term is an entropy of a small table over the auxiliaries and one source
-    variable, using the chain (Q,V) - U - Xt - X - (Y,Z).  ``rates`` gives the
-    storage rate and distortion alone, which depend on P(U|Xt) only;
-    ``rates_batch`` gives them for a stack of P(U|Xt) matrices at once.
+    term is the entropy of a small table over the auxiliaries and one source
+    variable (``_TERMS``).  ``evaluate`` and the descent's ``penalized`` share
+    that term list, and ``penalized`` also gives the gradient.  ``rates``
+    gives the storage rate and distortion alone, which depend on P(U|Xt)
+    only; ``rates_batch`` gives them for a stack of P(U|Xt) matrices at once.
     """
 
     def __init__(self, joint: JointPmf, metric: DistortionMetric):
@@ -495,18 +522,15 @@ class _SchemeEvaluator:
         self.p_xt_z = joint.marginal_table((AX_XT, AX_Z))  # (Xt, Z)
         self.p_xt_xz = joint.marginal_table((AX_XT, AX_X, AX_Z)).reshape(self.p_xt.size, -1)
         self.h_z = entropy_bits(self.p_xt_z.sum(axis=0))
-        self.h_xz = entropy_bits(self.p_xt_xz.sum(axis=0))
+        self.sources = {"a": self.p_xt, "ay": self.p_xt_y, "az": self.p_xt_z, "ak": self.p_xt_xz}
+        # The source entropies of each leakage: H(Xt) - H(Z) and H(X,Z) - H(Z).
+        self.leak_const = {"rs": self.h_xt - self.h_z,
+                           "rl": entropy_bits(self.p_xt_xz.sum(axis=0)) - self.h_z}
 
     def rates(self, t: np.ndarray) -> tuple[float, float]:
-        # I(U;Xt|Y) = H(U|Y) - H(U|Xt) via the chain U - Xt - Y.
-        p_u_y = t.T @ self.p_xt_y  # (U, Y)
-        h_u_y = entropy_bits(p_u_y) - self.h_y
-        p_u_xt = self.p_xt[:, None] * t
-        h_u_xt = entropy_bits(p_u_xt) - self.h_xt
-        rw = max(0.0, h_u_y - h_u_xt)
-        cost = np.einsum("au,ayb->uyb", t, self.dist_core)
-        dist = float(np.min(cost, axis=2).sum())
-        return rw, dist
+        """I(U;Xt|Y) and the optimal-map distortion of P(U|Xt) = ``t``."""
+        h = {name: entropy_bits(tab) for name, tab in self._tables([t], _T_HIGH).items()}
+        return _clamp(h["uy"] - h["au"] + self.h_xt - self.h_y), self._distortion(t)[0]
 
     def rates_batch(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``rates`` for a stack ``t`` of P(U|Xt) matrices, shape (B, |Xt|, |U|).
@@ -525,113 +549,130 @@ class _SchemeEvaluator:
         cost = reduce(np.minimum, [t_u @ self.dist_core[:, :, c] for c in range(nxhat)])
         return np.maximum(rw, 0.0), cost.reshape(b, -1).sum(axis=1)
 
+    def _tables(self, mats: Sequence[np.ndarray], names) -> dict[str, np.ndarray]:
+        tables = {}
+        for name in names:
+            spec, k, src, _ = _TERMS[name]
+            tables[name] = np.einsum(spec, *mats[:k], self.sources[src])
+        return tables
+
+    def _gradient(self, mats: Sequence[np.ndarray], coefs: dict[str, float]) -> list[np.ndarray]:
+        """Gradient of sum_T coefs[T] H(T) with respect to each matrix."""
+        grads = [np.zeros_like(m) for m in mats]
+        for name, t in self._tables(mats, coefs).items():
+            _, k, src, adjoints = _TERMS[name]
+            with np.errstate(divide="ignore"):
+                g = np.where(t > 0.0, -coefs[name] * (np.log2(t) + _LOG2E), 0.0)
+            ops = [*mats[:k], self.sources[src]]
+            for i, adjoint in enumerate(adjoints):
+                grads[i] += np.einsum(adjoint, g, *ops[:i], *ops[i + 1:])
+        return grads
+
+    def _distortion(self, pu: np.ndarray) -> tuple[float, np.ndarray]:
+        """Optimal-map distortion and its subgradient, ``dist_core`` read at
+        the optimal map and summed over Y."""
+        cost = np.einsum("au,ayb->uyb", pu, self.dist_core)
+        best = cost.argmin(axis=2)
+        grad = self.dist_core[:, np.arange(best.shape[1]), best].sum(axis=2)
+        return float(np.min(cost, axis=2).sum()), grad
+
     def evaluate(
         self, pu: np.ndarray, pv: np.ndarray, pq: np.ndarray, r0: float
     ) -> RegimeReport:
         """``lossy_point`` for the scheme with these rows, at key rate r0."""
-        t_high, dist = self.rates(pu)
-        p_xt_u = self.p_xt[:, None] * pu
-        p_u_y = pu.T @ self.p_xt_y
-        p_u_z = pu.T @ self.p_xt_z
-        p_u_xz = pu.T @ self.p_xt_xz
-        h_u_xt = entropy_bits(p_xt_u) - self.h_xt
-        h_u_z = entropy_bits(p_u_z) - self.h_z
+        h = {name: entropy_bits(t) for name, t in self._tables((pu, pv, pq), _TERMS).items()}
 
-        # I(U;Xt|Y,V) = H(U|Y,V) - H(U|Xt,V); V depends on U alone.
-        p_xt_v = p_xt_u @ pv
-        p_v_y = pv.T @ p_u_y
-        t_low = _clamp(
-            entropy_bits(p_u_y[:, None, :] * pv[:, :, None]) - entropy_bits(p_v_y)
-            - entropy_bits(p_xt_u[:, :, None] * pv[None]) + entropy_bits(p_xt_v)
-        )
+        def bound(coefs: dict[str, float]) -> float:
+            return sum(c * h[name] for name, c in coefs.items())
 
-        # R' = [I(U;Z|V,Q) - I(U;Y|V,Q)]^-; H(U,V,Q) cancels in the difference.
-        p_vq_u = pv[:, :, None] * pq[None]  # P(v, q | u)
-        p_uvqz = p_u_z[:, None, None, :] * p_vq_u[..., None]
-        p_uvqy = p_u_y[:, None, None, :] * p_vq_u[..., None]
-        rp = min(
-            entropy_bits(p_uvqz.sum(axis=0)) - entropy_bits(p_uvqz)
-            - entropy_bits(p_uvqy.sum(axis=0)) + entropy_bits(p_uvqy),
-            0.0,
-        )
+        t_high = _clamp(bound(_T_HIGH) + self.h_xt - self.h_y)
+        t_low = _clamp(bound(_T_LOW))
+        rp = min(bound(_R_DIFF), 0.0)
+        rs = rl = 0.0
+        regime: Regime = "large_key"
+        if r0 < t_high:
+            regime = "middle_key" if r0 >= t_low else "small_key"
+            shift = rp - r0 if regime == "small_key" else 0.0
+            rs, rl = (_clamp(bound(_LEAKAGE[regime, o]) + self.leak_const[o] + shift)
+                      for o in ("rs", "rl"))
+        bounds = RateTuple(rw=t_high, rs=rs, rl=rl, d=self._distortion(pu)[0])
+        return RegimeReport(regime, t_low, t_high, rp, bounds)
 
-        if r0 >= t_high:
-            regime: Regime = "large_key"
-            rs = rl = 0.0
-        elif r0 >= t_low:
-            regime = "middle_key"
-            h_v_z = entropy_bits(pv.T @ p_u_z) - self.h_z
-            rs = _clamp(h_v_z - entropy_bits(p_xt_v) + self.h_xt)
-            rl = _clamp(h_v_z - entropy_bits(pv.T @ p_u_xz) + self.h_xz)
+    def penalized(self, mats: Sequence[np.ndarray], r0: float, objective: str,
+                  target_d: float, penalty: float):
+        """The descent's objective: the ``objective`` rate of the scheme
+        ``mats`` (P(U|Xt) alone for rw) plus ``penalty * max(0, d - D)``.
+
+        Returns its value, the distortion and a function that gives the
+        gradient with respect to each matrix.  Only the active regime's terms
+        enter; R' enters when it is negative and a clamped rate not at all.
+        """
+        if objective == "rw":
+            rate, dist = self.rates(mats[0])
+            coefs = _T_HIGH
         else:
-            regime = "small_key"
-            rs = _clamp(h_u_z - h_u_xt + rp - r0)
-            rl = _clamp(h_u_z - entropy_bits(p_u_xz) + self.h_xz + rp - r0)
-        return RegimeReport(
-            regime=regime,
-            threshold_low=t_low,
-            threshold_high=t_high,
-            r_prime=rp,
-            bounds=RateTuple(rw=t_high, rs=rs, rl=rl, d=dist),
-        )
+            report = self.evaluate(*mats, r0)
+            rate, dist = getattr(report.bounds, objective), report.bounds.d
+            coefs = dict(_LEAKAGE.get((report.regime, objective), {}))
+            if report.regime == "small_key" and report.r_prime < 0.0:
+                coefs.update(_R_DIFF)
+
+        def gradient() -> list[np.ndarray]:
+            grads = self._gradient(mats, coefs if rate > 0.0 else {})
+            if dist > target_d:
+                grads[0] += penalty * self._distortion(mats[0])[1]
+            return grads
+
+        return rate + penalty * max(0.0, dist - target_d), dist, gradient
 
 
 def _anchor_u_rows(nxt: int, nu: int) -> np.ndarray:
-    """A U-channel with zero optimal distortion: symbol i maps to aux symbol
-    i mod |U| only when |U| >= |Xt| keeps rows distinct; requires nu >= nxt
-    to be distortion-free in general, otherwise the best deterministic map."""
+    """The deterministic U-channel that sends source symbol i to auxiliary
+    symbol i mod |U|.  With |U| >= |Xt| the symbols stay apart, so its
+    optimal distortion is zero under any metric with a zero diagonal."""
     t = np.zeros((nxt, nu))
-    for i in range(nxt):
-        t[i, i % nu] = 1.0
+    t[np.arange(nxt), np.arange(nxt) % nu] = 1.0
     return t
 
 
-def _descend(objective, mats: list[np.ndarray], target_d: float, cfg: SearchConfig,
-             max_iters: int) -> list[np.ndarray]:
-    """Projected coordinate descent on the rows of row-stochastic matrices.
+def _exp_step(m: np.ndarray, g: np.ndarray, eta: float) -> np.ndarray:
+    """M * exp(-eta G) with rows renormalized; exact zeros stay zero."""
+    z = np.where(m > 0.0, -eta * g, -np.inf)
+    w = m * np.exp(z - z.max(axis=1, keepdims=True))
+    return w / w.sum(axis=1, keepdims=True)
 
-    ``objective(mats)`` returns (rate, distortion).  Minimizes
-    rate + penalty * max(0, distortion - D) with an escalating exact penalty;
-    gradients are forward finite differences on one row at a time.
+
+def _mirror_descent(
+    obj: _SchemeEvaluator, mats: list[np.ndarray], r0: float, objective: str,
+    target_d: float, cfg: SearchConfig,
+) -> list[np.ndarray]:
+    """Exponentiated-gradient (KL mirror) descent of ``obj.penalized`` over
+    row-stochastic matrices, all moved at once by ``_exp_step``.
+
+    Each step tries twice the last accepted size and halves it until the
+    Armijo condition holds.  A run stops after ``cfg.max_iters`` steps or once
+    a step gains less than ``cfg.convergence_tol``; while the result misses
+    the target, the penalty (from 32) grows eightfold, up to six times.
     """
-    mats = [m.copy() for m in mats]
-    fd = 1e-6
-    penalty = 32.0
-
-    def penalized(ms: list[np.ndarray]) -> float:
-        rate, dist = objective(ms)
-        return rate + penalty * max(0.0, dist - target_d)
-
-    def with_row(mi: int, row: int, values: np.ndarray) -> list[np.ndarray]:
-        trial = list(mats)
-        trial[mi] = mats[mi].copy()
-        trial[mi][row] = project_to_simplex(values)
-        return trial
-
+    penalty, eta = 32.0, 1.0
     for _ in range(6):  # penalty escalations
-        for _ in range(max_iters):
-            improvement = 0.0
-            for mi in range(len(mats)):
-                for row in range(mats[mi].shape[0]):
-                    base = penalized(mats)
-                    current = mats[mi][row]
-                    grad = np.empty(current.size)
-                    for j in range(current.size):
-                        bumped = current.copy()
-                        bumped[j] += fd
-                        grad[j] = (penalized(with_row(mi, row, bumped)) - base) / fd
-                    step = 0.25
-                    while step > 1e-10:
-                        trial = with_row(mi, row, current - step * grad)
-                        v_try = penalized(trial)
-                        if v_try < base - 1e-12:
-                            mats = trial
-                            improvement += base - v_try
-                            break
-                        step *= 0.5
-            if improvement < cfg.convergence_tol:
+        value, dist, gradient = obj.penalized(mats, r0, objective, target_d, penalty)
+        for _ in range(cfg.max_iters):
+            grads = gradient()
+            eta *= 2.0
+            while eta > 1e-12:
+                trial = [_exp_step(m, g, eta) for m, g in zip(mats, grads)]
+                t_value, t_dist, t_gradient = obj.penalized(trial, r0, objective, target_d, penalty)
+                slope = sum(float(np.sum(g * (m - t))) for g, m, t in zip(grads, mats, trial))
+                if t_value <= value - 1e-4 * slope:
+                    break
+                eta *= 0.5
+            else:
+                break  # no step size decreases the objective
+            gain = value - t_value
+            mats, value, dist, gradient = trial, t_value, t_dist, t_gradient
+            if gain < cfg.convergence_tol:
                 break
-        _, dist = objective(mats)
         if dist <= target_d + 1e-9:
             break
         penalty *= 8.0
@@ -641,19 +682,21 @@ def _descend(objective, mats: list[np.ndarray], target_d: float, cfg: SearchConf
 def _repair_feasibility(
     obj: _SchemeEvaluator, t: np.ndarray, anchor: np.ndarray, target_d: float
 ) -> Optional[np.ndarray]:
-    """Blend toward the zero-distortion anchor until the target is met."""
+    """Blend toward the zero-distortion anchor until the target is met
+    exactly, so that rounding in the reported distortion stays far inside
+    the 1e-9 the searches allow."""
     _, dist = obj.rates(t)
-    if dist <= target_d + 1e-9:
+    if dist <= target_d:
         return t
     _, anchor_dist = obj.rates(anchor)
-    if anchor_dist > target_d + 1e-9:
+    if anchor_dist > target_d:
         return None
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         blend = (1.0 - mid) * t + mid * anchor
         _, dist = obj.rates(blend)
-        if dist <= target_d + 1e-9:
+        if dist <= target_d:
             hi = mid
         else:
             lo = mid
@@ -780,101 +823,69 @@ def trace_region(
     """Minimize the configured rate over auxiliary schemes for each target
     distortion and report the attendant bounds.
 
-    Points are returned in ascending target order.  Each target is warm
-    started from the previous argmin (feasible by monotonicity of the
-    constraint set), so the minimized storage rate is non-increasing in D and
-    the whole sweep is deterministic given ``cfg.seed``.
+    Points are returned in ascending target order.  Each target descends
+    from the previous argmin (feasible by monotonicity of the constraint set,
+    and kept as a candidate, so the minimized rate is non-increasing in D),
+    from the anchor mixed with uniform rows and from ``cfg.restarts``
+    Dirichlet draws; the whole sweep is deterministic given ``cfg.seed``.
+    The storage search moves P(U|Xt) and reports uniform V and Q rows.  A
+    leakage search descends every start for both leakage objectives and keeps
+    the least requested leakage, so it never returns a scheme worse than one
+    the other leakage's search finds.  A result that misses the target is
+    blended toward the anchor until it meets it.
     """
     if not targets:
         raise ValueError("targets must be non-empty")
+    if not math.isfinite(r0) or not all(math.isfinite(d) for d in targets):
+        raise ModelError(f"r0 and the distortion targets must be finite, got r0={r0!r} "
+                         f"and targets {list(targets)}")
     joint = build_joint(model)
     nxt = joint.size_of(AX_XT)
     nu, nv, nq = cfg.resolved_sizes(nxt)
     obj = _SchemeEvaluator(joint, metric)
     anchor = _anchor_u_rows(nxt, nu)
+    uniform = [np.full((nu, nv), 1.0 / nv), np.full((nv, nq), 1.0 / nq)]
+    # The storage search moves P(U|Xt) alone; a leakage search all three.
+    if cfg.objective == "rw":
+        objectives, mix, moving = ("rw",), 1e-3, 1
+    else:
+        objectives, mix, moving = (cfg.objective, "rl" if cfg.objective == "rs" else "rs"), 0.5, 3
 
-    if cfg.objective != "rw":
-        return _trace_region_generic(joint, obj, r0, metric, sorted(targets), cfg, (nu, nv, nq))
+    def rate(mats: list[np.ndarray]) -> float:
+        return getattr(obj.evaluate(*mats, r0).bounds, cfg.objective)
 
     points: list[TracePoint] = []
-    carry: Optional[np.ndarray] = None
-    rw_of = lambda ms: obj.rates(ms[0])
+    carry: Optional[list[np.ndarray]] = None
     for target in sorted(targets):
-        candidates: list[np.ndarray] = []
         if cfg.method == "grid":
             _, best_t = grid_minimum_storage(joint, metric, target, nu, cfg.grid_step)
-            candidates.append(best_t)
+            candidates = [[best_t, *uniform]]
         else:
-            starts: list[np.ndarray] = []
-            if carry is not None:
-                starts.append(carry)
-            starts.append(anchor)
+            candidates = [carry] if carry is not None else []
+            starts = list(candidates)
             for restart in range(cfg.restarts):
                 rng = np.random.default_rng([cfg.seed, restart])
-                starts.append(rng.dirichlet(np.ones(nu), size=nxt))
-            for t0 in starts:
-                [t] = _descend(rw_of, [np.asarray(t0, dtype=float)], target, cfg, cfg.max_iters)
-                repaired = _repair_feasibility(obj, t, anchor, target)
-                if repaired is not None:
-                    candidates.append(repaired)
+                mats = [rng.dirichlet(np.ones(n_out), size=n_in)
+                        for n_in, n_out in ((nxt, nu), (nu, nv), (nv, nq))]
+                if cfg.objective == "rw":
+                    mats[1:] = uniform
+                if restart == 0:
+                    starts.append([(1.0 - mix) * anchor + mix / nu, *mats[1:]])
+                starts.append(mats)
+            for start in starts:
+                for objective in objectives:
+                    mats = _mirror_descent(obj, start[:moving], r0, objective, target, cfg)
+                    mats += start[moving:]
+                    repaired = _repair_feasibility(obj, mats[0], anchor, target)
+                    if repaired is not None:
+                        candidates.append([repaired, *mats[1:]])
         if not candidates:
             raise InfeasibleTargetError(
                 f"no feasible scheme found for distortion target {target} "
                 f"with |U| = {nu}"
             )
-        best_t = min(candidates, key=lambda t: obj.rates(t)[0])
-        carry = best_t
-        mats = [best_t, np.full((nu, nv), 1.0 / nv), np.full((nv, nq), 1.0 / nq)]
-        points.append(_trace_point(joint, r0, metric, target, mats))
-    return points
-
-
-def _trace_point(
-    joint: JointPmf, r0: float, metric: DistortionMetric, target: float,
-    mats: list[np.ndarray],
-) -> TracePoint:
-    """The reported point of a search: ``lossy_point`` on the argmin scheme."""
-    scheme = AuxScheme(*(StochasticMatrix(m) for m in mats))
-    report = lossy_point(extend_with_auxiliaries(joint, scheme), r0, metric)
-    return TracePoint(target, report.bounds, scheme, report)
-
-
-def _trace_region_generic(
-    joint: JointPmf,
-    obj: _SchemeEvaluator,
-    r0: float,
-    metric: DistortionMetric,
-    targets: Sequence[float],
-    cfg: SearchConfig,
-    sizes: tuple[int, int, int],
-) -> list[TracePoint]:
-    """Generic path for the leakage objectives: coordinate descent over the
-    rows of all three conditional matrices, scored by the scheme evaluator."""
-    nxt = joint.size_of(AX_XT)
-
-    def objective(mats: list[np.ndarray]) -> tuple[float, float]:
-        bounds = obj.evaluate(mats[0], mats[1], mats[2], r0).bounds
-        return getattr(bounds, cfg.objective), bounds.d
-
-    points: list[TracePoint] = []
-    for target in sorted(targets):
-        best_val = math.inf
-        best_mats: Optional[list[np.ndarray]] = None
-        for restart in range(cfg.restarts):
-            rng = np.random.default_rng([cfg.seed, restart])
-            mats = [
-                rng.dirichlet(np.ones(n_out), size=n_in)
-                for n_in, n_out in zip((nxt,) + sizes[:2], sizes)
-            ]
-            if restart == 0:
-                mats[0] = _anchor_u_rows(nxt, sizes[0])
-            mats = _descend(objective, mats, target, cfg, min(cfg.max_iters, 60))
-            val, dist = objective(mats)
-            if dist <= target + 1e-9 and val < best_val:
-                best_val, best_mats = val, mats
-        if best_mats is None:
-            raise InfeasibleTargetError(
-                f"no feasible scheme found for distortion target {target}"
-            )
-        points.append(_trace_point(joint, r0, metric, target, best_mats))
+        carry = min(candidates, key=rate)
+        scheme = AuxScheme(*(StochasticMatrix(m) for m in carry))
+        report = lossy_point(extend_with_auxiliaries(joint, scheme), r0, metric)
+        points.append(TracePoint(target, report.bounds, scheme, report))
     return points

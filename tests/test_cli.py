@@ -215,6 +215,28 @@ class TestCommands:
         assert not out.exists()
         assert "p_x: pmf entries must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, message", [
+        (["compute-region", "--r0", "nan", "--targets", "0.1"], "r0=nan"),
+        (["compute-region", "--targets", "nan,0.1"], "targets [nan, 0.1]"),
+        (["compute-region", "--targets", "0.1,inf"], "targets [0.1, inf]"),
+        (["lossless-region", "--r0", "nan"], "r0=nan must be finite"),
+        (["simulate", "--r0", "nan", "--n", "12", "--epsilon", "0.1", "--trials", "2"],
+         "r0=nan must be finite"),
+        (["simulate", "--n", "12", "--epsilon", "nan", "--trials", "2"], "epsilon=nan"),
+        (["simulate", "--n", "12", "--epsilon", "inf", "--trials", "2"], "epsilon=inf"),
+    ])
+    def test_non_finite_rate_fails_with_message(self, tmp_path, capsys, model_file,
+                                                aux_identity_file, args, message):
+        # NaN passes an `r0 < 0` check: it once wrote leakages of 0 labelled
+        # small_key, or died deep in the codec, as an infinite epsilon did.
+        out = tmp_path / "never.csv"
+        extra = ["--aux", str(aux_identity_file)] if args[0] == "simulate" else []
+        rc = cli.main([*args, "--model", str(model_file), *extra, "--output", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"{args[0]}: error:" in err and message in err
+
     def test_oversized_grid_fails_fast(self, tmp_path, capsys, model_file):
         # Without --u-size the grid oracle would enumerate |U| = 25 rows.
         out = tmp_path / "never.csv"

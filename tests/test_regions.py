@@ -184,6 +184,52 @@ class TestLossyPoint:
                 assert at_low.regime == "middle_key" and at_high.regime == "large_key"
         assert seen == {"small_key", "middle_key", "large_key"}
 
+    def test_penalized_gradient_matches_central_differences(self, binary_joint):
+        # The mirror descent steps along the analytic gradient of
+        # _SchemeEvaluator.penalized.  It must match central differences of
+        # the same function in every regime, for rw and both leakages, with
+        # the distortion penalty on and off, and with R' negative (Y better
+        # than Z) as well as zero (Z better than Y, so R' must not enter).
+        swapped = build_joint(
+            SourceModel.from_channels(Pmf.uniform(2), bsc(0.1), bsc(0.3), bsc(0.1))
+        )
+        metric = DistortionMetric.hamming(2)
+        rng = np.random.default_rng(43)
+        step = 1e-6
+        seen = set()
+        for joint, negative_rp in ((binary_joint, True), (swapped, False)):
+            evaluator = _SchemeEvaluator(joint, metric)
+            for nu, nv, nq in ((3, 2, 2), (25, 5, 2)):
+                # Rows half uniform: central differences lose accuracy on
+                # tiny probabilities (the third derivative of p log p is 1/p^2).
+                mats = [0.5 * rng.dirichlet(np.ones(n), size=m) + 0.5 / n
+                        for m, n in ((2, nu), (nu, nv), (nv, nq))]
+                ref = evaluator.evaluate(*mats, 0.0)
+                assert ref.r_prime < -1e-6 if negative_rp else ref.r_prime == 0.0
+                # Away from ties of the optimal map, where d has a gradient: a
+                # step moves each cost by less than the step.
+                cost = np.einsum("au,ayb->uyb", mats[0], evaluator.dist_core)
+                assert np.abs(cost[..., 0] - cost[..., 1]).min() > 2 * step
+                lo, hi, d = ref.threshold_low, ref.threshold_high, ref.bounds.d
+                for r0, target in ((0.25 * lo, d - 0.01), (0.5 * (lo + hi), d + 0.01),
+                                   (hi + 0.1, d - 0.01)):
+                    seen.add(evaluator.evaluate(*mats, r0).regime)
+                    for objective, ms in (("rw", mats[:1]), ("rs", mats), ("rl", mats)):
+                        def value():
+                            return evaluator.penalized(ms, r0, objective, target, 3.0)[0]
+
+                        grads = evaluator.penalized(ms, r0, objective, target, 3.0)[2]()
+                        for m, g in zip(ms, grads):
+                            for idx in np.ndindex(m.shape):
+                                x = m[idx]
+                                m[idx] = x + step
+                                up = value()
+                                m[idx] = x - step
+                                down = value()
+                                m[idx] = x
+                                assert g[idx] == pytest.approx((up - down) / (2 * step), abs=1e-7)
+        assert seen == {"small_key", "middle_key", "large_key"}
+
     def test_noiseless_y_gives_all_zero(self):
         model = SourceModel.from_channels(
             Pmf.uniform(2), StochasticMatrix.identity(2),

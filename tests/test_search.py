@@ -1,11 +1,12 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import random_model
-from secsource import regions
+from conftest import h2, random_model
+from secsource import modelio, regions
 from secsource.probability import Pmf, SourceModel, StochasticMatrix, bsc, build_joint
 from secsource.regions import (
     AuxScheme,
@@ -53,12 +54,15 @@ def test_monotone_and_feasible(binary_model):
 
 
 def test_deterministic_given_seed(binary_model):
-    a = trace_region(binary_model, 0.0, METRIC, [0.08], CFG)
-    b = trace_region(binary_model, 0.0, METRIC, [0.08], CFG)
-    assert a[0].rates == b[0].rates
-    np.testing.assert_array_equal(
-        a[0].scheme.p_u_given_xtilde.rows, b[0].scheme.p_u_given_xtilde.rows
-    )
+    leakage = SearchConfig(restarts=2, seed=13, u_size=3, v_size=2, q_size=2, objective="rs")
+    for cfg in (CFG, leakage):
+        a = trace_region(binary_model, 0.0, METRIC, [0.08], cfg)
+        b = trace_region(binary_model, 0.0, METRIC, [0.08], cfg)
+        assert a[0].rates == b[0].rates
+        for name in ("p_u_given_xtilde", "p_v_given_u", "p_q_given_v"):
+            np.testing.assert_array_equal(
+                getattr(a[0].scheme, name).rows, getattr(b[0].scheme, name).rows
+            )
 
 
 def test_reported_point_matches_regime_report(binary_model):
@@ -198,3 +202,69 @@ def test_cardinality_bounds_enforced_on_extension(binary_joint):
     with pytest.raises(ModelError):
         extend_with_auxiliaries(binary_joint, big)
     extend_with_auxiliaries(binary_joint, big, enforce_cardinality=False)
+
+
+INSTANCE = Path(__file__).resolve().parents[1] / "demos" / "models" / "binary_instance.json"
+
+
+def _wyner_ziv_dsbs(p0, d):
+    """Wyner-Ziv rate of a doubly symmetric binary source with crossover p0
+    at Hamming distortion d: time sharing between a point (b, h(p0*b) - h(b))
+    with b <= d and the zero-rate point (p0, 0), minimized over b on a fine
+    grid (Wyner & Ziv 1976)."""
+    if d >= p0:
+        return 0.0
+    b = np.linspace(0.0, d, 200_001)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = [np.nan_to_num(-p * np.log2(p) - (1 - p) * np.log2(1 - p))
+             for p in (p0 * (1.0 - b) + (1.0 - p0) * b, b)]
+    return float(np.min((h[0] - h[1]) * (p0 - d) / (p0 - b)))
+
+
+def test_wyner_ziv_closed_form():
+    p0 = 0.26
+    assert _wyner_ziv_dsbs(p0, 0.0) == pytest.approx(h2(p0), abs=1e-12)
+    assert _wyner_ziv_dsbs(p0, p0) == 0.0
+    rates = [_wyner_ziv_dsbs(p0, d) for d in np.linspace(0.0, p0, 9)]
+    assert all(a > b for a, b in zip(rates, rates[1:]))
+
+
+@pytest.mark.parametrize("size, bounds", [
+    ({"u_size": 3, "v_size": 1, "q_size": 1}, (0.0012, 0.0028, 0.0037)),
+    ({}, (0.0067, 0.0062, 0.0246)),
+])
+def test_storage_search_near_wyner_ziv(size, bounds):
+    # The README sweep on the binary instance, whose (Xt, Y) pair is a doubly
+    # symmetric binary source with crossover 0.26.  At |U| = 3 and at the
+    # default cardinality the search must not sit further above the closed
+    # form than the gaps the finite-difference descent left (0.1 mbit
+    # resolution), and never below it.
+    model = modelio.parse_model(INSTANCE)
+    pair = build_joint(model).marginal_table(("Xt", "Y"))
+    np.testing.assert_allclose(pair, pair.T, atol=1e-15)
+    np.testing.assert_allclose(pair.sum(axis=1), 0.5, atol=1e-15)
+    p0 = float(pair[0, 1] + pair[1, 0])
+    cfg = SearchConfig(restarts=8, seed=7, **size)
+    points = trace_region(model, 0.0, METRIC, [0.05, 0.10, 0.15], cfg)
+    for p, bound in zip(points, bounds):
+        gap = p.rates.rw - _wyner_ziv_dsbs(p0, p.target_d)
+        assert -1e-9 <= gap <= bound
+
+
+def test_leakage_searches_reach_the_lower_leakage():
+    # Secrecy leakage at r0 = 0 and privacy leakage at r0 = 0.1, D = 0.10,
+    # (|U|, |V|, |Q|) = (3, 2, 2), one restart.  The finite-difference
+    # descent stopped at rs = 0.455343 although the rl search found a scheme
+    # with rs = 0.4236; it reached rl = 0.111692.
+    model = modelio.parse_model(INSTANCE)
+    sizes = dict(restarts=1, seed=7, u_size=3, v_size=2, q_size=2)
+    found = {}
+    for objective, r0 in (("rs", 0.0), ("rl", 0.0), ("rl", 0.1)):
+        cfg = SearchConfig(objective=objective, **sizes)
+        [found[objective, r0]] = trace_region(model, r0, METRIC, [0.10], cfg)
+        assert found[objective, r0].rates.d <= 0.10 + 1e-9
+    assert found["rs", 0.0].rates.rs <= 0.4236
+    assert found["rl", 0.1].rates.rl <= 0.111692
+    # Each leakage search is no worse than the other's scheme at the same r0.
+    assert found["rs", 0.0].rates.rs <= found["rl", 0.0].rates.rs
+    assert found["rl", 0.0].rates.rl <= found["rs", 0.0].rates.rl
