@@ -36,12 +36,15 @@ bin assignments - the quantity the achievability analysis controls.
 
 Leakage reporting
 -----------------
-In the fully padded regime the transmitted message is uniform and
-independent of the source by construction, so leakage is exactly zero.
-Otherwise the report carries plug-in estimates: the single-letter leakage
-functionals evaluated on the pooled empirical type of the per-position
-tuples (v, u, xt, x, y, z), minus the key rate actually consumed, clamped at
-zero.  These indicate the asymptotic targets and are not finite-n proofs;
+Each pad mode realizes one key-rate regime of the region: the key slot the
+small-key regime, pad U the middle-key regime and pad all the large-key
+regime (``_PADS``).  The report carries plug-in estimates: the region's
+leakage bounds for that regime (``regions.lossy_point``'s), evaluated on the
+pooled empirical type of the per-position tuples (v, u, xt, x, y, z) at the
+key rate the key slot consumes.  In the fully padded regime they are exactly
+zero, as the transmitted message is uniform and independent of the source
+by construction.  They indicate the asymptotic targets and are not finite-n
+proofs;
 ``exact_leakage`` computes the exact finite-n conditional mutual informations
 for small blocklengths.  It enumerates P(message | xt^n) over every
 (sequence, auxiliary path, key) triple (at most ``ENUMERATION_BUDGET`` of
@@ -54,7 +57,7 @@ working arrays are capped at ``LEAKAGE_CELL_LIMIT`` cells per message.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache, reduce
 from typing import Literal, Optional, Sequence
 
@@ -63,10 +66,8 @@ import numpy as np
 from .probability import (
     AX_U,
     AX_V,
-    AX_X,
     AX_XT,
     AX_Y,
-    AX_Z,
     DimensionError,
     JointPmf,
     ModelError,
@@ -74,9 +75,28 @@ from .probability import (
     compositions,
     entropy_bits,
 )
-from .regions import DistortionMetric, VU_AXES, _optimal_reconstruction_from_uxty
+from .regions import (
+    FULL_AXES,
+    VU_AXES,
+    DistortionMetric,
+    Regime,
+    _leakages,
+    _optimal_reconstruction_from_uxty,
+    r_prime,
+)
 
 PadMode = Literal["key_slot", "pad_u", "pad_all"]
+
+# The message fields in index order; ``IndexBits`` and ``BinningCode.tables``
+# follow it.
+_FIELDS = ("f_v", "w_v", "f_u", "w_u", "k_u")
+# Per pad mode: the key-rate regime of the region it realizes and the fields
+# the key pads, one per key component.
+_PADS: dict[str, tuple[Regime, tuple[str, ...]]] = {
+    "key_slot": ("small_key", ("k_u",)),
+    "pad_u": ("middle_key", ("w_u",)),
+    "pad_all": ("large_key", ("w_v", "w_u")),
+}
 
 MATERIALIZE_LIMIT = 1 << 14   # largest sequence space kept as explicit tables
 ENUMERATION_BUDGET = 5_000_000  # cells in composition cross-products / exact sums
@@ -169,8 +189,8 @@ class BinningCode:
     p_u_given_xtilde: np.ndarray   # (Xt, U)
     p_v_given_u: np.ndarray        # (U, V)
     reconstruction: np.ndarray     # (U, Y) -> xhat
-    p_v_y: np.ndarray              # per-letter joint (V, Y)
-    p_vu_y: np.ndarray             # per-letter joint (V, U, Y)
+    log_v_y: np.ndarray            # ln P(v | y), (V, Y)
+    log_u_vy: np.ndarray           # ln P(u | v, y), (U, V, Y)
     sw_v_ok: bool
     sw_u_ok: bool
     tables: Optional[tuple[np.ndarray, ...]] = None  # (f_v, w_v, f_u, w_u, k_u)
@@ -182,19 +202,15 @@ class BinningCode:
         return self.tables is not None
 
     def key_bit_widths(self) -> tuple[int, ...]:
-        if self.mode == "key_slot":
-            return (self.bits.k_u,)
-        if self.mode == "pad_u":
-            return (self.bits.w_u,)
-        return (self.bits.w_v, self.bits.w_u)
+        return tuple(getattr(self.bits, f) for f in _PADS[self.mode][1])
 
     def key_rate_used(self) -> float:
         return sum(self.key_bit_widths()) / self.n
 
     def message_bits(self) -> int:
-        """Transmitted payload width: W_v, W_u and the key slot when present."""
-        extra = self.bits.k_u if self.mode == "key_slot" else 0
-        return self.bits.w_v + self.bits.w_u + extra
+        """Transmitted payload width: W_v, W_u and the key slot (k_u is 0
+        outside the key-slot regime)."""
+        return self.bits.w_v + self.bits.w_u + self.bits.k_u
 
     def draw_key(self, rng: np.random.Generator) -> tuple[int, ...]:
         return tuple(_rand_bits(rng, b) for b in self.key_bit_widths())
@@ -283,15 +299,9 @@ def design_code(
     i_u_xt = full.mutual_information((AX_U,), (AX_XT,))
     i_u_y = full.mutual_information((AX_U,), (AX_Y,))
 
-    if r0 >= i_u_xt - i_u_y + 4.0 * epsilon:
-        mode: PadMode = "pad_all"
-        ru = max(0.0, combined + 2.0 * epsilon)
-    elif r0 >= combined + 2.0 * epsilon:
-        mode = "pad_u"
-        ru = max(0.0, combined + 2.0 * epsilon)
-    else:
-        mode = "key_slot"
-        ru = max(0.0, combined + 2.0 * epsilon - r0)
+    mode: PadMode = ("pad_all" if r0 >= i_u_xt - i_u_y + 4.0 * epsilon
+                     else "pad_u" if r0 >= combined + 2.0 * epsilon else "key_slot")
+    ru = max(0.0, combined + 2.0 * epsilon - (r0 if mode == "key_slot" else 0.0))
 
     # Degenerate layers collapse to a single bin: the epsilon slack only
     # matters for layers that carry anything at all.
@@ -344,21 +354,16 @@ def design_code(
             "no reconstruction map: pass `reconstruction` or `metric` when |U| != |Xt|"
         )
 
+    # One i.i.d. uniform stream per field of ``_FIELDS``, tagged 1 to 5.
     tables = None
-    max_bits = max(bits.f_v, bits.w_v, bits.f_u, bits.w_u, bits.k_u)
-    if v_size**n <= MATERIALIZE_LIMIT and u_size**n <= MATERIALIZE_LIMIT and max_bits <= 62:
-        streams = []
-        for tag, width, space in (
-            (1, bits.f_v, v_size**n),
-            (2, bits.w_v, v_size**n),
-            (3, bits.f_u, u_size**n),
-            (4, bits.w_u, u_size**n),
-            (5, bits.k_u, u_size**n),
-        ):
-            rng = np.random.default_rng([seed, tag])
-            streams.append(rng.integers(0, 1 << width, size=space, dtype=np.int64)
-                           if width > 0 else np.zeros(space, dtype=np.int64))
-        tables = tuple(streams)
+    widths = astuple(bits)
+    if v_size**n <= MATERIALIZE_LIMIT and u_size**n <= MATERIALIZE_LIMIT and max(widths) <= 62:
+        spaces = (v_size**n,) * 2 + (u_size**n,) * 3
+        tables = tuple(
+            np.random.default_rng([seed, tag]).integers(0, 1 << width, size=space, dtype=np.int64)
+            if width > 0 else np.zeros(space, dtype=np.int64)
+            for tag, width, space in zip(range(1, 6), widths, spaces)
+        )
 
     return BinningCode(
         n=n,
@@ -370,8 +375,9 @@ def design_code(
         p_u_given_xtilde=p_u_given_xt,
         p_v_given_u=p_v_given_u,
         reconstruction=recon,
-        p_v_y=full.marginal_table((AX_V, AX_Y)),
-        p_vu_y=full.marginal_table((AX_V, AX_U, AX_Y)),
+        log_v_y=_log_conditional(full.marginal_table((AX_V, AX_Y)), 1),
+        log_u_vy=_log_conditional(
+            np.moveaxis(full.marginal_table((AX_V, AX_U, AX_Y)), 1, 0), 2),
         sw_v_ok=sw_v_ok,
         sw_u_ok=sw_u_ok,
         tables=tables,
@@ -382,6 +388,17 @@ def _conditional(joint_2d: np.ndarray) -> np.ndarray:
     """Rows P(col | row); zero-probability rows become uniform."""
     totals = joint_2d.sum(axis=1, keepdims=True)
     out = np.where(totals > 0.0, joint_2d / np.where(totals == 0.0, 1.0, totals), 1.0 / joint_2d.shape[1])
+    return out
+
+
+def _log_conditional(joint: np.ndarray, cond_axes_last: int) -> np.ndarray:
+    """Natural-log P(first axes | trailing axes), -inf for impossible cells."""
+    denom = joint.sum(axis=tuple(range(joint.ndim - cond_axes_last)), keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.log(np.where(joint > 0.0, joint, 0.0)) - np.log(
+            np.where(denom > 0.0, denom, 1.0)
+        )
+    out[joint <= 0.0] = -np.inf
     return out
 
 
@@ -403,36 +420,35 @@ def _sample_aux(code: BinningCode, xtilde_seq: np.ndarray, rng) -> tuple[np.ndar
     return v, u
 
 
-def _pad(value, key, bits: int):
-    """One-time pad modulo 2^bits; elementwise on numpy arrays."""
-    return (value + key) & ((1 << bits) - 1) if bits > 0 else 0
+def _pad(code: BinningCode, fields, key, sign: int = 1) -> list:
+    """``fields`` (f_v, w_v, f_u, w_u, k_u) with the key components added
+    (``sign`` 1) or removed (``sign`` -1) modulo 2^bits in the fields the
+    pad mode pads; elementwise on numpy arrays."""
+    out = list(fields)
+    for name, k in zip(_PADS[code.mode][1], key):
+        i, bits = _FIELDS.index(name), getattr(code.bits, name)
+        out[i] = (out[i] + sign * k) & ((1 << bits) - 1) if bits > 0 else 0
+    return out
 
 
-def _unpad(value: int, key: int, bits: int) -> int:
-    return (value - key) & ((1 << bits) - 1) if bits > 0 else 0
+def _message_fields(code: BinningCode, v_idx, u_idx, key) -> list:
+    """Padded (f_v, w_v, f_u, w_u, k_u) for v/u sequence indices and a key,
+    elementwise on numpy arrays of indices and key components."""
+    idx = (v_idx, v_idx, u_idx, u_idx, u_idx)
+    return _pad(code, [t[i] for t, i in zip(code.tables, idx)], key)
 
 
-def _message_fields(code: BinningCode, v_idx, u_idx, key) -> tuple:
-    """(f_v, w_v, f_u, w_u, key_slot) for v/u sequence indices and a key.
-
-    Elementwise on numpy arrays of indices and key components; ``key_slot``
-    is None outside the key-slot regime.
-    """
-    f_v, w_v = code.tables[0][v_idx], code.tables[1][v_idx]
-    f_u, w_u, k_u = code.tables[2][u_idx], code.tables[3][u_idx], code.tables[4][u_idx]
-    bits = code.bits
-    if code.mode == "key_slot":
-        return f_v, w_v, f_u, w_u, _pad(k_u, key[0], bits.k_u)
-    if code.mode == "pad_u":
-        return f_v, w_v, f_u, _pad(w_u, key[0], bits.w_u), None
-    return f_v, _pad(w_v, key[0], bits.w_v), f_u, _pad(w_u, key[1], bits.w_u), None
+def _message_tuple(code: BinningCode, fields) -> tuple:
+    """The ``Message`` fields: ``key_slot`` is None unless the key pads K_u."""
+    f_v, w_v, f_u, w_u, k_u = (int(f) for f in fields)
+    return f_v, w_v, f_u, w_u, k_u if "k_u" in _PADS[code.mode][1] else None
 
 
 def _assemble_message(code: BinningCode, v_seq, u_seq, key) -> Message:
     fields = _message_fields(
         code, _seq_index(v_seq, code.v_size), _seq_index(u_seq, code.u_size), key
     )
-    return Message(*(None if f is None else int(f) for f in fields))
+    return Message(*_message_tuple(code, fields))
 
 
 def encode(
@@ -469,54 +485,17 @@ def _check_key(code: BinningCode, key: tuple[int, ...]) -> None:
             raise ValueError("key component out of range")
 
 
-def _log_conditional(joint: np.ndarray, cond_axes_last: int) -> np.ndarray:
-    """Natural-log P(first axes | trailing axes), -inf for impossible cells."""
-    denom = joint.sum(axis=tuple(range(joint.ndim - cond_axes_last)), keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(np.where(joint > 0.0, joint, 0.0)) - np.log(
-            np.where(denom > 0.0, denom, 1.0)
-        )
-    out[joint <= 0.0] = -np.inf
-    return out
-
-
-def _unpad_targets(code: BinningCode, key: tuple[int, ...], message: Message):
-    """Raw (w_v, w_u, k_u) bin indices the decoder searches for."""
-    if code.mode == "key_slot":
-        return message.w_v, message.w_u, _unpad(message.key_slot, key[0], code.bits.k_u)
-    if code.mode == "pad_u":
-        return message.w_v, _unpad(message.w_u, key[0], code.bits.w_u), 0
-    return (
-        _unpad(message.w_v, key[0], code.bits.w_v),
-        _unpad(message.w_u, key[1], code.bits.w_u),
-        0,
-    )
-
-
 def _decode_layers(
     code: BinningCode, y: np.ndarray, key: tuple[int, ...], message: Message
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Successive ML-in-bin layer decisions; returns (v_hat, u_hat, unique)."""
-    w_v_target, w_u_target, k_u_target = _unpad_targets(code, key, message)
-
-    log_v = _log_conditional(code.p_v_y, 1)          # (V, Y)
-    v_hat, ok_v = _ml_in_bin(
-        _all_sequences(code.v_size, code.n),
-        log_v[:, y].T,                               # (n, V)
-        (code.tables[0] == message.f_v) & (code.tables[1] == w_v_target),
-    )
-
-    log_u = _log_conditional(np.moveaxis(code.p_vu_y, 1, 0), 2)  # (U, V, Y)
-    mask_u = (
-        (code.tables[2] == message.f_u)
-        & (code.tables[3] == w_u_target)
-        & (code.tables[4] == k_u_target)
-    )
-    u_hat, ok_u = _ml_in_bin(
-        _all_sequences(code.u_size, code.n),
-        log_u[:, v_hat, y].T,                        # (n, U)
-        mask_u,
-    )
+    sent = (message.f_v, message.w_v, message.f_u, message.w_u, message.key_slot or 0)
+    # Bin membership per field, the key removed from the padded ones.
+    f_v, w_v, f_u, w_u, k_u = (t == b for t, b in zip(code.tables, _pad(code, sent, key, -1)))
+    v_hat, ok_v = _ml_in_bin(_all_sequences(code.v_size, code.n),
+                             code.log_v_y[:, y].T, f_v & w_v)               # (n, V)
+    u_hat, ok_u = _ml_in_bin(_all_sequences(code.u_size, code.n),
+                             code.log_u_vy[:, v_hat, y].T, f_u & w_u & k_u)  # (n, U)
     return v_hat, u_hat, bool(ok_v and ok_u)
 
 
@@ -708,36 +687,29 @@ def run_experiment(
     metric = metric if metric is not None else DistortionMetric.hamming(model.xtilde_size)
 
     engine = "explicit" if code.materialized else "collision"
-    sizes = (
-        code.v_size,
-        code.u_size,
-        model.xtilde_size,
-        model.x_size,
-        model.y_size,
-        model.z_size,
-    )
-    counts = np.zeros(sizes)
+    # The pooled type of (q, v, u, xt, x, y, z) with a one-symbol Q.
+    counts = np.zeros((1, code.v_size, code.u_size, model.xtilde_size,
+                       model.x_size, model.y_size, model.z_size))
     errors = 0
     distortions: list[float] = []
-    log_v = _log_conditional(code.p_v_y, 1)                          # (V, Y)
-    log_u = _log_conditional(np.moveaxis(code.p_vu_y, 1, 0), 2)      # (U, V, Y)
 
     for t in range(trials):
         rng = np.random.default_rng([seed, 7, t])
         xt, x, y, z = _sample_source_block(model, code.n, rng)
         key = code.draw_key(rng)
         v_seq, u_seq = _sample_aux(code, xt, rng)
-        np.add.at(counts, (v_seq, u_seq, xt, x, y, z), 1.0)
+        np.add.at(counts, (0, v_seq, u_seq, xt, x, y, z), 1.0)
 
         if engine == "explicit":
             msg = _assemble_message(code, v_seq, u_seq, key)
             v_hat, u_hat, unique = _decode_layers(code, y, key, msg)
             ok = unique and np.array_equal(v_hat, v_seq) and np.array_equal(u_hat, u_seq)
         else:
-            p_v = _layer_success_probability(log_v, v_seq, (y,), code.bits.f_v + code.bits.w_v)
+            p_v = _layer_success_probability(code.log_v_y, v_seq, (y,),
+                                             code.bits.f_v + code.bits.w_v)
             ok = bool(rng.random() < p_v)
             if ok:
-                p_u = _layer_success_probability(log_u, u_seq, (v_seq, y),
+                p_u = _layer_success_probability(code.log_u_vy, u_seq, (v_seq, y),
                                                  code.bits.u_layer_total())
                 ok = bool(rng.random() < p_u)
         if ok:
@@ -746,7 +718,9 @@ def run_experiment(
         else:
             errors += 1
 
-    leak_s, leak_p = _plugin_leakage(code, counts / counts.sum())
+    # The region's leakage bounds for the regime the pad mode realizes.
+    emp = JointPmf(FULL_AXES, counts / counts.sum())
+    leak_s, leak_p = _leakages(emp, _PADS[code.mode][0], r_prime(emp), code.bits.k_u / code.n)
     return SimulationReport(
         n=code.n,
         trials=trials,
@@ -757,26 +731,6 @@ def run_experiment(
         key_rate_used=code.key_rate_used(),
         engine=engine,
     )
-
-
-def _plugin_leakage(code: BinningCode, emp_table: np.ndarray) -> tuple[float, float]:
-    emp = JointPmf(VU_AXES, emp_table)
-    if code.mode == "pad_all":
-        return 0.0, 0.0
-    if code.mode == "pad_u":
-        return (
-            max(0.0, emp.mutual_information((AX_V,), (AX_XT,), (AX_Z,))),
-            max(0.0, emp.mutual_information((AX_V,), (AX_X,), (AX_Z,))),
-        )
-    rp = min(
-        0.0,
-        emp.mutual_information((AX_U,), (AX_Z,), (AX_V,))
-        - emp.mutual_information((AX_U,), (AX_Y,), (AX_V,)),
-    )
-    key_rate = code.bits.k_u / code.n
-    leak_s = max(0.0, emp.mutual_information((AX_U,), (AX_XT,), (AX_Z,)) + rp - key_rate)
-    leak_p = max(0.0, emp.mutual_information((AX_U,), (AX_X,), (AX_Z,)) + rp - key_rate)
-    return leak_s, leak_p
 
 
 # ---------------------------------------------------------------------------
@@ -839,9 +793,7 @@ def exact_message_table(code: BinningCode, model: SourceModel) -> ExactMessageTa
 
     keys = np.indices([1 << b for b in key_widths]).reshape(len(key_widths), 1, n_keys)
     fields = _message_fields(code, v_idx[:, None], u_idx[:, None], keys)
-    slot_free = fields[4] is None
-    stacked = np.stack(np.broadcast_arrays(*fields[:4], 0 if slot_free else fields[4]), axis=-1)
-    messages, column = _unique_rows(stacked.reshape(-1, 5))
+    messages, column = _unique_rows(np.stack(np.broadcast_arrays(*fields), axis=-1).reshape(-1, 5))
 
     n_cols = len(messages)
     table = np.bincount(
@@ -849,8 +801,7 @@ def exact_message_table(code: BinningCode, model: SourceModel) -> ExactMessageTa
         weights=np.repeat(p_path * (1.0 / n_keys), n_keys),
         minlength=p_seq.size * n_cols,
     ).reshape(p_seq.size, n_cols)
-    tuples = [tuple(m[:4]) + ((None,) if slot_free else (m[4],)) for m in messages.tolist()]
-    return ExactMessageTable(p_seq, table, tuples)
+    return ExactMessageTable(p_seq, table, [_message_tuple(code, m) for m in messages.tolist()])
 
 
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -885,30 +836,20 @@ def padded_indices_mutual_information(
     """Exact I(Xt^n; padded message components) plus their joint marginal.
 
     The padded components are the key slot (key-slot regime), W_u (pad-u
-    regime) or (W_v, W_u) (fully padded regime).  One-time padding with a
-    uniform key makes them uniform and independent of the source block for
-    every bin realization, so the returned mutual information is zero to
-    machine precision and the marginal is exactly flat.
+    regime) or (W_v, W_u) (fully padded regime); the marginal is indexed by
+    their value, the first component most significant.  One-time padding
+    with a uniform key makes them uniform and independent of the source
+    block for every bin realization, so the returned mutual information is
+    zero to machine precision and the marginal is exactly flat.
     """
     t = exact_message_table(code, model)
-    if code.mode == "key_slot":
-        pick = lambda m: (m[4],)
-        size = 1 << code.bits.k_u
-    elif code.mode == "pad_u":
-        pick = lambda m: (m[3],)
-        size = 1 << code.bits.w_u
-    else:
-        pick = lambda m: (m[1], m[3])
-        size = 1 << (code.bits.w_v + code.bits.w_u)
-
-    groups: dict[tuple, int] = {}
-    cols = np.empty(len(t.messages), dtype=int)
-    for j, m in enumerate(t.messages):
-        cols[j] = groups.setdefault(pick(m), len(groups))
-    table = np.zeros((t.p_sequence.size, size))
-    assert len(groups) <= size
-    for j, g in enumerate(cols):
-        table[:, g] += t.p_message_given_sequence[:, j]
+    padded = [_FIELDS.index(f) for f in _PADS[code.mode][1]]
+    values = np.array(t.messages, dtype=object)[:, padded].astype(np.int64)
+    column = np.zeros(len(t.messages), dtype=np.int64)
+    for j, bits in enumerate(code.key_bit_widths()):
+        column = (column << bits) | values[:, j]
+    table = np.zeros((t.p_sequence.size, 1 << sum(code.key_bit_widths())))
+    np.add.at(table, (slice(None), column), t.p_message_given_sequence)
     p_pad = t.p_sequence @ table
     mi = entropy_bits(p_pad) - float(t.p_sequence @ entropy_bits(table, axis=1))
     return mi, p_pad

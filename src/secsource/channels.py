@@ -77,41 +77,26 @@ def check_stochastic_degraded(
     nz = pz.shape[1]
 
     # Variables: T flattened row-major (nz * ny entries) plus the violation t.
-    nvar = nz * ny + 1
-    c = np.zeros(nvar)
+    c = np.zeros(nz * ny + 1)
     c[-1] = 1.0
 
-    # Composition constraints: -t <= (Pz @ T - Py)[x, y] <= t.
-    rows_ub = []
-    rhs_ub = []
-    for x in range(nx):
-        for y in range(ny):
-            coeff = np.zeros(nvar)
-            for z in range(nz):
-                coeff[z * ny + y] = pz[x, z]
-            coeff[-1] = -1.0
-            rows_ub.append(coeff.copy())
-            rhs_ub.append(py[x, y])
-            coeff2 = -coeff
-            coeff2[-1] = -1.0
-            rows_ub.append(coeff2)
-            rhs_ub.append(-py[x, y])
-
+    # Composition constraints, interleaved per (x, y):
+    # (Pz @ T - Py)[x, y] - t <= 0 and -(Pz @ T - Py)[x, y] - t <= 0.
+    comp = np.kron(pz, np.eye(ny))                 # row (x, y), column (z, y')
+    slack = -np.ones((nx * ny, 1))
+    a_ub = np.stack([np.hstack([comp, slack]), np.hstack([-comp, slack])], axis=1)
+    a_ub = a_ub.reshape(2 * nx * ny, -1)
+    b_ub = np.stack([py.ravel(), -py.ravel()], axis=1).ravel()
     # Row-stochasticity of T.
-    rows_eq = []
-    for z in range(nz):
-        coeff = np.zeros(nvar)
-        coeff[z * ny : (z + 1) * ny] = 1.0
-        rows_eq.append(coeff)
-    rhs_eq = np.ones(nz)
+    a_eq = np.hstack([np.kron(np.eye(nz), np.ones(ny)), np.zeros((nz, 1))])
 
     bounds = [(0.0, 1.0)] * (nz * ny) + [(0.0, None)]
     res = linprog(
         c,
-        A_ub=np.array(rows_ub),
-        b_ub=np.array(rhs_ub),
-        A_eq=np.array(rows_eq),
-        b_eq=rhs_eq,
+        A_ub=a_ub,
+        b_ub=b_ub,
+        A_eq=a_eq,
+        b_eq=np.ones(nz),
         bounds=bounds,
         method="highs",
     )

@@ -1,4 +1,4 @@
-"""Command-line front end: configuration ingestion, dispatch, CSV output.
+"""Command-line front end: argument parsing, one handler per subcommand, CSV output.
 
 Subcommands
 -----------
@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -32,33 +31,6 @@ DEFAULT_SEED = 2022
 REGION_HEADER = ["d", "rw_bits", "rs_bits", "rl_bits", "regime"]
 GAUSSIAN_HEADER = ["alpha", "rw_bits", "rs_bits", "rl_bits", "d"]
 SIMULATE_HEADER = ["n", "error_rate", "distortion", "leak_secrecy_bits", "leak_privacy_bits"]
-
-
-@dataclass
-class RunConfig:
-    """Validated invocation of one subcommand."""
-
-    command: str
-    model: Optional[Path] = None
-    aux: Optional[Path] = None
-    channel_pair: Optional[Path] = None
-    output: Optional[Path] = None
-    seed: int = DEFAULT_SEED
-    r0: float = 0.0
-    targets: list[float] = field(default_factory=list)
-    alphas: list[float] = field(default_factory=list)
-    rho: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    samples: int = 0
-    n: int = 0
-    epsilon: float = 0.0
-    trials: int = 0
-    l_size: Optional[int] = None
-    restarts: int = 8
-    u_size: Optional[int] = None
-    v_size: Optional[int] = None
-    q_size: Optional[int] = None
-    grid: bool = False
-    grid_step: float = 0.05
 
 
 def _fmt(value: float) -> str:
@@ -73,45 +45,33 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
 
 
-def dispatch(cfg: RunConfig) -> int:
-    """Run the selected computation; returns the process exit status."""
-    handler = {
-        "compute-region": _run_compute_region,
-        "lossless-region": _run_lossless_region,
-        "gaussian": _run_gaussian,
-        "simulate": _run_simulate,
-        "check-channel": _run_check_channel,
-    }[cfg.command]
-    return handler(cfg)
-
-
-def _run_compute_region(cfg: RunConfig) -> int:
-    model = modelio.parse_model(cfg.model)
+def _run_compute_region(args: argparse.Namespace) -> int:
+    model = modelio.parse_model(args.model)
     metric = regions.DistortionMetric.hamming(model.xtilde_size)
     search = regions.SearchConfig(
-        restarts=cfg.restarts,
-        seed=cfg.seed,
-        u_size=cfg.u_size,
-        v_size=cfg.v_size,
-        q_size=cfg.q_size,
-        method="grid" if cfg.grid else "descent",
-        grid_step=cfg.grid_step,
+        restarts=args.restarts,
+        seed=args.seed,
+        u_size=args.u_size,
+        v_size=args.v_size,
+        q_size=args.q_size,
+        method="grid" if args.grid else "descent",
+        grid_step=args.grid_step,
     )
-    points = regions.trace_region(model, cfg.r0, metric, cfg.targets, search)
+    points = regions.trace_region(model, args.r0, metric, args.targets, search)
     rows = [
         [p.rates.d, p.rates.rw, p.rates.rs, p.rates.rl, p.report.regime]
         for p in points
     ]
-    _write_csv(cfg.output, REGION_HEADER, rows)
-    print(f"compute-region: {len(rows)} point(s) written to {cfg.output}")
+    _write_csv(args.output, REGION_HEADER, rows)
+    print(f"compute-region: {len(rows)} point(s) written to {args.output}")
     return 0
 
 
-def _run_lossless_region(cfg: RunConfig) -> int:
-    model = modelio.parse_model(cfg.model)
+def _run_lossless_region(args: argparse.Namespace) -> int:
+    model = modelio.parse_model(args.model)
     joint = build_joint(model)
-    if cfg.aux is not None:
-        scheme = modelio.parse_aux(cfg.aux)
+    if args.aux is not None:
+        scheme = modelio.parse_aux(args.aux)
         aux_v, aux_q = scheme.p_v_given_u, scheme.p_q_given_v
         if aux_v.input_size != model.xtilde_size:
             raise ModelError("lossless aux file must give P(V|Xt): rows over Xt")
@@ -120,52 +80,52 @@ def _run_lossless_region(cfg: RunConfig) -> int:
 
         aux_v = StochasticMatrix.constant(model.xtilde_size, 1)
         aux_q = StochasticMatrix.constant(1, 1)
-    report = regions.lossless_point(joint, aux_v, aux_q, cfg.r0)
+    report = regions.lossless_point(joint, aux_v, aux_q, args.r0)
     rows = [[0.0, report.bounds.rw, report.bounds.rs, report.bounds.rl, report.regime]]
-    _write_csv(cfg.output, REGION_HEADER, rows)
+    _write_csv(args.output, REGION_HEADER, rows)
     print(
         f"lossless-region: rw={_fmt(report.bounds.rw)} rs={_fmt(report.bounds.rs)} "
-        f"rl={_fmt(report.bounds.rl)} regime={report.regime} -> {cfg.output}"
+        f"rl={_fmt(report.bounds.rl)} regime={report.regime} -> {args.output}"
     )
     return 0
 
 
-def _run_gaussian(cfg: RunConfig) -> int:
-    model = gaussian.GaussianModel(*cfg.rho)
-    trace = gaussian.gaussian_trace(model, cfg.alphas)
+def _run_gaussian(args: argparse.Namespace) -> int:
+    model = gaussian.GaussianModel(args.rho_x, args.rho_y, args.rho_z)
+    trace = gaussian.gaussian_trace(model, args.alphas)
     rows = [[a, p.rw, p.rs, p.rl, p.d] for a, p in trace]
-    _write_csv(cfg.output, GAUSSIAN_HEADER, rows)
-    if cfg.samples > 0:
+    _write_csv(args.output, GAUSSIAN_HEADER, rows)
+    if args.samples > 0:
         checks = []
         for a, p in trace:
-            emp, ana = gaussian.gaussian_mmse_check(model, a, cfg.samples, cfg.seed)
+            emp, ana = gaussian.gaussian_mmse_check(model, a, args.samples, args.seed)
             checks.append(f"alpha={_fmt(a)}: empirical={emp:.6f} analytic={ana:.6f}")
         print(
-            f"gaussian: {len(rows)} point(s) -> {cfg.output}; "
-            f"MMSE check ({cfg.samples} samples): " + "; ".join(checks)
+            f"gaussian: {len(rows)} point(s) -> {args.output}; "
+            f"MMSE check ({args.samples} samples): " + "; ".join(checks)
         )
     else:
-        print(f"gaussian: {len(rows)} point(s) written to {cfg.output}")
+        print(f"gaussian: {len(rows)} point(s) written to {args.output}")
     return 0
 
 
-def _run_simulate(cfg: RunConfig) -> int:
-    model = modelio.parse_model(cfg.model)
-    scheme = modelio.parse_aux(cfg.aux)
+def _run_simulate(args: argparse.Namespace) -> int:
+    model = modelio.parse_model(args.model)
+    scheme = modelio.parse_aux(args.aux)
     joint = build_joint(model)
     full = regions.extend_with_vu(joint, scheme)
     code = binning.design_code(
         full,
-        n=cfg.n,
-        epsilon=cfg.epsilon,
-        r0=cfg.r0,
-        seed=cfg.seed,
+        n=args.n,
+        epsilon=args.epsilon,
+        r0=args.r0,
+        seed=args.seed,
         reconstruction=scheme.reconstruction,
         metric=None
         if scheme.reconstruction is not None
         else regions.DistortionMetric.hamming(model.xtilde_size),
     )
-    report = binning.run_experiment(code, model, cfg.trials, seed=cfg.seed)
+    report = binning.run_experiment(code, model, args.trials, seed=args.seed)
     rows = [
         [
             report.n,
@@ -175,19 +135,19 @@ def _run_simulate(cfg: RunConfig) -> int:
             report.leak_privacy,
         ]
     ]
-    _write_csv(cfg.output, SIMULATE_HEADER, rows)
+    _write_csv(args.output, SIMULATE_HEADER, rows)
     print(
         f"simulate: n={report.n} engine={report.engine} "
-        f"error_rate={_fmt(report.error_rate)} -> {cfg.output}"
+        f"error_rate={_fmt(report.error_rate)} -> {args.output}"
     )
     return 0
 
 
-def _run_check_channel(cfg: RunConfig) -> int:
-    if cfg.channel_pair is not None:
-        p_y, p_z = modelio.parse_channel_pair(cfg.channel_pair)
+def _run_check_channel(args: argparse.Namespace) -> int:
+    if args.channel_pair is not None:
+        p_y, p_z = modelio.parse_channel_pair(args.channel_pair)
     else:
-        model = modelio.parse_model(cfg.model)
+        model = modelio.parse_model(args.model)
         p_y, p_z = model.p_y_given_x(), model.p_z_given_x()
     cert = channels.check_stochastic_degraded(p_y, p_z)
     if cert.feasible:
@@ -198,9 +158,8 @@ def _run_check_channel(cfg: RunConfig) -> int:
         print("less-noisy: implied by degradedness certificate")
         return 0
     print(f"degraded: no (best residual {cert.residual:.3e})")
-    trials = cfg.trials if cfg.trials > 0 else 200
     verdict = channels.less_noisy_falsify(
-        p_y, p_z, trials=trials, l_size=cfg.l_size, seed=cfg.seed
+        p_y, p_z, trials=args.trials, l_size=args.l_size, seed=args.seed
     )
     if verdict.falsified:
         print(
@@ -243,6 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     cr.add_argument("--grid", action="store_true",
                     help="use the exhaustive simplex-grid oracle")
     cr.add_argument("--grid-step", type=float, default=0.05)
+    cr.set_defaults(run=_run_compute_region)
 
     lr = sub.add_parser("lossless-region", help="evaluate the lossless bounds")
     lr.add_argument("--model", type=Path, required=True)
@@ -250,6 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     lr.add_argument("--aux", type=Path, default=None,
                     help="aux file; p_v_given_u is read as P(V|Xt)")
     lr.add_argument("--output", type=Path, required=True)
+    lr.set_defaults(run=_run_lossless_region)
 
     ga = sub.add_parser("gaussian", help="closed-form Gaussian boundary sweep")
     ga.add_argument("--rho-x", type=float, required=True)
@@ -260,6 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="when > 0, run the Monte-Carlo MMSE check per alpha")
     ga.add_argument("--seed", type=int, default=DEFAULT_SEED)
     ga.add_argument("--output", type=Path, required=True)
+    ga.set_defaults(run=_run_gaussian)
 
     si = sub.add_parser("simulate", help="random-binning codec experiment")
     si.add_argument("--model", type=Path, required=True)
@@ -270,6 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     si.add_argument("--trials", type=int, required=True)
     si.add_argument("--seed", type=int, default=DEFAULT_SEED)
     si.add_argument("--output", type=Path, required=True)
+    si.set_defaults(run=_run_simulate)
 
     cc = sub.add_parser("check-channel", help="degradedness / less-noisy check")
     group = cc.add_mutually_exclusive_group(required=True)
@@ -278,32 +241,19 @@ def build_parser() -> argparse.ArgumentParser:
     cc.add_argument("--trials", type=int, default=200)
     cc.add_argument("--l-size", type=int, default=None)
     cc.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    cc.set_defaults(run=_run_check_channel)
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in vars(cfg):
-        if name == "command":
-            continue
-        attr = name if hasattr(args, name) else None
-        if attr is not None:
-            setattr(cfg, name, getattr(args, attr))
-    if args.command == "gaussian":
-        cfg.rho = (args.rho_x, args.rho_y, args.rho_z)
-    return cfg
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
     try:
-        return dispatch(cfg)
+        return args.run(args)
     except (ModelError, ValueError, regions.InfeasibleTargetError,
             binning.BinningScaleError, binning.DecodeSearchError) as exc:
-        print(f"{cfg.command}: error: {exc}", file=sys.stderr)
+        print(f"{args.command}: error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -364,6 +364,18 @@ def _clamp(v: float) -> float:
     return v if v > 0.0 else 0.0
 
 
+def _leakages(full: JointPmf, regime: Regime, rp: float, r0: float) -> tuple[float, float]:
+    """The secrecy and privacy leakage bounds (rs, rl) of ``regime`` on the
+    joint ``full``, with R' = ``rp`` and key rate ``r0``."""
+    if regime == "large_key":
+        return 0.0, 0.0
+    if regime == "middle_key":
+        return (_clamp(full.mutual_information((AX_V,), (AX_XT,), (AX_Z,))),
+                _clamp(full.mutual_information((AX_V,), (AX_X,), (AX_Z,))))
+    return (_clamp(full.mutual_information((AX_U,), (AX_XT,), (AX_Z,)) + rp - r0),
+            _clamp(full.mutual_information((AX_U,), (AX_X,), (AX_Z,)) + rp - r0))
+
+
 def lossy_point(full: JointPmf, r0: float, metric: DistortionMetric) -> RegimeReport:
     """Minimal achievable bounds of the lossy region for one fixed scheme.
 
@@ -380,19 +392,8 @@ def lossy_point(full: JointPmf, r0: float, metric: DistortionMetric) -> RegimeRe
     t_low = _clamp(full.mutual_information((AX_U,), (AX_XT,), (AX_Y, AX_V)))
     rp = r_prime(full)
     _, dist = optimal_reconstruction(full, metric)
-
-    if r0 >= t_high:
-        regime: Regime = "large_key"
-        rs = rl = 0.0
-    elif r0 >= t_low:
-        regime = "middle_key"
-        rs = _clamp(full.mutual_information((AX_V,), (AX_XT,), (AX_Z,)))
-        rl = _clamp(full.mutual_information((AX_V,), (AX_X,), (AX_Z,)))
-    else:
-        regime = "small_key"
-        rs = _clamp(full.mutual_information((AX_U,), (AX_XT,), (AX_Z,)) + rp - r0)
-        rl = _clamp(full.mutual_information((AX_U,), (AX_X,), (AX_Z,)) + rp - r0)
-
+    regime: Regime = "large_key" if r0 >= t_high else "middle_key" if r0 >= t_low else "small_key"
+    rs, rl = _leakages(full, regime, rp, r0)
     bounds = RateTuple(rw=t_high, rs=rs, rl=rl, d=dist)
     return RegimeReport(
         regime=regime,

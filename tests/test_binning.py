@@ -157,14 +157,19 @@ class TestDecode:
             StochasticMatrix.identity(2), bsc(0.3),
         )
         full = _full6(model)
-        code = design_code(full, n=10, epsilon=0.1, r0=0.0, seed=7)
-        rng = np.random.default_rng(0)
-        for _ in range(25):
-            xt = rng.integers(0, 2, size=10)
-            key = code.draw_key(rng)
-            msg = encode(code, xt, key, seed=int(rng.integers(1 << 30)))
-            xhat, ok = decode(code, xt, key, msg)  # y = xt here
-            assert ok and np.array_equal(xhat, xt)
+        # With y = xt only the true sequence has positive likelihood, so the
+        # decoder succeeds exactly when it removes the key from the fields
+        # the pad mode pads; random keys exercise each of them.
+        for r0, mode in ((0.0, "key_slot"), (0.15, "key_slot"), (0.3, "pad_u"), (1.0, "pad_all")):
+            code = design_code(full, n=10, epsilon=0.1, r0=r0, seed=7)
+            assert code.mode == mode and (r0 == 0.0 or sum(code.key_bit_widths()) > 0)
+            rng = np.random.default_rng(0)
+            for _ in range(25):
+                xt = rng.integers(0, 2, size=10)
+                key = code.draw_key(rng)
+                msg = encode(code, xt, key, seed=int(rng.integers(1 << 30)))
+                xhat, ok = decode(code, xt, key, msg)  # y = xt here
+                assert ok and np.array_equal(xhat, xt)
 
     def test_large_space_raises(self, binary_full6):
         code = design_code(binary_full6, n=100, epsilon=0.15, r0=0.0, seed=7)
@@ -352,6 +357,28 @@ class TestRunExperiment:
             gaps.append(abs(rep.leak_secrecy - target))
         assert gaps[-1] <= 0.05  # plug-in estimate concentrates on the target
 
+        # The other regimes: the key slot at r0 > 0, where the key rate the
+        # slot consumes comes off the target, and pad U with a stochastic
+        # P(V|U), whose targets are I(V;Xt|Z) and I(V;X|Z) of the design joint.
+        i_xt_x_z = binary_joint.mutual_information(("Xt",), ("X",), ("Z",))
+        live_v = _full6(binary_model,
+                        AuxScheme(bsc(0.2), bsc(0.1), StochasticMatrix.constant(2, 1)))
+        cases = [
+            (binary_full6, 0.2, "key_slot", 200,
+             lambda k: (target - k, i_xt_x_z + min(i_xtz - i_xty, 0.0) - k)),
+            (live_v, 0.45, "pad_u", 40,
+             lambda k: (live_v.mutual_information(("V",), ("Xt",), ("Z",)),
+                        live_v.mutual_information(("V",), ("X",), ("Z",)))),
+        ]
+        for full, r0, mode, trials, targets in cases:
+            code = design_code(full, n=400, epsilon=0.15, r0=r0, seed=10)
+            assert code.mode == mode and sum(code.key_bit_widths()) > 0
+            rep = run_experiment(code, binary_model, trials=trials, seed=11)
+            want_s, want_p = targets(code.bits.k_u / code.n)
+            assert want_s > 0.05 and want_p > 0.05
+            assert abs(rep.leak_secrecy - want_s) <= 0.02, mode
+            assert abs(rep.leak_privacy - want_p) <= 0.02, mode
+
     def test_collision_engine_reaches_binary_n_1e4(self, binary_model, binary_full6):
         # Two side-information groups of about 5000 positions each: crossing
         # their composition lists would exceed the enumeration budget.
@@ -378,10 +405,25 @@ class TestExactSmallN:
 
     def test_key_slot_pad_uniform(self, binary_model, binary_full6):
         code = design_code(binary_full6, n=6, epsilon=0.1, r0=1.0, seed=3)
-        if code.mode == "key_slot":
-            mi, p_pad = padded_indices_mutual_information(code, binary_model)
-            assert abs(mi) <= 1e-12
-            np.testing.assert_allclose(p_pad, 1.0 / p_pad.size, atol=1e-12)
+        assert code.mode == "key_slot" and code.bits.w_u == 1 and code.bits.k_u == 6
+        mi, p_pad = padded_indices_mutual_information(code, binary_model)
+        assert abs(mi) <= 1e-12
+        assert p_pad.size == 1 << code.bits.k_u
+        np.testing.assert_allclose(p_pad, 1.0 / p_pad.size, atol=1e-12)
+
+    def test_padded_indices_two_components(self, binary_model):
+        # Fully padded with a live V layer: the marginal over (W_v, W_u) is
+        # indexed by w_v * 2^bits(w_u) + w_u, and flat.
+        code, model = _leakage_case("stochastic_pad", binary_model, n=None)
+        assert code.mode == "pad_all" and code.bits.w_v > 0 and code.bits.w_u > 0
+        mi, p_pad = padded_indices_mutual_information(code, model)
+        t = exact_message_table(code, model)
+        want = np.zeros(1 << (code.bits.w_v + code.bits.w_u))
+        for m, p in zip(t.messages, t.p_sequence @ t.p_message_given_sequence):
+            want[(m[1] << code.bits.w_u) + m[3]] += p
+        np.testing.assert_allclose(p_pad, want, rtol=1e-12, atol=0.0)
+        assert abs(mi) <= 1e-12
+        np.testing.assert_allclose(p_pad, 1.0 / p_pad.size, atol=1e-12)
 
     def test_full_message_mi_positive_without_pad(self, binary_model, binary_full6):
         code = design_code(binary_full6, n=6, epsilon=0.1, r0=0.0, seed=3)

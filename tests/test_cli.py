@@ -195,6 +195,22 @@ class TestCommands:
         assert "degraded: no" in out
         assert "falsified" in out
 
+    def test_check_channel_zero_trials_fails(self, tmp_path, capsys):
+        # A pair that is not degraded reaches the falsification search, which
+        # refuses zero trials instead of silently running the default 200.
+        path = tmp_path / "ch.json"
+        path.write_text(json.dumps({
+            "schema": 1,
+            "p_y_given_x": [[0.9, 0.1], [0.1, 0.9]],
+            "p_z_given_x": [[0.7, 0.3], [0.3, 0.7]],
+        }))
+        rc = cli.main(["check-channel", "--channels", str(path), "--trials", "0"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "degraded: no" in captured.out
+        assert "falsified" not in captured.out
+        assert "check-channel: error: trials must be >= 1" in captured.err
+
     def test_missing_model_fails_without_output(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
         rc = cli.main([
