@@ -14,7 +14,7 @@ from secsource import (
     build_joint,
     design_code,
     exact_leakage,
-    extend_with_vu,
+    extend_with_auxiliaries,
     padded_indices_mutual_information,
     run_experiment,
 )
@@ -23,7 +23,7 @@ from secsource.probability import Pmf, SourceModel
 
 model = SourceModel.from_channels(Pmf.uniform(2), bsc(0.1), bsc(0.2), bsc(0.3))
 joint = build_joint(model)
-full6 = extend_with_vu(joint, AuxScheme.identity(2))
+full6 = extend_with_auxiliaries(joint, AuxScheme.identity(2))
 
 h_xt_y = joint.entropy(("Xt", "Y")) - joint.entropy(("Y",))
 print(f"side-information conditional entropy H(Xt|Y) = {h_xt_y:.4f} bits")

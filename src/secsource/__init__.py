@@ -22,7 +22,6 @@ from .regions import (
     convexify_trace,
     corollary_point,
     extend_with_auxiliaries,
-    extend_with_vu,
     grid_minimum_storage,
     lossless_point,
     lossy_point,

@@ -77,11 +77,11 @@ from .probability import (
 )
 from .regions import (
     FULL_AXES,
-    VU_AXES,
     DistortionMetric,
     Regime,
     _leakages,
-    _optimal_reconstruction_from_uxty,
+    _require_axes,
+    optimal_reconstruction,
     r_prime,
 )
 
@@ -267,16 +267,17 @@ def design_code(
 ) -> BinningCode:
     """Design a layered binning code for the single-letter law ``full``.
 
-    ``full`` must carry axes (V, U, Xt, X, Y, Z) with the chain
-    V - U - Xt - X - (Y, Z).  The reconstruction map is taken from
+    ``full`` is the 7-axis joint over (Q, V, U, Xt, X, Y, Z) that
+    ``regions.extend_with_auxiliaries`` builds, with the chain
+    (Q, V) - U - Xt - X - (Y, Z); the codec has no time-sharing layer, so Q
+    is summed out.  The reconstruction map is taken from
     ``reconstruction`` if given, computed distortion-optimally from ``metric``
     if given, and defaults to xhat = u when |U| matches |Xt| (the lossless
     choice).  ``rate_override`` substitutes explicit rates for the standard
     epsilon-slack choices (useful for deliberately violating the decodability
     conditions); the pad regime is still selected from r0 and epsilon.
     """
-    if full.names != VU_AXES:
-        raise DimensionError(f"design_code expects axes {VU_AXES}, got {full.names}")
+    _require_axes(full, FULL_AXES, "design_code")
     if n < 1:
         raise ValueError("blocklength n must be >= 1")
     if not 0.0 < epsilon < math.inf:
@@ -336,16 +337,15 @@ def design_code(
         or rates.ru_tilde + rates.ru + key_help > h_u_given_vy
     )
 
-    p_u_given_xt = _conditional(full.marginal_table_ordered((AX_XT, AX_U)))
-    p_v_given_u = _conditional(full.marginal_table_ordered((AX_U, AX_V)))
+    p_u_given_xt = _conditional(full.marginal_table((AX_XT, AX_U)))
+    p_v_given_u = _conditional(full.marginal_table((AX_U, AX_V)))
 
     if reconstruction is not None:
         recon = np.array(reconstruction, dtype=int)
         if recon.shape != (u_size, full.size_of(AX_Y)):
             raise DimensionError("reconstruction map must be (|U|, |Y|)")
     elif metric is not None:
-        p_u_xt_y = full.marginal_table((AX_U, AX_XT, AX_Y))
-        recon, _ = _optimal_reconstruction_from_uxty(p_u_xt_y, metric)
+        recon, _ = optimal_reconstruction(full, metric)
         recon = np.array(recon, dtype=int)
     elif u_size == full.size_of(AX_XT):
         recon = np.tile(np.arange(u_size)[:, None], (1, full.size_of(AX_Y)))
@@ -376,8 +376,7 @@ def design_code(
         p_v_given_u=p_v_given_u,
         reconstruction=recon,
         log_v_y=_log_conditional(full.marginal_table((AX_V, AX_Y)), 1),
-        log_u_vy=_log_conditional(
-            np.moveaxis(full.marginal_table((AX_V, AX_U, AX_Y)), 1, 0), 2),
+        log_u_vy=_log_conditional(full.marginal_table((AX_U, AX_V, AX_Y)), 2),
         sw_v_ok=sw_v_ok,
         sw_u_ok=sw_u_ok,
         tables=tables,

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .probability import DimensionError, Pmf, StochasticMatrix, mutual_information_2d
+from .probability import DimensionError, Pmf, StochasticMatrix, entropy_bits
 
 RESIDUAL_TOL = 1e-8
 FALSIFY_TOL = 1e-9
@@ -41,8 +41,8 @@ class LessNoisyVerdict:
 
     ``falsified`` means a witness input distribution and channel X -> L with
     I(L;Y) > I(L;Z) + 1e-9 was found; ``not_falsified`` is *not* a proof of
-    the ordering.  ``via_degradedness`` marks the sufficient certificate
-    short-circuit.
+    the ordering.  ``certificate`` is the degradedness test run first;
+    ``via_degradedness`` marks its sufficient-certificate short-circuit.
     """
 
     falsified: bool
@@ -51,7 +51,11 @@ class LessNoisyVerdict:
     i_l_y: float
     i_l_z: float
     trials_run: int
-    via_degradedness: bool
+    certificate: DegradednessCertificate
+
+    @property
+    def via_degradedness(self) -> bool:
+        return self.certificate.feasible
 
     @property
     def gap(self) -> float:
@@ -113,9 +117,12 @@ def check_stochastic_degraded(
 
 def _informations(px: np.ndarray, pl: np.ndarray, py: np.ndarray, pz: np.ndarray):
     """I(L;Y) and I(L;Z) for P(l|x) = pl, input law px."""
-    j_ly = (pl * px[:, None]).T @ py  # (L, Y)
-    j_lz = (pl * px[:, None]).T @ pz
-    return mutual_information_2d(j_ly), mutual_information_2d(j_lz)
+    j_lx = (pl * px[:, None]).T
+    h_l = entropy_bits(j_lx.sum(axis=1))
+    return tuple(
+        max(0.0, h_l + entropy_bits(j.sum(axis=0)) - entropy_bits(j))
+        for j in (j_lx @ py, j_lx @ pz)  # (L, Y) and (L, Z)
+    )
 
 
 def less_noisy_falsify(
@@ -127,7 +134,8 @@ def less_noisy_falsify(
 ) -> LessNoisyVerdict:
     """Search for a counterexample to "Z is less noisy than Y".
 
-    A degradedness certificate is checked first: it implies the ordering, so
+    ``trials`` and ``l_size`` are checked before anything is solved.  A
+    degradedness certificate is checked next: it implies the ordering, so
     the search is skipped.  Otherwise the canonical candidate L = X under the
     uniform input law is tried, followed by ``trials`` random (P_X, P_L|X)
     pairs with Dirichlet(1, ..., 1) rows.  ``l_size`` defaults to |X| + 1.
@@ -141,7 +149,7 @@ def less_noisy_falsify(
 
     cert = check_stochastic_degraded(p_y_given_x, p_z_given_x)
     if cert.feasible:
-        return LessNoisyVerdict(False, None, None, 0.0, 0.0, 0, True)
+        return LessNoisyVerdict(False, None, None, 0.0, 0.0, 0, cert)
 
     py, pz = p_y_given_x.rows, p_z_given_x.rows
     rng = np.random.default_rng(seed)
@@ -162,6 +170,6 @@ def less_noisy_falsify(
         i_ly, i_lz = _informations(px, pl, py, pz)
         if i_ly > i_lz + FALSIFY_TOL:
             return LessNoisyVerdict(
-                True, Pmf(px), StochasticMatrix(pl), i_ly, i_lz, run, False
+                True, Pmf(px), StochasticMatrix(pl), i_ly, i_lz, run, cert
             )
-    return LessNoisyVerdict(False, None, None, 0.0, 0.0, run, False)
+    return LessNoisyVerdict(False, None, None, 0.0, 0.0, run, cert)

@@ -113,7 +113,10 @@ def _run_simulate(args: argparse.Namespace) -> int:
     model = modelio.parse_model(args.model)
     scheme = modelio.parse_aux(args.aux)
     joint = build_joint(model)
-    full = regions.extend_with_vu(joint, scheme)
+    # The codec has no time-sharing layer; a one-symbol Q keeps every
+    # marginal it reads exactly the sum over (V, U, Xt, X, Y, Z).
+    layers = regions.AuxScheme.from_channels(scheme.p_u_given_xtilde, scheme.p_v_given_u)
+    full = regions.extend_with_auxiliaries(joint, layers, enforce_cardinality=False)
     code = binning.design_code(
         full,
         n=args.n,
@@ -149,7 +152,10 @@ def _run_check_channel(args: argparse.Namespace) -> int:
     else:
         model = modelio.parse_model(args.model)
         p_y, p_z = model.p_y_given_x(), model.p_z_given_x()
-    cert = channels.check_stochastic_degraded(p_y, p_z)
+    verdict = channels.less_noisy_falsify(
+        p_y, p_z, trials=args.trials, l_size=args.l_size, seed=args.seed
+    )
+    cert = verdict.certificate
     if cert.feasible:
         print("degraded: yes (decoder channel = eavesdropper channel + post-processing)")
         print(f"residual: {cert.residual:.3e}")
@@ -158,9 +164,6 @@ def _run_check_channel(args: argparse.Namespace) -> int:
         print("less-noisy: implied by degradedness certificate")
         return 0
     print(f"degraded: no (best residual {cert.residual:.3e})")
-    verdict = channels.less_noisy_falsify(
-        p_y, p_z, trials=args.trials, l_size=args.l_size, seed=args.seed
-    )
     if verdict.falsified:
         print(
             f"less-noisy: falsified after {verdict.trials_run} candidate(s): "

@@ -235,10 +235,6 @@ class JointPmf:
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "table", arr)
 
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return self.table.shape
-
     def size_of(self, name: str) -> int:
         return self.table.shape[self._axis(name)]
 
@@ -248,33 +244,24 @@ class JointPmf:
         except ValueError:
             raise DimensionError(f"unknown variable name {name!r}") from None
 
-    def marginal(self, keep: Iterable[str]) -> "JointPmf":
-        """Sum out every axis not in ``keep``; axis order follows this joint."""
-        keep_set = set(keep)
-        for name in keep_set:
-            self._axis(name)  # validates
-        kept = tuple(n for n in self.names if n in keep_set)
-        drop = tuple(i for i, n in enumerate(self.names) if n not in keep_set)
-        return JointPmf(kept, self.table.sum(axis=drop) if drop else self.table)
+    def marginal_table(self, keep: Sequence[str]) -> np.ndarray:
+        """Marginal on ``keep`` as a bare array, axes in the order of ``keep``.
 
-    def marginal_table(self, keep: Iterable[str]) -> np.ndarray:
-        """Marginal as a bare array (kept axes in this joint's order)."""
-        keep_set = set(keep)
-        drop = tuple(i for i, n in enumerate(self.names) if n not in keep_set)
-        for name in keep_set:
-            self._axis(name)
-        return self.table.sum(axis=drop) if drop else self.table
-
-    def marginal_table_ordered(self, keep: Sequence[str]) -> np.ndarray:
-        """Marginal as a bare array with axes in the *requested* order."""
-        keep = tuple(keep)
-        m = self.marginal_table(keep)
-        kept_order = tuple(n for n in self.names if n in set(keep))
-        return np.transpose(m, [kept_order.index(n) for n in keep])
+        The axes not kept are summed out in this joint's order; the result is
+        a transposed view of that sum when ``keep`` lists its names in
+        another order.
+        """
+        axes = [self._axis(name) for name in keep]
+        if len(set(axes)) != len(axes):
+            raise DimensionError(f"repeated variable name in {tuple(keep)}")
+        drop = tuple(i for i in range(len(self.names)) if i not in axes)
+        m = self.table.sum(axis=drop) if drop else self.table
+        return np.transpose(m, np.argsort(np.argsort(axes)))
 
     def entropy(self, variables: Optional[Iterable[str]] = None) -> float:
         """Shannon entropy in bits of the marginal on ``variables``."""
-        names = tuple(variables) if variables is not None else self.names
+        # Summed in this joint's axis order whatever the order of the names.
+        names = self.names if variables is None else sorted(variables, key=self._axis)
         return entropy_bits(self.marginal_table(names))
 
     def mutual_information(
@@ -298,12 +285,6 @@ class JointPmf:
         )
         return 0.0 if -JOINT_ATOL < value < 0.0 else value
 
-    def to_text(self) -> str:
-        """Debug serialization: axis names/sizes plus the flat probability list."""
-        header = " ".join(f"{n}:{s}" for n, s in zip(self.names, self.sizes))
-        body = " ".join(format(p, ".17g") for p in self.table.ravel())
-        return header + "\n" + body
-
 
 def entropy_bits(table: np.ndarray, axis: Optional[int] = None):
     """Shannon entropy in bits of a probability table.
@@ -320,17 +301,6 @@ def entropy_bits(table: np.ndarray, axis: Optional[int] = None):
     if p.size == 0:
         return 0.0
     return float(-(p * np.log2(p)).sum())
-
-
-def mutual_information_2d(p: np.ndarray) -> float:
-    """Mutual information in bits of a 2-D joint table."""
-    pa = p.sum(axis=1, keepdims=True)
-    pb = p.sum(axis=0, keepdims=True)
-    mask = p > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(mask, p * np.log2(p / (pa * pb)), 0.0)
-    v = float(terms.sum())
-    return 0.0 if v < 0.0 else v
 
 
 @lru_cache(maxsize=512)

@@ -55,7 +55,6 @@ from .probability import (
 )
 
 FULL_AXES = (AX_Q, AX_V, AX_U) + SOURCE_AXES
-VU_AXES = (AX_V, AX_U) + SOURCE_AXES
 
 Regime = Literal["small_key", "middle_key", "large_key"]
 
@@ -66,6 +65,10 @@ GRID_CELL_LIMIT = 5_000_000
 # the screen's rounding error is covered before the exact re-check.
 _GRID_BLOCK = 1024
 _GRID_SCREEN_TOL = 1e-9
+# Every descent stops after _MAX_ITERS steps, or earlier once a step gains
+# less than _CONVERGENCE_TOL, per penalty level.
+_MAX_ITERS = 200
+_CONVERGENCE_TOL = 1e-7
 
 
 class InfeasibleTargetError(RuntimeError):
@@ -212,14 +215,11 @@ class SearchConfig:
     the bounds buys nothing).  ``method`` selects exponentiated-gradient
     descent or the exhaustive simplex-grid oracle (grid mode searches
     P(U|Xt) with constant V and Q, which is exact for the default storage
-    objective).  Every descent stops after ``max_iters`` steps, or earlier
-    once a step gains less than ``convergence_tol``, per penalty level.
+    objective).  Alphabet sizes below 1 are refused.
     """
 
     restarts: int = 8
     grid_step: float = 0.05
-    max_iters: int = 200
-    convergence_tol: float = 1e-7
     seed: int = 0
     u_size: Optional[int] = None
     v_size: Optional[int] = None
@@ -232,8 +232,10 @@ class SearchConfig:
             raise ModelError("restarts must be >= 1")
         if not 0.0 < self.grid_step <= 0.5:
             raise ModelError("grid_step must lie in (0, 0.5]")
-        if self.max_iters < 1 or self.convergence_tol <= 0.0:
-            raise ModelError("invalid optimizer controls")
+        for name in ("u_size", "v_size", "q_size"):
+            size = getattr(self, name)
+            if size is not None and size < 1:
+                raise ModelError(f"{name} must be >= 1, got {size}")
 
     def resolved_sizes(self, xtilde_size: int) -> tuple[int, int, int]:
         du, dv, dq = default_cardinalities(xtilde_size)
@@ -296,18 +298,9 @@ def extend_with_auxiliaries(
     return JointPmf(FULL_AXES, table)
 
 
-def extend_with_vu(joint: JointPmf, aux: AuxScheme) -> JointPmf:
-    """Joint over (V, U, Xt, X, Y, Z) without the time-sharing variable."""
-    _require_axes(joint, SOURCE_AXES, "extend_with_vu")
-    if aux.p_u_given_xtilde.input_size != joint.size_of(AX_XT):
-        raise DimensionError("P(U|Xt) input size must equal |Xt|")
-    table = np.einsum(
-        "uv,au,axyz->vuaxyz",
-        aux.p_v_given_u.rows,
-        aux.p_u_given_xtilde.rows,
-        joint.table,
-    )
-    return JointPmf(VU_AXES, table)
+# ``bench/workloads.py`` calls this name; it goes with the benchmark change
+# that deletes that call (ROADMAP item 5).
+extend_with_vu = extend_with_auxiliaries
 
 
 def r_prime(full: JointPmf) -> float:
@@ -317,20 +310,6 @@ def r_prime(full: JointPmf) -> float:
         (AX_U,), (AX_Y,), (AX_V, AX_Q)
     )
     return min(diff, 0.0)
-
-
-def _optimal_reconstruction_from_uxty(
-    p_u_xt_y: np.ndarray, metric: DistortionMetric
-) -> tuple[np.ndarray, float]:
-    """Shared core: p_u_xt_y has axes (U, Xt, Y)."""
-    if metric.xtilde_size != p_u_xt_y.shape[1]:
-        raise DimensionError("distortion table rows must match |Xt|")
-    # cost[u, y, xhat] = sum_xt P(u, xt, y) d(xt, xhat)
-    cost = np.einsum("uay,ab->uyb", p_u_xt_y, metric.table)
-    recon = np.argmin(cost, axis=2)  # ties -> smallest index
-    expected = float(np.min(cost, axis=2).sum())
-    recon.setflags(write=False)
-    return recon, expected
 
 
 def optimal_reconstruction(
@@ -344,7 +323,14 @@ def optimal_reconstruction(
     """
     _require_axes(full, FULL_AXES, "optimal_reconstruction")
     p = full.marginal_table((AX_U, AX_XT, AX_Y))
-    return _optimal_reconstruction_from_uxty(p, metric)
+    if metric.xtilde_size != p.shape[1]:
+        raise DimensionError("distortion table rows must match |Xt|")
+    # cost[u, y, xhat] = sum_xt P(u, xt, y) d(xt, xhat)
+    cost = np.einsum("uay,ab->uyb", p, metric.table)
+    recon = np.argmin(cost, axis=2)  # ties -> smallest index
+    expected = float(np.min(cost, axis=2).sum())
+    recon.setflags(write=False)
+    return recon, expected
 
 
 def reconstruction_distortion(
@@ -409,7 +395,6 @@ def lossless_point(
     aux_v: StochasticMatrix,
     aux_q: StochasticMatrix,
     r0: float,
-    strict_cardinality: bool = True,
 ) -> RegimeReport:
     """Lossless region bounds: the U = Xt specialization of ``lossy_point``.
 
@@ -420,12 +405,10 @@ def lossless_point(
     nxt = joint.size_of(AX_XT)
     if aux_v.input_size != nxt:
         raise DimensionError("P(V|Xt) input size must equal |Xt|")
-    if strict_cardinality and (
-        aux_v.output_size > nxt + 2 or aux_q.output_size > 2
-    ):
+    if aux_v.output_size > nxt + 2 or aux_q.output_size > 2:
         raise ModelError(
-            "lossless region defaults require |V| <= |Xt|+2 and |Q| <= 2 "
-            "(pass strict_cardinality=False to override)"
+            "the lossless region needs |V| <= |Xt|+2 and |Q| <= 2, got "
+            f"|V| = {aux_v.output_size} and |Q| = {aux_q.output_size}"
         )
     aux = AuxScheme(StochasticMatrix.identity(nxt), aux_v, aux_q)
     return lossy_point(extend_with_auxiliaries(joint, aux), r0, DistortionMetric.hamming(nxt))
@@ -644,21 +627,20 @@ def _exp_step(m: np.ndarray, g: np.ndarray, eta: float) -> np.ndarray:
 
 
 def _mirror_descent(
-    obj: _SchemeEvaluator, mats: list[np.ndarray], r0: float, objective: str,
-    target_d: float, cfg: SearchConfig,
+    obj: _SchemeEvaluator, mats: list[np.ndarray], r0: float, objective: str, target_d: float,
 ) -> list[np.ndarray]:
     """Exponentiated-gradient (KL mirror) descent of ``obj.penalized`` over
     row-stochastic matrices, all moved at once by ``_exp_step``.
 
     Each step tries twice the last accepted size and halves it until the
-    Armijo condition holds.  A run stops after ``cfg.max_iters`` steps or once
-    a step gains less than ``cfg.convergence_tol``; while the result misses
+    Armijo condition holds.  A run stops after ``_MAX_ITERS`` steps or once
+    a step gains less than ``_CONVERGENCE_TOL``; while the result misses
     the target, the penalty (from 32) grows eightfold, up to six times.
     """
     penalty, eta = 32.0, 1.0
     for _ in range(6):  # penalty escalations
         value, dist, gradient = obj.penalized(mats, r0, objective, target_d, penalty)
-        for _ in range(cfg.max_iters):
+        for _ in range(_MAX_ITERS):
             grads = gradient()
             eta *= 2.0
             while eta > 1e-12:
@@ -672,7 +654,7 @@ def _mirror_descent(
                 break  # no step size decreases the objective
             gain = value - t_value
             mats, value, dist, gradient = trial, t_value, t_dist, t_gradient
-            if gain < cfg.convergence_tol:
+            if gain < _CONVERGENCE_TOL:
                 break
         if dist <= target_d + 1e-9:
             break
@@ -875,7 +857,7 @@ def trace_region(
                 starts.append(mats)
             for start in starts:
                 for objective in objectives:
-                    mats = _mirror_descent(obj, start[:moving], r0, objective, target, cfg)
+                    mats = _mirror_descent(obj, start[:moving], r0, objective, target)
                     mats += start[moving:]
                     repaired = _repair_feasibility(obj, mats[0], anchor, target)
                     if repaired is not None:

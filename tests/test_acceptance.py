@@ -35,7 +35,6 @@ from secsource.regions import (
     SearchConfig,
     corollary_point,
     extend_with_auxiliaries,
-    extend_with_vu,
     grid_minimum_storage,
     lossless_point,
     lossy_point,
@@ -168,7 +167,7 @@ def test_criterion_4_search_oracle_equivalence(binary_model, binary_joint):
 
 
 def test_criterion_5_simulator_reliability(binary_model, binary_joint):
-    full6 = extend_with_vu(build_joint(binary_model), AuxScheme.identity(2))
+    full6 = extend_with_auxiliaries(build_joint(binary_model), AuxScheme.identity(2))
     code = design_code(full6, n=400, epsilon=0.15, r0=0.0, seed=11)
     rep = run_experiment(code, binary_model, trials=500, seed=12)
 
@@ -187,7 +186,7 @@ def test_criterion_5_simulator_reliability(binary_model, binary_joint):
 
 
 def test_criterion_6_simulator_security(binary_model, binary_joint):
-    full6 = extend_with_vu(build_joint(binary_model), AuxScheme.identity(2))
+    full6 = extend_with_auxiliaries(build_joint(binary_model), AuxScheme.identity(2))
 
     # Full-pad exactness at n = 6, several bin-randomness draws.
     pad_ok = True

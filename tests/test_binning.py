@@ -32,12 +32,12 @@ from secsource.probability import (
     compositions,
     entropy_bits,
 )
-from secsource.regions import AuxScheme, extend_with_vu
+from secsource.regions import AuxScheme, extend_with_auxiliaries
 
 
 def _full6(model, aux=None):
     aux = aux if aux is not None else AuxScheme.identity(model.xtilde_size)
-    return extend_with_vu(build_joint(model), aux)
+    return extend_with_auxiliaries(build_joint(model), aux)
 
 
 @pytest.fixture(scope="module")
@@ -183,18 +183,47 @@ class TestDecode:
         with pytest.raises(BinningScaleError, match="materialized bin tables"):
             encode(code, np.zeros(100, dtype=int), (0,))
 
-    def test_roundtrip_through_pad_modes(self, binary_model, binary_joint):
-        h_xt_y = binary_joint.entropy(("Xt", "Y")) - binary_joint.entropy(("Y",))
-        full = _full6(binary_model)
+    def test_roundtrip_through_pad_modes(self):
+        # Y is Xt through a BSC(0.04), so H(Xt|Y) = 0.242 and, at epsilon
+        # 0.02, r0 = 0.15, 0.3 and 1.0 give the key slot with key bits, pad U
+        # and pad all.  decode must return what an ML search over the U bin
+        # does, the bin found from ``code.tables`` with the key removed here
+        # by hand; it is the only check of key removal with a noisy y.
+        model = SourceModel.from_channels(
+            Pmf.uniform(2), StochasticMatrix.identity(2), bsc(0.04), bsc(0.3),
+        )
+        full = _full6(model)
+        p_xt_y = full.marginal_table(("Xt", "Y"))
+        log_u_y = np.log(p_xt_y / p_xt_y.sum(axis=0))  # ln P(u | y), U = Xt
+        n = 10
+        seqs = np.array(list(itertools.product(range(2), repeat=n)))  # big-endian index
         rng = np.random.default_rng(31)
-        for r0 in (0.0, h_xt_y + 0.25, 3.0):
-            code = design_code(full, n=10, epsilon=0.1, r0=r0, seed=8)
-            xt, x, y, z = _sample_block(binary_model, 10, rng)
-            key = code.draw_key(rng)
-            msg = encode(code, xt, key, seed=13)
-            xhat, ok = decode(code, y, key, msg)
-            if ok:
-                assert xhat.shape == (10,)
+        for r0, mode in ((0.15, "key_slot"), (0.3, "pad_u"), (1.0, "pad_all")):
+            code = design_code(full, n=n, epsilon=0.02, r0=r0, seed=8)
+            assert code.mode == mode and sum(code.key_bit_widths()) > 0
+            assert code.v_size == 1 and (code.bits.f_v, code.bits.w_v) == (0, 0)
+            f_u, w_u, k_u = code.tables[2:]
+            noisy = 0
+            for _ in range(40):
+                xt, _, y, _ = _sample_block(model, n, rng)
+                noisy += not np.array_equal(xt, y)
+                key = code.draw_key(rng)
+                msg = encode(code, xt, key, seed=int(rng.integers(1 << 30)))
+                xhat, unique = decode(code, y, key, msg)
+
+                in_bin = f_u == msg.f_u
+                if mode == "key_slot":
+                    in_bin &= (w_u == msg.w_u) & (
+                        k_u == (msg.key_slot - key[0]) % (1 << code.bits.k_u))
+                else:  # the last key component pads W_u
+                    in_bin &= w_u == (msg.w_u - key[-1]) % (1 << code.bits.w_u)
+                assert in_bin[int("".join(map(str, xt)), 2)]  # the truth is in its bin
+                cand = np.flatnonzero(in_bin)
+                ll = log_u_y[seqs[cand], y].sum(axis=1)
+                best = cand[ll >= ll.max() - 1e-6]
+                assert unique == (best.size == 1)
+                assert any(np.array_equal(xhat, seqs[i]) for i in best)
+            assert noisy >= 5
 
 
 def encode_dummy():

@@ -196,20 +196,25 @@ class TestCommands:
         assert "falsified" in out
 
     def test_check_channel_zero_trials_fails(self, tmp_path, capsys):
-        # A pair that is not degraded reaches the falsification search, which
-        # refuses zero trials instead of silently running the default 200.
+        # The arguments are checked before the degradedness LP, whatever the
+        # pair, and zero trials are refused instead of silently running 200.
+        not_degraded = ([[0.9, 0.1], [0.1, 0.9]], [[0.7, 0.3], [0.3, 0.7]])
+        degraded = ([[0.66, 0.34], [0.34, 0.66]], [[0.9, 0.1], [0.1, 0.9]])
         path = tmp_path / "ch.json"
-        path.write_text(json.dumps({
-            "schema": 1,
-            "p_y_given_x": [[0.9, 0.1], [0.1, 0.9]],
-            "p_z_given_x": [[0.7, 0.3], [0.3, 0.7]],
-        }))
-        rc = cli.main(["check-channel", "--channels", str(path), "--trials", "0"])
-        assert rc == 1
-        captured = capsys.readouterr()
-        assert "degraded: no" in captured.out
-        assert "falsified" not in captured.out
-        assert "check-channel: error: trials must be >= 1" in captured.err
+        for (p_y, p_z), flags, message in (
+            (not_degraded, ["--trials", "0"], "trials must be >= 1"),
+            (degraded, ["--trials", "0"], "trials must be >= 1"),
+            (degraded, ["--l-size", "1"], "l_size must be >= 2"),
+        ):
+            path.write_text(json.dumps({"schema": 1, "p_y_given_x": p_y, "p_z_given_x": p_z}))
+            rc = cli.main(["check-channel", "--channels", str(path), *flags])
+            assert rc == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"check-channel: error: {message}" in captured.err
+        # Without the bad flag the degraded pair is certified and exits 0.
+        assert cli.main(["check-channel", "--channels", str(path)]) == 0
+        assert "degraded: yes" in capsys.readouterr().out
 
     def test_missing_model_fails_without_output(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
@@ -240,6 +245,9 @@ class TestCommands:
          "r0=nan must be finite"),
         (["simulate", "--n", "12", "--epsilon", "nan", "--trials", "2"], "epsilon=nan"),
         (["simulate", "--n", "12", "--epsilon", "inf", "--trials", "2"], "epsilon=inf"),
+        (["compute-region", "--u-size", "0", "--targets", "0.1"], "u_size must be >= 1, got 0"),
+        (["compute-region", "--v-size", "0", "--targets", "0.1"], "v_size must be >= 1, got 0"),
+        (["compute-region", "--q-size", "0", "--targets", "0.1"], "q_size must be >= 1, got 0"),
     ])
     def test_non_finite_rate_fails_with_message(self, tmp_path, capsys, model_file,
                                                 aux_identity_file, args, message):

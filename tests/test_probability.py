@@ -95,18 +95,18 @@ class TestBuildJoint:
 
 class TestMarginal:
     def test_identity(self, binary_joint):
-        m = binary_joint.marginal(("Xt", "X", "Y", "Z"))
-        np.testing.assert_allclose(m.table, binary_joint.table)
+        m = binary_joint.marginal_table(("Xt", "X", "Y", "Z"))
+        np.testing.assert_allclose(m, binary_joint.table)
 
     def test_keep_x_uniform(self, binary_joint):
         np.testing.assert_allclose(
-            binary_joint.marginal(("X",)).table, [0.5, 0.5], atol=1e-15
+            binary_joint.marginal_table(("X",)), [0.5, 0.5], atol=1e-15
         )
 
     def test_keep_xt_uniform(self, binary_joint):
         # 0.5 * 0.9 + 0.5 * 0.1 per symbol under the symmetric channel.
         np.testing.assert_allclose(
-            binary_joint.marginal(("Xt",)).table, [0.5, 0.5], atol=1e-15
+            binary_joint.marginal_table(("Xt",)), [0.5, 0.5], atol=1e-15
         )
 
     def test_reproduces_px(self):
@@ -116,12 +116,12 @@ class TestMarginal:
             model = random_model(rng, nx=3, nxt=2, ny=2, nz=3)
             j = build_joint(model)
             np.testing.assert_allclose(
-                j.marginal(("X",)).table, model.px.probs, rtol=0, atol=1e-15
+                j.marginal_table(("X",)), model.px.probs, rtol=0, atol=1e-15
             )
 
     def test_unknown_name(self, binary_joint):
         with pytest.raises(DimensionError):
-            binary_joint.marginal(("W",))
+            binary_joint.marginal_table(("W",))
 
 
 class TestEntropy:
@@ -204,11 +204,3 @@ class TestPropertySuite:
             i_uxt = full.mutual_information(("U",), ("Xt",))
             assert i_uy <= i_ux + 1e-9
             assert i_ux <= i_uxt + 1e-9
-
-
-def test_to_text_roundtrips_table(binary_joint):
-    text = binary_joint.to_text()
-    header, body = text.splitlines()
-    assert header == "Xt:2 X:2 Y:2 Z:2"
-    values = np.array([float(v) for v in body.split()]).reshape(2, 2, 2, 2)
-    np.testing.assert_array_equal(values, binary_joint.table)

@@ -17,7 +17,6 @@ from secsource.regions import (
     RateTuple,
     corollary_point,
     extend_with_auxiliaries,
-    extend_with_vu,
     lossless_point,
     lossy_point,
     optimal_reconstruction,
@@ -381,7 +380,7 @@ class TestCorollaryPoint:
         j_u_xt = (p_xt[:, None] * t).T
         pairs = {}
         for other in ("X", "Y", "Z"):
-            m = binary_joint.marginal_table_ordered(("Xt", other))
+            m = binary_joint.marginal_table(("Xt", other))
             pairs[other] = t.T @ m
         want_rw = mi_oracle(j_u_xt) - mi_oracle(pairs["Y"])
         want_rs = mi_oracle(j_u_xt) - mi_oracle(pairs["Z"])

@@ -7,7 +7,9 @@ import pytest
 
 from conftest import h2, random_model
 from secsource import modelio, regions
-from secsource.probability import Pmf, SourceModel, StochasticMatrix, bsc, build_joint
+from secsource.probability import (
+    ModelError, Pmf, SourceModel, StochasticMatrix, bsc, build_joint,
+)
 from secsource.regions import (
     AuxScheme,
     DistortionMetric,
@@ -164,12 +166,18 @@ def test_search_config_validation():
         SearchConfig(restarts=0)
     with pytest.raises(Exception):
         SearchConfig(grid_step=0.7)
+    # An empty alphabet once died as an IndexError (|U|) or a
+    # ZeroDivisionError (|V|, |Q|) deep in the search.
+    for name in ("u_size", "v_size", "q_size"):
+        for size in (0, -1):
+            with pytest.raises(ModelError, match=f"{name} must be >= 1, got {size}"):
+                SearchConfig(**{name: size})
 
 
 def test_generic_objective_path(binary_model):
     for objective, r0 in (("rs", 0.0), ("rl", 0.1)):
         cfg = SearchConfig(restarts=2, seed=5, u_size=2, v_size=1, q_size=1,
-                           objective=objective, max_iters=20)
+                           objective=objective)
         pts = trace_region(binary_model, r0, METRIC, [0.2], cfg)
         assert pts[0].rates.d <= 0.2 + 1e-9
         full = extend_with_auxiliaries(build_joint(binary_model), pts[0].scheme)
