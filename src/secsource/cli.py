@@ -253,6 +253,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("seed", "samples"):  # refused before any work or output
+            if getattr(args, flag, 0) < 0:
+                raise ModelError(f"--{flag} must be >= 0, got {getattr(args, flag)}")
         return args.run(args)
     except (ModelError, ValueError, regions.InfeasibleTargetError,
             binning.BinningScaleError, binning.DecodeSearchError) as exc:

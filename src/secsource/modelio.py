@@ -9,7 +9,6 @@ Model file (schema version 1)::
       "p_xtilde_given_x": [[0.9, 0.1], [0.1, 0.9]],      # row-major, X rows
       "p_yz_given_x": [[...], ...],                       # |Y|*|Z| columns,
       "y_size": 2, "z_size": 2,                           # Y-major: col = y*|Z|+z
-      "x_labels": ["0", "1"], ...                         # optional label lists
     }
 
 Auxiliary file: conditional matrices ``p_u_given_xtilde`` (required),
@@ -78,13 +77,7 @@ def parse_model(path: PathLike) -> SourceModel:
     z_size = data.get("z_size")
     if not isinstance(y_size, int) or not isinstance(z_size, int):
         raise ModelError("model file needs integer 'y_size' and 'z_size'")
-    labels = {}
-    for key in ("x_labels", "xt_labels", "y_labels", "z_labels"):
-        if key in data:
-            labels[key] = tuple(str(s) for s in data[key])
-    return SourceModel(
-        px=px, meas_enc=enc, meas_dec_eve=dec, y_size=y_size, z_size=z_size, **labels
-    )
+    return SourceModel(px=px, meas_enc=enc, meas_dec_eve=dec, y_size=y_size, z_size=z_size)
 
 
 def write_model(model: SourceModel, path: PathLike) -> None:
@@ -97,14 +90,6 @@ def write_model(model: SourceModel, path: PathLike) -> None:
         "y_size": model.y_size,
         "z_size": model.z_size,
     }
-    for key, value in (
-        ("x_labels", model.x_labels),
-        ("xt_labels", model.xt_labels),
-        ("y_labels", model.y_labels),
-        ("z_labels", model.z_labels),
-    ):
-        if value is not None:
-            data[key] = list(value)
     Path(path).write_text(json.dumps(data, indent=2) + "\n")
 
 

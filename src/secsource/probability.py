@@ -149,10 +149,6 @@ class SourceModel:
     meas_dec_eve: StochasticMatrix
     y_size: int
     z_size: int
-    x_labels: Optional[tuple[str, ...]] = None
-    xt_labels: Optional[tuple[str, ...]] = None
-    y_labels: Optional[tuple[str, ...]] = None
-    z_labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         n = self.px.support_size
@@ -164,14 +160,6 @@ class SourceModel:
             raise DimensionError(
                 "decoder/eavesdropper channel must have |Y|*|Z| output columns"
             )
-        for labels, size, what in (
-            (self.x_labels, n, "x"),
-            (self.xt_labels, self.xtilde_size, "xtilde"),
-            (self.y_labels, self.y_size, "y"),
-            (self.z_labels, self.z_size, "z"),
-        ):
-            if labels is not None and len(labels) != size:
-                raise DimensionError(f"{what} label count does not match alphabet size")
 
     @property
     def x_size(self) -> int:

@@ -17,13 +17,13 @@ multi-start exponentiated-gradient (KL mirror) descent, one step rule for all
 three objectives.  ``_SchemeEvaluator`` computes the same bounds as
 ``lossy_point`` from pairwise source marginals and the raw matrices without
 building the joint, each term as the entropy of a table linear in each
-matrix, and gives the descent their analytic gradient.  An exhaustive
-simplex-grid oracle, ``grid_minimum_storage``, is available for desk-scale
-certification of the storage search: it screens the grid a fixed-size block
-of cells at a time with a vectorized form of the evaluator, so its memory
-is bounded by the block, and re-scores every cell the screen cannot rule out
-with the scalar evaluator, so its argmin is the one a cell-by-cell scan
-returns, bit for bit.
+matrix, and gives the descent their analytic gradient.  Its storage rate
+and distortion take one P(U|Xt) matrix or a stack of them and give a matrix
+the same bits alone as in any stack.  An exhaustive simplex-grid oracle,
+``grid_minimum_storage``, is available for desk-scale certification of the
+storage search: it scores the grid a fixed-size block of cells at a time, so
+its memory is bounded by the block, and its first argmin is the one a
+cell-by-cell scan returns, bit for bit.
 """
 
 from __future__ import annotations
@@ -61,10 +61,8 @@ Regime = Literal["small_key", "middle_key", "large_key"]
 # Largest number of P(U|Xt) row combinations the grid oracle enumerates
 # (|U| = 3 at step 0.05 over a binary Xt is 231^2 = 53,361).
 GRID_CELL_LIMIT = 5_000_000
-# Cells the grid oracle screens per vectorized block, and the margin by which
-# the screen's rounding error is covered before the exact re-check.
+# Cells the grid oracle scores per block.
 _GRID_BLOCK = 1024
-_GRID_SCREEN_TOL = 1e-9
 # Every descent stops after _MAX_ITERS steps, or earlier once a step gains
 # less than _CONVERGENCE_TOL, per penalty level.
 _MAX_ITERS = 200
@@ -484,6 +482,27 @@ _LEAKAGE = {  # each leakage by (regime, objective), less its source entropies
 }
 
 
+def _sum_over_xt(t: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_xt t[..., xt, u] table[xt, ...], of shape (..., |U|, *table.shape[1:]).
+
+    Added up over xt in index order with elementwise operations only (no
+    matmul or einsum, whose summation order may depend on the operands'
+    shapes), so a matrix of a stack gets the bits it gets alone.
+    """
+    pad = (slice(None),) + (None,) * (table.ndim - 1)  # U, then the table's axes
+    out = t[(..., 0, *pad)] * table[0]
+    for a in range(1, len(table)):
+        out += t[(..., a, *pad)] * table[a]
+    return out
+
+
+def _least_cost(cost: np.ndarray) -> np.ndarray:
+    """Sum over (u, y) of the minimum over xhat of ``cost[..., u, y, xhat]``."""
+    # One xhat at a time (numpy reduces over a short trailing axis slowly).
+    best = reduce(np.minimum, [cost[..., c] for c in range(cost.shape[-1])])
+    return best.reshape(*best.shape[:-2], -1).sum(axis=-1)
+
+
 class _SchemeEvaluator:
     """The bounds of ``lossy_point`` straight from the raw rows of P(U|Xt),
     P(V|U) and P(Q|V), without forming the joint with the auxiliaries.
@@ -491,9 +510,10 @@ class _SchemeEvaluator:
     Built once per (joint, metric) from P(Xt,Y), P(Xt,Z) and P(Xt,X,Z); every
     term is the entropy of a small table over the auxiliaries and one source
     variable (``_TERMS``).  ``evaluate`` and the descent's ``penalized`` share
-    that term list, and ``penalized`` also gives the gradient.  ``rates``
-    gives the storage rate and distortion alone, which depend on P(U|Xt)
-    only; ``rates_batch`` gives them for a stack of P(U|Xt) matrices at once.
+    that term list, and ``penalized`` also gives the gradient.  ``storage``
+    and ``distortion`` give the storage rate and the optimal-map distortion,
+    which depend on P(U|Xt) only, for one matrix or a stack of them, with the
+    same bits for a matrix alone as in any stack (``_sum_over_xt``).
     """
 
     def __init__(self, joint: JointPmf, metric: DistortionMetric):
@@ -503,6 +523,9 @@ class _SchemeEvaluator:
         self.h_xt = entropy_bits(self.p_xt)
         # dist_core[xt, y, xhat] = P(xt, y) d(xt, xhat)
         self.dist_core = np.einsum("ay,ab->ayb", self.p_xt_y, metric.table)
+        # storage_core[xt, y] = (dist_core[xt, y, :], P(xt, y)): one pass over
+        # Xt gives the distortion costs and P(U, Y).
+        self.storage_core = np.concatenate([self.dist_core, self.p_xt_y[:, :, None]], axis=2)
         self.p_xt_z = joint.marginal_table((AX_XT, AX_Z))  # (Xt, Z)
         self.p_xt_xz = joint.marginal_table((AX_XT, AX_X, AX_Z)).reshape(self.p_xt.size, -1)
         self.h_z = entropy_bits(self.p_xt_z.sum(axis=0))
@@ -511,27 +534,20 @@ class _SchemeEvaluator:
         self.leak_const = {"rs": self.h_xt - self.h_z,
                            "rl": entropy_bits(self.p_xt_xz.sum(axis=0)) - self.h_z}
 
-    def rates(self, t: np.ndarray) -> tuple[float, float]:
-        """I(U;Xt|Y) and the optimal-map distortion of P(U|Xt) = ``t``."""
-        h = {name: entropy_bits(tab) for name, tab in self._tables([t], _T_HIGH).items()}
-        return _clamp(h["uy"] - h["au"] + self.h_xt - self.h_y), self._distortion(t)[0]
+    def storage(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """I(U;Xt|Y) and the optimal-map distortion of P(U|Xt) = ``t``, or of
+        each matrix of a stack ``t`` of shape (..., |Xt|, |U|)."""
+        lead = t.shape[:-2]
+        core = _sum_over_xt(t, self.storage_core)  # (..., U, Y, Xhat + 1)
+        h_uy = entropy_bits(core[..., -1].reshape(*lead, -1), axis=-1)
+        h_uxt = entropy_bits((t * self.p_xt[:, None]).reshape(*lead, -1), axis=-1)
+        return np.maximum(h_uy - h_uxt + self.h_xt - self.h_y, 0.0), _least_cost(core[..., :-1])
 
-    def rates_batch(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``rates`` for a stack ``t`` of P(U|Xt) matrices, shape (B, |Xt|, |U|).
-
-        Same formulas, summed in another order, so each value may differ from
-        the scalar one in the last bits (about 1e-15 on desk-scale grids).
-        """
-        b, nxt, nu = t.shape
-        t_u = t.transpose(0, 2, 1).reshape(b * nu, nxt)  # row (cell, u) is P(u | Xt)
-        p_u_y = (t_u @ self.p_xt_y).reshape(b, -1)
-        p_u_xt = (t_u * self.p_xt).reshape(b, -1)
-        rw = (entropy_bits(p_u_y, axis=1) - self.h_y) - (entropy_bits(p_u_xt, axis=1) - self.h_xt)
-        # Minimum over xhat of sum_xt P(u, xt, y) d(xt, xhat), one xhat at a
-        # time (numpy reduces over a short trailing axis slowly).
-        nxhat = self.dist_core.shape[2]
-        cost = reduce(np.minimum, [t_u @ self.dist_core[:, :, c] for c in range(nxhat)])
-        return np.maximum(rw, 0.0), cost.reshape(b, -1).sum(axis=1)
+    def distortion(self, t: np.ndarray) -> np.ndarray:
+        """Optimal-map distortion of P(U|Xt) = ``t`` or of each matrix of a
+        stack: the minimum over xhat of sum_xt P(u|xt) P(xt,y) d(xt,xhat),
+        summed over (U, Y)."""
+        return _least_cost(_sum_over_xt(t, self.dist_core))
 
     def _tables(self, mats: Sequence[np.ndarray], names) -> dict[str, np.ndarray]:
         tables = {}
@@ -552,13 +568,11 @@ class _SchemeEvaluator:
                 grads[i] += np.einsum(adjoint, g, *ops[:i], *ops[i + 1:])
         return grads
 
-    def _distortion(self, pu: np.ndarray) -> tuple[float, np.ndarray]:
-        """Optimal-map distortion and its subgradient, ``dist_core`` read at
-        the optimal map and summed over Y."""
-        cost = np.einsum("au,ayb->uyb", pu, self.dist_core)
-        best = cost.argmin(axis=2)
-        grad = self.dist_core[:, np.arange(best.shape[1]), best].sum(axis=2)
-        return float(np.min(cost, axis=2).sum()), grad
+    def _distortion_gradient(self, pu: np.ndarray) -> np.ndarray:
+        """Subgradient of ``distortion`` at ``pu``: ``dist_core`` read at the
+        optimal map and summed over Y."""
+        best = _sum_over_xt(pu, self.dist_core).argmin(axis=2)
+        return self.dist_core[:, np.arange(best.shape[1]), best].sum(axis=2)
 
     def evaluate(
         self, pu: np.ndarray, pv: np.ndarray, pq: np.ndarray, r0: float
@@ -579,7 +593,7 @@ class _SchemeEvaluator:
             shift = rp - r0 if regime == "small_key" else 0.0
             rs, rl = (_clamp(bound(_LEAKAGE[regime, o]) + self.leak_const[o] + shift)
                       for o in ("rs", "rl"))
-        bounds = RateTuple(rw=t_high, rs=rs, rl=rl, d=self._distortion(pu)[0])
+        bounds = RateTuple(rw=t_high, rs=rs, rl=rl, d=float(self.distortion(pu)))
         return RegimeReport(regime, t_low, t_high, rp, bounds)
 
     def penalized(self, mats: Sequence[np.ndarray], r0: float, objective: str,
@@ -592,7 +606,7 @@ class _SchemeEvaluator:
         enter; R' enters when it is negative and a clamped rate not at all.
         """
         if objective == "rw":
-            rate, dist = self.rates(mats[0])
+            rate, dist = self.storage(mats[0])
             coefs = _T_HIGH
         else:
             report = self.evaluate(*mats, r0)
@@ -604,7 +618,7 @@ class _SchemeEvaluator:
         def gradient() -> list[np.ndarray]:
             grads = self._gradient(mats, coefs if rate > 0.0 else {})
             if dist > target_d:
-                grads[0] += penalty * self._distortion(mats[0])[1]
+                grads[0] += penalty * self._distortion_gradient(mats[0])
             return grads
 
         return rate + penalty * max(0.0, dist - target_d), dist, gradient
@@ -668,18 +682,15 @@ def _repair_feasibility(
     """Blend toward the zero-distortion anchor until the target is met
     exactly, so that rounding in the reported distortion stays far inside
     the 1e-9 the searches allow."""
-    _, dist = obj.rates(t)
-    if dist <= target_d:
+    if obj.distortion(t) <= target_d:
         return t
-    _, anchor_dist = obj.rates(anchor)
-    if anchor_dist > target_d:
+    if obj.distortion(anchor) > target_d:
         return None
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         blend = (1.0 - mid) * t + mid * anchor
-        _, dist = obj.rates(blend)
-        if dist <= target_d:
+        if obj.distortion(blend) <= target_d:
             hi = mid
         else:
             lo = mid
@@ -710,13 +721,11 @@ def grid_minimum_storage(
     desk-scale certification of ``trace_region``.  Grids of more than
     ``GRID_CELL_LIMIT`` row combinations are refused before enumeration.
 
-    The cells are screened ``_GRID_BLOCK`` at a time by
-    ``_SchemeEvaluator.rates_batch``, so memory is bounded by the block, not
-    by the grid.  Every cell the screen cannot rule out by more than
-    ``_GRID_SCREEN_TOL`` (far above its rounding error) is re-scored by the
-    scalar ``_SchemeEvaluator.rates`` in enumeration order under the rule
-    ``dist <= D + 1e-12 and rw < best``, so the result is the one a
-    cell-by-cell scalar scan returns, bit for bit.
+    The cells are scored ``_GRID_BLOCK`` at a time by
+    ``_SchemeEvaluator.storage``, so memory is bounded by the block, not by
+    the grid.  The evaluator gives a matrix the same bits alone as in any
+    block, so the first cell of least rw among those with
+    ``dist <= D + 1e-12`` is the one a cell-by-cell scan returns, bit for bit.
     """
     _require_axes(joint, SOURCE_AXES, "grid_minimum_storage")
     nxt = joint.size_of(AX_XT)
@@ -728,7 +737,6 @@ def grid_minimum_storage(
         )
     obj = _SchemeEvaluator(joint, metric)
     rows = simplex_grid(u_size, step)
-    tol = _GRID_SCREEN_TOL
     best = math.inf
     best_t: Optional[np.ndarray] = None
     for start in range(0, cells, _GRID_BLOCK):
@@ -737,17 +745,11 @@ def grid_minimum_storage(
                              (rows.shape[0],) * nxt),
             axis=1,
         )
-        rw, dist = obj.rates_batch(rows[idx])
-        # Cells with dist <= D + 1e-12 - tol are feasible for the scalar rule
-        # too, so none scoring above the smallest of them by tol can win.
-        sure = rw[dist <= target_d + 1e-12 - tol]
-        lo = min(best, float(sure.min())) if sure.size else best
-        for i in np.flatnonzero((dist <= target_d + 1e-12 + tol) & (rw <= lo + tol)):
-            t = rows[idx[i]]
-            rw_i, dist_i = obj.rates(t)
-            if dist_i <= target_d + 1e-12 and rw_i < best:
-                best = rw_i
-                best_t = t
+        rw, dist = obj.storage(rows[idx])
+        rw = np.where(dist <= target_d + 1e-12, rw, np.inf)
+        i = int(rw.argmin())
+        if rw[i] < best:
+            best, best_t = float(rw[i]), rows[idx[i]]
     if best_t is None:
         raise InfeasibleTargetError(
             f"no grid scheme meets distortion target {target_d}"

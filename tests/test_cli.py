@@ -9,6 +9,9 @@ from secsource import cli, modelio
 from secsource.probability import ModelError, Pmf, SourceModel, bsc
 
 ROOT = Path(__file__).resolve().parents[1]
+DEMO_MODEL = str(ROOT / "demos" / "models" / "binary_instance.json")
+DEMO_AUX = str(ROOT / "demos" / "models" / "aux_identity.json")
+GAUSSIAN_RHOS = ["--rho-x", "0.9", "--rho-y", "0.8", "--rho-z", "0.95", "--alphas", "0.5"]
 
 
 @pytest.fixture()
@@ -87,6 +90,16 @@ class TestModelIO:
     def test_non_finite_pmf_rejected(self, nan_model_file):
         with pytest.raises(ModelError, match="p_x: pmf entries must be finite"):
             modelio.parse_model(nan_model_file)
+
+    def test_label_keys_ignored(self, tmp_path):
+        # Label lists are not part of the model; a file that has them parses
+        # to the same model as one without.
+        data = json.loads(Path(DEMO_MODEL).read_text())
+        path = tmp_path / "labelled.json"
+        path.write_text(json.dumps({**data, "x_labels": ["a", "b"], "z_labels": ["0"]}))
+        modelio.write_model(modelio.parse_model(path), tmp_path / "a.json")
+        modelio.write_model(modelio.parse_model(DEMO_MODEL), tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
 
     def test_schema_version_checked(self, tmp_path):
         path = tmp_path / "v2.json"
@@ -260,6 +273,65 @@ class TestCommands:
         assert not out.exists()
         err = capsys.readouterr().err
         assert f"{args[0]}: error:" in err and message in err
+
+    @pytest.mark.parametrize("args, message", [
+        (["compute-region", "--model", DEMO_MODEL, "--targets", "0.1", "--seed", "-1"],
+         "--seed must be >= 0, got -1"),
+        (["simulate", "--model", DEMO_MODEL, "--aux", DEMO_AUX, "--n", "12",
+          "--epsilon", "0.1", "--trials", "2", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["gaussian", *GAUSSIAN_RHOS, "--samples", "5", "--seed", "-3"],
+         "--seed must be >= 0, got -3"),
+        (["gaussian", *GAUSSIAN_RHOS, "--samples", "-5"], "--samples must be >= 0, got -5"),
+        (["check-channel", "--model", DEMO_MODEL, "--seed", "-1"],
+         "--seed must be >= 0, got -1"),
+    ])
+    def test_negative_seed_or_samples_fails_with_flag(self, tmp_path, capsys, args, message):
+        # A negative seed once failed with numpy's message, which names no
+        # flag; negative samples once skipped the MMSE check and exited 0.
+        out = tmp_path / "never.csv"
+        output = [] if args[0] == "check-channel" else ["--output", str(out)]
+        assert cli.main([*args, *output]) == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{args[0]}: error: {message}" in captured.err
+
+    @pytest.mark.parametrize("recon, distortion", [([[0, 0], [1, 1]], "0"),
+                                                   ([[1, 1], [0, 0]], "1")])
+    def test_simulate_reads_reconstruction_map(self, tmp_path, recon, distortion):
+        # U = Xt: the map xhat = u is exact, its complement always wrong.
+        aux = tmp_path / "aux.json"
+        data = json.loads(Path(DEMO_AUX).read_text())
+        aux.write_text(json.dumps({**data, "reconstruction": recon}))
+        out = tmp_path / "s.csv"
+        rc = cli.main(["simulate", "--model", DEMO_MODEL, "--aux", str(aux), "--n", "60",
+                       "--epsilon", "0.15", "--trials", "40", "--seed", "4",
+                       "--output", str(out)])
+        assert rc == 0
+        _, rows = _read_csv(out)
+        assert rows[0][1] == "0" and rows[0][2] == distortion
+
+    def test_simulate_rejects_misshapen_reconstruction_map(self, tmp_path, capsys):
+        aux = tmp_path / "aux.json"
+        data = json.loads(Path(DEMO_AUX).read_text())
+        aux.write_text(json.dumps({**data, "reconstruction": [[0, 0, 0], [1, 1, 1]]}))
+        out = tmp_path / "never.csv"
+        rc = cli.main(["simulate", "--model", DEMO_MODEL, "--aux", str(aux), "--n", "12",
+                       "--epsilon", "0.1", "--trials", "2", "--output", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        assert "reconstruction map must be (|U|, |Y|)" in capsys.readouterr().err
+
+    def test_lossless_region_identity_aux_matches_default(self, tmp_path):
+        # The identity aux file's constant P(V|U), read as P(V|Xt), is the
+        # default constant V layer.
+        rows = []
+        for name, extra in (("plain.csv", []), ("aux.csv", ["--aux", DEMO_AUX])):
+            out = tmp_path / name
+            assert cli.main(["lossless-region", "--model", DEMO_MODEL, *extra,
+                             "--output", str(out)]) == 0
+            rows.append(out.read_text())
+        assert rows[0] == rows[1]
 
     def test_oversized_grid_fails_fast(self, tmp_path, capsys, model_file):
         # Without --u-size the grid oracle would enumerate |U| = 25 rows.

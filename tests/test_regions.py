@@ -22,6 +22,7 @@ from secsource.regions import (
     optimal_reconstruction,
     r_prime,
     reconstruction_distortion,
+    simplex_grid,
     _SchemeEvaluator,
 )
 from secsource.probability import ModelError
@@ -182,6 +183,29 @@ class TestLossyPoint:
                 at_high = evaluator.evaluate(*mats, got.threshold_high)
                 assert at_low.regime == "middle_key" and at_high.regime == "large_key"
         assert seen == {"small_key", "middle_key", "large_key"}
+
+    def test_storage_same_bits_alone_and_in_a_stack(self):
+        # The grid oracle scores blocks of cells at once; its argmin is the
+        # one a cell-by-cell scan returns only if the evaluator gives each
+        # P(U|Xt) the same bits alone as inside any stack.
+        rng = np.random.default_rng(47)
+        for nxt in (2, 3):
+            joint = build_joint(random_model(rng, nx=3, nxt=nxt, ny=3))
+            evaluator = _SchemeEvaluator(joint, DistortionMetric.hamming(nxt))
+            for nu in (2, 3, 9, 25):
+                grid = simplex_grid(nu, 0.25)  # rows with exact zeros
+                stack = np.concatenate([
+                    rng.dirichlet(np.ones(nu), size=(30, nxt)),
+                    grid[rng.integers(len(grid), size=(30, nxt))],
+                ])
+                rw, dist = evaluator.storage(stack)
+                rw_4d, dist_4d = evaluator.storage(stack.reshape(6, 10, nxt, nu))
+                np.testing.assert_array_equal(rw_4d.ravel(), rw)
+                np.testing.assert_array_equal(dist_4d.ravel(), dist)
+                for i, t in enumerate(stack):
+                    alone = evaluator.storage(t.copy())
+                    assert alone[0] == rw[i] and alone[1] == dist[i]
+                    assert evaluator.distortion(t) == dist[i]
 
     def test_penalized_gradient_matches_central_differences(self, binary_joint):
         # The mirror descent steps along the analytic gradient of

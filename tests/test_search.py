@@ -106,7 +106,7 @@ def test_simplex_grid_counts():
 
 
 def _scalar_grid_scan(joint, metric, targets, u_size, step):
-    """Reference oracle: every grid cell scored by the scalar evaluator in
+    """Reference oracle: every grid cell scored alone by the evaluator in
     odometer order (last Xt row fastest); per target the first cell with the
     smallest storage rate among those meeting D wins, or None."""
     obj = regions._SchemeEvaluator(joint, metric)
@@ -116,7 +116,7 @@ def _scalar_grid_scan(joint, metric, targets, u_size, step):
     idx = [0] * nxt
     while True:
         t = np.array([rows[i] for i in idx])
-        rw, dist = obj.rates(t)
+        rw, dist = obj.storage(t)
         for d in targets:
             if dist <= d + 1e-12 and (best[d] is None or rw < best[d][0]):
                 best[d] = (rw, t)
@@ -200,6 +200,24 @@ def test_convexified_trace_is_convex_and_below(binary_model):
         d2, r2, _, _ = env[i + 1]
         t = (d1 - d0) / (d2 - d0)
         assert r1 <= r0_ + t * (r2 - r0_) + 1e-9
+
+
+def test_convexified_trace_replaces_point_above_chord():
+    # The middle point lies above the chord of its neighbours in (d, rw):
+    # the envelope there is the chord's interpolation in every component,
+    # and the end points stay.  Dyadic values make the interpolation exact.
+    from secsource.regions import RateTuple, RegimeReport, TracePoint, convexify_trace
+
+    def point(d, rw, rs, rl):
+        rates = RateTuple(rw=rw, rs=rs, rl=rl, d=d)
+        report = RegimeReport("small_key", 0.0, rw, 0.0, rates)
+        return TracePoint(d, rates, AuxScheme.identity(2), report)
+
+    pts = [point(0.5, 0.5, 0.25, 0.125), point(0.0, 1.0, 0.5, 0.25),
+           point(0.25, 0.875, 0.5, 0.25)]
+    assert convexify_trace(pts) == [
+        (0.0, 1.0, 0.5, 0.25), (0.25, 0.75, 0.375, 0.1875), (0.5, 0.5, 0.25, 0.125),
+    ]
 
 
 def test_cardinality_bounds_enforced_on_extension(binary_joint):
