@@ -563,8 +563,6 @@ def log2_competitor_count(
     suffix log-sums of their counts, so it costs |A| log |B| rather than
     |A| |B|.
     """
-    from scipy.special import gammaln, logsumexp  # deferred: scipy.special is slow to import
-
     q = per_pos_logp.shape[1]
     true_ll = float(per_pos_logp[groups, true_seq].sum())
     if not math.isfinite(true_ll):
@@ -579,7 +577,8 @@ def log2_competitor_count(
         with np.errstate(invalid="ignore"):  # 0 * -inf; such types are set to -inf below
             ll_g = np.where(comps > 0, comps * lp[None, :], 0.0).sum(axis=1)
         ll_g[np.any((comps > 0) & np.isneginf(lp)[None, :], axis=1)] = -np.inf
-        logcnt_g = gammaln(n_g + 1) - gammaln(comps + 1).sum(axis=1)
+        log_fact = np.array([math.lgamma(k + 1) for k in range(n_g + 1)])
+        logcnt_g = log_fact[n_g] - log_fact[comps].sum(axis=1)
         types.append((ll_g, logcnt_g))
 
     ll_last, logcnt_last = types.pop(max(range(len(types)), key=lambda i: types[i][0].size))
@@ -597,7 +596,15 @@ def log2_competitor_count(
     order = np.argsort(ll_last, kind="stable")
     suffix = np.append(np.logaddexp.accumulate(logcnt_last[order][::-1])[::-1], -np.inf)
     first = np.searchsorted(ll_last[order], true_ll - _LL_TIE_TOL - lls, side="left")
-    return float(logsumexp(logcounts + suffix[first]) / math.log(2.0))
+    return _log2_sum_exp(logcounts + suffix[first])
+
+
+def _log2_sum_exp(terms: np.ndarray) -> float:
+    """log2(sum(exp(terms))) by a max-shifted sum; -inf when every term is."""
+    peak = float(terms.max())
+    if peak == -math.inf:
+        return -math.inf
+    return (peak + math.log(np.exp(terms - peak).sum())) / math.log(2.0)
 
 
 def collision_free_probability(log2_count_including_truth: float, bits: int) -> float:

@@ -1,8 +1,9 @@
 """Channel-ordering tests that gate the no-key corollary region.
 
 Stochastic degradedness of the decoder's channel with respect to the
-eavesdropper's is decided exactly as a linear-programming feasibility
-problem; the strictly weaker "less noisy" ordering has no finite decision
+eavesdropper's is decided as a linear program that certifies its own answer:
+a primal witness bounds the optimum from above and a dual vector bounds it
+from below.  The strictly weaker "less noisy" ordering has no finite decision
 procedure here, so it is only ever *falsified* by randomized search for an
 input variable L with I(L;Y) > I(L;Z).
 """
@@ -18,21 +19,34 @@ from .probability import DimensionError, Pmf, StochasticMatrix, entropy_bits
 
 RESIDUAL_TOL = 1e-8
 FALSIFY_TOL = 1e-9
+GAP_TOL = 1e-9  # residual - lower_bound that proves a non-degraded optimum
+_PIVOT_TOL = 1e-12
+# Reduced costs below this are rounding: at 1e-12, two nearly parallel
+# columns of a sparse post-processing pair swapped in and out forever.
+_COST_TOL = 1e-10
+_MAX_PIVOTS_PER_DIM = 50
 
 
 @dataclass(frozen=True)
 class DegradednessCertificate:
-    """Outcome of the exact degradedness test.
+    """Outcome of the degradedness test, with both bounds on its optimum.
 
-    When ``feasible``, ``witness`` is a row-stochastic matrix T (Z -> Y) with
-    P(y|x) = sum_z T(y|z) P(z|x) up to ``residual`` (at most 1e-8).  When
-    infeasible, ``residual`` is the smallest achievable max-abs composition
-    violation, strictly above the tolerance.
+    ``residual`` is the max-abs composition violation
+    max_{x,y} |sum_z T(y|z) P(z|x) - P(y|x)| of the primal row-stochastic T,
+    recomputed from the inputs.  ``lower_bound`` is the weak-duality bound
+    sum_z min_y (P_Z^T L)[z, y] - <L, P_Y>, with L the solver's duals of the
+    composition rows scaled to sum |L| = 1.  Weak duality holds for every
+    such L, so the bound rests on the inputs alone, not on the solver.
+
+    When ``feasible``, ``witness`` is T with ``residual`` at most 1e-8.
+    Otherwise ``witness`` is None and ``residual`` is the optimum: it is above
+    1e-8 and within 1e-9 of ``lower_bound``.
     """
 
     feasible: bool
     witness: Optional[StochasticMatrix]
     residual: float
+    lower_bound: float
 
 
 @dataclass(frozen=True)
@@ -62,17 +76,66 @@ class LessNoisyVerdict:
         return self.i_l_y - self.i_l_z
 
 
+def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize c.x subject to a x <= b, x >= 0, for b >= 0.
+
+    Revised simplex from the slack basis, which b >= 0 makes feasible.  Each
+    pivot solves the basis systems afresh from ``a``, so no rounding carries
+    over from one pivot to the next.  The entering column has the largest
+    reduced cost (Dantzig) and the leaving row the largest pivot among ratio
+    ties; after a degenerate pivot both follow Bland's smallest-index rule,
+    which cannot cycle.  Returns the primal x and the row duals y; a singular
+    basis or the pivot cap raises RuntimeError.
+    """
+    m, n = a.shape
+    full = np.hstack([a, np.eye(m)])
+    cost = np.concatenate([c, np.zeros(m)])
+    basis = np.arange(n, n + m)
+    bland = False
+    try:
+        for _ in range(_MAX_PIVOTS_PER_DIM * (m + n)):
+            b_mat = full[:, basis]
+            y = np.linalg.solve(b_mat.T, cost[basis])
+            reduced = cost - y @ full
+            reduced[basis] = 0.0
+            entering = np.flatnonzero(reduced > _COST_TOL)
+            if entering.size == 0:
+                x = np.zeros(n + m)
+                x[basis] = np.linalg.solve(b_mat, b)
+                return x[:n], y
+            q = entering[0] if bland else entering[np.argmax(reduced[entering])]
+            x_b, w = np.linalg.solve(b_mat, np.column_stack([b, full[:, q]])).T
+            rows = np.flatnonzero(w > _PIVOT_TOL)
+            if rows.size == 0:
+                raise RuntimeError("degradedness LP found no pivot row")
+            # Harris ratio test: the rows within a 1e-12 slack of the smallest
+            # ratio tie, so a tiny pivot never wins by a rounding error.
+            x_r, w_r = np.maximum(x_b[rows], 0.0), w[rows]
+            ties = np.flatnonzero(x_r / w_r <= ((x_r + _PIVOT_TOL) / w_r).min())
+            leave = ties[np.argmin(basis[rows[ties]])] if bland else ties[np.argmax(w_r[ties])]
+            basis[rows[leave]] = q
+            bland = x_r[leave] / w_r[leave] <= _PIVOT_TOL
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"degradedness LP hit a singular basis: {exc}") from exc
+    raise RuntimeError("degradedness LP exceeded its pivot cap")
+
+
 def check_stochastic_degraded(
     p_y_given_x: StochasticMatrix, p_z_given_x: StochasticMatrix
 ) -> DegradednessCertificate:
     """Decide whether Y is stochastically degraded with respect to Z.
 
-    Solves min_T max_{x,y} |sum_z T(y|z) P(z|x) - P(y|x)| over row-stochastic
-    T >= 0 as a linear program (HiGHS); feasibility holds iff the optimum is
-    within 1e-8.
-    """
-    from scipy.optimize import linprog  # deferred: scipy.optimize is slow to import
+    Minimizes t = max_{x,y} |sum_z T(y|z) P(z|x) - P(y|x)| over row-stochastic
+    T >= 0.  T's last column is one minus the row sum of the free part
+    W >= 0, and t = t0 - u, where t0 is the violation of the map that sends
+    every z to the last y symbol.  Maximizing u then has a non-negative
+    right-hand side, so one simplex phase from the slack basis solves it.
 
+    Degraded iff the witness residual is within 1e-8.  A residual above that
+    is returned only when the dual lower bound is within 1e-9 of it, which
+    proves it optimal; otherwise, and on a singular basis or the pivot cap,
+    RuntimeError is raised rather than an unproven answer.
+    """
     if p_y_given_x.input_size != p_z_given_x.input_size:
         raise DimensionError("channels must share the input alphabet")
     py = p_y_given_x.rows
@@ -80,39 +143,45 @@ def check_stochastic_degraded(
     nx, ny = py.shape
     nz = pz.shape[1]
 
-    # Variables: T flattened row-major (nz * ny entries) plus the violation t.
-    c = np.zeros(nz * ny + 1)
+    # Composition rows (x, y) over the columns (z, y') of W, then u.
+    to_t = np.vstack([np.eye(ny - 1), -np.ones(ny - 1)])  # W's columns -> T's
+    comp = np.kron(pz, to_t)
+    r0 = -py.copy()
+    r0[:, -1] += pz.sum(axis=1)
+    r0 = r0.ravel()
+    t0 = float(np.abs(r0).max())
+    u_col = np.ones((nx * ny, 1))
+    a = np.vstack([
+        np.hstack([comp, u_col]),                                     # R <= t
+        np.hstack([-comp, u_col]),                                    # -R <= t
+        np.hstack([np.kron(np.eye(nz), np.ones(ny - 1)), np.zeros((nz, 1))]),  # sum W <= 1
+    ])
+    b = np.concatenate([t0 - r0, t0 + r0, np.ones(nz)])
+    c = np.zeros(a.shape[1])
     c[-1] = 1.0
+    x, y = _simplex(a, b, c)
 
-    # Composition constraints, interleaved per (x, y):
-    # (Pz @ T - Py)[x, y] - t <= 0 and -(Pz @ T - Py)[x, y] - t <= 0.
-    comp = np.kron(pz, np.eye(ny))                 # row (x, y), column (z, y')
-    slack = -np.ones((nx * ny, 1))
-    a_ub = np.stack([np.hstack([comp, slack]), np.hstack([-comp, slack])], axis=1)
-    a_ub = a_ub.reshape(2 * nx * ny, -1)
-    b_ub = np.stack([py.ravel(), -py.ravel()], axis=1).ravel()
-    # Row-stochasticity of T.
-    a_eq = np.hstack([np.kron(np.eye(nz), np.ones(ny)), np.zeros((nz, 1))])
+    w = np.clip(x[:-1], 0.0, None).reshape(nz, ny - 1)
+    t = np.clip(np.hstack([w, 1.0 - w.sum(axis=1, keepdims=True)]), 0.0, None)
+    t = t / t.sum(axis=1, keepdims=True)
+    residual = float(np.abs(pz @ t - py).max())
 
-    bounds = [(0.0, 1.0)] * (nz * ny) + [(0.0, None)]
-    res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=np.ones(nz),
-        bounds=bounds,
-        method="highs",
-    )
-    if not res.success:  # pragma: no cover - HiGHS solves this LP class reliably
-        raise RuntimeError(f"degradedness LP failed: {res.message}")
+    lam = (y[: nx * ny] - y[nx * ny : 2 * nx * ny]).reshape(nx, ny)
+    mass = np.abs(lam).sum()
+    if mass > 0.0:
+        lam = lam / mass
+    # Rounding can lift the bound an ulp above a zero optimum; the witness
+    # value is also at least the optimum, so the smaller of the two is a bound.
+    lower = min(float((pz.T @ lam).min(axis=1).sum() - (lam * py).sum()), residual)
 
-    t_flat = np.clip(res.x[:-1], 0.0, None).reshape(nz, ny)
-    t_flat = t_flat / t_flat.sum(axis=1, keepdims=True)
-    residual = float(np.abs(pz @ t_flat - py).max())
     if residual <= RESIDUAL_TOL:
-        return DegradednessCertificate(True, StochasticMatrix(t_flat), residual)
-    return DegradednessCertificate(False, None, residual)
+        return DegradednessCertificate(True, StochasticMatrix(t), residual, lower)
+    if residual - lower <= GAP_TOL:
+        return DegradednessCertificate(False, None, residual, lower)
+    raise RuntimeError(
+        f"degradedness LP undecided: witness residual {residual:.3e} "
+        f"but dual lower bound {lower:.3e}"
+    )
 
 
 def _informations(px: np.ndarray, pl: np.ndarray, py: np.ndarray, pz: np.ndarray):

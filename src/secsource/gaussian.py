@@ -143,13 +143,18 @@ def _std_normal_pdf(x: np.ndarray) -> np.ndarray:
     return np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi)
 
 
+def _std_normal_cdf(x: np.ndarray) -> np.ndarray:
+    """Phi(x) = erfc(-x / sqrt 2) / 2, accurate in both tails."""
+    return 0.5 * np.vectorize(math.erfc, otypes=[float])(-np.asarray(x) / math.sqrt(2.0))
+
+
 def _quantile_edges(sigma: float, levels: int) -> np.ndarray:
     """Equal-probability cell edges of N(0, sigma^2) truncated to +/- 4 sigma."""
-    from scipy.special import ndtr, ndtri  # deferred: scipy.special is slow to import
+    from statistics import NormalDist  # deferred: only the discrete bridge needs it
 
-    lo, hi = ndtr(-_TAIL_SIGMAS), ndtr(_TAIL_SIGMAS)
+    lo, hi = _std_normal_cdf(np.array([-_TAIL_SIGMAS, _TAIL_SIGMAS]))
     qs = np.linspace(lo, hi, levels + 1)
-    edges = sigma * ndtri(qs)
+    edges = sigma * np.array([NormalDist().inv_cdf(q) for q in qs])
     edges[0] = -_TAIL_SIGMAS * sigma
     edges[-1] = _TAIL_SIGMAS * sigma
     return edges
@@ -165,8 +170,6 @@ def _gaussian_channel(
     Gauss-Legendre quadrature and renormalizes (the mass beyond 4 sigma is
     folded into the outer cells).
     """
-    from scipy.special import ndtr  # deferred: scipy.special is slow to import
-
     edges_a = _quantile_edges(sigma_a, levels)
     edges_b = _quantile_edges(sigma_b, levels)
     slope = cov / sigma_a**2
@@ -182,7 +185,7 @@ def _gaussian_channel(
         lo, hi = edges_a[i], edges_a[i + 1]
         a = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
         w = 0.5 * (hi - lo) * weights * _std_normal_pdf(a / sigma_a) / sigma_a
-        cdfs = ndtr((inner[None, :] - slope * a[:, None]) / s)
+        cdfs = _std_normal_cdf((inner[None, :] - slope * a[:, None]) / s)
         cell = cdfs[:, 1:] - cdfs[:, :-1]
         rows[i] = w @ cell
     rows /= rows.sum(axis=1, keepdims=True)
@@ -206,10 +209,8 @@ def discretize(
     if levels < 2:
         raise ModelError("levels must be >= 2")
 
-    from scipy.special import ndtr  # deferred: scipy.special is slow to import
-
     edges_x = _quantile_edges(1.0, levels)
-    px_raw = np.diff(ndtr(edges_x))
+    px_raw = np.diff(_std_normal_cdf(edges_x))
     px = Pmf(px_raw / px_raw.sum())
 
     # Channels along the chain U - Xt - X - (Y, Z); all marginals unit

@@ -9,6 +9,7 @@ from scipy.special import logsumexp
 
 from conftest import h2, random_model, star
 from secsource.binning import (
+    _log2_sum_exp,
     BinningRates,
     BinningScaleError,
     DecodeSearchError,
@@ -296,6 +297,15 @@ class TestCollisionMath:
             c for c in itertools.product(range(6), repeat=3) if sum(c) == 5)
         with pytest.raises(ValueError):
             comps[0, 0] = 1
+
+    def test_log2_sum_exp_matches_scipy(self):
+        rng = np.random.default_rng(4)
+        for size in (1, 7, 200):
+            terms = rng.normal(scale=300.0, size=size)
+            terms[1:][rng.random(size - 1) < 0.3] = -np.inf
+            want = logsumexp(terms) / math.log(2.0)
+            assert _log2_sum_exp(terms) == pytest.approx(want, rel=1e-14, abs=1e-12)
+        assert _log2_sum_exp(np.full(4, -np.inf)) == -math.inf
 
     def test_collision_free_probability_limits(self):
         assert collision_free_probability(0.0, 10) == 1.0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import h2, star
+from secsource import channels
 from secsource.channels import (
     DegradednessCertificate,
     check_stochastic_degraded,
@@ -49,6 +50,130 @@ class TestDegradedness:
             check_stochastic_degraded(
                 bsc(0.1), StochasticMatrix(np.full((3, 2), 0.5))
             )
+
+    def test_post_processing_below_coarse_solver_tolerance(self):
+        # A 1e-7 flip lies below a 1e-7 primal feasibility tolerance; the
+        # pair is degraded by construction, so the optimum is 0.
+        post = np.array([[1e-7, 1.0 - 1e-7], [0.0, 1.0]])
+        p_y = StochasticMatrix(bsc(0.1).rows @ post)
+        cert = check_stochastic_degraded(p_y, bsc(0.1))
+        assert cert.feasible
+        assert cert.residual <= 1e-12
+        np.testing.assert_allclose(cert.witness.rows, post, atol=1e-12)
+
+    def test_sparse_post_processing_sweep_certified(self):
+        # Dirichlet(0.1) rows put many entries near zero.
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            nx, ny, nz = rng.integers(2, 6, size=3)
+            p_z = rng.dirichlet(np.ones(nz), size=nx)
+            p_y = p_z @ rng.dirichlet(np.full(ny, 0.1), size=nz)
+            cert = check_stochastic_degraded(StochasticMatrix(p_y), StochasticMatrix(p_z))
+            assert cert.feasible, (nx, ny, nz, cert.residual)
+            assert np.abs(p_z @ cert.witness.rows - p_y).max() <= 1e-8
+
+    @pytest.mark.parametrize("shape", [(3, 1, 2), (3, 2, 1), (1, 3, 3)])
+    def test_unary_alphabets(self, shape):
+        nx, ny, nz = shape
+        rng = np.random.default_rng(sum(shape))
+        p_y = StochasticMatrix(rng.dirichlet(np.ones(ny), size=nx))
+        p_z = StochasticMatrix(rng.dirichlet(np.ones(nz), size=nx))
+        cert = check_stochastic_degraded(p_y, p_z)
+        if ny == 1 or nx == 1:
+            # A constant Y, or a single input, is always reachable.
+            assert cert.feasible and cert.residual <= 1e-12
+        else:
+            # A constant Z reaches only rows equal to a mixture row.
+            assert not cert.feasible
+        assert cert.lower_bound <= cert.residual
+
+    def test_identical_channels_and_unused_z_symbol(self):
+        rows = np.array([[0.5, 0.0, 0.5], [0.2, 0.0, 0.8], [0.7, 0.0, 0.3]])
+        p = StochasticMatrix(rows)
+        cert = check_stochastic_degraded(p, p)
+        assert cert.feasible and cert.residual <= 1e-12
+        # Dropping the never-seen Z symbol leaves a degraded 3 x 2 output.
+        p_y = StochasticMatrix(rows[:, [0, 2]])
+        cert = check_stochastic_degraded(p_y, p)
+        assert cert.feasible and cert.residual <= 1e-12
+        np.testing.assert_allclose(rows @ cert.witness.rows, p_y.rows, atol=1e-12)
+
+    def test_reversed_pair_optimum_certified_by_dual(self):
+        cert = check_stochastic_degraded(bsc(0.1), bsc(0.3))
+        assert cert.residual - cert.lower_bound <= 1e-9
+        assert cert.lower_bound <= cert.residual
+
+    def test_unproven_answer_raises(self, monkeypatch):
+        # The slack basis with zero duals: the witness is the start map and
+        # the dual bound is 0, far below it.
+        monkeypatch.setattr(
+            channels, "_simplex", lambda a, b, c: (np.zeros(a.shape[1]), np.zeros(a.shape[0]))
+        )
+        with pytest.raises(RuntimeError, match="witness residual .* dual lower bound"):
+            check_stochastic_degraded(bsc(0.1), bsc(0.3))
+
+    def test_pivot_cap_and_singular_basis_raise(self, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(channels, "_MAX_PIVOTS_PER_DIM", 0)
+            with pytest.raises(RuntimeError, match="pivot cap"):
+                check_stochastic_degraded(bsc(0.3), bsc(0.1))
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(channels.np.linalg, "solve", singular)
+        with pytest.raises(RuntimeError, match="singular basis"):
+            check_stochastic_degraded(bsc(0.3), bsc(0.1))
+
+
+def _highs_residual(py, pz):
+    """The composition residual of HiGHS's optimum of the same LP."""
+    from scipy.optimize import linprog
+
+    nx, ny = py.shape
+    nz = pz.shape[1]
+    comp = np.kron(pz, np.eye(ny))
+    slack = -np.ones((nx * ny, 1))
+    a_ub = np.vstack([np.hstack([comp, slack]), np.hstack([-comp, slack])])
+    b_ub = np.concatenate([py.ravel(), -py.ravel()])
+    a_eq = np.hstack([np.kron(np.eye(nz), np.ones(ny)), np.zeros((nz, 1))])
+    c = np.zeros(nz * ny + 1)
+    c[-1] = 1.0
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.ones(nz),
+                  bounds=[(0.0, 1.0)] * (nz * ny) + [(0.0, None)], method="highs")
+    assert res.success
+    t = np.clip(res.x[:-1], 0.0, None).reshape(nz, ny)
+    t /= t.sum(axis=1, keepdims=True)
+    return float(np.abs(pz @ t - py).max())
+
+
+class TestAgainstHighs:
+    @pytest.fixture(autouse=True)
+    def _scipy(self):
+        pytest.importorskip("scipy.optimize")
+
+    @staticmethod
+    def _pairs(rng, count, lo, hi):
+        for k in range(count):
+            nx, ny, nz = rng.integers(lo, hi + 1, size=3)
+            p_z = rng.dirichlet(np.ones(nz), size=nx)
+            if k % 2:
+                p_y = rng.dirichlet(np.ones(ny), size=nx)
+            else:
+                p_y = p_z @ rng.dirichlet(np.full(ny, 0.1), size=nz)
+            yield p_y, p_z
+
+    @pytest.mark.parametrize("lo, hi, count", [(1, 5, 300), (6, 8, 6)])
+    def test_never_worse_and_certified(self, lo, hi, count):
+        rng = np.random.default_rng(hi)
+        for p_y, p_z in self._pairs(rng, count, lo, hi):
+            cert = check_stochastic_degraded(StochasticMatrix(p_y), StochasticMatrix(p_z))
+            assert cert.residual <= _highs_residual(p_y, p_z) + 1e-9
+            assert cert.lower_bound <= cert.residual
+            if cert.feasible:
+                assert np.abs(p_z @ cert.witness.rows - p_y).max() <= 1e-8
+            else:
+                assert cert.residual - cert.lower_bound <= 1e-9
 
 
 class TestLessNoisy:

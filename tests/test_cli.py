@@ -346,17 +346,36 @@ class TestCommands:
 
 
 class TestImport:
-    def test_import_leaves_slow_scipy_modules_unloaded(self):
-        # scipy.stats, scipy.optimize and scipy.special cost up to a second
-        # of every CLI call; only the functions that need them may import them.
+    def test_readme_commands_leave_scipy_unloaded(self, tmp_path):
+        # Importing scipy.optimize or scipy.special costs a CLI call up to half
+        # a second; no README command may load any part of scipy.
         import os
         import subprocess
         import sys
 
+        pair = tmp_path / "pair.json"
+        pair.write_text(json.dumps({
+            "schema": 1,
+            "p_y_given_x": (bsc(0.1).rows @ bsc(0.2).rows).tolist(),
+            "p_z_given_x": bsc(0.1).rows.tolist(),
+        }))
+        out = str(tmp_path / "out.csv")
+        commands = [
+            ["compute-region", "--model", DEMO_MODEL, "--targets", "0.1", "--u-size", "3",
+             "--v-size", "1", "--q-size", "1", "--r0", "0", "--seed", "7", "--output", out],
+            ["lossless-region", "--model", DEMO_MODEL, "--r0", "0", "--output", out],
+            ["gaussian", *GAUSSIAN_RHOS, "--samples", "1000", "--output", out],
+            # n = 400 runs the collision engine, as in the README.
+            ["simulate", "--model", DEMO_MODEL, "--aux", DEMO_AUX, "--n", "400",
+             "--epsilon", "0.15", "--r0", "0", "--trials", "3", "--seed", "3", "--output", out],
+            ["check-channel", "--model", DEMO_MODEL],
+            ["check-channel", "--channels", str(pair)],
+        ]
+        code = ("import json, sys; from secsource.cli import main; "
+                "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+                "print(codes, sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')))")
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        code = ("import sys, secsource; "
-                "print(sorted(m for m in ('scipy.stats', 'scipy.optimize', 'scipy.special') "
-                "if m in sys.modules))")
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        res = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
+                             capture_output=True, text=True, check=True)
+        assert res.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"

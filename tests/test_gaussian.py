@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from secsource import gaussian
 from secsource.gaussian import (
     GaussianModel,
     covariance_xtuy,
@@ -168,3 +169,16 @@ class TestDiscreteBridge:
     def test_alpha_one_rejected(self):
         with pytest.raises(ModelError):
             discretize(MODEL, 1.0)
+
+    def test_normal_cdf_and_quantiles_match_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        x = np.concatenate([np.linspace(-9.0, 9.0, 721), [-np.inf, np.inf]])
+        np.testing.assert_allclose(gaussian._std_normal_cdf(x), special.ndtr(x),
+                                   rtol=0, atol=1e-12)
+        for sigma in (1.0, 0.5):
+            for levels in (2, 16, 32):
+                qs = np.linspace(special.ndtr(-4.0), special.ndtr(4.0), levels + 1)
+                want = sigma * special.ndtri(qs)
+                want[[0, -1]] = -4.0 * sigma, 4.0 * sigma
+                np.testing.assert_allclose(gaussian._quantile_edges(sigma, levels), want,
+                                           rtol=0, atol=1e-12)
