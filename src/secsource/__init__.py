@@ -52,7 +52,6 @@ from .binning import (
     design_code,
     encode,
     exact_leakage,
-    message_source_mutual_information,
     padded_indices_mutual_information,
     run_experiment,
 )

@@ -48,9 +48,10 @@ proofs;
 ``exact_leakage`` computes the exact finite-n conditional mutual informations
 for small blocklengths.  It enumerates P(message | xt^n) over every
 (sequence, auxiliary path, key) triple (at most ``ENUMERATION_BUDGET`` of
-them) and applies the per-letter laws P(xt, z) and P(xt, x) to that table a
-few letters at a time, in O(n m^n C) arithmetic for C messages and
-m = max(|Xt|, |Z|, |X|), without building any |Xt|^n x |Z|^n table; its
+them), keeps only the (xt^n, message) cells they reach, and applies the
+per-letter laws P(xt, z) and P(xt, x) to blocks of that law a few letters
+at a time, in O(n m^n C) arithmetic for C messages and m = max(|Xt|, |Z|,
+|X|), without building any |Xt|^n x |Z|^n or |Xt|^n x C table; its
 working arrays are capped at ``LEAKAGE_CELL_LIMIT`` cells per message.
 """
 
@@ -746,10 +747,13 @@ def run_experiment(
 
 @dataclass(frozen=True)
 class ExactMessageTable:
-    """P(message | xt-sequence) by full enumeration of a materialized code."""
+    """P(message | xt-sequence) by full enumeration of a materialized code,
+    as its cells of positive probability sorted by (column, row)."""
 
-    p_sequence: np.ndarray            # P(xt^n), length |Xt|^n
-    p_message_given_sequence: np.ndarray  # (|Xt|^n, n_messages)
+    p_sequence: np.ndarray  # P(xt^n), length |Xt|^n
+    row: np.ndarray         # xt^n index of each cell
+    column: np.ndarray      # message index of each cell
+    prob: np.ndarray        # P(messages[column] | xt^n = row) of each cell
     messages: list[tuple]
 
 
@@ -760,7 +764,7 @@ def exact_message_table(code: BinningCode, model: SourceModel) -> ExactMessageTa
     over all keys; feasible for deterministic auxiliaries or tiny
     blocklengths (budget-guarded).  Every (sequence, auxiliary path, key)
     triple is one entry of numpy index arrays; columns are the distinct
-    message tuples in lexicographic order.
+    message tuples in lexicographic order, and each cell sums its triples.
     """
     if not code.materialized:
         raise BinningScaleError("exact enumeration needs a materialized code")
@@ -801,13 +805,11 @@ def exact_message_table(code: BinningCode, model: SourceModel) -> ExactMessageTa
     fields = _message_fields(code, v_idx[:, None], u_idx[:, None], keys)
     messages, column = _unique_rows(np.stack(np.broadcast_arrays(*fields), axis=-1).reshape(-1, 5))
 
-    n_cols = len(messages)
-    table = np.bincount(
-        np.repeat(row, n_keys) * n_cols + column,
-        weights=np.repeat(p_path * (1.0 / n_keys), n_keys),
-        minlength=p_seq.size * n_cols,
-    ).reshape(p_seq.size, n_cols)
-    return ExactMessageTable(p_seq, table, [_message_tuple(code, m) for m in messages.tolist()])
+    cells, inverse = np.unique(column * p_seq.size + np.repeat(row, n_keys), return_inverse=True)
+    prob = np.bincount(inverse, weights=np.repeat(p_path * (1.0 / n_keys), n_keys))
+    column, row = np.divmod(cells, p_seq.size)
+    return ExactMessageTable(p_seq, row, column, prob,
+                             [_message_tuple(code, m) for m in messages.tolist()])
 
 
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -825,17 +827,6 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[first], inverse
 
 
-def message_source_mutual_information(
-    code: BinningCode, model: SourceModel
-) -> tuple[float, np.ndarray]:
-    """Exact I(Xt^n; message) in bits, plus the message marginal."""
-    t = exact_message_table(code, model)
-    p_w = t.p_sequence @ t.p_message_given_sequence
-    h_w = entropy_bits(p_w)
-    h_w_given_xt = float(t.p_sequence @ entropy_bits(t.p_message_given_sequence, axis=1))
-    return h_w - h_w_given_xt, p_w
-
-
 def padded_indices_mutual_information(
     code: BinningCode, model: SourceModel
 ) -> tuple[float, np.ndarray]:
@@ -846,19 +837,20 @@ def padded_indices_mutual_information(
     their value, the first component most significant.  One-time padding
     with a uniform key makes them uniform and independent of the source
     block for every bin realization, so the returned mutual information is
-    zero to machine precision and the marginal is exactly flat.
+    zero to machine precision and the marginal is exactly flat.  It is taken
+    as H(pad) + H(Xt^n) - H(Xt^n, pad) over the (pad value, xt^n) cells.
     """
     t = exact_message_table(code, model)
     padded = [_FIELDS.index(f) for f in _PADS[code.mode][1]]
     values = np.array(t.messages, dtype=object)[:, padded].astype(np.int64)
-    column = np.zeros(len(t.messages), dtype=np.int64)
+    pad = np.zeros(len(t.messages), dtype=np.int64)
     for j, bits in enumerate(code.key_bit_widths()):
-        column = (column << bits) | values[:, j]
-    table = np.zeros((t.p_sequence.size, 1 << sum(code.key_bit_widths())))
-    np.add.at(table, (slice(None), column), t.p_message_given_sequence)
-    p_pad = t.p_sequence @ table
-    mi = entropy_bits(p_pad) - float(t.p_sequence @ entropy_bits(table, axis=1))
-    return mi, p_pad
+        pad = (pad << bits) | values[:, j]
+    rows = t.p_sequence.size
+    cells, inverse = np.unique(pad[t.column] * rows + t.row, return_inverse=True)
+    joint = np.bincount(inverse, weights=t.prob) * t.p_sequence[cells % rows]  # P(pad, xt^n)
+    p_pad = np.bincount(cells // rows, weights=joint, minlength=1 << sum(code.key_bit_widths()))
+    return entropy_bits(p_pad) + entropy_bits(t.p_sequence) - entropy_bits(joint), p_pad
 
 
 @dataclass(frozen=True)
@@ -877,14 +869,16 @@ def exact_leakage(code: BinningCode, model: SourceModel) -> ExactLeakage:
     source block and private randomness).  The public indices F are part of
     W here, matching what the eavesdropper observes.
 
-    P(Z^n, W) and P(X^n, W) come from the (|Xt|^n, C) table P(W | Xt^n) by
-    applying the per-letter joints P(Xt, Z) and P(Xt, X) a few letters at a
-    time, over blocks of message columns, so no |Xt|^n x |Z|^n table is
-    built and the cost is O(n m^n C) arithmetic with m = max(|Xt|, |Z|,
-    |X|), against O(|Xt|^n |Z|^n C) for the Kronecker product.  Each
-    conditional entropy is a joint entropy minus n times a per-letter one.  The widest working array has m^n cells per column; it
-    must not exceed ``LEAKAGE_CELL_LIMIT``.  The message table itself is
-    bounded by the enumeration budget of ``exact_message_table``.
+    P(Z^n, W) and P(X^n, W) come from the cells of P(W | Xt^n) by applying
+    the per-letter joints P(Xt, Z) and P(Xt, X) a few letters at a time to
+    blocks of message columns, each scattered into a zeroed (|Xt|^n, width)
+    array, so no |Xt|^n x |Z|^n or |Xt|^n x C table is built and the cost
+    is O(n m^n C) arithmetic with m = max(|Xt|, |Z|, |X|), against
+    O(|Xt|^n |Z|^n C) for the Kronecker product.  Each conditional entropy
+    is a joint entropy minus n times a per-letter one.  The widest working
+    array has m^n cells per column; it must not exceed
+    ``LEAKAGE_CELL_LIMIT``.  The message table itself is bounded by the
+    enumeration budget of ``exact_message_table``.
     """
     t = exact_message_table(code, model)
     n = code.n
@@ -898,10 +892,12 @@ def exact_leakage(code: BinningCode, model: SourceModel) -> ExactLeakage:
     to_z = _letter_powers(p_xt_z, n)
     to_x = _letter_powers(p_x_xt.T, n)
     h_xt_w = h_z_w = h_x_w = 0.0
-    table = t.p_message_given_sequence
+    n_cols = len(t.messages)
     step = max(1, _LEAKAGE_BLOCK_CELLS // widest)
-    for start in range(0, table.shape[1], step):
-        block = table[:, start:start + step]
+    ends = np.searchsorted(t.column, np.arange(0, n_cols + step, step))
+    for start, lo, hi in zip(range(0, n_cols, step), ends, ends[1:]):
+        block = np.zeros((t.p_sequence.size, min(step, n_cols - start)))
+        block[t.row[lo:hi], t.column[lo:hi] - start] = t.prob[lo:hi]
         h_xt_w += entropy_bits(t.p_sequence[:, None] * block)
         h_z_w += entropy_bits(_apply_per_letter(block, to_z))
         h_x_w += entropy_bits(_apply_per_letter(block, to_x))

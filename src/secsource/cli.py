@@ -257,8 +257,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if getattr(args, flag, 0) < 0:
                 raise ModelError(f"--{flag} must be >= 0, got {getattr(args, flag)}")
         return args.run(args)
-    except (ModelError, ValueError, regions.InfeasibleTargetError,
-            binning.BinningScaleError, binning.DecodeSearchError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"{args.command}: error: {exc}", file=sys.stderr)
         return 1
 

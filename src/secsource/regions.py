@@ -209,11 +209,11 @@ class SearchConfig:
     """Controls for the auxiliary-scheme search.
 
     ``u_size``/``v_size``/``q_size`` default to the sufficient cardinality
-    bounds of the region (they may be lowered for speed; raising them beyond
-    the bounds buys nothing).  ``method`` selects exponentiated-gradient
-    descent or the exhaustive simplex-grid oracle (grid mode searches
-    P(U|Xt) with constant V and Q, which is exact for the default storage
-    objective).  Alphabet sizes below 1 are refused.
+    bounds of the region (they may be lowered for speed; ``resolved_sizes``
+    refuses sizes above the bounds, which would buy nothing).  ``method``
+    selects exponentiated-gradient descent or the exhaustive simplex-grid
+    oracle (grid mode searches P(U|Xt) with constant V and Q, which is exact
+    for the default storage objective).  Alphabet sizes below 1 are refused.
     """
 
     restarts: int = 8
@@ -236,12 +236,13 @@ class SearchConfig:
                 raise ModelError(f"{name} must be >= 1, got {size}")
 
     def resolved_sizes(self, xtilde_size: int) -> tuple[int, int, int]:
-        du, dv, dq = default_cardinalities(xtilde_size)
-        return (
-            self.u_size if self.u_size is not None else du,
-            self.v_size if self.v_size is not None else dv,
-            self.q_size if self.q_size is not None else dq,
-        )
+        bounds = default_cardinalities(xtilde_size)
+        sizes = (self.u_size, self.v_size, self.q_size)
+        for name, size, bound in zip(("u_size", "v_size", "q_size"), sizes, bounds):
+            if size is not None and size > bound:
+                raise ModelError(f"{name}={size} exceeds the sufficient bound {bound} "
+                                 f"for |Xt| = {xtilde_size}")
+        return tuple(bound if size is None else size for size, bound in zip(sizes, bounds))
 
 
 @dataclass(frozen=True)

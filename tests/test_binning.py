@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -20,7 +21,6 @@ from secsource.binning import (
     exact_leakage,
     exact_message_table,
     log2_competitor_count,
-    message_source_mutual_information,
     padded_indices_mutual_information,
     run_experiment,
 )
@@ -458,16 +458,11 @@ class TestExactSmallN:
         mi, p_pad = padded_indices_mutual_information(code, model)
         t = exact_message_table(code, model)
         want = np.zeros(1 << (code.bits.w_v + code.bits.w_u))
-        for m, p in zip(t.messages, t.p_sequence @ t.p_message_given_sequence):
+        for m, p in zip(t.messages, t.p_sequence @ _dense(t)):
             want[(m[1] << code.bits.w_u) + m[3]] += p
         np.testing.assert_allclose(p_pad, want, rtol=1e-12, atol=0.0)
         assert abs(mi) <= 1e-12
         np.testing.assert_allclose(p_pad, 1.0 / p_pad.size, atol=1e-12)
-
-    def test_full_message_mi_positive_without_pad(self, binary_model, binary_full6):
-        code = design_code(binary_full6, n=6, epsilon=0.1, r0=0.0, seed=3)
-        mi, _ = message_source_mutual_information(code, binary_model)
-        assert mi > 1.0  # the clear-text bin index reveals the block
 
     def test_exact_leakage_near_single_letter_target(
         self, binary_model, binary_joint, binary_full6
@@ -501,9 +496,35 @@ class TestExactSmallN:
         np.testing.assert_allclose(t.p_sequence, p_seq, rtol=1e-14, atol=0.0)
         assert len(set(t.messages)) == len(t.messages)
         assert set(t.messages) == set().union(*law)
-        for row, probs in zip(t.p_message_given_sequence, law):
+        for row, probs in zip(_dense(t), law):
             want = np.array([probs.get(m, 0.0) for m in t.messages])
             np.testing.assert_allclose(row, want, rtol=1e-14, atol=1e-17)
+
+    @pytest.mark.parametrize("n", [None, 3])
+    @pytest.mark.parametrize("case", ["key_slot", "pad_u", "pad_all", "stochastic_v",
+                                      "stochastic_pad", "ternary"])
+    def test_message_table_cells(self, case, n, binary_model):
+        code, model = _leakage_case(case, binary_model, n=n)
+        t = exact_message_table(code, model)
+        rows = t.p_sequence.size
+        # Unique cells sorted by (column, row), each of positive probability.
+        assert np.all(np.diff(t.column * rows + t.row) > 0)
+        assert np.all(t.prob > 0.0)
+        row_sums = np.bincount(t.row, weights=t.prob, minlength=rows)
+        np.testing.assert_allclose(row_sums, 1.0, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(np.unique(t.column), np.arange(len(t.messages)))
+
+    def test_exact_leakage_memory_stays_with_the_cells(self, binary_model, binary_full6):
+        # The dense (|Xt|^n, C) law at binary n = 12 alone took about 57 MB
+        # for its 4096 nonzero cells.
+        code = design_code(binary_full6, n=12, epsilon=0.03, r0=0.0, seed=0)
+        tracemalloc.start()
+        try:
+            exact_leakage(code, binary_model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_budget_guard(self, binary_full6, binary_model):
         code = design_code(binary_full6, n=100, epsilon=0.15, r0=0.0, seed=5)
@@ -532,19 +553,27 @@ def _leakage_case(case, binary_model, n):
     return code, binary_model
 
 
+def _dense(t):
+    """The (|Xt|^n, messages) table P(message | xt^n) rebuilt from its cells."""
+    table = np.zeros((t.p_sequence.size, len(t.messages)))
+    table[t.row, t.column] = t.prob
+    return table
+
+
 def _kronecker_leakage(code, model):
     """Reference leakage from dense |Xt|^n x |Z|^n and |X|^n x |Xt|^n tables."""
     t = exact_message_table(code, model)
+    table = _dense(t)
     n = code.n
     p_xt_z = np.einsum("x,xa,xz->az", model.px.probs, model.meas_enc.rows,
                        model.p_z_given_x().rows)
     joint_xt_z = reduce(np.kron, [p_xt_z] * n)
-    p_zw = joint_xt_z.T @ t.p_message_given_sequence
+    p_zw = joint_xt_z.T @ table
     h_w_given_z = entropy_bits(p_zw) - entropy_bits(joint_xt_z.sum(axis=0))
-    h_w_given_xt = t.p_sequence @ entropy_bits(t.p_message_given_sequence, axis=1)
+    h_w_given_xt = t.p_sequence @ entropy_bits(table, axis=1)
     enc_n = reduce(np.kron, [model.meas_enc.rows] * n)
     p_x_seq = reduce(np.kron, [model.px.probs] * n)
-    h_w_given_x = p_x_seq @ entropy_bits(enc_n @ t.p_message_given_sequence, axis=1)
+    h_w_given_x = p_x_seq @ entropy_bits(enc_n @ table, axis=1)
     return (h_w_given_z - h_w_given_xt) / n, (h_w_given_z - h_w_given_x) / n
 
 

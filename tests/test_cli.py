@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from secsource import cli, modelio
+from secsource import channels, cli, modelio, regions
 from secsource.probability import ModelError, Pmf, SourceModel, bsc
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -228,6 +228,33 @@ class TestCommands:
         # Without the bad flag the degraded pair is certified and exits 0.
         assert cli.main(["check-channel", "--channels", str(path)]) == 0
         assert "degraded: yes" in capsys.readouterr().out
+
+    def test_check_channel_undecided_lp_fails_cleanly(self, capsys, monkeypatch):
+        # An undecided LP (singular basis, pivot cap, open duality gap) is an
+        # error line and exit 1, not a traceback.
+        def undecided(*args):
+            raise RuntimeError("degradedness LP hit a singular basis")
+
+        monkeypatch.setattr(channels, "_simplex", undecided)
+        rc = cli.main(["check-channel", "--model", DEMO_MODEL])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "check-channel: error: degradedness LP hit a singular basis\n"
+
+    def test_alphabet_above_sufficient_bound_fails_before_search(
+        self, tmp_path, capsys, model_file, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("the descent ran")
+
+        monkeypatch.setattr(regions, "_mirror_descent", never)
+        out = tmp_path / "never.csv"
+        rc = cli.main(["compute-region", "--model", str(model_file), "--u-size", "26",
+                       "--targets", "0.1", "--output", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        assert "u_size=26 exceeds the sufficient bound 25" in capsys.readouterr().err
 
     def test_missing_model_fails_without_output(self, tmp_path, capsys):
         out = tmp_path / "never.csv"

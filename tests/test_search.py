@@ -174,6 +174,20 @@ def test_search_config_validation():
                 SearchConfig(**{name: size})
 
 
+def test_sizes_above_sufficient_bounds_refused_before_search(binary_model, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the descent ran")
+
+    monkeypatch.setattr(regions, "_mirror_descent", never)
+    bounds = regions.default_cardinalities(binary_model.xtilde_size)
+    assert SearchConfig().resolved_sizes(binary_model.xtilde_size) == bounds
+    for name, bound in zip(("u_size", "v_size", "q_size"), bounds):
+        cfg = SearchConfig(**{name: bound + 1})
+        with pytest.raises(ModelError, match=f"{name}={bound + 1} exceeds the sufficient "
+                                             f"bound {bound}"):
+            trace_region(binary_model, 0.0, METRIC, [0.1], cfg)
+
+
 def test_generic_objective_path(binary_model):
     for objective, r0 in (("rs", 0.0), ("rl", 0.1)):
         cfg = SearchConfig(restarts=2, seed=5, u_size=2, v_size=1, q_size=1,
