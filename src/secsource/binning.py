@@ -16,7 +16,10 @@ transmitted message is (W_v, W_u, K + K_u) with the key added modulo the
 key-slot size.  With key rate at least I(U;Xt|V) - I(U;Y|V) + 2 eps the K_u
 slot is dropped and W_u itself is one-time padded; with key rate at least
 I(U;Xt) - I(U;Y) + 4 eps both W_v and W_u are padded and the transmitted
-message is exactly uniform and independent of everything.
+message is exactly uniform and independent of everything.  Everywhere in
+this module a message is the five integers (F_v, W_v, F_u, W_u, K_u) of
+``_FIELDS``, the key added to the padded ones; a dropped K_u slot has 0 bits
+and reads 0.
 
 Decoding and the two simulation engines
 ---------------------------------------
@@ -48,11 +51,12 @@ proofs;
 ``exact_leakage`` computes the exact finite-n conditional mutual informations
 for small blocklengths.  It enumerates P(message | xt^n) over every
 (sequence, auxiliary path, key) triple (at most ``ENUMERATION_BUDGET`` of
-them), keeps only the (xt^n, message) cells they reach, and applies the
-per-letter laws P(xt, z) and P(xt, x) to blocks of that law a few letters
-at a time, in O(n m^n C) arithmetic for C messages and m = max(|Xt|, |Z|,
-|X|), without building any |Xt|^n x |Z|^n or |Xt|^n x C table; its
-working arrays are capped at ``LEAKAGE_CELL_LIMIT`` cells per message.
+them), tabulates the (xt^n, message) cells they reach with one stable sort
+of the five field arrays, and applies the per-letter laws P(xt, z) and
+P(xt, x) to blocks of that law a few letters at a time, in O(n m^n C)
+arithmetic for C messages and m = max(|Xt|, |Z|, |X|), without building any
+|Xt|^n x |Z|^n or |Xt|^n x C table; its working arrays are capped at
+``LEAKAGE_CELL_LIMIT`` cells per message.
 """
 
 from __future__ import annotations
@@ -102,7 +106,12 @@ _PADS: dict[str, tuple[Regime, tuple[str, ...]]] = {
 MATERIALIZE_LIMIT = 1 << 14   # largest sequence space kept as explicit tables
 ENUMERATION_BUDGET = 5_000_000  # cells in composition cross-products / exact sums
 LEAKAGE_CELL_LIMIT = 64_000_000  # cells per message column in exact_leakage's working arrays
-_LEAKAGE_BLOCK_CELLS = 1 << 15  # working-block size of exact_leakage (cache-sized)
+# Working-block size of exact_leakage: 120 KiB per float64 array.  Each block
+# allocates about 20 arrays of up to that size.  Above glibc's default mmap
+# threshold (128 KiB, raised only after a larger mapped chunk is freed) every
+# block would map them fresh and page-fault; smaller blocks pay more per-block
+# overhead.
+_LEAKAGE_BLOCK_CELLS = 15 << 10
 _LETTER_POWER_SIZE = 16         # largest Kronecker power exact_leakage applies in one step
 _LL_TIE_TOL = 1e-6            # log-likelihood slack treated as a tie
 
@@ -142,18 +151,19 @@ class IndexBits:
 
 @dataclass(frozen=True)
 class Message:
-    """One transmitted message: public indices F and padded/raw W components.
+    """One transmitted message: the five index fields of ``_FIELDS``, in that
+    order, with the key added to the fields the pad mode pads.
 
-    ``key_slot`` carries (K + K_u) mod 2^bits in the key-slot regime and is
-    None otherwise; in the padded regimes w_u (and w_v) are already mixed
-    with the key.
+    ``key_slot`` is the K_u field: (K + K_u) mod 2^bits in the key-slot
+    regime, and 0 in the padded regimes, where K_u has no bits and w_u (and
+    w_v) carry the key instead.
     """
 
     f_v: int
     w_v: int
     f_u: int
     w_u: int
-    key_slot: Optional[int]
+    key_slot: int
 
 
 @dataclass(frozen=True)
@@ -438,17 +448,11 @@ def _message_fields(code: BinningCode, v_idx, u_idx, key) -> list:
     return _pad(code, [t[i] for t, i in zip(code.tables, idx)], key)
 
 
-def _message_tuple(code: BinningCode, fields) -> tuple:
-    """The ``Message`` fields: ``key_slot`` is None unless the key pads K_u."""
-    f_v, w_v, f_u, w_u, k_u = (int(f) for f in fields)
-    return f_v, w_v, f_u, w_u, k_u if "k_u" in _PADS[code.mode][1] else None
-
-
 def _assemble_message(code: BinningCode, v_seq, u_seq, key) -> Message:
     fields = _message_fields(
         code, _seq_index(v_seq, code.v_size), _seq_index(u_seq, code.u_size), key
     )
-    return Message(*_message_tuple(code, fields))
+    return Message(*(int(f) for f in fields))
 
 
 def encode(
@@ -489,9 +493,10 @@ def _decode_layers(
     code: BinningCode, y: np.ndarray, key: tuple[int, ...], message: Message
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Successive ML-in-bin layer decisions; returns (v_hat, u_hat, unique)."""
-    sent = (message.f_v, message.w_v, message.f_u, message.w_u, message.key_slot or 0)
     # Bin membership per field, the key removed from the padded ones.
-    f_v, w_v, f_u, w_u, k_u = (t == b for t, b in zip(code.tables, _pad(code, sent, key, -1)))
+    f_v, w_v, f_u, w_u, k_u = (
+        t == b for t, b in zip(code.tables, _pad(code, astuple(message), key, -1))
+    )
     v_hat, ok_v = _ml_in_bin(_all_sequences(code.v_size, code.n),
                              code.log_v_y[:, y].T, f_v & w_v)               # (n, V)
     u_hat, ok_u = _ml_in_bin(_all_sequences(code.u_size, code.n),
@@ -748,13 +753,15 @@ def run_experiment(
 @dataclass(frozen=True)
 class ExactMessageTable:
     """P(message | xt-sequence) by full enumeration of a materialized code,
-    as its cells of positive probability sorted by (column, row)."""
+    as its cells of positive probability sorted by (column, row); column c
+    is ``messages[c]``, five ``_FIELDS``, distinct and in lexicographic order.
+    """
 
     p_sequence: np.ndarray  # P(xt^n), length |Xt|^n
     row: np.ndarray         # xt^n index of each cell
     column: np.ndarray      # message index of each cell
     prob: np.ndarray        # P(messages[column] | xt^n = row) of each cell
-    messages: list[tuple]
+    messages: np.ndarray    # (C, 5) int64 message fields
 
 
 def exact_message_table(code: BinningCode, model: SourceModel) -> ExactMessageTable:
@@ -763,8 +770,10 @@ def exact_message_table(code: BinningCode, model: SourceModel) -> ExactMessageTa
     Sums over the auxiliary sampling (support of P(V,U|Xt) per letter) and
     over all keys; feasible for deterministic auxiliaries or tiny
     blocklengths (budget-guarded).  Every (sequence, auxiliary path, key)
-    triple is one entry of numpy index arrays; columns are the distinct
-    message tuples in lexicographic order, and each cell sums its triples.
+    triple is one entry of five numpy field arrays, in ascending order of
+    its sequence.  One stable lexsort of the fields orders the triples by
+    (message, sequence): a change of message starts a column, a change of
+    message or sequence a cell, and each cell sums its triples.
     """
     if not code.materialized:
         raise BinningScaleError("exact enumeration needs a materialized code")
@@ -781,13 +790,15 @@ def exact_message_table(code: BinningCode, model: SourceModel) -> ExactMessageTa
     support = p_vu_given_xt > 0.0
 
     key_widths = code.key_bit_widths()
-    n_keys = 1 << sum(key_widths)
+    key_bits = sum(key_widths)
+    n_keys = 1 << key_bits
     max_support = int(support.sum(axis=1).max())
     if p_seq.size * (max_support**n) * n_keys > ENUMERATION_BUDGET:
         raise BinningScaleError("exact message enumeration exceeds the budget")
 
     # Grow all (sequence, path) pairs one letter at a time; the v and u paths
-    # are kept as big-endian sequence indices.
+    # are kept as big-endian sequence indices.  ``np.nonzero`` keeps the
+    # parents in order, so the rows stay ascending.
     row = np.arange(p_seq.size)
     v_idx = np.zeros_like(row)
     u_idx = np.zeros_like(row)
@@ -801,30 +812,25 @@ def exact_message_table(code: BinningCode, model: SourceModel) -> ExactMessageTa
         u_idx = u_idx[parent] * code.u_size + u
         row = row[parent]
 
+    # Triple (path, key) is entry path * n_keys + key of each field.
     keys = np.indices([1 << b for b in key_widths]).reshape(len(key_widths), 1, n_keys)
-    fields = _message_fields(code, v_idx[:, None], u_idx[:, None], keys)
-    messages, column = _unique_rows(np.stack(np.broadcast_arrays(*fields), axis=-1).reshape(-1, 5))
-
-    cells, inverse = np.unique(column * p_seq.size + np.repeat(row, n_keys), return_inverse=True)
-    prob = np.bincount(inverse, weights=np.repeat(p_path * (1.0 / n_keys), n_keys))
-    column, row = np.divmod(cells, p_seq.size)
-    return ExactMessageTable(p_seq, row, column, prob,
-                             [_message_tuple(code, m) for m in messages.tolist()])
-
-
-def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(rows, axis=0, return_inverse=True)`` by one lexsort.
-
-    Same result; numpy's axis-0 unique sorts rows as opaque byte strings,
-    which is about ten times slower on integer rows.
-    """
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(len(rows), dtype=np.int64)
-    inverse[order] = np.cumsum(first) - 1
-    return ordered[first], inverse
+    fields = [np.broadcast_to(f, (row.size, n_keys)).ravel()
+              for f in _message_fields(code, v_idx[:, None], u_idx[:, None], keys)]
+    order = np.lexsort(fields[::-1])  # by message, then (stable) by row
+    path = order >> key_bits
+    new_column = np.zeros(order.size, dtype=bool)
+    new_column[0] = True
+    for f in fields:
+        ordered = f[order]
+        new_column[1:] |= ordered[1:] != ordered[:-1]
+    sorted_row = row[path]
+    new_cell = new_column.copy()
+    new_cell[1:] |= sorted_row[1:] != sorted_row[:-1]
+    # Each cell sums its triples in input order, as the stable sort keeps it.
+    prob = np.bincount(np.cumsum(new_cell) - 1, weights=(p_path * (1.0 / n_keys))[path])
+    column = np.cumsum(new_column) - 1
+    messages = np.stack([f[order[new_column]] for f in fields], axis=1)
+    return ExactMessageTable(p_seq, sorted_row[new_cell], column[new_cell], prob, messages)
 
 
 def padded_indices_mutual_information(
@@ -842,10 +848,9 @@ def padded_indices_mutual_information(
     """
     t = exact_message_table(code, model)
     padded = [_FIELDS.index(f) for f in _PADS[code.mode][1]]
-    values = np.array(t.messages, dtype=object)[:, padded].astype(np.int64)
     pad = np.zeros(len(t.messages), dtype=np.int64)
-    for j, bits in enumerate(code.key_bit_widths()):
-        pad = (pad << bits) | values[:, j]
+    for j, bits in zip(padded, code.key_bit_widths()):
+        pad = (pad << bits) | t.messages[:, j]
     rows = t.p_sequence.size
     cells, inverse = np.unique(pad[t.column] * rows + t.row, return_inverse=True)
     joint = np.bincount(inverse, weights=t.prob) * t.p_sequence[cells % rows]  # P(pad, xt^n)
@@ -869,6 +874,7 @@ def exact_leakage(code: BinningCode, model: SourceModel) -> ExactLeakage:
     source block and private randomness).  The public indices F are part of
     W here, matching what the eavesdropper observes.
 
+    H(Xt^n, W) is the entropy of the cells of P(Xt^n, W) themselves.
     P(Z^n, W) and P(X^n, W) come from the cells of P(W | Xt^n) by applying
     the per-letter joints P(Xt, Z) and P(Xt, X) a few letters at a time to
     blocks of message columns, each scattered into a zeroed (|Xt|^n, width)
@@ -891,14 +897,14 @@ def exact_leakage(code: BinningCode, model: SourceModel) -> ExactLeakage:
 
     to_z = _letter_powers(p_xt_z, n)
     to_x = _letter_powers(p_x_xt.T, n)
-    h_xt_w = h_z_w = h_x_w = 0.0
+    h_xt_w = entropy_bits(t.p_sequence[t.row] * t.prob)
+    h_z_w = h_x_w = 0.0
     n_cols = len(t.messages)
     step = max(1, _LEAKAGE_BLOCK_CELLS // widest)
     ends = np.searchsorted(t.column, np.arange(0, n_cols + step, step))
     for start, lo, hi in zip(range(0, n_cols, step), ends, ends[1:]):
         block = np.zeros((t.p_sequence.size, min(step, n_cols - start)))
         block[t.row[lo:hi], t.column[lo:hi] - start] = t.prob[lo:hi]
-        h_xt_w += entropy_bits(t.p_sequence[:, None] * block)
         h_z_w += entropy_bits(_apply_per_letter(block, to_z))
         h_x_w += entropy_bits(_apply_per_letter(block, to_x))
     h_w_given_xt = h_xt_w - n * entropy_bits(p_x_xt.sum(axis=0))

@@ -116,7 +116,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
     # The codec has no time-sharing layer; a one-symbol Q keeps every
     # marginal it reads exactly the sum over (V, U, Xt, X, Y, Z).
     layers = regions.AuxScheme.from_channels(scheme.p_u_given_xtilde, scheme.p_v_given_u)
-    full = regions.extend_with_auxiliaries(joint, layers, enforce_cardinality=False)
+    full = regions.extend_with_auxiliaries(joint, layers)
     code = binning.design_code(
         full,
         n=args.n,

@@ -108,9 +108,8 @@ class DistortionMetric:
         return self.table.shape[0]
 
     @staticmethod
-    def hamming(n: int, m: Optional[int] = None) -> "DistortionMetric":
-        m = n if m is None else m
-        t = np.ones((n, m))
+    def hamming(n: int) -> "DistortionMetric":
+        t = np.ones((n, n))
         np.fill_diagonal(t, 0.0)
         return DistortionMetric(t)
 
@@ -120,8 +119,11 @@ class AuxScheme:
     """Layered auxiliary channels plus an optional reconstruction map.
 
     ``reconstruction``, when present, is an integer array of shape
-    (|U|, |Y|) with values in the reconstruction alphabet; when absent the
-    engine computes the distortion-optimal map.
+    (|U|, |Y|) with values in the reconstruction alphabet.  Only the codec
+    reads it (``secsource simulate`` passes it to ``binning.design_code``,
+    which computes the distortion-optimal map when it is absent); the region
+    (``lossy_point`` and the searches) always uses the distortion-optimal
+    map.
     """
 
     p_u_given_xtilde: StochasticMatrix
@@ -265,28 +267,14 @@ def _require_axes(joint: JointPmf, names: tuple[str, ...], what: str) -> None:
         raise DimensionError(f"{what} expects axes {names}, got {joint.names}")
 
 
-def extend_with_auxiliaries(
-    joint: JointPmf, aux: AuxScheme, enforce_cardinality: bool = True
-) -> JointPmf:
+def extend_with_auxiliaries(joint: JointPmf, aux: AuxScheme) -> JointPmf:
     """Joint over (Q, V, U, Xt, X, Y, Z) factorizing as
     P(q|v)P(v|u)P(u|xt)P(xt,x,y,z); the chain (Q,V)-U-Xt-X-(Y,Z) holds by
     construction.
-
-    By default the sufficient cardinality bounds |U| <= (|Xt|+3)^2,
-    |V| <= |Xt|+3, |Q| <= 2 are enforced (larger alphabets buy nothing for
-    the region); pass ``enforce_cardinality=False`` to lift them.
     """
     _require_axes(joint, SOURCE_AXES, "extend_with_auxiliaries")
     if aux.p_u_given_xtilde.input_size != joint.size_of(AX_XT):
         raise DimensionError("P(U|Xt) input size must equal |Xt|")
-    if enforce_cardinality:
-        nu, nv, nq = default_cardinalities(joint.size_of(AX_XT))
-        if aux.u_size > nu or aux.v_size > nv or aux.q_size > nq:
-            raise ModelError(
-                f"auxiliary alphabets ({aux.u_size}, {aux.v_size}, {aux.q_size}) "
-                f"exceed the sufficient bounds ({nu}, {nv}, {nq}); "
-                "pass enforce_cardinality=False to override"
-            )
     table = np.einsum(
         "vq,uv,au,axyz->qvuaxyz",
         aux.p_q_given_v.rows,
@@ -512,9 +500,9 @@ class _SchemeEvaluator:
     term is the entropy of a small table over the auxiliaries and one source
     variable (``_TERMS``).  ``evaluate`` and the descent's ``penalized`` share
     that term list, and ``penalized`` also gives the gradient.  ``storage``
-    and ``distortion`` give the storage rate and the optimal-map distortion,
-    which depend on P(U|Xt) only, for one matrix or a stack of them, with the
-    same bits for a matrix alone as in any stack (``_sum_over_xt``).
+    gives the storage rate and the optimal-map distortion, which depend on
+    P(U|Xt) only, for one matrix or a stack of them, with the same bits for a
+    matrix alone as in any stack (``_sum_over_xt``).
     """
 
     def __init__(self, joint: JointPmf, metric: DistortionMetric):
@@ -522,11 +510,11 @@ class _SchemeEvaluator:
         self.p_xt = self.p_xt_y.sum(axis=1)
         self.h_y = entropy_bits(self.p_xt_y.sum(axis=0))
         self.h_xt = entropy_bits(self.p_xt)
-        # dist_core[xt, y, xhat] = P(xt, y) d(xt, xhat)
-        self.dist_core = np.einsum("ay,ab->ayb", self.p_xt_y, metric.table)
-        # storage_core[xt, y] = (dist_core[xt, y, :], P(xt, y)): one pass over
-        # Xt gives the distortion costs and P(U, Y).
-        self.storage_core = np.concatenate([self.dist_core, self.p_xt_y[:, :, None]], axis=2)
+        # storage_core[xt, y] = (P(xt, y) d(xt, xhat) for each xhat, P(xt, y)):
+        # one pass over Xt gives the distortion costs and P(U, Y).
+        self.storage_core = np.concatenate(
+            [np.einsum("ay,ab->ayb", self.p_xt_y, metric.table), self.p_xt_y[:, :, None]], axis=2
+        )
         self.p_xt_z = joint.marginal_table((AX_XT, AX_Z))  # (Xt, Z)
         self.p_xt_xz = joint.marginal_table((AX_XT, AX_X, AX_Z)).reshape(self.p_xt.size, -1)
         self.h_z = entropy_bits(self.p_xt_z.sum(axis=0))
@@ -543,12 +531,6 @@ class _SchemeEvaluator:
         h_uy = entropy_bits(core[..., -1].reshape(*lead, -1), axis=-1)
         h_uxt = entropy_bits((t * self.p_xt[:, None]).reshape(*lead, -1), axis=-1)
         return np.maximum(h_uy - h_uxt + self.h_xt - self.h_y, 0.0), _least_cost(core[..., :-1])
-
-    def distortion(self, t: np.ndarray) -> np.ndarray:
-        """Optimal-map distortion of P(U|Xt) = ``t`` or of each matrix of a
-        stack: the minimum over xhat of sum_xt P(u|xt) P(xt,y) d(xt,xhat),
-        summed over (U, Y)."""
-        return _least_cost(_sum_over_xt(t, self.dist_core))
 
     def _tables(self, mats: Sequence[np.ndarray], names) -> dict[str, np.ndarray]:
         tables = {}
@@ -570,21 +552,24 @@ class _SchemeEvaluator:
         return grads
 
     def _distortion_gradient(self, pu: np.ndarray) -> np.ndarray:
-        """Subgradient of ``distortion`` at ``pu``: ``dist_core`` read at the
-        optimal map and summed over Y."""
-        best = _sum_over_xt(pu, self.dist_core).argmin(axis=2)
-        return self.dist_core[:, np.arange(best.shape[1]), best].sum(axis=2)
+        """Subgradient of the distortion at ``pu``: the cost part of
+        ``storage_core`` read at the optimal map and summed over Y."""
+        best = _sum_over_xt(pu, self.storage_core)[..., :-1].argmin(axis=2)
+        return self.storage_core[:, np.arange(best.shape[1]), best].sum(axis=2)
 
     def evaluate(
         self, pu: np.ndarray, pv: np.ndarray, pq: np.ndarray, r0: float
     ) -> RegimeReport:
-        """``lossy_point`` for the scheme with these rows, at key rate r0."""
-        h = {name: entropy_bits(t) for name, t in self._tables((pu, pv, pq), _TERMS).items()}
+        """``lossy_point`` for the scheme with these rows, at key rate r0.
+        Only the terms of the bounds it reports are taken."""
+        h: dict[str, float] = {}
 
         def bound(coefs: dict[str, float]) -> float:
+            new = self._tables((pu, pv, pq), [name for name in coefs if name not in h])
+            h.update((name, entropy_bits(t)) for name, t in new.items())
             return sum(c * h[name] for name, c in coefs.items())
 
-        t_high = _clamp(bound(_T_HIGH) + self.h_xt - self.h_y)
+        t_high, dist = (float(v) for v in self.storage(pu))
         t_low = _clamp(bound(_T_LOW))
         rp = min(bound(_R_DIFF), 0.0)
         rs = rl = 0.0
@@ -594,7 +579,7 @@ class _SchemeEvaluator:
             shift = rp - r0 if regime == "small_key" else 0.0
             rs, rl = (_clamp(bound(_LEAKAGE[regime, o]) + self.leak_const[o] + shift)
                       for o in ("rs", "rl"))
-        bounds = RateTuple(rw=t_high, rs=rs, rl=rl, d=float(self.distortion(pu)))
+        bounds = RateTuple(rw=t_high, rs=rs, rl=rl, d=dist)
         return RegimeReport(regime, t_low, t_high, rp, bounds)
 
     def penalized(self, mats: Sequence[np.ndarray], r0: float, objective: str,
@@ -682,16 +667,21 @@ def _repair_feasibility(
 ) -> Optional[np.ndarray]:
     """Blend toward the zero-distortion anchor until the target is met
     exactly, so that rounding in the reported distortion stays far inside
-    the 1e-9 the searches allow."""
-    if obj.distortion(t) <= target_d:
+    the 1e-9 the searches allow.  Each step reads the distortion half of
+    ``obj.storage`` alone: the rate's entropies would double its cost."""
+
+    def dist(m: np.ndarray) -> float:
+        return _least_cost(_sum_over_xt(m, obj.storage_core)[..., :-1])
+
+    if dist(t) <= target_d:
         return t
-    if obj.distortion(anchor) > target_d:
+    if dist(anchor) > target_d:
         return None
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         blend = (1.0 - mid) * t + mid * anchor
-        if obj.distortion(blend) <= target_d:
+        if dist(blend) <= target_d:
             hi = mid
         else:
             lo = mid

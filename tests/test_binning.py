@@ -216,7 +216,8 @@ class TestDecode:
                 if mode == "key_slot":
                     in_bin &= (w_u == msg.w_u) & (
                         k_u == (msg.key_slot - key[0]) % (1 << code.bits.k_u))
-                else:  # the last key component pads W_u
+                else:  # the last key component pads W_u; K_u has no bits
+                    assert code.bits.k_u == 0 and msg.key_slot == 0
                     in_bin &= w_u == (msg.w_u - key[-1]) % (1 << code.bits.w_u)
                 assert in_bin[int("".join(map(str, xt)), 2)]  # the truth is in its bin
                 cand = np.flatnonzero(in_bin)
@@ -494,10 +495,11 @@ class TestExactSmallN:
         t = exact_message_table(code, model)
         p_seq, law = _message_law_by_loops(code, model)
         np.testing.assert_allclose(t.p_sequence, p_seq, rtol=1e-14, atol=0.0)
-        assert len(set(t.messages)) == len(t.messages)
-        assert set(t.messages) == set().union(*law)
+        messages = [tuple(m) for m in t.messages.tolist()]
+        assert len(set(messages)) == len(messages)
+        assert set(messages) == set().union(*law)
         for row, probs in zip(_dense(t), law):
-            want = np.array([probs.get(m, 0.0) for m in t.messages])
+            want = np.array([probs.get(m, 0.0) for m in messages])
             np.testing.assert_allclose(row, want, rtol=1e-14, atol=1e-17)
 
     @pytest.mark.parametrize("n", [None, 3])
@@ -513,6 +515,11 @@ class TestExactSmallN:
         row_sums = np.bincount(t.row, weights=t.prob, minlength=rows)
         np.testing.assert_allclose(row_sums, 1.0, rtol=0.0, atol=1e-12)
         np.testing.assert_array_equal(np.unique(t.column), np.arange(len(t.messages)))
+        # The messages: five int64 fields, rows strictly increasing in
+        # lexicographic order.
+        assert t.messages.dtype == np.int64 and t.messages.shape == (len(t.messages), 5)
+        messages = [tuple(m) for m in t.messages.tolist()]
+        assert all(a < b for a, b in zip(messages, messages[1:]))
 
     def test_exact_leakage_memory_stays_with_the_cells(self, binary_model, binary_full6):
         # The dense (|Xt|^n, C) law at binary n = 12 alone took about 57 MB
@@ -600,10 +607,10 @@ def _message_law_by_loops(code, model):
                 if code.mode == "key_slot":
                     m = (f_v, w_v, f_u, w_u, (k_u + key[0]) % (1 << bits.k_u))
                 elif code.mode == "pad_u":
-                    m = (f_v, w_v, f_u, (w_u + key[0]) % (1 << bits.w_u), None)
+                    m = (f_v, w_v, f_u, (w_u + key[0]) % (1 << bits.w_u), 0)
                 else:
                     m = (f_v, (w_v + key[0]) % (1 << bits.w_v), f_u,
-                         (w_u + key[1]) % (1 << bits.w_u), None)
+                         (w_u + key[1]) % (1 << bits.w_u), 0)
                 probs[m] = probs.get(m, 0.0) + p_path / len(keys)
         law.append(probs)
     return np.array(p_seq), law

@@ -234,16 +234,6 @@ def test_convexified_trace_replaces_point_above_chord():
     ]
 
 
-def test_cardinality_bounds_enforced_on_extension(binary_joint):
-    from secsource.probability import ModelError, StochasticMatrix
-    from secsource.regions import AuxScheme, extend_with_auxiliaries
-
-    big = AuxScheme.from_channels(StochasticMatrix.constant(2, 26))
-    with pytest.raises(ModelError):
-        extend_with_auxiliaries(binary_joint, big)
-    extend_with_auxiliaries(binary_joint, big, enforce_cardinality=False)
-
-
 INSTANCE = Path(__file__).resolve().parents[1] / "demos" / "models" / "binary_instance.json"
 
 
