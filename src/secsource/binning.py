@@ -85,6 +85,7 @@ from .regions import (
     DistortionMetric,
     Regime,
     _leakages,
+    _reconstruction_map,
     _require_axes,
     optimal_reconstruction,
     r_prime,
@@ -352,12 +353,11 @@ def design_code(
     p_v_given_u = _conditional(full.marginal_table((AX_U, AX_V)))
 
     if reconstruction is not None:
-        recon = np.array(reconstruction, dtype=int)
+        recon = _reconstruction_map(reconstruction)
         if recon.shape != (u_size, full.size_of(AX_Y)):
             raise DimensionError("reconstruction map must be (|U|, |Y|)")
     elif metric is not None:
         recon, _ = optimal_reconstruction(full, metric)
-        recon = np.array(recon, dtype=int)
     elif u_size == full.size_of(AX_XT):
         recon = np.tile(np.arange(u_size)[:, None], (1, full.size_of(AX_Y)))
     else:
@@ -617,33 +617,19 @@ def collision_free_probability(log2_count_including_truth: float, bits: int) -> 
     """P(no competitor lands in the transmitted bin) for i.i.d. uniform bins.
 
     The competitor count N is the at-least-as-likely count minus the truth;
-    the probability is (1 - 2^-bits)^N.
+    the probability is (1 - 2^-bits)^N = exp(-2^e) with
+    e = log2 N + log2(-ln(1 - 2^-bits)), each term taken in a form that keeps
+    full precision: log2 N = L + log2(1 - 2^-L) from L = log2(N + 1), and
+    -ln(1 - 2^-bits) = 2^-bits to double precision above 60 bits.
     """
     log2n = log2_count_including_truth
     if log2n <= 1e-12:
         return 1.0  # truth only
-    # log2(N - 1) from log2(N)
-    if log2n < 50.0:
-        n_comp = 2.0**log2n - 1.0
-        if n_comp <= 0.0:
-            return 1.0
-        log2_comp = math.log2(n_comp)
-    else:
-        n_comp = math.inf
-        log2_comp = log2n
     if bits == 0:
         return 0.0
-    r = log2_comp - bits
-    if r > 40.0:
-        return 0.0
-    if r < -40.0:
-        return 1.0
-    if math.isfinite(n_comp):
-        base = math.log1p(-(2.0**-bits)) if bits < 1070 else -(2.0**-bits)
-        return math.exp(n_comp * base)
-    # N >= 2^50: (1 - 2^-bits)^N = exp(-N 2^-bits (1 + O(2^-bits))) = exp(-2^r)
-    # to double precision wherever the result is not negligible.
-    return math.exp(-(2.0**r))
+    log2_comp = log2n + math.log2(-math.expm1(-log2n * math.log(2.0)))
+    log2_rate = -bits if bits > 60 else math.log2(-math.log1p(-(2.0**-bits)))
+    return math.exp(-(2.0 ** min(log2_comp + log2_rate, 64.0)))
 
 
 def _layer_success_probability(
@@ -697,6 +683,9 @@ def run_experiment(
     if model.xtilde_size != code.p_u_given_xtilde.shape[0]:
         raise DimensionError("model Xt alphabet does not match the code")
     metric = metric if metric is not None else DistortionMetric.hamming(model.xtilde_size)
+    if code.reconstruction.max() >= metric.table.shape[1]:
+        raise DimensionError(f"reconstruction map entry {code.reconstruction.max()} is outside "
+                             f"the metric's {metric.table.shape[1]} reconstruction symbols")
 
     engine = "explicit" if code.materialized else "collision"
     # The pooled type of (q, v, u, xt, x, y, z) with a one-symbol Q.

@@ -99,10 +99,7 @@ def parse_aux(path: PathLike) -> AuxScheme:
     p_u = _matrix(data, "p_u_given_xtilde", "aux")
     p_v = _matrix(data, "p_v_given_u", "aux") if "p_v_given_u" in data else None
     p_q = _matrix(data, "p_q_given_v", "aux") if "p_q_given_v" in data else None
-    recon = None
-    if "reconstruction" in data:
-        recon = np.array(data["reconstruction"], dtype=int)
-    return AuxScheme.from_channels(p_u, p_v, p_q, recon)
+    return AuxScheme.from_channels(p_u, p_v, p_q, data.get("reconstruction"))
 
 
 def parse_channel_pair(path: PathLike) -> tuple[StochasticMatrix, StochasticMatrix]:

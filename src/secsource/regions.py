@@ -15,14 +15,14 @@ numerically: ``trace_region`` minimizes one rate (storage, secrecy leakage or
 privacy leakage) over the rows of the conditional-pmf matrices with
 multi-start exponentiated-gradient (KL mirror) descent, one step rule for all
 three objectives.  ``_SchemeEvaluator`` computes the same bounds as
-``lossy_point`` from pairwise source marginals and the raw matrices without
-building the joint, each term as the entropy of a table linear in each
-matrix, and gives the descent their analytic gradient.  Its storage rate
-and distortion take one P(U|Xt) matrix or a stack of them and give a matrix
-the same bits alone as in any stack.  An exhaustive simplex-grid oracle,
-``grid_minimum_storage``, is available for desk-scale certification of the
-storage search: it scores the grid a fixed-size block of cells at a time, so
-its memory is bounded by the block, and its first argmin is the one a
+``lossy_point`` from the raw matrices and three source tables taken straight
+from the ``SourceModel``, building no joint, each term as the entropy of a
+table linear in each matrix, and gives the descent their analytic gradient.
+Its storage rate and distortion take one P(U|Xt) matrix or a stack of them
+and give a matrix the same bits alone as in any stack.  The no-key form, the
+search and the exhaustive simplex-grid oracle, ``grid_minimum_storage``, take
+the model; the oracle certifies the storage search at desk scale, scoring the
+grid a block of cells at a time, and its first argmin is the one a
 cell-by-cell scan returns, bit for bit.
 """
 
@@ -49,6 +49,7 @@ from .probability import (
     ModelError,
     SourceModel,
     StochasticMatrix,
+    _frozen_array,
     build_joint,
     compositions,
     entropy_bits,
@@ -114,6 +115,15 @@ class DistortionMetric:
         return DistortionMetric(t)
 
 
+def _reconstruction_map(values) -> np.ndarray:
+    """``values`` as a read-only integer array, refusing any entry that is not
+    a non-negative integer (a cast would truncate or wrap it)."""
+    arr = np.asarray(values, dtype=float)
+    if not np.all((arr >= 0.0) & (arr < 2.0**63) & (arr == np.floor(arr))):  # NaN fails too
+        raise ModelError("reconstruction entries must be non-negative integers")
+    return _frozen_array(arr, dtype=int)
+
+
 @dataclass(frozen=True)
 class AuxScheme:
     """Layered auxiliary channels plus an optional reconstruction map.
@@ -137,10 +147,9 @@ class AuxScheme:
         if self.p_q_given_v.input_size != self.v_size:
             raise DimensionError("P(Q|V) input size must equal |V|")
         if self.reconstruction is not None:
-            recon = np.array(self.reconstruction, dtype=int)
+            recon = _reconstruction_map(self.reconstruction)
             if recon.ndim != 2 or recon.shape[0] != self.u_size:
                 raise DimensionError("reconstruction map must be (|U|, |Y|)")
-            recon.setflags(write=False)
             object.__setattr__(self, "reconstruction", recon)
 
     @property
@@ -402,7 +411,7 @@ def lossless_point(
 
 
 def corollary_point(
-    joint: JointPmf, aux_u: StochasticMatrix, metric: DistortionMetric
+    model: SourceModel, aux_u: StochasticMatrix, metric: DistortionMetric
 ) -> RateTuple:
     """No-key bounds when the eavesdropper is less noisy than the decoder:
     rw = I(U;Xt) - I(U;Y), rs = I(U;Xt) - I(U;Z), rl = I(U;X) - I(U;Z).
@@ -410,15 +419,13 @@ def corollary_point(
     The caller is responsible for the less-noisy ordering (see
     ``channels.check_stochastic_degraded`` for a sufficient certificate);
     under it this equals the small-key ``lossy_point`` with constant V, Q and
-    r0 = 0.  Evaluated by the scheme evaluator, which never forms the joint
-    with U, so it stays cheap on the finely quantized models of the Gaussian
-    bridge.
+    r0 = 0.  Evaluated by the scheme evaluator, which builds no joint, so it
+    stays cheap on the finely quantized models of the Gaussian bridge.
     """
-    _require_axes(joint, SOURCE_AXES, "corollary_point")
-    if aux_u.input_size != joint.size_of(AX_XT):
+    if aux_u.input_size != model.xtilde_size:
         raise DimensionError("P(U|Xt) input size must equal |Xt|")
     nu = aux_u.output_size
-    rep = _SchemeEvaluator(joint, metric).evaluate(
+    rep = _SchemeEvaluator(model, metric).evaluate(
         aux_u.rows, np.ones((nu, 1)), np.ones((1, 1)), 0.0
     )
     # At r0 = 0 the small-key leakages are the corollary's plus R'.  In the
@@ -496,17 +503,24 @@ class _SchemeEvaluator:
     """The bounds of ``lossy_point`` straight from the raw rows of P(U|Xt),
     P(V|U) and P(Q|V), without forming the joint with the auxiliaries.
 
-    Built once per (joint, metric) from P(Xt,Y), P(Xt,Z) and P(Xt,X,Z); every
-    term is the entropy of a small table over the auxiliaries and one source
-    variable (``_TERMS``).  ``evaluate`` and the descent's ``penalized`` share
-    that term list, and ``penalized`` also gives the gradient.  ``storage``
-    gives the storage rate and the optimal-map distortion, which depend on
-    P(U|Xt) only, for one matrix or a stack of them, with the same bits for a
-    matrix alone as in any stack (``_sum_over_xt``).
+    Built once per (model, metric) from P(Xt,Y), P(Xt,Z) and P(Xt,X,Z), each
+    one einsum over the source channels (the largest has |Xt|·|X|·|Z| cells);
+    every term is the entropy of a small table over the auxiliaries and one
+    source variable (``_TERMS``).  ``evaluate`` and the descent's
+    ``penalized`` share that term list, and ``penalized`` also gives the
+    gradient.  ``storage`` gives the storage rate and the optimal-map
+    distortion, which depend on P(U|Xt) only, for one matrix or a stack of
+    them, with the same bits for a matrix alone as in any stack
+    (``_sum_over_xt``).
     """
 
-    def __init__(self, joint: JointPmf, metric: DistortionMetric):
-        self.p_xt_y = joint.marginal_table((AX_XT, AX_Y))  # (Xt, Y)
+    def __init__(self, model: SourceModel, metric: DistortionMetric):
+        if metric.xtilde_size != model.xtilde_size:
+            raise DimensionError("distortion table rows must match |Xt|")
+        # Sums of build_joint's cells P(x)P(xt|x)P(y,z|x), none of them held.
+        self.p_xt_y, self.p_xt_z, p_xt_x_z = (
+            np.einsum("x,xa,xyz->" + out, model.px.probs, model.meas_enc.rows, model.yz_table())
+            for out in ("ay", "az", "axz"))
         self.p_xt = self.p_xt_y.sum(axis=1)
         self.h_y = entropy_bits(self.p_xt_y.sum(axis=0))
         self.h_xt = entropy_bits(self.p_xt)
@@ -515,8 +529,7 @@ class _SchemeEvaluator:
         self.storage_core = np.concatenate(
             [np.einsum("ay,ab->ayb", self.p_xt_y, metric.table), self.p_xt_y[:, :, None]], axis=2
         )
-        self.p_xt_z = joint.marginal_table((AX_XT, AX_Z))  # (Xt, Z)
-        self.p_xt_xz = joint.marginal_table((AX_XT, AX_X, AX_Z)).reshape(self.p_xt.size, -1)
+        self.p_xt_xz = p_xt_x_z.reshape(self.p_xt.size, -1)
         self.h_z = entropy_bits(self.p_xt_z.sum(axis=0))
         self.sources = {"a": self.p_xt, "ay": self.p_xt_y, "az": self.p_xt_z, "ak": self.p_xt_xz}
         # The source entropies of each leakage: H(Xt) - H(Z) and H(X,Z) - H(Z).
@@ -698,7 +711,7 @@ def simplex_grid(size: int, step: float) -> np.ndarray:
 
 
 def grid_minimum_storage(
-    joint: JointPmf,
+    model: SourceModel,
     metric: DistortionMetric,
     target_d: float,
     u_size: int,
@@ -718,15 +731,14 @@ def grid_minimum_storage(
     block, so the first cell of least rw among those with
     ``dist <= D + 1e-12`` is the one a cell-by-cell scan returns, bit for bit.
     """
-    _require_axes(joint, SOURCE_AXES, "grid_minimum_storage")
-    nxt = joint.size_of(AX_XT)
+    nxt = model.xtilde_size
     cells = math.comb(int(round(1.0 / step)) + u_size - 1, u_size - 1) ** nxt
     if cells > GRID_CELL_LIMIT:
         raise ModelError(
             f"the grid at |U| = {u_size}, step {step} and |Xt| = {nxt} has {cells:.3g} "
             f"cells, above the limit of {GRID_CELL_LIMIT:.3g}; lower |U| or coarsen the step"
         )
-    obj = _SchemeEvaluator(joint, metric)
+    obj = _SchemeEvaluator(model, metric)
     rows = simplex_grid(u_size, step)
     best = math.inf
     best_t: Optional[np.ndarray] = None
@@ -815,10 +827,10 @@ def trace_region(
     if not math.isfinite(r0) or not all(math.isfinite(d) for d in targets):
         raise ModelError(f"r0 and the distortion targets must be finite, got r0={r0!r} "
                          f"and targets {list(targets)}")
-    joint = build_joint(model)
-    nxt = joint.size_of(AX_XT)
+    nxt = model.xtilde_size
     nu, nv, nq = cfg.resolved_sizes(nxt)
-    obj = _SchemeEvaluator(joint, metric)
+    obj = _SchemeEvaluator(model, metric)
+    joint = build_joint(model)  # for lossy_point's reports only
     anchor = _anchor_u_rows(nxt, nu)
     uniform = [np.full((nu, nv), 1.0 / nv), np.full((nv, nq), 1.0 / nq)]
     # The storage search moves P(U|Xt) alone; a leakage search all three.
@@ -834,7 +846,7 @@ def trace_region(
     carry: Optional[list[np.ndarray]] = None
     for target in sorted(targets):
         if cfg.method == "grid":
-            _, best_t = grid_minimum_storage(joint, metric, target, nu, cfg.grid_step)
+            _, best_t = grid_minimum_storage(model, metric, target, nu, cfg.grid_step)
             candidates = [[best_t, *uniform]]
         else:
             candidates = [carry] if carry is not None else []

@@ -138,7 +138,7 @@ def test_criterion_3_cross_formula_consistency():
         rep = lossy_point(full, 0.0, metric)
         if rep.r_prime != 0.0 or rep.regime != "small_key":
             continue
-        pt = corollary_point(joint, aux_u, metric)
+        pt = corollary_point(model, aux_u, metric)
         for attr in ("rw", "rs", "rl", "d"):
             ok &= abs(getattr(pt, attr) - getattr(rep.bounds, attr)) <= 1e-9
         matched += 1
@@ -147,12 +147,12 @@ def test_criterion_3_cross_formula_consistency():
     assert ok
 
 
-def test_criterion_4_search_oracle_equivalence(binary_model, binary_joint):
+def test_criterion_4_search_oracle_equivalence(binary_model):
     metric = DistortionMetric.hamming(2)
     targets = (0.05, 0.10, 0.15)
     start = time.monotonic()
     grid_values = {
-        d: grid_minimum_storage(binary_joint, metric, d, u_size=3, step=0.05)[0]
+        d: grid_minimum_storage(binary_model, metric, d, u_size=3, step=0.05)[0]
         for d in targets
     }
     cfg = SearchConfig(restarts=12, seed=2024, u_size=3, v_size=1, q_size=1)

@@ -320,8 +320,7 @@ class TestCollisionMath:
     def test_collision_free_probability_large_counts(self):
         # (1 - 2^-b)^N -> exp(-N 2^-b): N = 2^60 competitors in 2^60 bins.
         assert collision_free_probability(60.0, 60) == pytest.approx(math.exp(-1.0), rel=1e-12)
-        # Continuous across the switch to the asymptotic form at N = 2^50,
-        # and equal on both sides to the exact log1p form.
+        # Near N = 2^50 it equals the exact log1p form.
         for log2n in (50.0 - 1e-6, 50.0 - 1e-12, 50.0, 50.0 + 1e-12, 50.0 + 1e-6):
             for bits in (48, 50, 52):
                 want = math.exp((2.0**log2n - 1.0) * math.log1p(-(2.0**-bits)))

@@ -349,6 +349,28 @@ class TestCommands:
         assert not out.exists()
         assert "reconstruction map must be (|U|, |Y|)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("recon, message", [
+        # A -1 once wrapped to the last symbol, a 5 ended in an IndexError
+        # traceback and fractions were truncated to 0 and 1.
+        ([[0, -1], [1, 1]], "reconstruction entries must be non-negative integers"),
+        ([[0, 5], [1, 1]], "reconstruction map entry 5 is outside the metric's 2"),
+        ([[0.9, 0.2], [1.7, 1]], "reconstruction entries must be non-negative integers"),
+    ])
+    def test_simulate_rejects_malformed_reconstruction_map(self, tmp_path, capsys, recon,
+                                                           message):
+        aux = tmp_path / "aux.json"
+        data = json.loads(Path(DEMO_AUX).read_text())
+        aux.write_text(json.dumps({**data, "reconstruction": recon}))
+        out = tmp_path / "never.csv"
+        rc = cli.main(["simulate", "--model", DEMO_MODEL, "--aux", str(aux), "--n", "12",
+                       "--epsilon", "0.1", "--trials", "20", "--output", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("simulate: error: ") and message in line
+
     def test_lossless_region_identity_aux_matches_default(self, tmp_path):
         # The identity aux file's constant P(V|U), read as P(V|Xt), is the
         # default constant V layer.

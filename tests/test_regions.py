@@ -152,12 +152,12 @@ class TestLossyPoint:
             assert rep.regime == "large_key"
             assert rep.bounds.rs == 0.0 and rep.bounds.rl == 0.0
 
-    def test_scheme_evaluator_matches_reference(self, binary_joint):
+    def test_scheme_evaluator_matches_reference(self, binary_model, binary_joint):
         # The searches score schemes with _SchemeEvaluator; it must reproduce
         # lossy_point on the 7-axis joint in every regime.
         rng = np.random.default_rng(41)
         metric = DistortionMetric.hamming(2)
-        evaluator = _SchemeEvaluator(binary_joint, metric)
+        evaluator = _SchemeEvaluator(binary_model, metric)
         seen = set()
         for nu, nv, nq in ((3, 2, 2), (25, 5, 2)):
             for _ in range(8):
@@ -184,14 +184,24 @@ class TestLossyPoint:
                 assert at_low.regime == "middle_key" and at_high.regime == "large_key"
         assert seen == {"small_key", "middle_key", "large_key"}
 
+    def test_source_tables_have_the_joint_marginals_bits(self, binary_model, binary_joint):
+        # The evaluator sums build_joint's cells without holding them.  On the
+        # binary instance its tables keep the bits of the joint's marginals,
+        # so the searches return what they returned when built from the joint.
+        evaluator = _SchemeEvaluator(binary_model, DistortionMetric.hamming(2))
+        for table, axes in ((evaluator.p_xt_y, ("Xt", "Y")), (evaluator.p_xt_z, ("Xt", "Z")),
+                            (evaluator.p_xt_xz, ("Xt", "X", "Z"))):
+            want = binary_joint.marginal_table(axes)
+            np.testing.assert_array_equal(table, want.reshape(table.shape))
+
     def test_storage_same_bits_alone_and_in_a_stack(self):
         # The grid oracle scores blocks of cells at once; its argmin is the
         # one a cell-by-cell scan returns only if the evaluator gives each
         # P(U|Xt) the same bits alone as inside any stack.
         rng = np.random.default_rng(47)
         for nxt in (2, 3):
-            joint = build_joint(random_model(rng, nx=3, nxt=nxt, ny=3))
-            evaluator = _SchemeEvaluator(joint, DistortionMetric.hamming(nxt))
+            model = random_model(rng, nx=3, nxt=nxt, ny=3)
+            evaluator = _SchemeEvaluator(model, DistortionMetric.hamming(nxt))
             for nu in (2, 3, 9, 25):
                 grid = simplex_grid(nu, 0.25)  # rows with exact zeros
                 stack = np.concatenate([
@@ -206,21 +216,19 @@ class TestLossyPoint:
                     alone = evaluator.storage(t.copy())
                     assert alone[0] == rw[i] and alone[1] == dist[i]
 
-    def test_penalized_gradient_matches_central_differences(self, binary_joint):
+    def test_penalized_gradient_matches_central_differences(self, binary_model):
         # The mirror descent steps along the analytic gradient of
         # _SchemeEvaluator.penalized.  It must match central differences of
         # the same function in every regime, for rw and both leakages, with
         # the distortion penalty on and off, and with R' negative (Y better
         # than Z) as well as zero (Z better than Y, so R' must not enter).
-        swapped = build_joint(
-            SourceModel.from_channels(Pmf.uniform(2), bsc(0.1), bsc(0.3), bsc(0.1))
-        )
+        swapped = SourceModel.from_channels(Pmf.uniform(2), bsc(0.1), bsc(0.3), bsc(0.1))
         metric = DistortionMetric.hamming(2)
         rng = np.random.default_rng(43)
         step = 1e-6
         seen = set()
-        for joint, negative_rp in ((binary_joint, True), (swapped, False)):
-            evaluator = _SchemeEvaluator(joint, metric)
+        for model, negative_rp in ((binary_model, True), (swapped, False)):
+            evaluator = _SchemeEvaluator(model, metric)
             for nu, nv, nq in ((3, 2, 2), (25, 5, 2)):
                 # Rows half uniform: central differences lose accuracy on
                 # tiny probabilities (the third derivative of p log p is 1/p^2).
@@ -377,26 +385,26 @@ class TestLosslessPoint:
 
 
 class TestCorollaryPoint:
-    def test_null_auxiliary(self, binary_joint):
+    def test_null_auxiliary(self, binary_model, binary_joint):
         aux = StochasticMatrix.constant(2, 1)
         metric = DistortionMetric.hamming(2)
-        pt = corollary_point(binary_joint, aux, metric)
+        pt = corollary_point(binary_model, aux, metric)
         assert pt.rw == 0.0 and pt.rs == 0.0 and pt.rl == 0.0
         # D_max: no-encoder distortion = best constant / side-info-only guess.
         full = extend_with_auxiliaries(binary_joint, AuxScheme.from_channels(aux))
         _, dmax = optimal_reconstruction(full, metric)
         assert pt.d == pytest.approx(dmax, abs=1e-12)
 
-    def test_identity_auxiliary(self, binary_joint):
-        pt = corollary_point(binary_joint, StochasticMatrix.identity(2),
+    def test_identity_auxiliary(self, binary_model, binary_joint):
+        pt = corollary_point(binary_model, StochasticMatrix.identity(2),
                              DistortionMetric.hamming(2))
         h_xt_y = binary_joint.entropy(("Xt", "Y")) - binary_joint.entropy(("Y",))
         assert pt.rw == pytest.approx(h_xt_y, abs=1e-12)
         assert pt.d == 0.0
 
-    def test_bsc_auxiliary_direct_oracle(self, binary_joint):
+    def test_bsc_auxiliary_direct_oracle(self, binary_model, binary_joint):
         aux = bsc(0.15)
-        pt = corollary_point(binary_joint, aux, DistortionMetric.hamming(2))
+        pt = corollary_point(binary_model, aux, DistortionMetric.hamming(2))
         # Oracle: loop-built pairwise joints + plain-loop MI.
         t = aux.rows
         p_xt = binary_joint.marginal_table(("Xt",))
@@ -436,7 +444,7 @@ class TestCorollaryPoint:
             rep = lossy_point(full, 0.0, metric)
             if rep.r_prime != 0.0 or rep.regime != "small_key":
                 continue
-            pt = corollary_point(joint, aux_u, metric)
+            pt = corollary_point(model, aux_u, metric)
             for attr in ("rw", "rs", "rl", "d"):
                 assert getattr(pt, attr) == pytest.approx(
                     getattr(rep.bounds, attr), abs=1e-9

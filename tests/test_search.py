@@ -8,7 +8,7 @@ import pytest
 from conftest import h2, random_model
 from secsource import modelio, regions
 from secsource.probability import (
-    ModelError, Pmf, SourceModel, StochasticMatrix, bsc, build_joint,
+    DimensionError, JointPmf, ModelError, Pmf, SourceModel, StochasticMatrix, bsc, build_joint,
 )
 from secsource.regions import (
     AuxScheme,
@@ -75,11 +75,11 @@ def test_reported_point_matches_regime_report(binary_model):
     assert rep.bounds == p.rates
 
 
-def test_grid_method_matches_oracle(binary_model, binary_joint):
+def test_grid_method_matches_oracle(binary_model):
     cfg = SearchConfig(restarts=1, seed=0, u_size=3, v_size=1, q_size=1,
                        method="grid", grid_step=0.1)
     pts = trace_region(binary_model, 0.0, METRIC, [0.1], cfg)
-    best, _ = grid_minimum_storage(binary_joint, METRIC, 0.1, u_size=3, step=0.1)
+    best, _ = grid_minimum_storage(binary_model, METRIC, 0.1, u_size=3, step=0.1)
     assert pts[0].rates.rw == pytest.approx(best, abs=1e-12)
 
 
@@ -105,13 +105,13 @@ def test_simplex_grid_counts():
     np.testing.assert_array_equal(simplex_grid(3, 0.05), np.array(ticks, dtype=float) * 0.05)
 
 
-def _scalar_grid_scan(joint, metric, targets, u_size, step):
+def _scalar_grid_scan(model, metric, targets, u_size, step):
     """Reference oracle: every grid cell scored alone by the evaluator in
     odometer order (last Xt row fastest); per target the first cell with the
     smallest storage rate among those meeting D wins, or None."""
-    obj = regions._SchemeEvaluator(joint, metric)
+    obj = regions._SchemeEvaluator(model, metric)
     rows = simplex_grid(u_size, step)
-    nxt = joint.size_of("Xt")
+    nxt = model.xtilde_size
     best = dict.fromkeys(targets)
     idx = [0] * nxt
     while True:
@@ -129,36 +129,62 @@ def _scalar_grid_scan(joint, metric, targets, u_size, step):
             return best
 
 
-def _assert_grid_matches(joint, metric, targets, u_size, step):
+def _assert_grid_matches(model, metric, targets, u_size, step):
     """Check the oracle against the reference scan; returns the reference."""
-    want = _scalar_grid_scan(joint, metric, targets, u_size, step)
+    want = _scalar_grid_scan(model, metric, targets, u_size, step)
     for d in targets:
         if want[d] is None:
             with pytest.raises(InfeasibleTargetError):
-                grid_minimum_storage(joint, metric, d, u_size=u_size, step=step)
+                grid_minimum_storage(model, metric, d, u_size=u_size, step=step)
             continue
-        best, best_t = grid_minimum_storage(joint, metric, d, u_size=u_size, step=step)
+        best, best_t = grid_minimum_storage(model, metric, d, u_size=u_size, step=step)
         assert best == want[d][0]
         assert np.array_equal(best_t, want[d][1])
     return want
 
 
-def test_grid_oracle_matches_scalar_enumeration(binary_joint):
+def test_grid_oracle_matches_scalar_enumeration(binary_model):
     # Binary model, |U| = 3, step 0.05: 53,361 cells over many screening
     # blocks.  At D = 0.30 the 231 cells with two equal rows score rw = 0
     # within 1e-9, and 210 of them exactly: the first of these must win.
-    want = _assert_grid_matches(binary_joint, METRIC, (0.05, 0.10, 0.15, 0.30), 3, 0.05)
+    want = _assert_grid_matches(binary_model, METRIC, (0.05, 0.10, 0.15, 0.30), 3, 0.05)
     assert want[0.30][0] == 0.0
 
     # |Xt| = 3, |U| = 2, step 0.1: 11^3 cells, more than one block; D = 0.1
     # is out of reach of this grid.
     assert 11**3 > regions._GRID_BLOCK
-    joint = build_joint(random_model(np.random.default_rng(7), nx=3, nxt=3))
-    want = _assert_grid_matches(joint, DistortionMetric.hamming(3), (0.1, 0.2, 0.3), 2, 0.1)
+    model = random_model(np.random.default_rng(7), nx=3, nxt=3)
+    want = _assert_grid_matches(model, DistortionMetric.hamming(3), (0.1, 0.2, 0.3), 2, 0.1)
     assert want[0.1] is None
 
     # |U| = 1 cannot beat the no-encoder distortion.
-    assert _assert_grid_matches(binary_joint, METRIC, (0.05,), 1, 0.5)[0.05] is None
+    assert _assert_grid_matches(binary_model, METRIC, (0.05,), 1, 0.5)[0.05] is None
+
+
+def test_scheme_scoring_builds_no_joint(binary_model, monkeypatch):
+    # The no-key form and the grid oracle score from the source channels:
+    # neither forms the (Xt, X, Y, Z) joint nor reads a marginal of one.
+    def never(*args, **kwargs):
+        raise AssertionError("a joint was built")
+
+    monkeypatch.setattr(regions, "build_joint", never)
+    monkeypatch.setattr(JointPmf, "marginal_table", never)
+    monkeypatch.setattr(JointPmf, "__post_init__", never)
+    pt = regions.corollary_point(binary_model, bsc(0.15), METRIC)
+    best, _ = grid_minimum_storage(binary_model, METRIC, 0.1, u_size=3, step=0.1)
+    assert pt.rw > 0.0 and best > 0.0
+
+
+def test_metric_rows_must_match_xtilde(binary_model):
+    # A metric over three reconstruction rows for a binary Xt once failed
+    # with numpy's "operands could not be broadcast".
+    metric = DistortionMetric.hamming(3)
+    with pytest.raises(DimensionError, match="distortion table rows must match"):
+        trace_region(binary_model, 0.0, metric, [0.1], CFG)
+    with pytest.raises(DimensionError, match="distortion table rows must match"):
+        regions.corollary_point(binary_model, bsc(0.15), metric)
+    with pytest.raises(DimensionError, match="distortion table rows must match"):
+        grid_minimum_storage(binary_model, metric, 0.1, u_size=3, step=0.1)
 
 
 def test_search_config_validation():
