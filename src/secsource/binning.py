@@ -554,6 +554,14 @@ def _ml_in_bin(
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=16)
+def _log_factorials(bits: int) -> np.ndarray:
+    """ln k! = ``math.lgamma(k + 1)`` for k < 2**bits, read-only (cached)."""
+    table = np.array([math.lgamma(k + 1) for k in range(1 << bits)])
+    table.setflags(write=False)
+    return table
+
+
 def log2_competitor_count(
     per_pos_logp: np.ndarray, true_seq: np.ndarray, groups: np.ndarray
 ) -> float:
@@ -583,7 +591,7 @@ def log2_competitor_count(
         with np.errstate(invalid="ignore"):  # 0 * -inf; such types are set to -inf below
             ll_g = np.where(comps > 0, comps * lp[None, :], 0.0).sum(axis=1)
         ll_g[np.any((comps > 0) & np.isneginf(lp)[None, :], axis=1)] = -np.inf
-        log_fact = np.array([math.lgamma(k + 1) for k in range(n_g + 1)])
+        log_fact = _log_factorials(n_g.bit_length())
         logcnt_g = log_fact[n_g] - log_fact[comps].sum(axis=1)
         types.append((ll_g, logcnt_g))
 

@@ -14,12 +14,13 @@ The "for some scheme" existential in the region statement is resolved
 numerically: ``trace_region`` minimizes one rate (storage, secrecy leakage or
 privacy leakage) over the rows of the conditional-pmf matrices with
 multi-start exponentiated-gradient (KL mirror) descent, one step rule for all
-three objectives.  ``_SchemeEvaluator`` computes the same bounds as
-``lossy_point`` from the raw matrices and three source tables taken straight
-from the ``SourceModel``, building no joint, each term as the entropy of a
-table linear in each matrix, and gives the descent their analytic gradient.
-Its storage rate and distortion take one P(U|Xt) matrix or a stack of them
-and give a matrix the same bits alone as in any stack.  The no-key form, the
+three objectives, that moves all starts of a target as one stack.
+``_SchemeEvaluator`` computes the same bounds as ``lossy_point`` from the raw
+matrices and three source tables taken straight from the ``SourceModel``,
+building no joint, each term as the entropy of a table linear in each matrix,
+and gives the descent their analytic gradient.  It scores a stack of schemes
+and gives each the same bits alone as in any stack, so every start of the
+descent ends where it would end descended alone.  The no-key form, the
 search and the exhaustive simplex-grid oracle, ``grid_minimum_storage``, take
 the model; the oracle certifies the storage search at desk scale, scoring the
 grid a block of cells at a time, and its first argmin is the one a
@@ -332,12 +333,16 @@ def optimal_reconstruction(
 def reconstruction_distortion(
     full: JointPmf, metric: DistortionMetric, reconstruction: np.ndarray
 ) -> float:
-    """Expected distortion of a user-supplied (U, Y) -> Xhat map."""
+    """Expected distortion of a user-supplied (U, Y) -> Xhat map, whose
+    entries must be integers in the metric's reconstruction alphabet."""
     _require_axes(full, FULL_AXES, "reconstruction_distortion")
-    recon = np.asarray(reconstruction, dtype=int)
+    recon = _reconstruction_map(reconstruction)
     p = full.marginal_table((AX_U, AX_XT, AX_Y))
     if recon.shape != (p.shape[0], p.shape[2]):
         raise DimensionError("reconstruction map must be (|U|, |Y|)")
+    if recon.size and recon.max() >= metric.table.shape[1]:
+        raise DimensionError(f"reconstruction entries must be below |Xhat| = "
+                             f"{metric.table.shape[1]}")
     d = metric.table[:, recon]  # (Xt, U, Y)
     return float(np.einsum("uay,auy->", p, d))
 
@@ -456,12 +461,16 @@ _TERM_SPECS = (
 
 
 def _term(spec: str) -> tuple[str, tuple[str, int, str, list[str]]]:
-    """name -> (spec, number of matrices, source subscripts, adjoint spec per matrix)."""
+    """name -> (spec, number of matrices, source subscripts, adjoint spec per
+    matrix), the matrices, the table and each adjoint's result carrying a
+    leading stack axis (``...``) and the source table none."""
     ins, out = spec.split("->")
     ins = ins.split(",")
     k = len(ins) - 1
-    return out, (spec, k, ins[k], [
-        ",".join([out, *ins[:i], *ins[i + 1:]]) + "->" + ins[i] for i in range(k)])
+    mats, src = ["..." + m for m in ins[:k]], ins[k]
+    return out, (",".join([*mats, src]) + "->..." + out, k, src, [
+        ",".join(["..." + out, *mats[:i], *mats[i + 1:], src]) + "->" + mats[i]
+        for i in range(k)])
 
 
 _TERMS = dict(_term(spec) for spec in _TERM_SPECS)
@@ -506,12 +515,13 @@ class _SchemeEvaluator:
     Built once per (model, metric) from P(Xt,Y), P(Xt,Z) and P(Xt,X,Z), each
     one einsum over the source channels (the largest has |Xt|·|X|·|Z| cells);
     every term is the entropy of a small table over the auxiliaries and one
-    source variable (``_TERMS``).  ``evaluate`` and the descent's
-    ``penalized`` share that term list, and ``penalized`` also gives the
-    gradient.  ``storage`` gives the storage rate and the optimal-map
-    distortion, which depend on P(U|Xt) only, for one matrix or a stack of
-    them, with the same bits for a matrix alone as in any stack
-    (``_sum_over_xt``).
+    source variable (``_TERMS``).  ``bounds`` (and ``evaluate``, its one
+    scheme form) and the descent's ``penalized`` share that term list, and
+    ``penalized`` also gives the gradient.  ``storage`` gives the storage
+    rate and the optimal-map distortion, which depend on P(U|Xt) only.  Each
+    takes a stack of schemes and gives a scheme the same bits alone as in
+    any stack: sums over Xt run in index order (``_sum_over_xt``), and the
+    entropy of a leakage term is taken one scheme at a time.
     """
 
     def __init__(self, model: SourceModel, metric: DistortionMetric):
@@ -553,7 +563,8 @@ class _SchemeEvaluator:
         return tables
 
     def _gradient(self, mats: Sequence[np.ndarray], coefs: dict[str, float]) -> list[np.ndarray]:
-        """Gradient of sum_T coefs[T] H(T) with respect to each matrix."""
+        """Gradient of sum_T coefs[T] H(T) with respect to each matrix, for
+        one scheme or for each scheme of a stack."""
         grads = [np.zeros_like(m) for m in mats]
         for name, t in self._tables(mats, coefs).items():
             _, k, src, adjoints = _TERMS[name]
@@ -565,62 +576,103 @@ class _SchemeEvaluator:
         return grads
 
     def _distortion_gradient(self, pu: np.ndarray) -> np.ndarray:
-        """Subgradient of the distortion at ``pu``: the cost part of
-        ``storage_core`` read at the optimal map and summed over Y."""
-        best = _sum_over_xt(pu, self.storage_core)[..., :-1].argmin(axis=2)
-        return self.storage_core[:, np.arange(best.shape[1]), best].sum(axis=2)
+        """Subgradient of the distortion at ``pu`` (or at each matrix of a
+        stack): the cost part of ``storage_core`` read at the optimal map and
+        summed over Y."""
+        best = _sum_over_xt(pu, self.storage_core)[..., :-1].argmin(axis=-1)  # (..., U, Y)
+        cost = self.storage_core[:, np.arange(best.shape[-1]), best]  # (Xt, ..., U, Y)
+        return np.moveaxis(cost.sum(axis=-1), 0, -2)
+
+    def bounds(self, mats: Sequence[np.ndarray], r0: float):
+        """The bounds of ``evaluate`` for each scheme of the stacks ``mats``
+        (P(U|Xt), P(V|U) and P(Q|V) with a leading stack axis), at key rate
+        r0: the list of regimes and a dict of arrays over the stack, "t_low",
+        "r_prime", "rw" (= t_high), "rs", "rl" and "d".  Each table is formed
+        for the whole stack and its entropy taken one scheme at a time, so a
+        scheme gets the bits it gets alone; only the terms of the bounds some
+        scheme reports are taken."""
+        h: dict[str, np.ndarray] = {}
+
+        def bound(coefs: dict[str, float]) -> np.ndarray:
+            new = self._tables(mats, [name for name in coefs if name not in h])
+            h.update((name, np.array([entropy_bits(t) for t in tables]))
+                     for name, tables in new.items())
+            return sum(c * h[name] for name, c in coefs.items())
+
+        t_high, dist = self.storage(mats[0])
+        t_low = bound(_T_LOW)
+        t_low = np.where(t_low > 0.0, t_low, 0.0)
+        rp = bound(_R_DIFF)
+        rp = np.where(0.0 < rp, 0.0, rp)
+        keyed = r0 < t_high
+        small = keyed & ~(r0 >= t_low)
+        regimes: list[Regime] = ["small_key" if s else "middle_key" if k else "large_key"
+                                 for k, s in zip(keyed, small)]
+        shift = np.where(small, rp - r0, 0.0)
+        out = {"t_low": t_low, "r_prime": rp, "rw": t_high, "d": dist}
+        for o in ("rs", "rl"):
+            leak = np.zeros(len(t_high))
+            for regime, members in (("small_key", small), ("middle_key", keyed & ~small)):
+                if members.any():
+                    leak = np.where(members,
+                                    bound(_LEAKAGE[regime, o]) + self.leak_const[o] + shift, leak)
+            out[o] = np.where(leak > 0.0, leak, 0.0)
+        return regimes, out
 
     def evaluate(
         self, pu: np.ndarray, pv: np.ndarray, pq: np.ndarray, r0: float
     ) -> RegimeReport:
-        """``lossy_point`` for the scheme with these rows, at key rate r0.
-        Only the terms of the bounds it reports are taken."""
-        h: dict[str, float] = {}
+        """``lossy_point`` for the scheme with these rows, at key rate r0."""
+        (regime,), b = self.bounds([pu[None], pv[None], pq[None]], r0)
+        b = {name: float(v[0]) for name, v in b.items()}
+        return RegimeReport(regime, b["t_low"], b["rw"], b["r_prime"],
+                            RateTuple(rw=b["rw"], rs=b["rs"], rl=b["rl"], d=b["d"]))
 
-        def bound(coefs: dict[str, float]) -> float:
-            new = self._tables((pu, pv, pq), [name for name in coefs if name not in h])
-            h.update((name, entropy_bits(t)) for name, t in new.items())
-            return sum(c * h[name] for name, c in coefs.items())
+    def penalized(self, mats: Sequence[np.ndarray], r0: float, objectives: Sequence[str],
+                  target_d: float, penalty: np.ndarray):
+        """The descent's objective for a stack of schemes: the rate
+        ``objectives[i]`` of scheme i of ``mats`` plus
+        ``penalty[i] * max(0, d - D)``.  ``mats`` are stacks (a leading
+        stack axis) of P(U|Xt) alone when every objective is rw, and of all
+        three matrices when each is a leakage.
 
-        t_high, dist = (float(v) for v in self.storage(pu))
-        t_low = _clamp(bound(_T_LOW))
-        rp = min(bound(_R_DIFF), 0.0)
-        rs = rl = 0.0
-        regime: Regime = "large_key"
-        if r0 < t_high:
-            regime = "middle_key" if r0 >= t_low else "small_key"
-            shift = rp - r0 if regime == "small_key" else 0.0
-            rs, rl = (_clamp(bound(_LEAKAGE[regime, o]) + self.leak_const[o] + shift)
-                      for o in ("rs", "rl"))
-        bounds = RateTuple(rw=t_high, rs=rs, rl=rl, d=dist)
-        return RegimeReport(regime, t_low, t_high, rp, bounds)
-
-    def penalized(self, mats: Sequence[np.ndarray], r0: float, objective: str,
-                  target_d: float, penalty: float):
-        """The descent's objective: the ``objective`` rate of the scheme
-        ``mats`` (P(U|Xt) alone for rw) plus ``penalty * max(0, d - D)``.
-
-        Returns its value, the distortion and a function that gives the
-        gradient with respect to each matrix.  Only the active regime's terms
-        enter; R' enters when it is negative and a clamped rate not at all.
+        Returns the values and distortions, arrays over the stack, and a
+        function that gives, for the stack members ``idx``, the gradient with
+        respect to each matrix.  Only the active regime's terms enter; R'
+        enters when it is negative and a clamped rate not at all.  Each
+        member gets the bits it would get alone (``storage``, ``bounds``),
+        and the gradient is taken at once for the members that share their
+        terms.  (The einsum adjoint into a 1 x 1 matrix may round otherwise
+        in a stack; a one-column matrix never moves, so the descent's
+        iterates keep their bits.)
         """
-        if objective == "rw":
+        if "rw" in objectives:
             rate, dist = self.storage(mats[0])
-            coefs = _T_HIGH
+            terms = [tuple(_T_HIGH.items()) if r > 0.0 else () for r in rate]
         else:
-            report = self.evaluate(*mats, r0)
-            rate, dist = getattr(report.bounds, objective), report.bounds.d
-            coefs = dict(_LEAKAGE.get((report.regime, objective), {}))
-            if report.regime == "small_key" and report.r_prime < 0.0:
-                coefs.update(_R_DIFF)
+            regimes, b = self.bounds(mats, r0)
+            rate, dist = np.where([o == "rs" for o in objectives], b["rs"], b["rl"]), b["d"]
+            terms = []
+            for regime, objective, r, leak in zip(regimes, objectives, b["r_prime"], rate):
+                coefs = dict(_LEAKAGE.get((regime, objective), {}))
+                if regime == "small_key" and r < 0.0:
+                    coefs.update(_R_DIFF)
+                terms.append(tuple(coefs.items()) if leak > 0.0 else ())
 
-        def gradient() -> list[np.ndarray]:
-            grads = self._gradient(mats, coefs if rate > 0.0 else {})
-            if dist > target_d:
-                grads[0] += penalty * self._distortion_gradient(mats[0])
+        def gradient(idx: np.ndarray) -> list[np.ndarray]:
+            sub = [m[idx] for m in mats]
+            grads = [np.zeros_like(m) for m in sub]
+            for coefs in dict.fromkeys(terms[i] for i in idx if terms[i]):
+                members = [j for j, i in enumerate(idx) if terms[i] == coefs]
+                for grad, g in zip(grads, self._gradient([m[members] for m in sub], dict(coefs))):
+                    grad[members] = g
+            hot = dist[idx] > target_d
+            if hot.any():
+                grads[0][hot] += (penalty[idx][hot, None, None]
+                                  * self._distortion_gradient(sub[0][hot]))
             return grads
 
-        return rate + penalty * max(0.0, dist - target_d), dist, gradient
+        return rate + penalty * np.maximum(0.0, dist - target_d), dist, gradient
 
 
 def _anchor_u_rows(nxt: int, nu: int) -> np.ndarray:
@@ -632,73 +684,110 @@ def _anchor_u_rows(nxt: int, nu: int) -> np.ndarray:
     return t
 
 
-def _exp_step(m: np.ndarray, g: np.ndarray, eta: float) -> np.ndarray:
-    """M * exp(-eta G) with rows renormalized; exact zeros stay zero."""
+def _exp_step(m: np.ndarray, g: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """M * exp(-eta G) with rows renormalized, for each matrix of a stack with
+    its own step size (``eta`` broadcast against the stack); exact zeros stay
+    zero."""
     z = np.where(m > 0.0, -eta * g, -np.inf)
-    w = m * np.exp(z - z.max(axis=1, keepdims=True))
-    return w / w.sum(axis=1, keepdims=True)
+    w = m * np.exp(z - z.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def _mirror_descent(
-    obj: _SchemeEvaluator, mats: list[np.ndarray], r0: float, objective: str, target_d: float,
+    obj: _SchemeEvaluator, mats: list[np.ndarray], r0: float, objectives: Sequence[str],
+    target_d: float,
 ) -> list[np.ndarray]:
     """Exponentiated-gradient (KL mirror) descent of ``obj.penalized`` over
-    row-stochastic matrices, all moved at once by ``_exp_step``.
+    row-stochastic matrices, all of a scheme's matrices moved at once by
+    ``_exp_step``, from every start of the stacks ``mats`` (a leading start
+    axis) together, start i descending ``objectives[i]``.
 
     Each step tries twice the last accepted size and halves it until the
-    Armijo condition holds.  A run stops after ``_MAX_ITERS`` steps or once
-    a step gains less than ``_CONVERGENCE_TOL``; while the result misses
-    the target, the penalty (from 32) grows eightfold, up to six times.
+    Armijo condition holds.  A start stops after ``_MAX_ITERS`` steps or
+    once a step gains less than ``_CONVERGENCE_TOL``; while its result
+    misses the target, its penalty (from 32) grows eightfold, up to six
+    times.  Each start keeps its own value, distortion, penalty, step size
+    and counts, and the starts move in lockstep ticks: one ``penalized``
+    call scores every trial point and every start entering a penalty level,
+    and one gradient call serves the starts that accepted a step or entered
+    a level.  A start leaves the stack when its last level ends, with the
+    bits it would get descended alone.
     """
-    penalty, eta = 32.0, 1.0
-    for _ in range(6):  # penalty escalations
-        value, dist, gradient = obj.penalized(mats, r0, objective, target_d, penalty)
-        for _ in range(_MAX_ITERS):
-            grads = gradient()
-            eta *= 2.0
-            while eta > 1e-12:
-                trial = [_exp_step(m, g, eta) for m, g in zip(mats, grads)]
-                t_value, t_dist, t_gradient = obj.penalized(trial, r0, objective, target_d, penalty)
-                slope = sum(float(np.sum(g * (m - t))) for g, m, t in zip(grads, mats, trial))
-                if t_value <= value - 1e-4 * slope:
-                    break
-                eta *= 0.5
-            else:
-                break  # no step size decreases the objective
-            gain = value - t_value
-            mats, value, dist, gradient = trial, t_value, t_dist, t_gradient
-            if gain < _CONVERGENCE_TOL:
-                break
-        if dist <= target_d + 1e-9:
-            break
-        penalty *= 8.0
+    mats = [m.copy() for m in mats]
+    trial = [np.empty_like(m) for m in mats]
+    grads = [np.empty_like(m) for m in mats]
+    n = len(mats[0])
+    value, dist = np.empty(n), np.empty(n)
+    penalty, eta = np.full(n, 32.0), np.ones(n)
+    iters, levels = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    entering, stepping = np.arange(n), np.arange(0)  # to score at the point, at the trial
+    while entering.size or stepping.size:
+        k = entering.size
+        scored = np.concatenate([entering, stepping])
+        p_value, p_dist, gradient = obj.penalized(
+            [np.concatenate([m[entering], t[stepping]]) for m, t in zip(mats, trial)],
+            r0, [objectives[i] for i in scored], target_d, penalty[scored])
+        value[entering], dist[entering] = p_value[:k], p_dist[:k]
+        t_value, t_dist = p_value[k:], p_dist[k:]
+        # The Armijo test of each trial point against its start's point.
+        slope = sum((g[stepping] * (m[stepping] - t[stepping])).reshape(len(stepping), m[0].size)
+                    .sum(axis=1) for g, m, t in zip(grads, mats, trial))
+        ok = t_value <= value[stepping] - 1e-4 * slope
+        accepted, rejected = stepping[ok], stepping[~ok]
+        gain = value[accepted] - t_value[ok]
+        for m, t in zip(mats, trial):
+            m[accepted] = t[accepted]
+        value[accepted], dist[accepted] = t_value[ok], t_dist[ok]
+        iters[accepted] += 1
+        going = (gain >= _CONVERGENCE_TOL) & (iters[accepted] < _MAX_ITERS)
+        # A gradient where a start entered a level or goes on stepping.
+        fresh = np.concatenate([np.arange(k), k + np.flatnonzero(ok)[going]])
+        moved = scored[fresh]
+        for g, new in zip(grads, gradient(fresh)):
+            g[moved] = new
+        eta[moved] *= 2.0
+        eta[rejected] *= 0.5
+        tried = np.concatenate([rejected, moved])
+        live = eta[tried] > 1e-12
+        stepping = tried[live]
+        for m, g, t in zip(mats, grads, trial):
+            t[stepping] = _exp_step(m[stepping], g[stepping], eta[stepping, None, None])
+        # Starts whose level ended: done once on target or after six levels.
+        ended = np.concatenate([accepted[~going], tried[~live]])
+        levels[ended] += 1
+        entering = ended[(dist[ended] > target_d + 1e-9) & (levels[ended] < 6)]
+        penalty[entering] *= 8.0
+        iters[entering] = 0
     return mats
 
 
 def _repair_feasibility(
     obj: _SchemeEvaluator, t: np.ndarray, anchor: np.ndarray, target_d: float
-) -> Optional[np.ndarray]:
-    """Blend toward the zero-distortion anchor until the target is met
-    exactly, so that rounding in the reported distortion stays far inside
-    the 1e-9 the searches allow.  Each step reads the distortion half of
-    ``obj.storage`` alone: the rate's entropies would double its cost."""
+) -> list[Optional[np.ndarray]]:
+    """Blend each P(U|Xt) matrix of the stack ``t`` that misses the target
+    toward the zero-distortion anchor until it meets it exactly, so that
+    rounding in the reported distortion stays far inside the 1e-9 the
+    searches allow; None where even the anchor misses.  All the misses are
+    bisected together, 60 steps each, with the bits each gets alone.  Each
+    step reads the distortion half of ``obj.storage`` alone: the rate's
+    entropies would double its cost."""
 
-    def dist(m: np.ndarray) -> float:
+    def dist(m: np.ndarray) -> np.ndarray:
         return _least_cost(_sum_over_xt(m, obj.storage_core)[..., :-1])
 
-    if dist(t) <= target_d:
-        return t
-    if dist(anchor) > target_d:
-        return None
-    lo, hi = 0.0, 1.0
+    out: list[Optional[np.ndarray]] = list(t)
+    miss = np.flatnonzero(dist(t) > target_d) if out else []
+    if not len(miss) or dist(anchor) > target_d:
+        return [None if i in miss else m for i, m in enumerate(out)]
+    ends = t[miss]
+    lo, hi = np.zeros(len(miss)), np.ones(len(miss))
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        blend = (1.0 - mid) * t + mid * anchor
-        if dist(blend) <= target_d:
-            hi = mid
-        else:
-            lo = mid
-    return (1.0 - hi) * t + hi * anchor
+        ok = dist((1.0 - mid)[:, None, None] * ends + mid[:, None, None] * anchor) <= target_d
+        hi, lo = np.where(ok, mid, hi), np.where(ok, lo, mid)
+    for i, m in zip(miss, (1.0 - hi)[:, None, None] * ends + hi[:, None, None] * anchor):
+        out[i] = m
+    return out
 
 
 def simplex_grid(size: int, step: float) -> np.ndarray:
@@ -819,8 +908,12 @@ def trace_region(
     The storage search moves P(U|Xt) and reports uniform V and Q rows.  A
     leakage search descends every start for both leakage objectives and keeps
     the least requested leakage, so it never returns a scheme worse than one
-    the other leakage's search finds.  A result that misses the target is
-    blended toward the anchor until it meets it.
+    the other leakage's search finds.  All starts of a target (every start
+    and leakage pair of a leakage search) descend as one stack, and each
+    gets the bits it would get descended alone; the results that miss the
+    target are then blended toward the anchor until they meet it, again as
+    one stack.  The candidates keep the order of start, then objective, and
+    the first of least rate wins.
     """
     if not targets:
         raise ValueError("targets must be non-empty")
@@ -839,8 +932,12 @@ def trace_region(
     else:
         objectives, mix, moving = (cfg.objective, "rl" if cfg.objective == "rs" else "rs"), 0.5, 3
 
-    def rate(mats: list[np.ndarray]) -> float:
-        return getattr(obj.evaluate(*mats, r0).bounds, cfg.objective)
+    def rates(candidates: list[list[np.ndarray]]) -> np.ndarray:
+        """The configured rate of every candidate, scored as one stack."""
+        stack = [np.stack(m) for m in zip(*candidates)]
+        if cfg.objective == "rw":
+            return obj.storage(stack[0])[0]
+        return obj.bounds(stack, r0)[1][cfg.objective]
 
     points: list[TracePoint] = []
     carry: Optional[list[np.ndarray]] = None
@@ -860,19 +957,21 @@ def trace_region(
                 if restart == 0:
                     starts.append([(1.0 - mix) * anchor + mix / nu, *mats[1:]])
                 starts.append(mats)
-            for start in starts:
-                for objective in objectives:
-                    mats = _mirror_descent(obj, start[:moving], r0, objective, target)
-                    mats += start[moving:]
-                    repaired = _repair_feasibility(obj, mats[0], anchor, target)
-                    if repaired is not None:
-                        candidates.append([repaired, *mats[1:]])
+            # Every (start, objective) pair descends in one stack.
+            pairs = [(start, objective) for start in starts for objective in objectives]
+            run = _mirror_descent(
+                obj, [np.stack([start[j] for start, _ in pairs]) for j in range(moving)],
+                r0, [objective for _, objective in pairs], target)
+            repaired = _repair_feasibility(obj, run[0], anchor, target)
+            candidates += [[pu, *(m[i] for m in run[1:]), *start[moving:]]
+                           for i, (pu, (start, _)) in enumerate(zip(repaired, pairs))
+                           if pu is not None]
         if not candidates:
             raise InfeasibleTargetError(
                 f"no feasible scheme found for distortion target {target} "
                 f"with |U| = {nu}"
             )
-        carry = min(candidates, key=rate)
+        carry = candidates[int(np.argmin(rates(candidates)))]  # the first least, as min() picks
         scheme = AuxScheme(*(StochasticMatrix(m) for m in carry))
         report = lossy_point(extend_with_auxiliaries(joint, scheme), r0, metric)
         points.append(TracePoint(target, report.bounds, scheme, report))

@@ -299,6 +299,16 @@ class TestCollisionMath:
         with pytest.raises(ValueError):
             comps[0, 0] = 1
 
+    def test_log_factorials_cached_read_only(self):
+        from secsource.binning import _log_factorials
+
+        table = _log_factorials(10)
+        assert not table.flags.writeable
+        assert _log_factorials(10) is table
+        assert table.tolist() == [math.lgamma(k + 1) for k in range(1 << 10)]  # bit for bit
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
     def test_log2_sum_exp_matches_scipy(self):
         rng = np.random.default_rng(4)
         for size in (1, 7, 200):

@@ -25,7 +25,7 @@ from secsource.regions import (
     simplex_grid,
     _SchemeEvaluator,
 )
-from secsource.probability import ModelError
+from secsource.probability import DimensionError, ModelError
 
 
 def _random_aux(rng, nxt, nu=None, nv=2, nq=2) -> AuxScheme:
@@ -140,6 +140,19 @@ class TestOptimalReconstruction:
             user = rng.integers(0, 2, size=(3, 2))
             assert best <= reconstruction_distortion(full, metric, user) + 1e-12
 
+    def test_user_map_refused_outside_the_alphabet(self, binary_joint):
+        # A cast once let -1 wrap to the last symbol (0.13 here) and
+        # truncated fractions (0.0 here); entries past the metric's columns
+        # once raised numpy's IndexError.
+        full = extend_with_auxiliaries(binary_joint, AuxScheme.identity(2))
+        metric = DistortionMetric.hamming(2)
+        assert reconstruction_distortion(full, metric, [[0, 0], [1, 1]]) == 0.0
+        for recon in ([[0, -1], [1, 1]], [[0.9, 0.2], [1.7, 1]], [[0, np.nan], [1, 1]]):
+            with pytest.raises(ModelError, match="non-negative integers"):
+                reconstruction_distortion(full, metric, recon)
+        with pytest.raises(DimensionError, match=r"below \|Xhat\| = 2"):
+            reconstruction_distortion(full, metric, [[0, 2], [1, 1]])
+
 
 class TestLossyPoint:
     def test_large_key_exact_zeros(self, binary_joint):
@@ -245,11 +258,16 @@ class TestLossyPoint:
                                    (hi + 0.1, d - 0.01)):
                     seen.add(evaluator.evaluate(*mats, r0).regime)
                     for objective, ms in (("rw", mats[:1]), ("rs", mats), ("rl", mats)):
-                        def value():
-                            return evaluator.penalized(ms, r0, objective, target, 3.0)[0]
+                        # A stack of one scheme (views, so the steps below show).
+                        stack = [m[None] for m in ms]
 
-                        grads = evaluator.penalized(ms, r0, objective, target, 3.0)[2]()
-                        for m, g in zip(ms, grads):
+                        def value():
+                            return evaluator.penalized(stack, r0, [objective], target,
+                                                       np.array([3.0]))[0][0]
+
+                        grads = evaluator.penalized(stack, r0, [objective], target,
+                                                    np.array([3.0]))[2]([0])
+                        for m, g in zip(ms, (g[0] for g in grads)):
                             for idx in np.ndindex(m.shape):
                                 x = m[idx]
                                 m[idx] = x + step

@@ -214,6 +214,128 @@ def test_sizes_above_sufficient_bounds_refused_before_search(binary_model, monke
             trace_region(binary_model, 0.0, METRIC, [0.1], cfg)
 
 
+def _starts(rng, sizes, count):
+    """``count`` starts (Dirichlet rows of P(U|Xt), P(V|U), P(Q|V)) as stacks,
+    the first nearly the anchor, as the search starts."""
+    mats = [rng.dirichlet(np.ones(n_out), size=(count, n_in))
+            for n_in, n_out in zip(sizes, sizes[1:])]
+    mats[0][0] = 0.999 * regions._anchor_u_rows(sizes[0], sizes[1]) + 1e-3 / sizes[1]
+    return mats
+
+
+def _descend_alone(obj, mats, r0, objective, target_d):
+    """One start's descent, step by step: the rule that the stacked
+    ``_mirror_descent`` applies to every start of its stack."""
+    def penalized(ms, penalty):
+        value, dist, gradient = obj.penalized([m[None] for m in ms], r0, [objective], target_d,
+                                              np.array([penalty]))
+        return value[0], dist[0], lambda: [g[0] for g in gradient([0])]
+
+    penalty, eta = 32.0, 1.0
+    for _ in range(6):  # penalty levels
+        value, dist, gradient = penalized(mats, penalty)
+        for _ in range(regions._MAX_ITERS):
+            grads = gradient()
+            eta *= 2.0
+            while eta > 1e-12:
+                trial = [regions._exp_step(m, g, eta) for m, g in zip(mats, grads)]
+                t_value, t_dist, t_gradient = penalized(trial, penalty)
+                slope = sum(float(np.sum(g * (m - t))) for g, m, t in zip(grads, mats, trial))
+                if t_value <= value - 1e-4 * slope:
+                    break
+                eta *= 0.5
+            else:
+                break  # no step size decreases the objective
+            gain = value - t_value
+            mats, value, dist, gradient = trial, t_value, t_dist, t_gradient
+            if gain < regions._CONVERGENCE_TOL:
+                break
+        if dist <= target_d + 1e-9:
+            break
+        penalty *= 8.0
+    return mats
+
+
+@pytest.mark.parametrize("case", ["binary-u3", "binary-default", "ternary"])
+def test_stacked_descent_matches_each_start_alone(binary_model, case):
+    # All starts of a target move as one stack, and each must end on the
+    # matrices it reaches descended alone, bit for bit: for the storage
+    # objective, which moves P(U|Xt), and for both leakages, which move all
+    # three matrices (the search stacks the two leakages together).  The
+    # cases take a start through penalty levels and rejected steps, and let
+    # the starts leave the stack at different ticks.
+    rng = np.random.default_rng(61)
+    model, (nu, nv, nq) = {
+        "binary-u3": (binary_model, (3, 2, 2)),
+        "binary-default": (binary_model, regions.default_cardinalities(2)),
+        "ternary": (random_model(rng, nx=3, nxt=3, ny=3), (4, 2, 2)),
+    }[case]
+    nxt = model.xtilde_size
+    obj = regions._SchemeEvaluator(model, DistortionMetric.hamming(nxt))
+    mats = _starts(rng, (nxt, nu, nv, nq), 5)
+    for r0, objectives, moving, target in ((0.3, ["rw"] * 5, 1, 0.05),
+                                           (0.3, ["rw"] * 5, 1, 0.12),
+                                           (0.0, ["rs", "rl", "rs", "rl", "rs"], 3, 0.05),
+                                           (0.1, ["rl", "rs", "rl", "rs", "rl"], 3, 0.15)):
+        stack = regions._mirror_descent(obj, mats[:moving], r0, objectives, target)
+        for i, objective in enumerate(objectives):
+            alone = _descend_alone(obj, [m[i] for m in mats[:moving]], r0, objective, target)
+            for m, a in zip(stack, alone):
+                np.testing.assert_array_equal(m[i], a)
+        assert not np.array_equal(stack[0], mats[0])  # the starts moved
+
+
+def _repair_alone(obj, t, anchor, target_d):
+    """One matrix's feasibility repair, step by step: the bisection that the
+    stacked ``_repair_feasibility`` applies to every miss of its stack."""
+    def dist(m):
+        return obj.storage(m)[1]
+
+    if dist(t) <= target_d:
+        return t
+    if dist(anchor) > target_d:
+        return None
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if dist((1.0 - mid) * t + mid * anchor) <= target_d:
+            hi = mid
+        else:
+            lo = mid
+    return (1.0 - hi) * t + hi * anchor
+
+
+def test_stacked_repair_matches_each_alone(binary_model):
+    obj = regions._SchemeEvaluator(binary_model, METRIC)
+    rng = np.random.default_rng(67)
+    t = rng.dirichlet(np.ones(3), size=(8, 2))
+    anchor = regions._anchor_u_rows(2, 3)
+    t[3] = anchor  # meets every target as it is
+    dist = obj.storage(t)[1]
+    # The last anchor misses 0.05, so only the matrices that meet it stay.
+    for far, target in ((anchor, 0.0), (anchor, 0.05), (anchor, float(np.median(dist))),
+                        (np.full((2, 3), 1.0 / 3), 0.05)):
+        repaired = regions._repair_feasibility(obj, t, far, target)
+        assert len(repaired) == len(t)
+        for m, r in zip(t, repaired):
+            alone = _repair_alone(obj, m, far, target)
+            if alone is None:
+                assert r is None
+            else:
+                np.testing.assert_array_equal(r, alone)
+                assert obj.storage(r)[1] <= target
+    assert sum(r is None for r in repaired) == np.count_nonzero(dist > 0.05) > 0
+
+
+def test_empty_stack(binary_model):
+    obj = regions._SchemeEvaluator(binary_model, METRIC)
+    empty = [np.empty((0, 2, 3)), np.empty((0, 3, 2)), np.empty((0, 2, 2))]
+    for objectives, moving in (([], 1), ([], 3)):
+        out = regions._mirror_descent(obj, empty[:moving], 0.0, objectives, 0.1)
+        assert [m.shape for m in out] == [m.shape for m in empty[:moving]]
+    assert regions._repair_feasibility(obj, empty[0], regions._anchor_u_rows(2, 3), 0.1) == []
+
+
 def test_generic_objective_path(binary_model):
     for objective, r0 in (("rs", 0.0), ("rl", 0.1)):
         cfg = SearchConfig(restarts=2, seed=5, u_size=2, v_size=1, q_size=1,
