@@ -55,10 +55,18 @@ for r0 in (0.0, 0.3, 0.6, 1.2, 2.0):
           f"leak_privacy={rep.leak_privacy:.4f}")
 
 # --- exact small-blocklength checks ------------------------------------------
-print("\nexact finite-n leakage at n = 10 (enumeration, r0 = 0):")
-c10 = design_code(full6, n=10, epsilon=0.03, r0=0.0, seed=4)
-leak = exact_leakage(c10, model)
-print(f"  I(Xt^n; W | Z^n)/n = {leak.secrecy:.4f}   I(X^n; W | Z^n)/n = {leak.privacy:.4f}")
+# At r0 = 0 the key slot is empty: the single-letter targets are
+# H(Xt|Z) + R' and I(Xt;X|Z) + R', with R' = min(I(Xt;Z) - I(Xt;Y), 0).
+r_prime = min(joint.mutual_information(("Xt",), ("Z",))
+              - joint.mutual_information(("Xt",), ("Y",)), 0.0)
+target_s = joint.entropy(("Xt", "Z")) - joint.entropy(("Z",)) + r_prime
+target_p = joint.mutual_information(("Xt",), ("X",), ("Z",)) + r_prime
+print("\nexact finite-n leakage (enumeration, r0 = 0) against the single-letter targets:")
+print(f"  target: secrecy {target_s:.4f}   privacy {target_p:.4f}")
+for n in (10, 12, 14):
+    c = design_code(full6, n=n, epsilon=0.03, r0=0.0, seed=4)
+    leak = exact_leakage(c, model)
+    print(f"  n={n}:   I(Xt^n; W | Z^n)/n = {leak.secrecy:.4f}   I(X^n; W | Z^n)/n = {leak.privacy:.4f}")
 
 print("\nfull-pad regime at n = 6: the message is exactly uniform:")
 c6 = design_code(full6, n=6, epsilon=0.15, r0=2.0, seed=5)

@@ -53,17 +53,18 @@ for small blocklengths.  It enumerates P(message | xt^n) over every
 (sequence, auxiliary path, key) triple (at most ``ENUMERATION_BUDGET`` of
 them), tabulates the (xt^n, message) cells they reach with one stable sort
 of the five field arrays, and applies the per-letter laws P(xt, z) and
-P(xt, x) to blocks of that law a few letters at a time, in O(n m^n C)
-arithmetic for C messages and m = max(|Xt|, |Z|, |X|), without building any
-|Xt|^n x |Z|^n or |Xt|^n x C table; its working arrays are capped at
-``LEAKAGE_CELL_LIMIT`` cells per message.
+P(xt, x) a few letters at a time, per message only over the positions where
+the sequences reaching it disagree (the rest factor out, the source being
+memoryless): at most O(n m^n C) arithmetic for C messages and
+m = max(|Xt|, |Z|, |X|), with no |Xt|^n x |Z|^n or |Xt|^n x C table; its
+working arrays are capped at ``LEAKAGE_CELL_LIMIT`` cells per message.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Literal, Optional, Sequence
 
 import numpy as np
@@ -106,7 +107,7 @@ _PADS: dict[str, tuple[Regime, tuple[str, ...]]] = {
 
 MATERIALIZE_LIMIT = 1 << 14   # largest sequence space kept as explicit tables
 ENUMERATION_BUDGET = 5_000_000  # cells in composition cross-products / exact sums
-LEAKAGE_CELL_LIMIT = 64_000_000  # cells per message column in exact_leakage's working arrays
+LEAKAGE_CELL_LIMIT = 64_000_000  # m^max|D_w|: cells per message in exact_leakage's widest block
 # Working-block size of exact_leakage: 120 KiB per float64 array.  Each block
 # allocates about 20 arrays of up to that size.  Above glibc's default mmap
 # threshold (128 KiB, raised only after a larger mapped chunk is freed) every
@@ -871,40 +872,52 @@ def exact_leakage(code: BinningCode, model: SourceModel) -> ExactLeakage:
     source block and private randomness).  The public indices F are part of
     W here, matching what the eavesdropper observes.
 
-    H(Xt^n, W) is the entropy of the cells of P(Xt^n, W) themselves.
-    P(Z^n, W) and P(X^n, W) come from the cells of P(W | Xt^n) by applying
-    the per-letter joints P(Xt, Z) and P(Xt, X) a few letters at a time to
-    blocks of message columns, each scattered into a zeroed (|Xt|^n, width)
-    array, so no |Xt|^n x |Z|^n or |Xt|^n x C table is built and the cost
-    is O(n m^n C) arithmetic with m = max(|Xt|, |Z|, |X|), against
-    O(|Xt|^n |Z|^n C) for the Kronecker product.  Each conditional entropy
-    is a joint entropy minus n times a per-letter one.  The widest working
-    array has m^n cells per column; it must not exceed
-    ``LEAKAGE_CELL_LIMIT``.  The message table itself is bounded by the
-    enumeration budget of ``exact_message_table``.
+    H(Xt^n, W) is the entropy of the cells of P(Xt^n, W) themselves.  For
+    A = Z and A = X, the sequences that reach message w share a letter s_i
+    at each position i outside the set D_w where they disagree, and the
+    source is memoryless, so P(a^n, w) = prod_{i not in D_w} P(s_i, a_i)
+    times B_w(a on D_w), the sum over xt on D_w of prod_{i in D_w}
+    P(xt_i, a_i) P(w | xt^n).  Its entropy over a^n is H(c_w B_w) +
+    P(w) sum_{i not in D_w} H(A | Xt = s_i), with c_w = prod_{i not in D_w}
+    P(s_i).  c_w B_w comes from applying P(Xt, A) a few letters at a time
+    to blocks of messages of equal |D_w|, each a zeroed (|Xt|^|D_w|, width)
+    array; |D_w| = n is the unfactored sum.  The cost is about
+    sum_w |D_w| m^|D_w| with m = max(|Xt|, |Z|, |X|), at most the
+    O(n m^n C) of the unfactored sum over C messages; no |Xt|^n x |Z|^n or
+    |Xt|^n x C table is built.  Each conditional entropy is a joint entropy
+    minus n times a per-letter one.  The widest block has m^max|D_w| cells
+    per message, at most ``LEAKAGE_CELL_LIMIT``; the message table is
+    bounded by the enumeration budget of ``exact_message_table``.
     """
     t = exact_message_table(code, model)
     n = code.n
-    widest = max(model.xtilde_size, model.z_size, model.x_size) ** n
-    if widest > LEAKAGE_CELL_LIMIT:
-        raise BinningScaleError("exact leakage working arrays exceed the budget")
-
+    q = model.xtilde_size
+    m = max(q, model.z_size, model.x_size)
     p_x_xt = model.px.probs[:, None] * model.meas_enc.rows        # (X, Xt)
     p_xt_z = p_x_xt.T @ model.p_z_given_x().rows                   # (Xt, Z)
+    p_xt = p_x_xt.sum(axis=0)
+    joint_cells = t.p_sequence[t.row] * t.prob
+    h_xt_w = entropy_bits(joint_cells)
+    spread, firsts, rank, sub, value, count = _cells_by_spread(t, joint_cells, p_xt, n)
+    if m ** int(spread[-1]) > LEAKAGE_CELL_LIMIT:
+        raise BinningScaleError("exact leakage working arrays exceed the budget")
 
+    # The factors outside D_w: sum_s count[s] H(A | Xt = s).
+    h_z_w = float(count @ entropy_bits(_conditional(p_xt_z), axis=1))
+    h_x_w = float(count @ entropy_bits(_conditional(p_x_xt.T), axis=1))
     to_z = _letter_powers(p_xt_z, n)
     to_x = _letter_powers(p_x_xt.T, n)
-    h_xt_w = entropy_bits(t.p_sequence[t.row] * t.prob)
-    h_z_w = h_x_w = 0.0
-    n_cols = len(t.messages)
-    step = max(1, _LEAKAGE_BLOCK_CELLS // widest)
-    ends = np.searchsorted(t.column, np.arange(0, n_cols + step, step))
-    for start, lo, hi in zip(range(0, n_cols, step), ends, ends[1:]):
-        block = np.zeros((t.p_sequence.size, min(step, n_cols - start)))
-        block[t.row[lo:hi], t.column[lo:hi] - start] = t.prob[lo:hi]
-        h_z_w += entropy_bits(_apply_per_letter(block, to_z))
-        h_x_w += entropy_bits(_apply_per_letter(block, to_x))
-    h_w_given_xt = h_xt_w - n * entropy_bits(p_x_xt.sum(axis=0))
+    widths, group_ends = np.unique(spread, return_index=True)
+    for d, g0, g1 in zip(widths.tolist(), group_ends, np.append(group_ends[1:], spread.size)):
+        step = max(1, _LEAKAGE_BLOCK_CELLS // m**d)
+        for start in range(g0, g1, step):
+            lo, hi = firsts[start], firsts[min(start + step, g1)]
+            block = np.zeros((q**d, min(step, g1 - start)))
+            block[sub[lo:hi], rank[lo:hi] - start] = value[lo:hi]
+            # Transposed, the result is contiguous: entropy_bits reads it uncopied.
+            h_z_w += entropy_bits(_apply_per_letter(block, to_z, d).T)
+            h_x_w += entropy_bits(_apply_per_letter(block, to_x, d).T)
+    h_w_given_xt = h_xt_w - n * entropy_bits(p_xt)
     h_w_given_z = h_z_w - n * entropy_bits(p_xt_z.sum(axis=0))
     h_w_given_x = h_x_w - n * entropy_bits(model.px.probs)
     secrecy = (h_w_given_z - h_w_given_xt) / n
@@ -912,28 +925,96 @@ def exact_leakage(code: BinningCode, model: SourceModel) -> ExactLeakage:
     return ExactLeakage(secrecy=max(0.0, secrecy), privacy=max(0.0, privacy))
 
 
-def _letter_powers(joint: np.ndarray, n: int) -> list[np.ndarray]:
-    """Kronecker powers of ``joint`` (Xt, A) covering n letters, transposed.
+def _cells_by_spread(
+    t: ExactMessageTable, joint_cells: np.ndarray, p_xt: np.ndarray, n: int
+) -> tuple[np.ndarray, ...]:
+    """The cells of ``t`` in (|D_w|, column) order: |D_w| per column
+    (ascending), each column's first cell and the cell count, and per cell
+    its column's rank, its index over D_w and P(w | xt^n) prod_{i not in
+    D_w} P(s_i); also count[s], the sum over w of P(w) (from
+    ``joint_cells``) times the positions outside D_w that carry s."""
+    q = p_xt.size
+    n_cols = len(t.messages)
+    starts = np.searchsorted(t.column, np.arange(n_cols))  # each column's first cell
+    members = np.diff(np.append(starts, t.row.size))
+    shared, sub = _shared_letters(t.row, starts, members, q, n)
+    count = np.add.reduceat(joint_cells, starts) @ shared
+    spread = n - shared.sum(axis=1)
+    by_spread = np.argsort(spread, kind="stable")
+    spread, sizes = spread[by_spread], members[by_spread]
+    firsts = np.cumsum(sizes) - sizes
+    rank, prob = t.column, t.prob
+    # A table whose |D_w| never falls from one column to the next (a fully
+    # padded code's) is in order already.
+    if np.any(by_spread[1:] < by_spread[:-1]):
+        order = np.repeat(starts[by_spread] - firsts, sizes) + np.arange(t.row.size)
+        rank = np.repeat(np.arange(n_cols), sizes)
+        sub, prob = sub[order], prob[order]
+    firsts = np.append(firsts, t.row.size)
+    # The columns with letters in common come first.
+    k = np.searchsorted(spread, n)
+    mass = np.prod(p_xt ** shared[by_spread[:k]], axis=1)
+    value = np.concatenate([prob[:firsts[k]] * np.repeat(mass, sizes[:k]), prob[firsts[k]:]])
+    return spread, firsts, rank, sub, value, count
 
-    Each power spans as many letters as keeps it within
-    ``_LETTER_POWER_SIZE`` rows and columns: few wide steps beat n narrow
-    ones, since each step is one pass over the working block.
+
+def _shared_letters(
+    row: np.ndarray, starts: np.ndarray, members: np.ndarray, q: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per column (cells ``starts[c]`` on, ``members[c]`` of them, rows in
+    ``row``): how many positions outside D_w carry each letter, (C, q); per
+    cell: its index over its column's D_w, big-endian.  Positions are
+    checked one at a time; a column of more than q^(n-1) members agrees
+    nowhere and keeps its rows."""
+    letters = np.full((starts.size, n), q, dtype=np.min_scalar_type(q))  # q: in D_w
+    cols = np.flatnonzero(members <= q ** (n - 1))
+    sub = row
+    if cols.size:
+        sizes = members[cols]
+        heads = np.cumsum(sizes) - sizes                 # first cell of each checked column
+        cells = np.repeat(starts[cols] - heads, sizes) + np.arange(sizes.sum())
+        local = np.repeat(np.arange(cols.size), sizes)  # checked column of each cell
+        lead = row[starts[cols]]
+        index = np.zeros(cells.size, dtype=row.dtype)
+        for i in range(n):
+            weight = q ** (n - 1 - i)
+            digit = row[cells] // weight % q
+            shared = lead // weight % q
+            apart = np.logical_or.reduceat(digit != shared[local], heads)
+            letters[cols, i] = np.where(apart, q, shared)
+            index = np.where(apart[local], index * q + digit, index)
+        sub = row.copy()
+        sub[cells] = index
+    return np.stack([np.count_nonzero(letters == s, axis=1) for s in range(q)], axis=1), sub
+
+
+def _letter_powers(joint: np.ndarray, n: int) -> list[np.ndarray]:
+    """Kronecker powers 1, 2, ..., k of ``joint`` (Xt, A), transposed.
+
+    k is the most letters, at most n, that keep a power within
+    ``_LETTER_POWER_SIZE`` rows and columns: few wide steps beat many
+    narrow ones, since each step is one pass over the working block.
     """
     width = max(joint.shape)
-    k = 1
-    while k < n and width ** (k + 1) <= _LETTER_POWER_SIZE:
-        k += 1
-    return [reduce(np.kron, [joint] * min(k, n - done)).T for done in range(0, n, k)]
+    powers = [joint]
+    while len(powers) < n and width ** (len(powers) + 1) <= _LETTER_POWER_SIZE:
+        last = powers[-1]  # np.kron(last, joint), without its overhead
+        powers.append((last[:, None, :, None] * joint[None, :, None, :]).reshape(
+            last.shape[0] * joint.shape[0], -1))
+    return [p.T for p in powers]
 
 
-def _apply_per_letter(block: np.ndarray, powers: list[np.ndarray]) -> np.ndarray:
-    """sum over xt^n of prod_i joint[xt_i, a_i] * block[xt^n, c].
+def _apply_per_letter(block: np.ndarray, powers: list[np.ndarray], d: int) -> np.ndarray:
+    """sum over xt^d of prod_i joint[xt_i, a_i] * block[xt^d, c].
 
-    ``block`` rows are indexed by the big-endian digits of xt^n.  Each power
-    from ``_letter_powers`` contracts the leading digits and rotates the new
-    ones to the back, so the result has axes (c, a_1, ..., a_n).
+    ``block`` rows are indexed by the big-endian digits of xt^d.  Each step
+    applies the widest power from ``_letter_powers`` that the remaining
+    letters allow: it contracts the leading digits and rotates the new ones
+    to the back, so the result has axes (c, a_1, ..., a_d).
     """
     out = block
-    for power in powers:
+    k = len(powers)
+    for done in range(0, d, k):
+        power = powers[min(k, d - done) - 1]
         out = (power @ out.reshape(power.shape[1], -1)).T
     return out

@@ -6,9 +6,9 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
 
 from conftest import h2, random_model, star
+from secsource import binning
 from secsource.binning import (
     _log2_sum_exp,
     BinningRates,
@@ -283,7 +283,7 @@ class TestCollisionMath:
                                 for row in comps])
                 lls = (lls[:, None] + ll[None, :]).ravel()
                 logcounts = (logcounts[:, None] + cnt[None, :]).ravel()
-            want = logsumexp(logcounts[lls >= t - 1e-6]) / math.log(2.0)
+            want = _log_sum_exp(logcounts[lls >= t - 1e-6]) / math.log(2.0)
             got = log2_competitor_count(logp, true_seq, groups)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-9)
 
@@ -310,6 +310,7 @@ class TestCollisionMath:
             table[0] = 1.0
 
     def test_log2_sum_exp_matches_scipy(self):
+        logsumexp = pytest.importorskip("scipy.special").logsumexp
         rng = np.random.default_rng(4)
         for size in (1, 7, 200):
             terms = rng.normal(scale=300.0, size=size)
@@ -489,13 +490,57 @@ class TestExactSmallN:
         assert abs(leak.privacy - target_p) <= 0.1
 
     @pytest.mark.parametrize("case", ["key_slot", "pad_u", "pad_all", "stochastic_v",
-                                      "stochastic_pad", "ternary"])
+                                      "stochastic_pad", "ternary", "ternary_z", "ternary_x"])
     def test_exact_leakage_matches_kronecker_formula(self, case, binary_model):
         code, model = _leakage_case(case, binary_model, n=None)
         leak = exact_leakage(code, model)
         want_s, want_p = _kronecker_leakage(code, model)
         assert leak.secrecy == pytest.approx(max(0.0, want_s), abs=1e-12)
         assert leak.privacy == pytest.approx(max(0.0, want_p), abs=1e-12)
+
+    @pytest.mark.parametrize("first", ["full", "single"])
+    def test_exact_leakage_single_member_and_full_columns(self, first, binary_model,
+                                                          binary_full6, monkeypatch):
+        # A hand-made law at n = 4: each block sends 0.5 to a message all 16
+        # blocks share (|D_w| = 4), 0.3 to a message of its own (|D_w| = 0)
+        # and 0.2 to one it shares with the block that differs in the last
+        # letter (|D_w| = 1).  With the full column first the cells are
+        # reordered by |D_w|; with it last they are in that order already.
+        code = design_code(binary_full6, n=4, epsilon=0.1, r0=0.0, seed=1)
+        t = exact_message_table(code, binary_model)
+        rows = np.arange(16)
+        full = np.zeros(16, dtype=int) if first == "full" else np.full(16, 24)
+        shift = 1 if first == "full" else 0
+        column = np.concatenate([full, rows + shift, rows // 2 + 16 + shift])
+        row = np.tile(rows, 3)
+        prob = np.repeat([0.5, 0.3, 0.2], 16)
+        order = np.lexsort((row, column))
+        law = dataclasses.replace(t, row=row[order], column=column[order], prob=prob[order],
+                                  messages=np.arange(25 * 5).reshape(25, 5))
+        monkeypatch.setattr(binning, "exact_message_table", lambda code, model: law)
+        leak = exact_leakage(code, binary_model)
+        want_s, want_p = _kronecker_leakage(code, binary_model, law)
+        assert want_s > 0.1 and want_p > 0.1
+        assert leak.secrecy == pytest.approx(want_s, abs=1e-12)
+        assert leak.privacy == pytest.approx(want_p, abs=1e-12)
+
+    def test_exact_leakage_pinned_at_n13_and_n14(self, binary_model, binary_full6):
+        # Values of the unfactored sum, which took each column over all
+        # |Xt|^n blocks; the whole call, message table included, stays
+        # within a few MiB (the dense (|Xt|^n, C) law at n = 14 is ~0.9 GB).
+        pins = {13: (0.8511473856437799, 0.3867526248930797),
+                14: (0.8586565535865682, 0.39305432520837436)}
+        for n, (secrecy, privacy) in pins.items():
+            code = design_code(binary_full6, n=n, epsilon=0.03, r0=0.0, seed=0)
+            tracemalloc.start()
+            try:
+                leak = exact_leakage(code, binary_model)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert leak.secrecy == pytest.approx(secrecy, abs=1e-12)
+            assert leak.privacy == pytest.approx(privacy, abs=1e-12)
+            assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("case", ["key_slot", "pad_u", "pad_all", "stochastic_v",
                                       "stochastic_pad", "ternary"])
@@ -556,6 +601,12 @@ def _leakage_case(case, binary_model, n):
         model = random_model(np.random.default_rng(18), nx=2, nxt=3, ny=2, nz=2)
         full = _full6(model)
         return design_code(full, n=n or 5, epsilon=0.1, r0=0.4, seed=19), model
+    if case in ("ternary_z", "ternary_x"):
+        # |Z| = 3 or |X| = 3 over a binary Xt: the leakage's working blocks
+        # are |Z|^d or |X|^d wide, not |Xt|^d.
+        size = {"ternary_z": {"nz": 3}, "ternary_x": {"nx": 3}}[case]
+        model = random_model(np.random.default_rng(30), **size)
+        return design_code(_full6(model), n=n or 6, epsilon=0.1, r0=0.4, seed=19), model
     if case in ("stochastic_v", "stochastic_pad"):
         # Four (v, u) pairs per letter: 4^n auxiliary paths per block.
         r0 = 0.0 if case == "stochastic_v" else 3.0
@@ -569,6 +620,12 @@ def _leakage_case(case, binary_model, n):
     return code, binary_model
 
 
+def _log_sum_exp(values):
+    """ln sum exp(values), shifted by the largest (as scipy's logsumexp)."""
+    top = values.max()
+    return top + math.log(np.exp(values - top).sum())
+
+
 def _dense(t):
     """The (|Xt|^n, messages) table P(message | xt^n) rebuilt from its cells."""
     table = np.zeros((t.p_sequence.size, len(t.messages)))
@@ -576,9 +633,10 @@ def _dense(t):
     return table
 
 
-def _kronecker_leakage(code, model):
-    """Reference leakage from dense |Xt|^n x |Z|^n and |X|^n x |Xt|^n tables."""
-    t = exact_message_table(code, model)
+def _kronecker_leakage(code, model, t=None):
+    """Reference leakage from dense |Xt|^n x |Z|^n and |X|^n x |Xt|^n tables,
+    of the code's message table or of the given one."""
+    t = exact_message_table(code, model) if t is None else t
     table = _dense(t)
     n = code.n
     p_xt_z = np.einsum("x,xa,xz->az", model.px.probs, model.meas_enc.rows,
