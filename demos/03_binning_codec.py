@@ -10,11 +10,13 @@ import numpy as np
 
 from secsource import (
     AuxScheme,
+    DistortionMetric,
     bsc,
     build_joint,
     design_code,
     exact_leakage,
     extend_with_auxiliaries,
+    lossy_point,
     padded_indices_mutual_information,
     run_experiment,
 )
@@ -55,14 +57,11 @@ for r0 in (0.0, 0.3, 0.6, 1.2, 2.0):
           f"leak_privacy={rep.leak_privacy:.4f}")
 
 # --- exact small-blocklength checks ------------------------------------------
-# At r0 = 0 the key slot is empty: the single-letter targets are
-# H(Xt|Z) + R' and I(Xt;X|Z) + R', with R' = min(I(Xt;Z) - I(Xt;Y), 0).
-r_prime = min(joint.mutual_information(("Xt",), ("Z",))
-              - joint.mutual_information(("Xt",), ("Y",)), 0.0)
-target_s = joint.entropy(("Xt", "Z")) - joint.entropy(("Z",)) + r_prime
-target_p = joint.mutual_information(("Xt",), ("X",), ("Z",)) + r_prime
+# At r0 = 0 the key slot is empty: the single-letter targets are the
+# small-key bounds rs = H(Xt|Z) + R' and rl = I(Xt;X|Z) + R' of U = Xt.
+targets = lossy_point(full6, 0.0, DistortionMetric.hamming(2)).bounds
 print("\nexact finite-n leakage (enumeration, r0 = 0) against the single-letter targets:")
-print(f"  target: secrecy {target_s:.4f}   privacy {target_p:.4f}")
+print(f"  target: secrecy {targets.rs:.4f}   privacy {targets.rl:.4f}")
 for n in (10, 12, 14):
     c = design_code(full6, n=n, epsilon=0.03, r0=0.0, seed=4)
     leak = exact_leakage(c, model)

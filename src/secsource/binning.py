@@ -951,10 +951,7 @@ def _cells_by_spread(
         rank = np.repeat(np.arange(n_cols), sizes)
         sub, prob = sub[order], prob[order]
     firsts = np.append(firsts, t.row.size)
-    # The columns with letters in common come first.
-    k = np.searchsorted(spread, n)
-    mass = np.prod(p_xt ** shared[by_spread[:k]], axis=1)
-    value = np.concatenate([prob[:firsts[k]] * np.repeat(mass, sizes[:k]), prob[firsts[k]:]])
+    value = prob * np.repeat(np.prod(p_xt ** shared[by_spread], axis=1), sizes)
     return spread, firsts, rank, sub, value, count
 
 

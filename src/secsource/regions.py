@@ -564,10 +564,7 @@ class _SchemeEvaluator:
 
     def _gradient(self, mats: Sequence[np.ndarray], coefs: dict[str, float]) -> list[np.ndarray]:
         """Gradient of sum_T coefs[T] H(T) with respect to each matrix, for
-        one scheme or for each scheme of a stack.  A one-column matrix
-        (P(V|U) at |V| = 1, P(Q|V) at |Q| = 1) gets zeros: its rows are
-        fixed at 1, so no step of ``_exp_step`` moves it and its Armijo
-        term is 0 whatever its gradient."""
+        one scheme or for each scheme of a stack."""
         grads = [np.zeros_like(m) for m in mats]
         for name, t in self._tables(mats, coefs).items():
             _, k, src, adjoints = _TERMS[name]
@@ -575,8 +572,7 @@ class _SchemeEvaluator:
                 g = np.where(t > 0.0, -coefs[name] * (np.log2(t) + _LOG2E), 0.0)
             ops = [*mats[:k], self.sources[src]]
             for i, adjoint in enumerate(adjoints):
-                if mats[i].shape[-1] > 1:
-                    grads[i] += np.einsum(adjoint, g, *ops[:i], *ops[i + 1:])
+                grads[i] += np.einsum(adjoint, g, *ops[:i], *ops[i + 1:])
         return grads
 
     def _distortion_gradient(self, pu: np.ndarray) -> np.ndarray:
@@ -646,7 +642,9 @@ class _SchemeEvaluator:
         enters when it is negative and a clamped rate not at all.  Each
         member gets the bits it would get alone (``storage``, ``bounds``),
         and the gradient is taken at once for the members that share their
-        terms.
+        terms.  (The einsum adjoint into a 1 x 1 matrix may round otherwise
+        in a stack; a one-column matrix never moves, so the descent's
+        iterates keep their bits.)
         """
         if "rw" in objectives:
             rate, dist = self.storage(mats[0])

@@ -327,64 +327,6 @@ def test_stacked_repair_matches_each_alone(binary_model):
     assert sum(r is None for r in repaired) == np.count_nonzero(dist > 0.05) > 0
 
 
-def _full_adjoint_gradient(self, mats, coefs):
-    """``_SchemeEvaluator._gradient`` with every adjoint taken, one-column
-    matrices included."""
-    grads = [np.zeros_like(m) for m in mats]
-    for name, t in self._tables(mats, coefs).items():
-        _, k, src, adjoints = regions._TERMS[name]
-        with np.errstate(divide="ignore"):
-            g = np.where(t > 0.0, -coefs[name] * (np.log2(t) + regions._LOG2E), 0.0)
-        ops = [*mats[:k], self.sources[src]]
-        for i, adjoint in enumerate(adjoints):
-            grads[i] += np.einsum(adjoint, g, *ops[:i], *ops[i + 1:])
-    return grads
-
-
-# The leakage each sweep reaches at D = 0.05 and 0.15 (restarts 2, seed 11),
-# as taken with every adjoint in the gradient.
-_ONE_COLUMN_SWEEPS = {
-    ((3, 1, 1), "rs", 0.0): (0.5744494140518892, 0.306545307066878),
-    ((3, 1, 1), "rl", 0.1): (0.17660557010709796, 0.05645154023660312),
-    ((3, 2, 1), "rs", 0.0): (0.5744648538008241, 0.3065451988754968),
-    ((3, 2, 1), "rl", 0.1): (0.17662101371223046, 0.056451633982593646),
-    ((3, 1, 2), "rs", 0.0): (0.5744494140518888, 0.3065453070668771),
-    ((3, 1, 2), "rl", 0.1): (0.17660557010709796, 0.05645154023660179),
-}
-
-
-def test_one_column_matrices_get_zero_gradient(binary_model, monkeypatch):
-    # No step moves P(V|U) at |V| = 1 or P(Q|V) at |Q| = 1, so their
-    # gradient is zeros, and the leakage sweeps end on the same schemes, bit
-    # for bit, as with every adjoint taken.
-    obj = regions._SchemeEvaluator(binary_model, METRIC)
-    rng = np.random.default_rng(71)
-    coefs = {**regions._LEAKAGE["small_key", "rs"], **regions._R_DIFF}
-    mats = [rng.dirichlet(np.ones(c), size=(4, r)) for r, c in ((2, 3), (3, 1), (1, 1))]
-    grads = obj._gradient(mats, coefs)
-    full = _full_adjoint_gradient(obj, mats, coefs)
-    np.testing.assert_array_equal(grads[0], full[0])
-    assert not grads[1].any() and not grads[2].any() and full[1].any()
-
-    def sweeps():
-        out = {}
-        for sizes, objective, r0 in _ONE_COLUMN_SWEEPS:
-            cfg = SearchConfig(restarts=2, seed=11, u_size=sizes[0], v_size=sizes[1],
-                               q_size=sizes[2], objective=objective)
-            out[sizes, objective, r0] = trace_region(binary_model, r0, METRIC, [0.05, 0.15], cfg)
-        return out
-
-    found = sweeps()
-    monkeypatch.setattr(regions._SchemeEvaluator, "_gradient", _full_adjoint_gradient)
-    for key, points in sweeps().items():
-        for p, q, pinned in zip(found[key], points, _ONE_COLUMN_SWEEPS[key]):
-            assert p.rates == q.rates
-            for name in ("p_u_given_xtilde", "p_v_given_u", "p_q_given_v"):
-                np.testing.assert_array_equal(getattr(p.scheme, name).rows,
-                                              getattr(q.scheme, name).rows)
-            assert getattr(p.rates, key[1]) == pytest.approx(pinned, rel=0.0, abs=1e-12)
-
-
 def test_empty_stack(binary_model):
     obj = regions._SchemeEvaluator(binary_model, METRIC)
     empty = [np.empty((0, 2, 3)), np.empty((0, 3, 2)), np.empty((0, 2, 2))]
