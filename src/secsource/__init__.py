@@ -19,7 +19,6 @@ from .regions import (
     RegimeReport,
     SearchConfig,
     TracePoint,
-    convexify_trace,
     corollary_point,
     extend_with_auxiliaries,
     grid_minimum_storage,

@@ -86,6 +86,11 @@ def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, n
     ties; after a degenerate pivot both follow Bland's smallest-index rule,
     which cannot cycle.  Returns the primal x and the row duals y; a singular
     basis or the pivot cap raises RuntimeError.
+
+    Two LPs use it: the degradedness test here and the storage LP of
+    ``regions._StorageLP``.  The latter has equality rows sum_j x_j q_j = p;
+    it adds one constant to every c_j, so that an optimum leaves no slack in
+    those rows, and checks that they came out tight.
     """
     m, n = a.shape
     full = np.hstack([a, np.eye(m)])
@@ -107,7 +112,7 @@ def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, n
             x_b, w = np.linalg.solve(b_mat, np.column_stack([b, full[:, q]])).T
             rows = np.flatnonzero(w > _PIVOT_TOL)
             if rows.size == 0:
-                raise RuntimeError("degradedness LP found no pivot row")
+                raise RuntimeError("LP found no pivot row")
             # Harris ratio test: the rows within a 1e-12 slack of the smallest
             # ratio tie, so a tiny pivot never wins by a rounding error.
             x_r, w_r = np.maximum(x_b[rows], 0.0), w[rows]
@@ -116,8 +121,8 @@ def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, n
             basis[rows[leave]] = q
             bland = x_r[leave] / w_r[leave] <= _PIVOT_TOL
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"degradedness LP hit a singular basis: {exc}") from exc
-    raise RuntimeError("degradedness LP exceeded its pivot cap")
+        raise RuntimeError(f"LP hit a singular basis: {exc}") from exc
+    raise RuntimeError("LP exceeded its pivot cap")
 
 
 def check_stochastic_degraded(

@@ -11,24 +11,28 @@ no-key form that is tight when the eavesdropper's channel is less noisy than
 the decoder's.
 
 The "for some scheme" existential in the region statement is resolved
-numerically: ``trace_region`` minimizes one rate (storage, secrecy leakage or
-privacy leakage) over the rows of the conditional-pmf matrices with
-multi-start exponentiated-gradient (KL mirror) descent, one step rule for all
-three objectives, that moves all starts of a target as one stack.
-``_SchemeEvaluator`` computes the same bounds as ``lossy_point`` from the raw
-matrices and three source tables taken straight from the ``SourceModel``,
-building no joint, each term as the entropy of a table linear in each matrix,
-and gives the descent their analytic gradient.  It scores a stack of schemes
-and gives each the same bits alone as in any stack, so every start of the
-descent ends where it would end descended alone.  The no-key form, the
-search and the exhaustive simplex-grid oracle, ``grid_minimum_storage``, take
-the model; the oracle certifies the storage search at desk scale, scoring the
-grid a block of cells at a time, and its first argmin is the one a
-cell-by-cell scan returns, bit for bit.
+numerically by ``trace_region``.  The storage rate is minimized by a linear
+program over posteriors P(Xt | U = u) (``_StorageLP``): under U - Xt - Y the
+rate and the optimal-map distortion are linear in the posteriors' weights,
+so time sharing and the |Xt|+1 cardinality bound come with the LP, and its
+duals certify a lower bound on the least rate.  Each leakage is minimized
+over the rows of the conditional-pmf matrices with multi-start
+exponentiated-gradient (KL mirror) descent that moves all starts of a target
+as one stack.  ``_SchemeEvaluator`` computes the same bounds as
+``lossy_point`` from the raw matrices and three source tables taken straight
+from the ``SourceModel``, building no joint, each term as the entropy of a
+table linear in each matrix, and gives the descent their analytic gradient.
+It scores a stack of schemes and gives each the same bits alone as in any
+stack, so every start of the descent ends where it would end descended
+alone.  The no-key form, the search and the exhaustive simplex-grid oracle,
+``grid_minimum_storage``, take the model; the oracle is kept as a reference
+for the storage search, scoring the grid a block of cells at a time, and its
+first argmin is the one a cell-by-cell scan returns, bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -36,6 +40,7 @@ from typing import Literal, Optional, Sequence
 
 import numpy as np
 
+from .channels import _COST_TOL, _simplex
 from .probability import (
     AX_Q,
     AX_U,
@@ -69,6 +74,18 @@ _GRID_BLOCK = 1024
 # less than _CONVERGENCE_TOL, per penalty level.
 _MAX_ITERS = 200
 _CONVERGENCE_TOL = 1e-7
+# The storage LP (``_StorageLP``): grid points it starts from, the columns
+# the refinement may add per target, the certified gap it refines to and its
+# objective offset.
+_LP_GRID_POINTS = 2048
+_LP_MAX_ADDED = 4 * _LP_GRID_POINTS
+_LP_GAP = 1e-7
+_LP_OFFSET = 1.0
+# The LP aims this far below the target, so that rounding leaves the realized
+# scheme's distortion at or below it: the anchor blend of _repair_feasibility
+# is concave in the blend, and on the binary instance at D = 0.1 it costs
+# 2.3e-3 bits to undo a 3e-17 overshoot.
+_LP_MARGIN = 1e-12
 
 
 class InfeasibleTargetError(RuntimeError):
@@ -222,10 +239,15 @@ class SearchConfig:
 
     ``u_size``/``v_size``/``q_size`` default to the sufficient cardinality
     bounds of the region (they may be lowered for speed; ``resolved_sizes``
-    refuses sizes above the bounds, which would buy nothing).  ``method``
-    selects exponentiated-gradient descent or the exhaustive simplex-grid
-    oracle (grid mode searches P(U|Xt) with constant V and Q, which is exact
-    for the default storage objective).  Alphabet sizes below 1 are refused.
+    refuses sizes above the bounds, which would buy nothing).  Alphabet sizes
+    below 1 are refused.  With ``method="descent"`` the storage objective
+    ("rw") is solved as a linear program: it needs ``u_size >= |Xt|+1``,
+    and its schemes have |Xt|+1 U symbols and constant (one-symbol) V and Q
+    whatever the sizes; the leakage objectives ("rs", "rl") descend.
+    ``restarts`` and ``seed`` drive only the leakage searches.
+    ``method="grid"`` runs the exhaustive simplex-grid oracle at
+    ``grid_step`` instead, over P(U|Xt) with uniform V and Q rows, as a
+    reference for the storage objective.
     """
 
     restarts: int = 8
@@ -259,12 +281,19 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class TracePoint:
-    """One traced boundary point: target distortion, bounds, and the argmin."""
+    """One traced boundary point: target distortion, bounds, and the argmin.
+
+    ``lower_bound`` is the storage LP's certified lower bound on the least
+    storage rate at distortion at most ``target_d``, so rw - lower_bound is
+    the certified gap of ``rates.rw``; None for the leakage searches and the
+    grid oracle.
+    """
 
     target_d: float
     rates: RateTuple
     scheme: AuxScheme
     report: RegimeReport
+    lower_bound: Optional[float] = None
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +505,6 @@ def _term(spec: str) -> tuple[str, tuple[str, int, str, list[str]]]:
 _TERMS = dict(_term(spec) for spec in _TERM_SPECS)
 _LOG2E = 1.0 / math.log(2.0)
 # The bounds as signed sums of the terms; source entropies are added apart.
-_T_HIGH = {"uy": 1.0, "au": -1.0}                                 # I(U;Xt|Y) - H(Xt) + H(Y)
 _T_LOW = {"uvy": 1.0, "vy": -1.0, "auv": -1.0, "av": 1.0}         # I(U;Xt|Y,V)
 _R_DIFF = {"vqz": 1.0, "uvqz": -1.0, "vqy": -1.0, "uvqy": 1.0}    # I(U;Z|V,Q) - I(U;Y|V,Q)
 _LEAKAGE = {  # each leakage by (regime, objective), less its source entropies
@@ -516,12 +544,13 @@ class _SchemeEvaluator:
     one einsum over the source channels (the largest has |Xt|·|X|·|Z| cells);
     every term is the entropy of a small table over the auxiliaries and one
     source variable (``_TERMS``).  ``bounds`` (and ``evaluate``, its one
-    scheme form) and the descent's ``penalized`` share that term list, and
-    ``penalized`` also gives the gradient.  ``storage`` gives the storage
-    rate and the optimal-map distortion, which depend on P(U|Xt) only.  Each
-    takes a stack of schemes and gives a scheme the same bits alone as in
-    any stack: sums over Xt run in index order (``_sum_over_xt``), and the
-    entropy of a leakage term is taken one scheme at a time.
+    scheme form) and the leakage descent's ``penalized`` share that term
+    list, and ``penalized`` also gives the gradient.  ``storage`` gives the
+    storage rate and the optimal-map distortion, which depend on P(U|Xt)
+    only.  Each takes a stack of schemes and gives a scheme the same bits
+    alone as in any stack: sums over Xt run in index order
+    (``_sum_over_xt``), and the entropy of a leakage term is taken one scheme
+    at a time.
     """
 
     def __init__(self, model: SourceModel, metric: DistortionMetric):
@@ -630,34 +659,29 @@ class _SchemeEvaluator:
 
     def penalized(self, mats: Sequence[np.ndarray], r0: float, objectives: Sequence[str],
                   target_d: float, penalty: np.ndarray):
-        """The descent's objective for a stack of schemes: the rate
-        ``objectives[i]`` of scheme i of ``mats`` plus
-        ``penalty[i] * max(0, d - D)``.  ``mats`` are stacks (a leading
-        stack axis) of P(U|Xt) alone when every objective is rw, and of all
-        three matrices when each is a leakage.
+        """The leakage descent's objective for a stack of schemes: the leakage
+        ``objectives[i]`` ("rs" or "rl") of scheme i of ``mats`` (stacks of
+        P(U|Xt), P(V|U) and P(Q|V) with a leading stack axis) plus
+        ``penalty[i] * max(0, d - D)``.
 
         Returns the values and distortions, arrays over the stack, and a
         function that gives, for the stack members ``idx``, the gradient with
         respect to each matrix.  Only the active regime's terms enter; R'
         enters when it is negative and a clamped rate not at all.  Each
-        member gets the bits it would get alone (``storage``, ``bounds``),
-        and the gradient is taken at once for the members that share their
-        terms.  (The einsum adjoint into a 1 x 1 matrix may round otherwise
-        in a stack; a one-column matrix never moves, so the descent's
-        iterates keep their bits.)
+        member gets the bits it would get alone (``bounds``), and the
+        gradient is taken at once for the members that share their terms.
+        (The einsum adjoint into a 1 x 1 matrix may round otherwise in a
+        stack; a one-column matrix never moves, so the descent's iterates
+        keep their bits.)
         """
-        if "rw" in objectives:
-            rate, dist = self.storage(mats[0])
-            terms = [tuple(_T_HIGH.items()) if r > 0.0 else () for r in rate]
-        else:
-            regimes, b = self.bounds(mats, r0)
-            rate, dist = np.where([o == "rs" for o in objectives], b["rs"], b["rl"]), b["d"]
-            terms = []
-            for regime, objective, r, leak in zip(regimes, objectives, b["r_prime"], rate):
-                coefs = dict(_LEAKAGE.get((regime, objective), {}))
-                if regime == "small_key" and r < 0.0:
-                    coefs.update(_R_DIFF)
-                terms.append(tuple(coefs.items()) if leak > 0.0 else ())
+        regimes, b = self.bounds(mats, r0)
+        rate, dist = np.where([o == "rs" for o in objectives], b["rs"], b["rl"]), b["d"]
+        terms = []
+        for regime, objective, r, leak in zip(regimes, objectives, b["r_prime"], rate):
+            coefs = dict(_LEAKAGE.get((regime, objective), {}))
+            if regime == "small_key" and r < 0.0:
+                coefs.update(_R_DIFF)
+            terms.append(tuple(coefs.items()) if leak > 0.0 else ())
 
         def gradient(idx: np.ndarray) -> list[np.ndarray]:
             sub = [m[idx] for m in mats]
@@ -790,6 +814,166 @@ def _repair_feasibility(
     return out
 
 
+def _lp_ticks(parts: int) -> int:
+    """The grid rule of the storage LP: the largest k whose step-1/k grid on
+    the ``parts``-simplex has at most ``_LP_GRID_POINTS`` points."""
+    if parts == 1:
+        return 1
+    k = int((_LP_GRID_POINTS * math.factorial(parts - 1)) ** (1.0 / (parts - 1)))
+    while math.comb(k + parts - 1, parts - 1) > _LP_GRID_POINTS:
+        k -= 1
+    return k
+
+
+def _kuhn_cells(k: int, parts: int) -> np.ndarray:
+    """The Kuhn (Freudenthal) triangulation of the step-1/k grid on the
+    ``parts``-simplex, one row of vertex indices into ``compositions(k,
+    parts)`` per cell.  A cell starts at a grid point whose last part is at
+    least 1 and takes ``parts - 1`` steps, each moving one unit from part j
+    to part j - 1 for j = 1 .. parts - 1 in some order, none leaving a part
+    negative."""
+    d = parts - 1
+    moves = np.zeros((d, parts), dtype=np.int64)
+    moves[np.arange(d), np.arange(d)] = 1
+    moves[np.arange(d), np.arange(1, parts)] = -1
+    perms = np.array(list(itertools.permutations(range(d))), dtype=np.int64).reshape(
+        math.factorial(d), d)
+    paths = np.concatenate([np.zeros((len(perms), 1, parts), dtype=np.int64),
+                            np.cumsum(moves[perms], axis=1)], axis=1)
+    base = compositions(k - 1, parts) + np.eye(parts, dtype=np.int64)[-1]
+    verts = base[:, None, None, :] + paths[None]  # (base, perm, vertex, part)
+    verts = verts[(verts >= 0).all(axis=(2, 3))]
+    # Lexicographic order of compositions is the order of these keys.
+    weights = (k + 1) ** np.arange(d, -1, -1, dtype=np.int64)
+    return np.searchsorted(compositions(k, parts) @ weights, verts @ weights)
+
+
+class _StorageLP:
+    """The least storage rate at each distortion target as a linear program
+    over posteriors q = P(Xt | U = u), with a certified lower bound.
+
+    Under U - Xt - Y, I(U;Xt|Y) = H(Xt|Y) - sum_u P(u) psi(q_u), where psi(q)
+    is H(Xt|Y) under q(xt) P(y|xt), and the optimal-map distortion is
+    sum_u P(u) delta(q_u) with delta(q) = sum_y min_xhat sum_xt q(xt) P(y|xt)
+    d(xt, xhat).  So the least rw at d <= D is H(Xt|Y) minus
+    max sum w psi(q) subject to sum w q = P(Xt), sum w delta(q) <= D, w >= 0,
+    over columns q: a grid on the simplex over the symbols of positive
+    probability (``_lp_ticks``) plus P(Xt).  The metric less each row's least
+    entry, and D less P(Xt) times those minima, leave every scheme's standing
+    as it is and make a vertex column cost nothing; then, with
+    ``_LP_OFFSET`` added to every psi, the optimum of ``channels._simplex``
+    (rows a x <= b) fills the mass rows.
+
+    Certificate: for the duals (lambda, s) and eps >= max_q g(q),
+    g(q) = psi(q) - lambda.q - s delta(q), every scheme with d <= D has
+    rw >= H(Xt|Y) - (lambda.P(Xt) + s D) - eps.  Cells whose vertices are
+    columns cover the simplex (the grid's Kuhn triangulation, then longest-
+    edge bisection).  On a cell, psi lies below its tangent plane at the
+    barycenter (psi is concave, with a finite slope inside the simplex), and
+    the tangent plane less lambda.q + s delta(q) is convex (delta is
+    concave), so g is at most the largest g(v) plus the tangent's overshoot
+    at a vertex v; the overshoots are kept with the cell.  Cells above half
+    of ``_LP_GAP`` are bisected, their midpoints become columns, and the LP
+    is solved again when one of them prices in, until eps is below that or
+    the target would add more than ``_LP_MAX_ADDED`` columns.  Columns and
+    cells carry over from one target to the next.
+    """
+
+    def __init__(self, obj: _SchemeEvaluator, metric: DistortionMetric):
+        # No posterior puts mass on a symbol of probability zero, so the
+        # columns live on the simplex over the others, ``live``.
+        self.live = np.flatnonzero(obj.p_xt > 0.0)
+        self.p_xt = obj.p_xt[self.live]
+        p_xt_y, table = obj.p_xt_y[self.live], metric.table[self.live]
+        self.cond = p_xt_y / self.p_xt[:, None]  # P(y|xt)
+        self.h_y_given_xt = entropy_bits(self.cond, axis=1)
+        floor = table.min(axis=1)
+        # The least distortion, P(Xt) times the row minima, is the anchor's
+        # (U = Xt).  Scored as _repair_feasibility scores it, bit for bit, so
+        # that the repair meets every target at or above it.
+        self.anchor = _anchor_u_rows(len(obj.p_xt), len(obj.p_xt) + 1)
+        self.d_floor = float(obj.storage(self.anchor)[1])
+        self.cost = (self.cond[:, :, None] * (table - floor[:, None])[:, None, :]
+                     ).reshape(len(self.live), -1)
+        self.h_xt_given_y = entropy_bits(p_xt_y) - obj.h_y
+        k = _lp_ticks(len(self.live))
+        self.q = np.vstack([compositions(k, len(self.live)) / k, self.p_xt])
+        self.psi, self.delta = self._values(self.q)
+        self.cells = _kuhn_cells(k, len(self.live))
+        self.over = self._overshoots(self.cells)
+
+    def _values(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """psi and delta of each row of ``q``."""
+        psi = (q @ self.h_y_given_xt + entropy_bits(q, axis=1)
+               - entropy_bits(np.einsum("na,ay->ny", q, self.cond), axis=1))
+        cost = np.einsum("na,ak->nk", q, self.cost).reshape(len(q), 1, self.cond.shape[1], -1)
+        return psi, _least_cost(cost)
+
+    def _overshoots(self, cells: np.ndarray) -> np.ndarray:
+        """How far psi's tangent plane at each cell's barycenter lies above
+        psi at each of the cell's vertices (non-negative by concavity)."""
+        verts = self.q[cells]
+        c = verts.mean(axis=1)  # inside the simplex, where the slope is finite
+        r = np.einsum("ca,ay->cy", c, self.cond)
+        slope = (self.h_y_given_xt - np.log2(c)
+                 + np.einsum("cy,ay->ca", np.log2(np.where(r > 0.0, r, 1.0)), self.cond))
+        psi_c = self._values(c)[0]
+        tangent = psi_c[:, None] + np.einsum("ca,cva->cv", slope, verts - c[:, None])
+        return np.maximum(tangent - self.psi[cells], 0.0)
+
+    def _split(self, hot: np.ndarray) -> None:
+        """Bisect the longest edge of each cell flagged in ``hot``."""
+        cells = self.cells[hot]
+        pts = self.q[cells]
+        i, j = np.triu_indices(cells.shape[1], 1)
+        edge = ((pts[:, i] - pts[:, j]) ** 2).sum(axis=2).argmax(axis=1)
+        rows = np.arange(len(cells))
+        # A shared edge gives each of its cells its own copy of the midpoint:
+        # a repeated column changes neither the LP nor the certificate.
+        mids = 0.5 * (pts[rows, i[edge]] + pts[rows, j[edge]])
+        new = len(self.q) + rows
+        psi, delta = self._values(mids)
+        self.q = np.vstack([self.q, mids])
+        self.psi, self.delta = np.append(self.psi, psi), np.append(self.delta, delta)
+        first, second = cells.copy(), cells.copy()
+        first[rows, i[edge]] = new
+        second[rows, j[edge]] = new
+        self.cells = np.vstack([self.cells[~hot], first, second])
+        self.over = np.vstack([self.over[~hot], self._overshoots(first),
+                               self._overshoots(second)])
+
+    def solve(self, target_d: float) -> tuple[np.ndarray, float]:
+        """The optimal weights over the columns ``self.q`` at distortion
+        target ``target_d``, and the certified lower bound on the least rw."""
+        budget = target_d - self.d_floor
+        if budget < 0.0:
+            raise InfeasibleTargetError(
+                f"no scheme meets distortion target {target_d}: the least distortion, "
+                f"reached by U = Xt, is {self.d_floor}")
+        b = np.append(self.p_xt, max(budget - _LP_MARGIN, 0.0))
+        cap = len(self.q) + _LP_MAX_ADDED
+        while True:
+            w, y = _simplex(np.vstack([self.q.T, self.delta]), b, self.psi + _LP_OFFSET)
+            if abs(w.sum() - 1.0) > 1e-12:
+                raise RuntimeError(f"storage LP left mass {w.sum()!r} instead of 1")
+            lam, s = y[:-1] - _LP_OFFSET, max(float(y[-1]), 0.0)
+            priced = len(self.q)
+            while True:
+                g = self.psi - self.q @ lam - s * self.delta
+                if g[priced:].max(initial=-math.inf) > _COST_TOL:
+                    break  # a new column prices in: solve again
+                ub = (g[self.cells] + self.over).max(axis=1)
+                hot = ub > 0.5 * _LP_GAP
+                if not hot.any() or len(self.q) + hot.sum() > cap:
+                    eps = max(float(ub.max()), 0.0)
+                    bound = self.h_xt_given_y - (float(lam @ self.p_xt) + s * budget) - eps
+                    weights = np.zeros(len(self.q))  # columns added after the solve get 0
+                    weights[:len(w)] = np.maximum(w, 0.0)
+                    return weights, max(bound, 0.0)
+                priced = len(self.q)
+                self._split(hot)
+
+
 def simplex_grid(size: int, step: float) -> np.ndarray:
     """All pmfs over ``size`` symbols whose entries are multiples of ``step``,
     in lexicographic order of their tick counts."""
@@ -849,47 +1033,6 @@ def grid_minimum_storage(
     return best, best_t
 
 
-def convexify_trace(points: Sequence[TracePoint]) -> list[tuple[float, float, float, float]]:
-    """Lower convex envelope of a traced boundary in the (D, rw) plane.
-
-    Time sharing makes the region convex; points above the chord between two
-    neighbours are replaced by the linear interpolation of all bound
-    components at their target distortion.  Returns (d, rw, rs, rl) tuples
-    sorted by d.
-    """
-    pts = sorted(points, key=lambda p: p.target_d)
-    if len(pts) < 3:
-        return [(p.target_d, p.rates.rw, p.rates.rs, p.rates.rl) for p in pts]
-    coords = [
-        np.array([p.target_d, p.rates.rw, p.rates.rs, p.rates.rl]) for p in pts
-    ]
-    hull: list[np.ndarray] = []
-    for c in coords:
-        while len(hull) >= 2:
-            a, b = hull[-2], hull[-1]
-            # keep b only if it lies below the a-c chord in the rw coordinate
-            if c[0] == a[0]:
-                break
-            t = (b[0] - a[0]) / (c[0] - a[0])
-            if b[1] <= a[1] + t * (c[1] - a[1]) + 1e-12:
-                break
-            hull.pop()
-        hull.append(c)
-    out = []
-    hi = 0
-    for c in coords:
-        while hi + 1 < len(hull) and hull[hi + 1][0] <= c[0]:
-            hi += 1
-        if hi + 1 == len(hull) or hull[hi][0] == c[0]:
-            env = hull[hi]
-        else:
-            a, b = hull[hi], hull[hi + 1]
-            t = (c[0] - a[0]) / (b[0] - a[0])
-            env = a + t * (b - a)
-        out.append((float(c[0]), float(env[1]), float(env[2]), float(env[3])))
-    return out
-
-
 def trace_region(
     model: SourceModel,
     r0: float,
@@ -900,20 +1043,28 @@ def trace_region(
     """Minimize the configured rate over auxiliary schemes for each target
     distortion and report the attendant bounds.
 
-    Points are returned in ascending target order.  Each target descends
-    from the previous argmin (feasible by monotonicity of the constraint set,
-    and kept as a candidate, so the minimized rate is non-increasing in D),
-    from the anchor mixed with uniform rows and from ``cfg.restarts``
-    Dirichlet draws; the whole sweep is deterministic given ``cfg.seed``.
-    The storage search moves P(U|Xt) and reports uniform V and Q rows.  A
-    leakage search descends every start for both leakage objectives and keeps
-    the least requested leakage, so it never returns a scheme worse than one
-    the other leakage's search finds.  All starts of a target (every start
-    and leakage pair of a leakage search) descend as one stack, and each
-    gets the bits it would get descended alone; the results that miss the
-    target are then blended toward the anchor until they meet it, again as
-    one stack.  The candidates keep the order of start, then objective, and
-    the first of least rate wins.
+    Points are returned in ascending target order.  The previous target's
+    argmin (feasible by monotonicity of the constraint set) stays the first
+    candidate and the first of least rate wins, so the minimized rate is
+    non-increasing in D.
+
+    The storage search (objective "rw", method "descent") needs
+    ``u_size >= |Xt|+1`` and reads neither ``cfg.restarts`` nor
+    ``cfg.seed``: at each target it solves ``_StorageLP`` and reports
+    P(u|xt) = w_u q_u(xt) / P(xt) over the LP's support, padded with unused
+    symbols to |Xt|+1 U symbols, with one-symbol V and Q and the LP's
+    certified ``lower_bound``.  Time sharing is inside the LP, so the traced
+    points lie on the lower convex envelope up to that gap.  The grid method
+    takes the oracle's argmin instead.
+
+    A leakage search descends, deterministically given ``cfg.seed``, from the
+    previous argmin, the anchor mixed with uniform rows and ``cfg.restarts``
+    Dirichlet draws, every start for both leakages, and keeps the least
+    requested one, so it never returns a scheme worse than one the other
+    leakage's search finds.  All (start, objective) pairs descend as one
+    stack, each with the bits it would get alone, in the order of start, then
+    objective.  Every scheme that misses its target, the LP's included, is
+    blended toward the anchor until it meets it.
     """
     if not targets:
         raise ValueError("targets must be non-empty")
@@ -922,15 +1073,19 @@ def trace_region(
                          f"and targets {list(targets)}")
     nxt = model.xtilde_size
     nu, nv, nq = cfg.resolved_sizes(nxt)
+    lp_search = cfg.objective == "rw" and cfg.method == "descent"
+    if lp_search and nu < nxt + 1:
+        raise ModelError(f"the storage search needs u_size >= |Xt|+1 = {nxt + 1}, got {nu}: "
+                         "its schemes use up to |Xt|+1 posteriors")
     obj = _SchemeEvaluator(model, metric)
     joint = build_joint(model)  # for lossy_point's reports only
-    anchor = _anchor_u_rows(nxt, nu)
-    uniform = [np.full((nu, nv), 1.0 / nv), np.full((nv, nq), 1.0 / nq)]
-    # The storage search moves P(U|Xt) alone; a leakage search all three.
-    if cfg.objective == "rw":
-        objectives, mix, moving = ("rw",), 1e-3, 1
+    if lp_search:
+        lp = _StorageLP(obj, metric)
+        anchor, constant = lp.anchor, [np.ones((nxt + 1, 1)), np.ones((1, 1))]
     else:
-        objectives, mix, moving = (cfg.objective, "rl" if cfg.objective == "rs" else "rs"), 0.5, 3
+        anchor = _anchor_u_rows(nxt, nu)
+        uniform = [np.full((nu, nv), 1.0 / nv), np.full((nv, nq), 1.0 / nq)]
+        objectives = (cfg.objective, "rl" if cfg.objective == "rs" else "rs")
 
     def rates(candidates: list[list[np.ndarray]]) -> np.ndarray:
         """The configured rate of every candidate, scored as one stack."""
@@ -942,29 +1097,36 @@ def trace_region(
     points: list[TracePoint] = []
     carry: Optional[list[np.ndarray]] = None
     for target in sorted(targets):
-        if cfg.method == "grid":
+        candidates = [carry] if carry is not None else []
+        lower_bound = None
+        if lp_search:
+            w, lower_bound = lp.solve(target)
+            support = np.flatnonzero(w)
+            t = np.zeros((nxt, nxt + 1))
+            t[lp.live, :len(support)] = lp.q[support].T * w[support]
+            # A symbol of probability zero gets the anchor's row.
+            t = np.where(t.sum(axis=1, keepdims=True) > 0.0, t, anchor)
+            [t] = _repair_feasibility(obj, (t / t.sum(axis=1, keepdims=True))[None], anchor, target)
+            candidates.append([t, *constant])
+        elif cfg.method == "grid":
             _, best_t = grid_minimum_storage(model, metric, target, nu, cfg.grid_step)
             candidates = [[best_t, *uniform]]
         else:
-            candidates = [carry] if carry is not None else []
             starts = list(candidates)
             for restart in range(cfg.restarts):
                 rng = np.random.default_rng([cfg.seed, restart])
                 mats = [rng.dirichlet(np.ones(n_out), size=n_in)
                         for n_in, n_out in ((nxt, nu), (nu, nv), (nv, nq))]
-                if cfg.objective == "rw":
-                    mats[1:] = uniform
                 if restart == 0:
-                    starts.append([(1.0 - mix) * anchor + mix / nu, *mats[1:]])
+                    starts.append([0.5 * anchor + 0.5 / nu, *mats[1:]])
                 starts.append(mats)
             # Every (start, objective) pair descends in one stack.
             pairs = [(start, objective) for start in starts for objective in objectives]
-            run = _mirror_descent(
-                obj, [np.stack([start[j] for start, _ in pairs]) for j in range(moving)],
-                r0, [objective for _, objective in pairs], target)
+            run = _mirror_descent(obj, [np.stack([start[j] for start, _ in pairs])
+                                        for j in range(3)],
+                                  r0, [objective for _, objective in pairs], target)
             repaired = _repair_feasibility(obj, run[0], anchor, target)
-            candidates += [[pu, *(m[i] for m in run[1:]), *start[moving:]]
-                           for i, (pu, (start, _)) in enumerate(zip(repaired, pairs))
+            candidates += [[pu, run[1][i], run[2][i]] for i, pu in enumerate(repaired)
                            if pu is not None]
         if not candidates:
             raise InfeasibleTargetError(
@@ -974,5 +1136,5 @@ def trace_region(
         carry = candidates[int(np.argmin(rates(candidates)))]  # the first least, as min() picks
         scheme = AuxScheme(*(StochasticMatrix(m) for m in carry))
         report = lossy_point(extend_with_auxiliaries(joint, scheme), r0, metric)
-        points.append(TracePoint(target, report.bounds, scheme, report))
+        points.append(TracePoint(target, report.bounds, scheme, report, lower_bound))
     return points

@@ -160,7 +160,11 @@ def test_criterion_4_search_oracle_equivalence(binary_model):
     elapsed = time.monotonic() - start
 
     worst = max(abs(p.rates.rw - grid_values[p.target_d]) for p in points)
-    ok = worst <= 0.01 and elapsed < 300.0
+    # The storage LP also never sits above the grid by more than its
+    # certified gap.
+    below = all(p.rates.rw <= grid_values[p.target_d] + (p.rates.rw - p.lower_bound)
+                for p in points)
+    ok = worst <= 0.01 and below and elapsed < 300.0
     _report(4, "search matches grid oracle", ok,
             f"max |rw diff| {worst:.4f} bits, {elapsed:.1f}s")
     assert ok

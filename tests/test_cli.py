@@ -134,7 +134,7 @@ class TestCommands:
         rc = cli.main([
             "compute-region", "--model", str(model_file), "--r0", "0",
             "--targets", "0.1,0.3", "--output", str(out),
-            "--u-size", "2", "--v-size", "1", "--q-size", "1",
+            "--u-size", "3", "--v-size", "1", "--q-size", "1",
             "--restarts", "3", "--seed", "1",
         ])
         assert rc == 0
@@ -150,7 +150,7 @@ class TestCommands:
             cli.main([
                 "compute-region", "--model", str(model_file),
                 "--targets", "0.15", "--output", str(out),
-                "--u-size", "2", "--v-size", "1", "--q-size", "1",
+                "--u-size", "3", "--v-size", "1", "--q-size", "1",
                 "--restarts", "2", "--seed", "9",
             ])
             outs.append(out.read_text())

@@ -232,7 +232,7 @@ class TestLossyPoint:
     def test_penalized_gradient_matches_central_differences(self, binary_model):
         # The mirror descent steps along the analytic gradient of
         # _SchemeEvaluator.penalized.  It must match central differences of
-        # the same function in every regime, for rw and both leakages, with
+        # the same function in every regime, for both leakages, with
         # the distortion penalty on and off, and with R' negative (Y better
         # than Z) as well as zero (Z better than Y, so R' must not enter).
         swapped = SourceModel.from_channels(Pmf.uniform(2), bsc(0.1), bsc(0.3), bsc(0.1))
@@ -257,7 +257,7 @@ class TestLossyPoint:
                 for r0, target in ((0.25 * lo, d - 0.01), (0.5 * (lo + hi), d + 0.01),
                                    (hi + 0.1, d - 0.01)):
                     seen.add(evaluator.evaluate(*mats, r0).regime)
-                    for objective, ms in (("rw", mats[:1]), ("rs", mats), ("rl", mats)):
+                    for objective, ms in (("rs", mats), ("rl", mats)):
                         # A stack of one scheme (views, so the steps below show).
                         stack = [m[None] for m in ms]
 

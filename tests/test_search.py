@@ -8,7 +8,8 @@ import pytest
 from conftest import h2, random_model
 from secsource import modelio, regions
 from secsource.probability import (
-    DimensionError, JointPmf, ModelError, Pmf, SourceModel, StochasticMatrix, bsc, build_joint,
+    DimensionError, JointPmf, ModelError, SourceModel, StochasticMatrix, bsc, build_joint,
+    compositions,
 )
 from secsource.regions import (
     AuxScheme,
@@ -53,6 +54,12 @@ def test_monotone_and_feasible(binary_model):
     assert all(rws[i] >= rws[i + 1] - 1e-12 for i in range(len(rws) - 1))
     for p in pts:
         assert p.rates.d <= p.target_d + 1e-9
+    # Time sharing is inside the storage LP, so a denser sweep is convex in D
+    # (the Wyner-Ziv curve here is linear, time sharing, above D = 0.098).
+    dense = np.linspace(0.0, 0.3, 31)
+    rws = [p.rates.rw for p in trace_region(binary_model, 0.0, METRIC, list(dense), CFG)]
+    for i in range(1, len(rws) - 1):
+        assert rws[i] <= 0.5 * (rws[i - 1] + rws[i + 1]) + 1e-9
 
 
 def test_deterministic_given_seed(binary_model):
@@ -83,15 +90,46 @@ def test_grid_method_matches_oracle(binary_model):
     assert pts[0].rates.rw == pytest.approx(best, abs=1e-12)
 
 
-def test_infeasible_target_reported():
-    # |U| = 1 cannot reach distortion below the no-encoder floor.
-    model = SourceModel.from_channels(
-        Pmf.uniform(2), bsc(0.1), StochasticMatrix.constant(2, 2),
-        StochasticMatrix.constant(2, 2),
-    )
-    cfg = SearchConfig(restarts=2, seed=1, u_size=1, v_size=1, q_size=1)
-    with pytest.raises(InfeasibleTargetError):
-        trace_region(model, 0.0, METRIC, [0.05], cfg)
+def test_infeasible_target_reported(binary_model):
+    # Every reconstruction costs at least 0.2, even with U = Xt.
+    metric = DistortionMetric(np.array([[0.2, 1.0], [1.0, 0.2]]))
+    with pytest.raises(InfeasibleTargetError, match="least distortion"):
+        trace_region(binary_model, 0.0, metric, [0.1], CFG)
+    assert trace_region(binary_model, 0.0, metric, [0.2], CFG)[0].rates.d <= 0.2
+
+
+def test_storage_search_at_the_least_distortion():
+    # With no zero in a metric row, the least distortion P(Xt) . (row minima)
+    # is reached by U = Xt alone.  A target on it, or an ulp above, is met;
+    # the check once used a sum that rounded differently from the repair's,
+    # which then found no feasible scheme and the search died in an
+    # IndexError.
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        nxt = 2 + seed % 2
+        model = random_model(rng, nx=3, nxt=nxt, ny=3)
+        metric = DistortionMetric(rng.uniform(0.05, 1.0, size=(nxt, nxt)))
+        obj = regions._SchemeEvaluator(model, metric)
+        least = float(obj.p_xt @ metric.table.min(axis=1))
+        for d in (least, np.nextafter(least, 1.0)):
+            try:
+                [p] = trace_region(model, 0.0, metric, [d],
+                                   SearchConfig(u_size=nxt + 1, v_size=1, q_size=1))
+            except InfeasibleTargetError:
+                assert d == least  # only an ulp below the anchor's own score
+                continue
+            assert obj.storage(p.scheme.p_u_given_xtilde.rows)[1] <= d
+            assert p.rates.d <= d + 1e-15
+
+
+def test_storage_search_refuses_fewer_than_xt_plus_one_symbols(binary_model):
+    # A basic solution of the storage LP may use |Xt|+1 posteriors.
+    cfg = SearchConfig(u_size=2, v_size=1, q_size=1)
+    with pytest.raises(ModelError, match=r"u_size >= \|Xt\|\+1 = 3, got 2"):
+        trace_region(binary_model, 0.0, METRIC, [0.1], cfg)
+    model = random_model(np.random.default_rng(7), nx=3, nxt=3, ny=3)
+    with pytest.raises(ModelError, match=r"u_size >= \|Xt\|\+1 = 4, got 3"):
+        trace_region(model, 0.0, DistortionMetric.hamming(3), [0.1], SearchConfig(u_size=3))
 
 
 def test_simplex_grid_counts():
@@ -259,11 +297,10 @@ def _descend_alone(obj, mats, r0, objective, target_d):
 @pytest.mark.parametrize("case", ["binary-u3", "binary-default", "ternary"])
 def test_stacked_descent_matches_each_start_alone(binary_model, case):
     # All starts of a target move as one stack, and each must end on the
-    # matrices it reaches descended alone, bit for bit: for the storage
-    # objective, which moves P(U|Xt), and for both leakages, which move all
-    # three matrices (the search stacks the two leakages together).  The
-    # cases take a start through penalty levels and rejected steps, and let
-    # the starts leave the stack at different ticks.
+    # matrices it reaches descended alone, bit for bit, for both leakages,
+    # which move all three matrices (the search stacks the two leakages
+    # together).  The cases take a start through penalty levels and rejected
+    # steps, and let the starts leave the stack at different ticks.
     rng = np.random.default_rng(61)
     model, (nu, nv, nq) = {
         "binary-u3": (binary_model, (3, 2, 2)),
@@ -273,13 +310,11 @@ def test_stacked_descent_matches_each_start_alone(binary_model, case):
     nxt = model.xtilde_size
     obj = regions._SchemeEvaluator(model, DistortionMetric.hamming(nxt))
     mats = _starts(rng, (nxt, nu, nv, nq), 5)
-    for r0, objectives, moving, target in ((0.3, ["rw"] * 5, 1, 0.05),
-                                           (0.3, ["rw"] * 5, 1, 0.12),
-                                           (0.0, ["rs", "rl", "rs", "rl", "rs"], 3, 0.05),
-                                           (0.1, ["rl", "rs", "rl", "rs", "rl"], 3, 0.15)):
-        stack = regions._mirror_descent(obj, mats[:moving], r0, objectives, target)
+    for r0, objectives, target in ((0.0, ["rs", "rl", "rs", "rl", "rs"], 0.05),
+                                   (0.1, ["rl", "rs", "rl", "rs", "rl"], 0.15)):
+        stack = regions._mirror_descent(obj, mats, r0, objectives, target)
         for i, objective in enumerate(objectives):
-            alone = _descend_alone(obj, [m[i] for m in mats[:moving]], r0, objective, target)
+            alone = _descend_alone(obj, [m[i] for m in mats], r0, objective, target)
             for m, a in zip(stack, alone):
                 np.testing.assert_array_equal(m[i], a)
         assert not np.array_equal(stack[0], mats[0])  # the starts moved
@@ -330,9 +365,8 @@ def test_stacked_repair_matches_each_alone(binary_model):
 def test_empty_stack(binary_model):
     obj = regions._SchemeEvaluator(binary_model, METRIC)
     empty = [np.empty((0, 2, 3)), np.empty((0, 3, 2)), np.empty((0, 2, 2))]
-    for objectives, moving in (([], 1), ([], 3)):
-        out = regions._mirror_descent(obj, empty[:moving], 0.0, objectives, 0.1)
-        assert [m.shape for m in out] == [m.shape for m in empty[:moving]]
+    out = regions._mirror_descent(obj, empty, 0.0, [], 0.1)
+    assert [m.shape for m in out] == [m.shape for m in empty]
     assert regions._repair_feasibility(obj, empty[0], regions._anchor_u_rows(2, 3), 0.1) == []
 
 
@@ -344,42 +378,6 @@ def test_generic_objective_path(binary_model):
         assert pts[0].rates.d <= 0.2 + 1e-9
         full = extend_with_auxiliaries(build_joint(binary_model), pts[0].scheme)
         assert lossy_point(full, r0, METRIC) == pts[0].report
-
-
-def test_convexified_trace_is_convex_and_below(binary_model):
-    from secsource.regions import convexify_trace
-
-    targets = [0.0, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4]
-    pts = trace_region(binary_model, 0.0, METRIC, targets, CFG)
-    env = convexify_trace(pts)
-    assert [e[0] for e in env] == sorted(targets)
-    for p, e in zip(sorted(pts, key=lambda p: p.target_d), env):
-        assert e[1] <= p.rates.rw + 1e-9
-    # Convexity of the envelope in the (d, rw) plane.
-    for i in range(1, len(env) - 1):
-        d0, r0_, _, _ = env[i - 1]
-        d1, r1, _, _ = env[i]
-        d2, r2, _, _ = env[i + 1]
-        t = (d1 - d0) / (d2 - d0)
-        assert r1 <= r0_ + t * (r2 - r0_) + 1e-9
-
-
-def test_convexified_trace_replaces_point_above_chord():
-    # The middle point lies above the chord of its neighbours in (d, rw):
-    # the envelope there is the chord's interpolation in every component,
-    # and the end points stay.  Dyadic values make the interpolation exact.
-    from secsource.regions import RateTuple, RegimeReport, TracePoint, convexify_trace
-
-    def point(d, rw, rs, rl):
-        rates = RateTuple(rw=rw, rs=rs, rl=rl, d=d)
-        report = RegimeReport("small_key", 0.0, rw, 0.0, rates)
-        return TracePoint(d, rates, AuxScheme.identity(2), report)
-
-    pts = [point(0.5, 0.5, 0.25, 0.125), point(0.0, 1.0, 0.5, 0.25),
-           point(0.25, 0.875, 0.5, 0.25)]
-    assert convexify_trace(pts) == [
-        (0.0, 1.0, 0.5, 0.25), (0.25, 0.75, 0.375, 0.1875), (0.5, 0.5, 0.25, 0.125),
-    ]
 
 
 INSTANCE = Path(__file__).resolve().parents[1] / "demos" / "models" / "binary_instance.json"
@@ -408,25 +406,129 @@ def test_wyner_ziv_closed_form():
 
 
 @pytest.mark.parametrize("size, bounds", [
-    ({"u_size": 3, "v_size": 1, "q_size": 1}, (0.0012, 0.0028, 0.0037)),
-    ({}, (0.0067, 0.0062, 0.0246)),
+    ({"u_size": 3, "v_size": 1, "q_size": 1}, (-1e-9, 1e-6)),
+    ({}, (-1e-9, 1e-6)),
 ])
 def test_storage_search_near_wyner_ziv(size, bounds):
     # The README sweep on the binary instance, whose (Xt, Y) pair is a doubly
     # symmetric binary source with crossover 0.26.  At |U| = 3 and at the
-    # default cardinality the search must not sit further above the closed
-    # form than the gaps the finite-difference descent left (0.1 mbit
-    # resolution), and never below it.
+    # default cardinality the storage LP must land within ``bounds`` of the
+    # closed form at every target, its certified lower bound must not exceed
+    # the closed form, and both sizes must return the same rates (the
+    # mirror descent left 1.2-3.7 mbit at |U| = 3 and up to 24.6 mbit at the
+    # default cardinality).
     model = modelio.parse_model(INSTANCE)
     pair = build_joint(model).marginal_table(("Xt", "Y"))
     np.testing.assert_allclose(pair, pair.T, atol=1e-15)
     np.testing.assert_allclose(pair.sum(axis=1), 0.5, atol=1e-15)
     p0 = float(pair[0, 1] + pair[1, 0])
-    cfg = SearchConfig(restarts=8, seed=7, **size)
-    points = trace_region(model, 0.0, METRIC, [0.05, 0.10, 0.15], cfg)
-    for p, bound in zip(points, bounds):
-        gap = p.rates.rw - _wyner_ziv_dsbs(p0, p.target_d)
-        assert -1e-9 <= gap <= bound
+    targets = [0.05, 0.10, 0.15]
+    points = trace_region(model, 0.0, METRIC, targets, SearchConfig(restarts=8, seed=7, **size))
+    for p in points:
+        wz = _wyner_ziv_dsbs(p0, p.target_d)
+        assert bounds[0] <= p.rates.rw - wz <= bounds[1]
+        assert p.lower_bound <= wz + 1e-9
+        assert p.rates.rw - p.lower_bound <= 1e-7
+        assert p.rates.d <= p.target_d
+    u3 = trace_region(model, 0.0, METRIC, targets, CFG)
+    assert [p.rates for p in points] == [p.rates for p in u3]
+
+
+# The ternary storage optima that an LP on a 1/100 posterior grid reached on
+# these models (rw at D = 0.1 and 0.2); the mirror descent stopped at
+# 0.8895 / 0.5157 (seed 7) and 0.0773 (seed 3, D = 0.2) at |U| = 4.
+_TERNARY_LP = {7: (0.7974, 0.4585), 3: (None, 0.0620)}
+
+
+def _random_storage_case(nxt, seed):
+    model = random_model(np.random.default_rng(seed), nx=3, nxt=nxt, ny=3)
+    return model, DistortionMetric.hamming(nxt)
+
+
+@pytest.mark.parametrize("parts, k", [(2, 7), (3, 5), (4, 3)])
+def test_kuhn_cells_cover_the_simplex(parts, k):
+    # The storage LP's certificate bounds g on every cell, so the cells must
+    # cover the simplex: k^(parts-1) cells of equal volume that fill it, and
+    # every random point inside one of them.
+    cells = regions._kuhn_cells(k, parts)
+    verts = (compositions(k, parts) / k)[cells][..., :-1]  # drop the last coordinate
+    d = parts - 1
+    assert len(cells) == k**d
+    edges = verts[:, 1:] - verts[:, :1]
+    # Each cell has volume 1 / (d! k^d), the simplex's over k^d.
+    np.testing.assert_allclose(np.abs(np.linalg.det(edges)), 1.0 / k**d, rtol=1e-9)
+    # Barycentric coordinates of random points in every cell.
+    points = np.random.default_rng(k).dirichlet(np.ones(parts), size=200)[:, :-1]
+    lam = np.linalg.solve(np.swapaxes(edges, 1, 2)[None],
+                          (points[:, None] - verts[None, :, 0])[..., None])[..., 0]
+    inside = (lam >= -1e-12).all(axis=2) & (lam.sum(axis=2) <= 1.0 + 1e-12)
+    assert inside.any(axis=1).all()
+
+
+@pytest.mark.parametrize("nxt, seed", [(2, 7), (2, 3), (3, 7), (3, 3)])
+def test_storage_lp_certificate_on_random_models(nxt, seed):
+    model, metric = _random_storage_case(nxt, seed)
+    targets = (0.1, 0.2)
+    points = trace_region(model, 0.0, metric, list(targets),
+                          SearchConfig(u_size=nxt + 1, v_size=1, q_size=1))
+    obj = regions._SchemeEvaluator(model, metric)
+    anchor = regions._anchor_u_rows(nxt, nxt + 1)
+    draws = np.random.default_rng(seed + 1).dirichlet(np.ones(nxt + 1), size=(500, nxt))
+    for p in points:
+        d = p.target_d
+        # (a) the certified interval holds rw, within the LP's stated gap.
+        assert 0.0 <= p.rates.rw - p.lower_bound <= regions._LP_GAP
+        assert p.rates.d <= d and p.scheme.u_size == nxt + 1
+        assert p.scheme.v_size == p.scheme.q_size == 1
+        # (b) no feasible scheme scores below the lower bound: the draws that
+        # meet D as they are, and every draw blended toward the anchor.
+        feasible = np.stack(regions._repair_feasibility(obj, draws, anchor, d))
+        for t in (draws, feasible):
+            rw, dist = obj.storage(t)
+            assert np.all(rw[dist <= d] >= p.lower_bound)
+        # (c) no worse than the grid oracle, up to the certified gap.
+        try:
+            best, _ = grid_minimum_storage(model, metric, d, u_size=2, step=0.1)
+        except InfeasibleTargetError:
+            continue
+        assert p.rates.rw <= best + (p.rates.rw - p.lower_bound)
+    if nxt == 3:
+        for p, want in zip(points, _TERNARY_LP[seed]):
+            assert want is None or p.rates.rw <= want
+
+
+def test_storage_lp_ignores_symbols_of_probability_zero(binary_model):
+    # A third Xt symbol that never occurs leaves the storage search's answer
+    # and certificate as they are; its row of P(U|Xt) is the anchor's.
+    enc = StochasticMatrix(np.hstack([binary_model.meas_enc.rows, np.zeros((2, 1))]))
+    model = SourceModel.from_channels(binary_model.px, enc, bsc(0.2), bsc(0.3))
+    targets = [0.0, 0.05, 0.2]
+    want = trace_region(binary_model, 0.0, METRIC, targets, CFG)
+    got = trace_region(model, 0.0, DistortionMetric.hamming(3), targets,
+                       SearchConfig(u_size=4, v_size=1, q_size=1))
+    for p, w in zip(got, want):
+        assert p.rates.rw == pytest.approx(w.rates.rw, abs=1e-12)
+        assert p.lower_bound == pytest.approx(w.lower_bound, abs=1e-12)
+        assert p.rates.d <= p.target_d
+        np.testing.assert_array_equal(p.scheme.p_u_given_xtilde.rows[2], [0.0, 0.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize("nxt, seed", [(2, 7), (3, 3)])
+def test_storage_lp_matches_highs(nxt, seed):
+    # The numpy simplex and HiGHS agree on the storage LP over the same
+    # columns (the equality rows as equalities for HiGHS).  HiGHS's default
+    # feasibility tolerances (1e-7) once left it 1.8e-9 short of the optimum.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    model, metric = _random_storage_case(nxt, seed)
+    lp = regions._StorageLP(regions._SchemeEvaluator(model, metric), metric)
+    for d in (0.1, 0.2):
+        w, _ = lp.solve(d)
+        res = linprog(-lp.psi, A_ub=lp.delta[None], b_ub=[d - lp.d_floor], A_eq=lp.q.T,
+                      b_eq=lp.p_xt, bounds=(0.0, None), method="highs",
+                      options={"primal_feasibility_tolerance": 1e-10,
+                               "dual_feasibility_tolerance": 1e-10})
+        assert res.success
+        assert w @ lp.psi == pytest.approx(-res.fun, abs=1e-9)
 
 
 def test_leakage_searches_reach_the_lower_leakage():
