@@ -37,6 +37,15 @@ ML-in-bin error event exactly in distribution, with fresh bin randomness per
 trial, i.e. the reported error rate estimates the expectation over random
 bin assignments - the quantity the achievability analysis controls.
 
+Each trial of ``run_experiment`` owns its random stream: trial t draws from
+``default_rng([seed, 7, t])``, in this order, 3n uniforms (X^n, Xt^n,
+(Y, Z)^n), the key, and 2n + 2 uniforms (U^n, V^n, and the collision
+engine's V-layer and U-layer decisions).  Trials are simulated in blocks
+whose arrays stay within ``_BLOCK_CELLS`` cells: the draws fill rows of the
+block buffers, and sampling, the pooled type, the in-bin search and the
+distortion run once per block, so a report does not depend on the blocking.
+``encode`` and ``decode`` run the same routines on a block of one.
+
 Leakage reporting
 -----------------
 Each pad mode realizes one key-rate regime of the region: the key slot the
@@ -64,8 +73,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
-from functools import lru_cache
-from typing import Literal, Optional, Sequence
+from functools import cached_property, lru_cache
+from typing import Literal, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -108,12 +117,13 @@ _PADS: dict[str, tuple[Regime, tuple[str, ...]]] = {
 MATERIALIZE_LIMIT = 1 << 14   # largest sequence space kept as explicit tables
 ENUMERATION_BUDGET = 5_000_000  # cells in composition cross-products / exact sums
 LEAKAGE_CELL_LIMIT = 64_000_000  # m^max|D_w|: cells per message in exact_leakage's widest block
-# Working-block size of exact_leakage: 120 KiB per float64 array.  Each block
-# allocates about 20 arrays of up to that size.  Above glibc's default mmap
-# threshold (128 KiB, raised only after a larger mapped chunk is freed) every
-# block would map them fresh and page-fault; smaller blocks pay more per-block
-# overhead.
-_LEAKAGE_BLOCK_CELLS = 15 << 10
+# Cells per working block, 120 KiB per float64 array: exact_leakage's blocks of
+# messages (about 20 arrays each), run_experiment's blocks of trials and the
+# in-bin search's chunks of (candidate, position) cells.  Above glibc's default
+# mmap threshold (128 KiB, raised only after a larger mapped chunk is freed)
+# every block would map its arrays fresh and page-fault; smaller blocks pay
+# more per-block overhead.
+_BLOCK_CELLS = 15 << 10
 _LETTER_POWER_SIZE = 16         # largest Kronecker power exact_leakage applies in one step
 _LL_TIE_TOL = 1e-6            # log-likelihood slack treated as a tie
 
@@ -228,6 +238,12 @@ class BinningCode:
     def draw_key(self, rng: np.random.Generator) -> tuple[int, ...]:
         return tuple(_rand_bits(rng, b) for b in self.key_bit_widths())
 
+    @cached_property
+    def _bins(self) -> tuple[_BinIndex, _BinIndex]:
+        """The in-bin search's index of the V layer (f_v, w_v) and of the U
+        layer (f_u, w_u, k_u), built on first use (materialized codes)."""
+        return _bin_index(self.tables[:2]), _bin_index(self.tables[2:])
+
 
 def _rand_bits(rng: np.random.Generator, bits: int) -> int:
     if bits == 0:
@@ -239,13 +255,6 @@ def _rand_bits(rng: np.random.Generator, bits: int) -> int:
         value = (value << take) | int(rng.integers(0, 1 << take))
         remaining -= take
     return value
-
-
-def _seq_index(seq: np.ndarray, q: int) -> int:
-    idx = 0
-    for s in np.asarray(seq, dtype=int):
-        idx = idx * q + int(s)
-    return idx
 
 
 @lru_cache(maxsize=16)
@@ -366,7 +375,8 @@ def design_code(
             "no reconstruction map: pass `reconstruction` or `metric` when |U| != |Xt|"
         )
 
-    # One i.i.d. uniform stream per field of ``_FIELDS``, tagged 1 to 5.
+    # One i.i.d. uniform stream per field of ``_FIELDS``, tagged 1 to 5.  The
+    # tables are read-only: the code's bin index is built from them once.
     tables = None
     widths = astuple(bits)
     if v_size**n <= MATERIALIZE_LIMIT and u_size**n <= MATERIALIZE_LIMIT and max(widths) <= 62:
@@ -376,6 +386,8 @@ def design_code(
             if width > 0 else np.zeros(space, dtype=np.int64)
             for tag, width, space in zip(range(1, 6), widths, spaces)
         )
+        for table in tables:
+            table.setflags(write=False)
 
     return BinningCode(
         n=n,
@@ -418,27 +430,54 @@ def _log_conditional(joint: np.ndarray, cond_axes_last: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _sample_categorical(rows: np.ndarray, labels: np.ndarray, rng) -> np.ndarray:
+def _inverse_cdf(rows: np.ndarray, labels, draws: np.ndarray) -> np.ndarray:
+    """Inverse-CDF sampling from the rows of a stochastic matrix, elementwise:
+    each cell takes the category of row ``labels`` (an index array shaped as
+    ``draws``, or a scalar) that its uniform draw selects, i.e. the number of
+    that row's cumulative sums, all but the last, at or below the draw.  One
+    cumulative column is compared at a time, so no (cells, categories) array
+    is built."""
     cum = np.cumsum(rows, axis=1)
-    draws = rng.random(labels.size)
-    idx = (draws[:, None] >= cum[labels]).sum(axis=1)
-    return np.minimum(idx, rows.shape[1] - 1)
+    idx = np.zeros(draws.shape, dtype=np.intp)
+    for k in range(rows.shape[1] - 1):
+        idx += draws >= cum[:, k][labels]
+    return idx
 
 
-def _sample_aux(code: BinningCode, xtilde_seq: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
-    u = _sample_categorical(code.p_u_given_xtilde, xtilde_seq, rng)
-    v = _sample_categorical(code.p_v_given_u, u, rng)
+def _sample_source(model: SourceModel, draws: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(Xt, X, Y, Z) blocks, each (trials, n), from (trials, 3n) uniforms:
+    the first n of a row draw X^n, the next n Xt^n and the last n (Y, Z)^n."""
+    x, xt_draws, yz_draws = np.split(draws, 3, axis=1)
+    x = _inverse_cdf(model.px.probs[None, :], 0, x)
+    xt = _inverse_cdf(model.meas_enc.rows, x, xt_draws)
+    y, z = np.divmod(_inverse_cdf(model.meas_dec_eve.rows, x, yz_draws), model.z_size)
+    return xt, x, y, z
+
+
+def _sample_layers(code: BinningCode, xt: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The auxiliary layers (V, U), each shaped as ``xt`` (trials, n), by
+    forward per-letter sampling: U^n from the first n uniforms of a row of
+    ``draws``, then V^n from the next n."""
+    n = xt.shape[1]
+    u = _inverse_cdf(code.p_u_given_xtilde, xt, draws[:, :n])
+    v = _inverse_cdf(code.p_v_given_u, u, draws[:, n:2 * n])
     return v, u
+
+
+def _seq_indices(seqs: np.ndarray, q: int) -> np.ndarray:
+    """Big-endian index of each row of ``seqs`` in the q-ary sequence space."""
+    return seqs @ q ** np.arange(seqs.shape[1] - 1, -1, -1)
 
 
 def _pad(code: BinningCode, fields, key, sign: int = 1) -> list:
     """``fields`` (f_v, w_v, f_u, w_u, k_u) with the key components added
     (``sign`` 1) or removed (``sign`` -1) modulo 2^bits in the fields the
-    pad mode pads; elementwise on numpy arrays."""
+    pad mode pads (a padded field of 0 bits reads 0); elementwise on numpy
+    arrays."""
     out = list(fields)
     for name, k in zip(_PADS[code.mode][1], key):
         i, bits = _FIELDS.index(name), getattr(code.bits, name)
-        out[i] = (out[i] + sign * k) & ((1 << bits) - 1) if bits > 0 else 0
+        out[i] = (out[i] + sign * k) & ((1 << bits) - 1)
     return out
 
 
@@ -449,22 +488,16 @@ def _message_fields(code: BinningCode, v_idx, u_idx, key) -> list:
     return _pad(code, [t[i] for t, i in zip(code.tables, idx)], key)
 
 
-def _assemble_message(code: BinningCode, v_seq, u_seq, key) -> Message:
-    fields = _message_fields(
-        code, _seq_index(v_seq, code.v_size), _seq_index(u_seq, code.u_size), key
-    )
-    return Message(*(int(f) for f in fields))
-
-
 def encode(
     code: BinningCode, xtilde_seq: Sequence[int], key: tuple[int, ...], seed: int = 0
 ) -> Message:
     """Sample the auxiliary layers for one source block and emit the message.
 
     The layers (V^n, U^n) are drawn by forward per-letter sampling from the
-    auxiliary channels (the public indices are then read off the sampled
-    sequences), and the key is mixed into the slot dictated by the pad
-    regime.  Requires materialized bins.
+    auxiliary channels, U^n from the first n uniforms of
+    ``default_rng(seed).random(2n)`` and V^n from the rest (the public
+    indices are then read off the sampled sequences), and the key is mixed
+    into the slot dictated by the pad regime.  Requires materialized bins.
     """
     if not code.materialized:
         raise BinningScaleError(
@@ -476,9 +509,10 @@ def encode(
     if xt.size != code.n:
         raise DimensionError(f"sequence length {xt.size} != blocklength {code.n}")
     _check_key(code, key)
-    rng = np.random.default_rng(seed)
-    v_seq, u_seq = _sample_aux(code, xt, rng)
-    return _assemble_message(code, v_seq, u_seq, key)
+    draws = np.random.default_rng(seed).random((1, 2 * code.n))
+    v, u = _sample_layers(code, xt.reshape(1, -1), draws)
+    fields = _message_fields(code, _seq_indices(v, code.v_size), _seq_indices(u, code.u_size), key)
+    return Message(*(int(f[0]) for f in fields))
 
 
 def _check_key(code: BinningCode, key: tuple[int, ...]) -> None:
@@ -488,21 +522,6 @@ def _check_key(code: BinningCode, key: tuple[int, ...]) -> None:
     for k, b in zip(key, widths):
         if not 0 <= k < (1 << b):
             raise ValueError("key component out of range")
-
-
-def _decode_layers(
-    code: BinningCode, y: np.ndarray, key: tuple[int, ...], message: Message
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Successive ML-in-bin layer decisions; returns (v_hat, u_hat, unique)."""
-    # Bin membership per field, the key removed from the padded ones.
-    f_v, w_v, f_u, w_u, k_u = (
-        t == b for t, b in zip(code.tables, _pad(code, astuple(message), key, -1))
-    )
-    v_hat, ok_v = _ml_in_bin(_all_sequences(code.v_size, code.n),
-                             code.log_v_y[:, y].T, f_v & w_v)               # (n, V)
-    u_hat, ok_u = _ml_in_bin(_all_sequences(code.u_size, code.n),
-                             code.log_u_vy[:, v_hat, y].T, f_u & w_u & k_u)  # (n, U)
-    return v_hat, u_hat, bool(ok_v and ok_u)
 
 
 def decode(
@@ -517,7 +536,8 @@ def decode(
     most likely u^n in the received U bin given (v^n, y^n), and maps through
     the reconstruction.  ``success`` is False on an empty candidate set or a
     likelihood tie; the output is then best effort.  Requires materialized
-    bins (the in-bin search enumerates the sequence space).
+    bins (the in-bin search enumerates the sequence space).  This is the
+    decoder of ``run_experiment``'s explicit engine, on a block of one.
     """
     if not code.materialized:
         raise DecodeSearchError(
@@ -529,25 +549,101 @@ def decode(
     if y.size != code.n:
         raise DimensionError(f"sequence length {y.size} != blocklength {code.n}")
     _check_key(code, key)
-    v_hat, u_hat, unique = _decode_layers(code, y, key, message)
-    return code.reconstruction[u_hat, y], unique
+    received = _pad(code, [np.array([f]) for f in astuple(message)], key, -1)
+    _, u_hat, unique = _decode_block(code, y.reshape(1, -1), received)
+    return code.reconstruction[u_hat[0], y], bool(unique[0])
 
 
-def _ml_in_bin(
-    seqs: np.ndarray, per_pos_logp: np.ndarray, in_bin: np.ndarray
-) -> tuple[np.ndarray, bool]:
-    """Pick the most likely sequence among those whose bins match."""
-    n = seqs.shape[1]
-    candidates = np.nonzero(in_bin)[0]
-    if candidates.size == 0:
-        # Best effort: per-letter MAP, ignoring the bin.
-        return np.argmax(per_pos_logp, axis=1), False
-    cols = np.arange(n)
-    ll = per_pos_logp[cols[None, :], seqs[candidates]].sum(axis=1)
-    order = np.argmax(ll)
-    best = ll[order]
-    unique = np.count_nonzero(ll >= best - _LL_TIE_TOL) == 1 and math.isfinite(best)
-    return seqs[candidates[order]], bool(unique)
+class _BinIndex(NamedTuple):
+    """The bins of one layer's sequences: ``levels`` holds each field's
+    distinct table values (ascending); a sequence's bin key is the
+    mixed-radix number of its fields' ranks among them, which fits int64
+    whatever the fields' bit widths; ``order`` lists the sequence indices in
+    stable order of their keys, ``keys`` the sorted keys and ``largest`` the
+    most sequences in one bin."""
+
+    levels: list
+    order: np.ndarray
+    keys: np.ndarray
+    largest: int
+
+
+def _bin_index(tables: Sequence[np.ndarray]) -> _BinIndex:
+    """``_BinIndex`` of the sequences of one layer, from its fields' tables."""
+    levels, key = [], np.zeros(tables[0].size, dtype=np.int64)
+    for table in tables:
+        values, rank = np.unique(table, return_inverse=True)
+        levels.append(values)
+        key = key * values.size + rank
+    order = np.argsort(key, kind="stable")
+    keys = key[order]
+    return _BinIndex(levels, order, keys, int(np.unique(keys, return_counts=True)[1].max()))
+
+
+def _decode_block(
+    code: BinningCode, y: np.ndarray, received: list
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Successive ML-in-bin decisions for a block of trials: V^n from y^n,
+    then U^n from (v_hat^n, y^n).  ``y`` is (trials, n) and ``received`` the
+    five fields per trial with the key removed.  Returns (v_hat, u_hat,
+    unique)."""
+    v_bins, u_bins = code._bins
+    v_hat, ok_v = _ml_in_bin_block(v_bins, received[:2], _all_sequences(code.v_size, code.n),
+                                   code.log_v_y, (y,))
+    u_hat, ok_u = _ml_in_bin_block(u_bins, received[2:], _all_sequences(code.u_size, code.n),
+                                   code.log_u_vy, (v_hat, y))
+    return v_hat, u_hat, ok_v & ok_u
+
+
+def _ml_in_bin_block(
+    bins: _BinIndex, received: list, seqs: np.ndarray, log_p: np.ndarray,
+    side: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per trial, the most likely sequence of ``seqs`` in its received bin.
+
+    ``bins`` is the layer's ``_BinIndex`` and ``received`` its field values
+    per trial; ``log_p[s, c...]`` is ln P(symbol s | side symbols c...) and
+    ``side`` the (trials, n) side-information sequences.  A trial's
+    candidates are one range of the stably sorted sequences, so they stay in
+    sequence order and the first maximum wins.  Their log-likelihoods are
+    row sums of one gather, taken over chunks of at most ``_BLOCK_CELLS``
+    (candidate, position) cells.  A decision is unique when it is finite and
+    no other candidate comes within ``_LL_TIE_TOL`` of it; an empty bin
+    falls back to per-letter MAP, ignoring the bin, and is not unique.
+    """
+    levels, order, sorted_key, _ = bins
+    trials, n = side[0].shape
+    key = np.zeros(trials, dtype=np.int64)
+    absent = np.zeros(trials, dtype=bool)
+    for values, value in zip(levels, received):
+        pos = np.searchsorted(values, value)
+        absent |= values[np.minimum(pos, values.size - 1)] != value
+        key = key * values.size + pos
+    lo = np.searchsorted(sorted_key, key, side="left")
+    count = np.where(absent, 0, np.searchsorted(sorted_key, key, side="right") - lo)
+
+    hat = np.argmax(log_p, axis=0)[side]
+    unique = np.zeros(trials, dtype=bool)
+    found = np.flatnonzero(count)
+    if found.size == 0:
+        return hat, unique
+    total = int(count.sum())
+    offset = np.cumsum(count) - count  # each trial's first candidate in ``cand``
+    trial = np.repeat(np.arange(trials), count)
+    cand = order[np.repeat(lo - offset, count) + np.arange(total)]
+    ll = np.empty(total)
+    step = max(1, _BLOCK_CELLS // n)
+    for a in range(0, total, step):
+        t = trial[a:a + step]
+        ll[a:a + step] = log_p[(seqs[cand[a:a + step]],) + tuple(s[t] for s in side)].sum(axis=1)
+    starts = offset[found]
+    best = np.maximum.reduceat(ll, starts)
+    best_of = np.repeat(best, count[found])
+    hits = np.flatnonzero(ll == best_of)
+    ties = np.add.reduceat(ll >= best_of - _LL_TIE_TOL, starts, dtype=np.intp)
+    hat[found] = seqs[cand[hits[np.searchsorted(hits, starts)]]]
+    unique[found] = (ties == 1) & np.isfinite(best)
+    return hat, unique
 
 
 # ---------------------------------------------------------------------------
@@ -662,12 +758,16 @@ def _layer_success_probability(
 # ---------------------------------------------------------------------------
 
 
-def _sample_source_block(model: SourceModel, n: int, rng):
-    x = _sample_categorical(np.tile(model.px.probs, (1, 1)), np.zeros(n, dtype=int), rng)
-    xt = _sample_categorical(model.meas_enc.rows, x, rng)
-    yz = _sample_categorical(model.meas_dec_eve.rows, x, rng)
-    y, z = np.divmod(yz, model.z_size)
-    return xt, x, y, z
+def _collision_success(code: BinningCode, v: np.ndarray, u: np.ndarray, y: np.ndarray,
+                       uniforms: np.ndarray) -> bool:
+    """One collision-engine trial: the V layer decodes when ``uniforms[0]``
+    falls below its success probability, then the U layer when
+    ``uniforms[1]`` does (its probability is only computed if V decoded)."""
+    p_v = _layer_success_probability(code.log_v_y, v, (y,), code.bits.f_v + code.bits.w_v)
+    if not uniforms[0] < p_v:
+        return False
+    p_u = _layer_success_probability(code.log_u_vy, u, (v, y), code.bits.u_layer_total())
+    return bool(uniforms[1] < p_u)
 
 
 def run_experiment(
@@ -686,6 +786,17 @@ def run_experiment(
     not decode to the true sequences; ``distortion`` averages the per-letter
     metric over the successfully decoded trials (NaN if none succeeded;
     Hamming on the Xt alphabet by default).
+
+    Each trial keeps its own random stream: trial t owns
+    ``np.random.default_rng([seed, 7, t])`` and draws ``random(3n)`` (X^n,
+    then Xt^n, then (Y, Z)^n), then the key (``BinningCode.draw_key``), then
+    ``random(2n + 2)`` (U^n, then V^n, then the collision engine's V-layer
+    and U-layer uniforms).  Trials run in blocks: each trial's draws fill
+    one row of the block buffers, and sampling, the pooled type, decoding
+    and distortion run once per block.  A block holds as many trials as keep
+    its (trial, position) cells, and for the explicit engine its (trial,
+    candidate, position) cells at the largest bin, within ``_BLOCK_CELLS``
+    (at least one trial).  The collision engine counts competitors per trial.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -696,50 +807,60 @@ def run_experiment(
         raise DimensionError(f"reconstruction map entry {code.reconstruction.max()} is outside "
                              f"the metric's {metric.table.shape[1]} reconstruction symbols")
 
-    engine = "explicit" if code.materialized else "collision"
-    # The pooled type of (q, v, u, xt, x, y, z) with a one-symbol Q.
-    counts = np.zeros((1, code.v_size, code.u_size, model.xtilde_size,
-                       model.x_size, model.y_size, model.z_size))
+    n = code.n
+    explicit = code.materialized
+    width = max(b.largest for b in code._bins) if explicit else 1  # candidates per trial
+    block = min(trials, max(1, _BLOCK_CELLS // (n * width)))
+    source = np.empty((block, 3 * n))
+    layers = np.empty((block, 2 * n + 2))
+    keys = np.zeros((block, len(code.key_bit_widths())), dtype=np.int64)
+    # The pooled type of (v, u, xt, x, y, z); Q has one symbol.
+    shape = (code.v_size, code.u_size, model.xtilde_size, model.x_size,
+             model.y_size, model.z_size)
+    counts = np.zeros(math.prod(shape), dtype=np.int64)
     errors = 0
-    distortions: list[float] = []
+    distortions = []
 
-    for t in range(trials):
-        rng = np.random.default_rng([seed, 7, t])
-        xt, x, y, z = _sample_source_block(model, code.n, rng)
-        key = code.draw_key(rng)
-        v_seq, u_seq = _sample_aux(code, xt, rng)
-        np.add.at(counts, (0, v_seq, u_seq, xt, x, y, z), 1.0)
+    for first in range(0, trials, block):
+        rows = min(block, trials - first)
+        for i in range(rows):
+            rng = np.random.default_rng([seed, 7, first + i])
+            rng.random(out=source[i])
+            key = code.draw_key(rng)
+            if explicit:
+                keys[i] = key
+            rng.random(out=layers[i])
+        xt, x, y, z = _sample_source(model, source[:rows])
+        v, u = _sample_layers(code, xt, layers[:rows])
+        cells = np.ravel_multi_index((v, u, xt, x, y, z), shape)
+        counts += np.bincount(cells.ravel(), minlength=counts.size)
 
-        if engine == "explicit":
-            msg = _assemble_message(code, v_seq, u_seq, key)
-            v_hat, u_hat, unique = _decode_layers(code, y, key, msg)
-            ok = unique and np.array_equal(v_hat, v_seq) and np.array_equal(u_hat, u_seq)
+        if explicit:
+            block_keys = keys[:rows].T
+            fields = _message_fields(code, _seq_indices(v, code.v_size),
+                                     _seq_indices(u, code.u_size), block_keys)
+            v_hat, u_hat, unique = _decode_block(code, y, _pad(code, fields, block_keys, -1))
+            ok = unique & (v_hat == v).all(axis=1) & (u_hat == u).all(axis=1)
         else:
-            p_v = _layer_success_probability(code.log_v_y, v_seq, (y,),
-                                             code.bits.f_v + code.bits.w_v)
-            ok = bool(rng.random() < p_v)
-            if ok:
-                p_u = _layer_success_probability(code.log_u_vy, u_seq, (v_seq, y),
-                                                 code.bits.u_layer_total())
-                ok = bool(rng.random() < p_u)
-        if ok:
-            xhat = code.reconstruction[u_seq, y]
-            distortions.append(float(metric.table[xt, xhat].mean()))
-        else:
-            errors += 1
+            ok = np.array([_collision_success(code, v[i], u[i], y[i], layers[i, 2 * n:])
+                           for i in range(rows)], dtype=bool)
+        errors += rows - int(np.count_nonzero(ok))
+        xhat = code.reconstruction[u[ok], y[ok]]
+        distortions.append(metric.table[xt[ok], xhat].mean(axis=1))
 
     # The region's leakage bounds for the regime the pad mode realizes.
-    emp = JointPmf(FULL_AXES, counts / counts.sum())
+    emp = JointPmf(FULL_AXES, counts.reshape((1,) + shape) / counts.sum())
     leak_s, leak_p = _leakages(emp, _PADS[code.mode][0], r_prime(emp), code.bits.k_u / code.n)
+    decoded = np.concatenate(distortions)
     return SimulationReport(
         n=code.n,
         trials=trials,
         error_rate=errors / trials,
-        distortion=float(np.mean(distortions)) if distortions else float("nan"),
+        distortion=float(np.mean(decoded)) if decoded.size else float("nan"),
         leak_secrecy=leak_s,
         leak_privacy=leak_p,
         key_rate_used=code.key_rate_used(),
-        engine=engine,
+        engine="explicit" if explicit else "collision",
     )
 
 
@@ -769,9 +890,9 @@ def exact_message_table(code: BinningCode, model: SourceModel) -> ExactMessageTa
     over all keys; feasible for deterministic auxiliaries or tiny
     blocklengths (budget-guarded).  Every (sequence, auxiliary path, key)
     triple is one entry of five numpy field arrays, in ascending order of
-    its sequence.  One stable lexsort of the fields orders the triples by
-    (message, sequence): a change of message starts a column, a change of
-    message or sequence a cell, and each cell sums its triples.
+    its sequence.  One stable lexsort of the fields with bits orders the
+    triples by (message, sequence): a change of message starts a column, a
+    change of message or sequence a cell, and each cell sums its triples.
     """
     if not code.materialized:
         raise BinningScaleError("exact enumeration needs a materialized code")
@@ -810,11 +931,15 @@ def exact_message_table(code: BinningCode, model: SourceModel) -> ExactMessageTa
         u_idx = u_idx[parent] * code.u_size + u
         row = row[parent]
 
-    # Triple (path, key) is entry path * n_keys + key of each field.
+    # Triple (path, key) is entry path * n_keys + key of each field.  A field
+    # of 0 bits is 0 in every message, so only the others are sorted and
+    # scanned; with none, every triple sends the one all-zero message.
     keys = np.indices([1 << b for b in key_widths]).reshape(len(key_widths), 1, n_keys)
-    fields = [np.broadcast_to(f, (row.size, n_keys)).ravel()
-              for f in _message_fields(code, v_idx[:, None], u_idx[:, None], keys)]
-    order = np.lexsort(fields[::-1])  # by message, then (stable) by row
+    live = [j for j, bits in enumerate(astuple(code.bits)) if bits > 0]
+    fields = _message_fields(code, v_idx[:, None], u_idx[:, None], keys)
+    fields = [np.broadcast_to(fields[j], (row.size, n_keys)).ravel() for j in live]
+    # By message, then (stable) by row.
+    order = np.lexsort(fields[::-1]) if fields else np.arange(row.size * n_keys)
     path = order >> key_bits
     new_column = np.zeros(order.size, dtype=bool)
     new_column[0] = True
@@ -827,7 +952,9 @@ def exact_message_table(code: BinningCode, model: SourceModel) -> ExactMessageTa
     # Each cell sums its triples in input order, as the stable sort keeps it.
     prob = np.bincount(np.cumsum(new_cell) - 1, weights=(p_path * (1.0 / n_keys))[path])
     column = np.cumsum(new_column) - 1
-    messages = np.stack([f[order[new_column]] for f in fields], axis=1)
+    messages = np.zeros((int(column[-1]) + 1, len(_FIELDS)), dtype=np.int64)
+    for j, f in zip(live, fields):
+        messages[:, j] = f[order[new_column]]
     return ExactMessageTable(p_seq, sorted_row[new_cell], column[new_cell], prob, messages)
 
 
@@ -909,7 +1036,7 @@ def exact_leakage(code: BinningCode, model: SourceModel) -> ExactLeakage:
     to_x = _letter_powers(p_x_xt.T, n)
     widths, group_ends = np.unique(spread, return_index=True)
     for d, g0, g1 in zip(widths.tolist(), group_ends, np.append(group_ends[1:], spread.size)):
-        step = max(1, _LEAKAGE_BLOCK_CELLS // m**d)
+        step = max(1, _BLOCK_CELLS // m**d)
         for start in range(g0, g1, step):
             lo, hi = firsts[start], firsts[min(start + step, g1)]
             block = np.zeros((q**d, min(step, g1 - start)))

@@ -49,7 +49,6 @@ def _run_compute_region(args: argparse.Namespace) -> int:
     model = modelio.parse_model(args.model)
     metric = regions.DistortionMetric.hamming(model.xtilde_size)
     search = regions.SearchConfig(
-        restarts=args.restarts,
         seed=args.seed,
         u_size=args.u_size,
         v_size=args.v_size,
@@ -197,8 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
     cr.add_argument("--targets", type=_float_list, required=True,
                     help="comma-separated distortion targets")
     cr.add_argument("--output", type=Path, required=True)
-    cr.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    cr.add_argument("--restarts", type=int, default=8)
+    cr.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                    help="has no effect on this command: its storage search (the "
+                         "linear program, or the grid oracle) draws no random numbers")
     cr.add_argument("--u-size", type=int, default=None)
     cr.add_argument("--v-size", type=int, default=None)
     cr.add_argument("--q-size", type=int, default=None)

@@ -25,6 +25,7 @@ from secsource.binning import (
     run_experiment,
 )
 from secsource.probability import (
+    JointPmf,
     Pmf,
     SourceModel,
     StochasticMatrix,
@@ -33,7 +34,14 @@ from secsource.probability import (
     compositions,
     entropy_bits,
 )
-from secsource.regions import AuxScheme, extend_with_auxiliaries
+from secsource.regions import (
+    FULL_AXES,
+    AuxScheme,
+    DistortionMetric,
+    _leakages,
+    extend_with_auxiliaries,
+    r_prime,
+)
 
 
 def _full6(model, aux=None):
@@ -235,9 +243,8 @@ def encode_dummy():
 
 
 def _sample_block(model, n, rng):
-    from secsource.binning import _sample_source_block
-
-    return _sample_source_block(model, n, rng)
+    """One source block (xt, x, y, z) from 3n uniforms of ``rng``."""
+    return tuple(a[0] for a in binning._sample_source(model, rng.random((1, 3 * n))))
 
 
 class TestCollisionMath:
@@ -692,3 +699,249 @@ class TestRateViolation:
         assert not code.sw_u_ok
         rep = run_experiment(code, binary_model, trials=200, seed=7)
         assert rep.error_rate >= 0.5
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-trial simulation loop that run_experiment batches, with
+# its sampler, message assembly and ML-in-bin decoder, as they were before
+# trials ran in blocks.
+# ---------------------------------------------------------------------------
+
+
+def _ref_sample_categorical(rows, labels, rng):
+    cum = np.cumsum(rows, axis=1)
+    draws = rng.random(labels.size)
+    idx = (draws[:, None] >= cum[labels]).sum(axis=1)
+    return np.minimum(idx, rows.shape[1] - 1)
+
+
+def _ref_seq_index(seq, q):
+    idx = 0
+    for s in np.asarray(seq, dtype=int):
+        idx = idx * q + int(s)
+    return idx
+
+
+def _ref_pad(code, fields, key, sign=1):
+    out = list(fields)
+    for name, k in zip(binning._PADS[code.mode][1], key):
+        i, bits = binning._FIELDS.index(name), getattr(code.bits, name)
+        out[i] = (out[i] + sign * k) & ((1 << bits) - 1) if bits > 0 else 0
+    return out
+
+
+def _ref_message(code, v_seq, u_seq, key):
+    v_idx, u_idx = _ref_seq_index(v_seq, code.v_size), _ref_seq_index(u_seq, code.u_size)
+    fields = [t[i] for t, i in zip(code.tables, (v_idx, v_idx, u_idx, u_idx, u_idx))]
+    return binning.Message(*(int(f) for f in _ref_pad(code, fields, key)))
+
+
+def _ref_ml_in_bin(seqs, per_pos_logp, in_bin, events):
+    n = seqs.shape[1]
+    candidates = np.nonzero(in_bin)[0]
+    if candidates.size == 0:
+        events.add("empty")
+        return np.argmax(per_pos_logp, axis=1), False
+    cols = np.arange(n)
+    ll = per_pos_logp[cols[None, :], seqs[candidates]].sum(axis=1)
+    order = np.argmax(ll)
+    best = ll[order]
+    ties = np.count_nonzero(ll >= best - binning._LL_TIE_TOL)
+    if ties > 1:
+        events.add("tie")
+    return seqs[candidates[order]], bool(ties == 1 and math.isfinite(best))
+
+
+def _ref_decode_layers(code, y, key, message, events):
+    f_v, w_v, f_u, w_u, k_u = (
+        t == b for t, b in zip(code.tables, _ref_pad(code, dataclasses.astuple(message), key, -1))
+    )
+    v_hat, ok_v = _ref_ml_in_bin(binning._all_sequences(code.v_size, code.n),
+                                 code.log_v_y[:, y].T, f_v & w_v, events)
+    u_hat, ok_u = _ref_ml_in_bin(binning._all_sequences(code.u_size, code.n),
+                                 code.log_u_vy[:, v_hat, y].T, f_u & w_u & k_u, events)
+    return v_hat, u_hat, bool(ok_v and ok_u)
+
+
+def _ref_decode(code, y, key, message, events):
+    _, u_hat, unique = _ref_decode_layers(code, y, key, message, events)
+    return code.reconstruction[u_hat, y], unique
+
+
+def _ref_run_experiment(code, model, trials, seed, metric=None):
+    metric = metric if metric is not None else DistortionMetric.hamming(model.xtilde_size)
+    engine = "explicit" if code.materialized else "collision"
+    counts = np.zeros((1, code.v_size, code.u_size, model.xtilde_size,
+                       model.x_size, model.y_size, model.z_size))
+    errors = 0
+    distortions = []
+    events = set()
+    for t in range(trials):
+        rng = np.random.default_rng([seed, 7, t])
+        n = code.n
+        x = _ref_sample_categorical(np.tile(model.px.probs, (1, 1)), np.zeros(n, dtype=int), rng)
+        xt = _ref_sample_categorical(model.meas_enc.rows, x, rng)
+        y, z = np.divmod(_ref_sample_categorical(model.meas_dec_eve.rows, x, rng), model.z_size)
+        key = code.draw_key(rng)
+        u_seq = _ref_sample_categorical(code.p_u_given_xtilde, xt, rng)
+        v_seq = _ref_sample_categorical(code.p_v_given_u, u_seq, rng)
+        np.add.at(counts, (0, v_seq, u_seq, xt, x, y, z), 1.0)
+        if engine == "explicit":
+            msg = _ref_message(code, v_seq, u_seq, key)
+            v_hat, u_hat, unique = _ref_decode_layers(code, y, key, msg, events)
+            ok = unique and np.array_equal(v_hat, v_seq) and np.array_equal(u_hat, u_seq)
+        else:
+            p_v = binning._layer_success_probability(code.log_v_y, v_seq, (y,),
+                                                     code.bits.f_v + code.bits.w_v)
+            ok = bool(rng.random() < p_v)
+            if ok:
+                p_u = binning._layer_success_probability(code.log_u_vy, u_seq, (v_seq, y),
+                                                         code.bits.u_layer_total())
+                ok = bool(rng.random() < p_u)
+        if ok:
+            xhat = code.reconstruction[u_seq, y]
+            distortions.append(float(metric.table[xt, xhat].mean()))
+        else:
+            errors += 1
+    emp = JointPmf(FULL_AXES, counts / counts.sum())
+    leak_s, leak_p = _leakages(emp, binning._PADS[code.mode][0], r_prime(emp),
+                               code.bits.k_u / code.n)
+    return binning.SimulationReport(
+        n=code.n, trials=trials, error_rate=errors / trials,
+        distortion=float(np.mean(distortions)) if distortions else float("nan"),
+        leak_secrecy=leak_s, leak_privacy=leak_p,
+        key_rate_used=code.key_rate_used(), engine=engine,
+    )
+
+
+def _same_report(got, want):
+    """== on every field, a NaN distortion (no trial decoded) matching NaN."""
+    if math.isnan(want.distortion):
+        return math.isnan(got.distortion) and dataclasses.replace(
+            got, distortion=0.0) == dataclasses.replace(want, distortion=0.0)
+    return got == want
+
+
+def _stream_case(case, binary_model):
+    """(code, model, trials, metric) per batching case; every case but the
+    one-trial blocks crosses at least one block boundary."""
+    full = _full6(binary_model)
+    live_v = AuxScheme(bsc(0.2), bsc(0.1), StochasticMatrix.constant(2, 1))
+    recon = np.tile([0, 1], (2, 1))
+    if case == "explicit":
+        return _sw_code(binary_model, 12, 0.8475), binary_model, 400, None
+    if case == "collision":
+        return _sw_code(binary_model, 400, 0.8475), binary_model, 100, None
+    if case == "key_slot_explicit":
+        return design_code(full, n=10, epsilon=0.05, r0=0.3, seed=3), binary_model, 400, None
+    if case == "key_slot_collision":
+        # Key slot and U layer together a little above H(Xt|Y) = 0.8267.
+        rates = BinningRates(0.0, 0.0, 0.0, 0.5475, 0.3)
+        code = design_code(full, n=600, epsilon=0.15, r0=0.3, seed=3, rate_override=rates)
+        return code, binary_model, 40, None
+    if case == "pad_u_stochastic":
+        code = design_code(_full6(binary_model, live_v), n=5, epsilon=0.05, r0=0.3, seed=3,
+                           reconstruction=recon)
+        return code, binary_model, 500, None
+    if case == "pad_all":
+        return design_code(full, n=8, epsilon=0.1, r0=3.0, seed=3), binary_model, 700, None
+    if case == "ternary_lossy":
+        # A ternary Xt with a metric of non-integer entries: the distortion
+        # average is taken in the same order.
+        model = random_model(np.random.default_rng(18), nx=2, nxt=3, ny=2, nz=2)
+        metric = DistortionMetric(np.random.default_rng(19).random((3, 3)))
+        code = design_code(_full6(model), n=6, epsilon=0.1, r0=0.4, seed=19, metric=metric)
+        return code, model, 700, metric
+    if case == "one_trial_blocks_explicit":
+        # A U layer of 0 bits: all 2^13 sequences share one bin.
+        return _sw_code(binary_model, 13, 0.0), binary_model, 3, None
+    if case == "one_trial_blocks_collision":
+        return _sw_code(binary_model, binning._BLOCK_CELLS + 1000, 0.8475), binary_model, 3, None
+    raise ValueError(case)
+
+
+def _sw_code(model, n, rate):
+    """A code of U = Xt with one U-layer field of ceil(n * rate) bits."""
+    rates = BinningRates(0.0, 0.0, 0.0, math.ceil(n * rate - 1e-9) / n, 0.0)
+    return design_code(_full6(model), n=n, epsilon=0.15, r0=0.0, seed=11, rate_override=rates)
+
+
+def _block_trials(code):
+    """Trials per block of run_experiment for ``code``, given enough trials."""
+    width = max(b.largest for b in code._bins) if code.materialized else 1
+    return max(1, binning._BLOCK_CELLS // (code.n * width))
+
+
+class TestTrialStreams:
+    CASES = ["explicit", "collision", "key_slot_explicit", "key_slot_collision",
+             "pad_u_stochastic", "pad_all", "ternary_lossy",
+             "one_trial_blocks_explicit", "one_trial_blocks_collision"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_report_equals_per_trial_loop(self, case, binary_model):
+        code, model, trials, metric = _stream_case(case, binary_model)
+        block = _block_trials(code)
+        if case.startswith("one_trial_blocks"):
+            assert block == 1
+        else:
+            assert 1 < block < trials  # the trials cross a block boundary
+        if case.startswith("key_slot"):
+            assert code.mode == "key_slot" and code.bits.k_u > 0  # the key draws mid-stream
+        if case == "pad_u_stochastic":  # both explicit layers decode
+            assert code.mode == "pad_u" and code.v_size == 2 and code.bits.f_v + code.bits.w_v > 0
+        if case == "pad_all":
+            assert code.mode == "pad_all"
+        assert code.materialized == ("collision" not in case)
+        for seed in (0, 5):
+            got = run_experiment(code, model, trials, seed=seed, metric=metric)
+            want = _ref_run_experiment(code, model, trials, seed, metric)
+            assert _same_report(got, want), (got, want)
+            assert 0.0 < got.error_rate < 1.0 or case.startswith("one_trial_blocks")
+
+    def test_decode_matches_per_trial_decoder(self, binary_model):
+        # Right keys, wrong keys and a message with a field outside its
+        # range, so that the empty-bin and the tie fallbacks both run.
+        events = set()
+        for case in ("key_slot_explicit", "pad_u_stochastic", "pad_all",
+                     "one_trial_blocks_explicit"):
+            code, model, _, _ = _stream_case(case, binary_model)
+            rng = np.random.default_rng(23)
+            for _ in range(30):
+                xt, _, y, _ = _sample_block(model, code.n, rng)
+                key = code.draw_key(rng)
+                msg = encode(code, xt, key, seed=int(rng.integers(1 << 30)))
+                stray = dataclasses.replace(msg, f_u=msg.f_u + (1 << code.bits.f_u))
+                for k, m in ((key, msg), (code.draw_key(rng), msg), (key, stray)):
+                    xhat, unique = decode(code, y, k, m)
+                    want_xhat, want_unique = _ref_decode(code, y, k, m, events)
+                    assert np.array_equal(xhat, want_xhat) and unique == want_unique
+        assert events == {"empty", "tie"}
+
+    def test_encode_matches_per_trial_encoder(self, binary_model):
+        for case in ("key_slot_explicit", "pad_u_stochastic", "pad_all"):
+            code, model, _, _ = _stream_case(case, binary_model)
+            rng = np.random.default_rng(29)
+            for _ in range(30):
+                xt = rng.integers(0, model.xtilde_size, size=code.n)
+                key, seed = code.draw_key(rng), int(rng.integers(1 << 30))
+                ref = np.random.default_rng(seed)
+                u_seq = _ref_sample_categorical(code.p_u_given_xtilde, xt, ref)
+                v_seq = _ref_sample_categorical(code.p_v_given_u, u_seq, ref)
+                assert encode(code, xt, key, seed=seed) == _ref_message(code, v_seq, u_seq, key)
+
+    def test_block_memory_is_capped(self, binary_model):
+        # Blocks hold at most _BLOCK_CELLS (trial, position) cells, and
+        # (trial, candidate, position) cells at the largest bin.  Uncapped, all
+        # 60 trials at n = 1000 in one block peaked at about 7 MiB, and the
+        # 8192 candidates per trial of 6 trials at n = 13 in one gather at
+        # about 21 MiB.
+        for code, trials in ((_sw_code(binary_model, 1000, 0.8475), 60),
+                             (_sw_code(binary_model, 13, 0.0), 6)):
+            run_experiment(code, binary_model, 1, seed=0)  # fills the caches
+            tracemalloc.start()
+            try:
+                run_experiment(code, binary_model, trials, seed=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20, code.n

@@ -135,7 +135,7 @@ class TestCommands:
             "compute-region", "--model", str(model_file), "--r0", "0",
             "--targets", "0.1,0.3", "--output", str(out),
             "--u-size", "3", "--v-size", "1", "--q-size", "1",
-            "--restarts", "3", "--seed", "1",
+            "--seed", "1",
         ])
         assert rc == 0
         header, rows = _read_csv(out)
@@ -151,7 +151,7 @@ class TestCommands:
                 "compute-region", "--model", str(model_file),
                 "--targets", "0.15", "--output", str(out),
                 "--u-size", "3", "--v-size", "1", "--q-size", "1",
-                "--restarts", "2", "--seed", "9",
+                "--seed", "9",
             ])
             outs.append(out.read_text())
         assert outs[0] == outs[1]
