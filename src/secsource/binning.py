@@ -497,7 +497,8 @@ def encode(
     auxiliary channels, U^n from the first n uniforms of
     ``default_rng(seed).random(2n)`` and V^n from the rest (the public
     indices are then read off the sampled sequences), and the key is mixed
-    into the slot dictated by the pad regime.  Requires materialized bins.
+    into the slot dictated by the pad regime.  Requires materialized bins;
+    refuses a sequence with a symbol outside the Xt alphabet.
     """
     if not code.materialized:
         raise BinningScaleError(
@@ -505,14 +506,24 @@ def encode(
             "space is too large for; use run_experiment, whose collision engine "
             "simulates such codes"
         )
-    xt = np.asarray(xtilde_seq, dtype=int)
-    if xt.size != code.n:
-        raise DimensionError(f"sequence length {xt.size} != blocklength {code.n}")
+    xt = _symbols(code, xtilde_seq, code.p_u_given_xtilde.shape[0], "Xt")
     _check_key(code, key)
     draws = np.random.default_rng(seed).random((1, 2 * code.n))
     v, u = _sample_layers(code, xt.reshape(1, -1), draws)
     fields = _message_fields(code, _seq_indices(v, code.v_size), _seq_indices(u, code.u_size), key)
     return Message(*(int(f[0]) for f in fields))
+
+
+def _symbols(code: BinningCode, seq: Sequence[int], size: int, name: str) -> np.ndarray:
+    """``seq`` as a length-n integer array, refusing any entry that is not a
+    symbol of the ``size``-letter alphabet of ``name`` (a cast would wrap a
+    negative index or truncate a fraction)."""
+    arr = np.asarray(seq, dtype=float)
+    if arr.size != code.n:
+        raise DimensionError(f"sequence length {arr.size} != blocklength {code.n}")
+    if not np.all((arr >= 0.0) & (arr < size) & (arr == np.floor(arr))):  # NaN fails too
+        raise ModelError(f"{name} symbols must be integers in [0, {size})")
+    return arr.astype(int)
 
 
 def _check_key(code: BinningCode, key: tuple[int, ...]) -> None:
@@ -536,8 +547,9 @@ def decode(
     most likely u^n in the received U bin given (v^n, y^n), and maps through
     the reconstruction.  ``success`` is False on an empty candidate set or a
     likelihood tie; the output is then best effort.  Requires materialized
-    bins (the in-bin search enumerates the sequence space).  This is the
-    decoder of ``run_experiment``'s explicit engine, on a block of one.
+    bins (the in-bin search enumerates the sequence space), and refuses a
+    sequence with a symbol outside the Y alphabet.  This is the decoder of
+    ``run_experiment``'s explicit engine, on a block of one.
     """
     if not code.materialized:
         raise DecodeSearchError(
@@ -545,9 +557,7 @@ def decode(
             "use run_experiment, whose collision engine reproduces the same "
             "decoder exactly in distribution at large blocklengths"
         )
-    y = np.asarray(y_seq, dtype=int)
-    if y.size != code.n:
-        raise DimensionError(f"sequence length {y.size} != blocklength {code.n}")
+    y = _symbols(code, y_seq, code.reconstruction.shape[1], "Y")
     _check_key(code, key)
     received = _pad(code, [np.array([f]) for f in astuple(message)], key, -1)
     _, u_hat, unique = _decode_block(code, y.reshape(1, -1), received)
@@ -803,6 +813,8 @@ def run_experiment(
     if model.xtilde_size != code.p_u_given_xtilde.shape[0]:
         raise DimensionError("model Xt alphabet does not match the code")
     metric = metric if metric is not None else DistortionMetric.hamming(model.xtilde_size)
+    if metric.xtilde_size != model.xtilde_size:
+        raise DimensionError("distortion table rows must match |Xt|")
     if code.reconstruction.max() >= metric.table.shape[1]:
         raise DimensionError(f"reconstruction map entry {code.reconstruction.max()} is outside "
                              f"the metric's {metric.table.shape[1]} reconstruction symbols")

@@ -17,17 +17,17 @@ rate and the optimal-map distortion are linear in the posteriors' weights,
 so time sharing and the |Xt|+1 cardinality bound come with the LP, and its
 duals certify a lower bound on the least rate.  Each leakage is minimized
 over the rows of the conditional-pmf matrices with multi-start
-exponentiated-gradient (KL mirror) descent that moves all starts of a target
-as one stack.  ``_SchemeEvaluator`` computes the same bounds as
-``lossy_point`` from the raw matrices and three source tables taken straight
-from the ``SourceModel``, building no joint, each term as the entropy of a
-table linear in each matrix, and gives the descent their analytic gradient.
-It scores a stack of schemes and gives each the same bits alone as in any
-stack, so every start of the descent ends where it would end descended
-alone.  The no-key form, the search and the exhaustive simplex-grid oracle,
-``grid_minimum_storage``, take the model; the oracle is kept as a reference
-for the storage search, scoring the grid a block of cells at a time, and its
-first argmin is the one a cell-by-cell scan returns, bit for bit.
+exponentiated-gradient (KL mirror) descent, each start descending alone.
+``_SchemeEvaluator`` computes the same bounds as ``lossy_point`` from the
+raw matrices and three source tables taken straight from the
+``SourceModel``, building no joint, each term as the entropy of a table
+linear in each matrix, and gives the descent their analytic gradient.  Its
+storage form scores a stack of P(U|Xt) matrices and gives each the same bits
+alone as in any stack.  The no-key form, the search and the exhaustive
+simplex-grid oracle, ``grid_minimum_storage``, take the model; the oracle is
+kept as a reference for the storage search, scoring the grid a block of
+cells at a time, and its first argmin is the one a cell-by-cell scan
+returns, bit for bit.
 """
 
 from __future__ import annotations
@@ -247,7 +247,8 @@ class SearchConfig:
     ``restarts`` and ``seed`` drive only the leakage searches.
     ``method="grid"`` runs the exhaustive simplex-grid oracle at
     ``grid_step`` instead, over P(U|Xt) with uniform V and Q rows, as a
-    reference for the storage objective.
+    reference for the storage objective; it is refused with a leakage
+    objective, which the oracle does not minimize.
     """
 
     restarts: int = 8
@@ -264,6 +265,9 @@ class SearchConfig:
             raise ModelError("restarts must be >= 1")
         if not 0.0 < self.grid_step <= 0.5:
             raise ModelError("grid_step must lie in (0, 0.5]")
+        if self.method == "grid" and self.objective != "rw":
+            raise ModelError(f"method='grid' minimizes the storage rate only, not "
+                             f"objective={self.objective!r}")
         for name in ("u_size", "v_size", "q_size"):
             size = getattr(self, name)
             if size is not None and size < 1:
@@ -491,15 +495,12 @@ _TERM_SPECS = (
 
 def _term(spec: str) -> tuple[str, tuple[str, int, str, list[str]]]:
     """name -> (spec, number of matrices, source subscripts, adjoint spec per
-    matrix), the matrices, the table and each adjoint's result carrying a
-    leading stack axis (``...``) and the source table none."""
+    matrix)."""
     ins, out = spec.split("->")
-    ins = ins.split(",")
-    k = len(ins) - 1
-    mats, src = ["..." + m for m in ins[:k]], ins[k]
-    return out, (",".join([*mats, src]) + "->..." + out, k, src, [
-        ",".join(["..." + out, *mats[:i], *mats[i + 1:], src]) + "->" + mats[i]
-        for i in range(k)])
+    *mats, src = ins.split(",")
+    return out, (spec, len(mats), src, [
+        ",".join([out, *mats[:i], *mats[i + 1:], src]) + "->" + mats[i]
+        for i in range(len(mats))])
 
 
 _TERMS = dict(_term(spec) for spec in _TERM_SPECS)
@@ -543,14 +544,13 @@ class _SchemeEvaluator:
     Built once per (model, metric) from P(Xt,Y), P(Xt,Z) and P(Xt,X,Z), each
     one einsum over the source channels (the largest has |Xt|·|X|·|Z| cells);
     every term is the entropy of a small table over the auxiliaries and one
-    source variable (``_TERMS``).  ``bounds`` (and ``evaluate``, its one
-    scheme form) and the leakage descent's ``penalized`` share that term
-    list, and ``penalized`` also gives the gradient.  ``storage`` gives the
-    storage rate and the optimal-map distortion, which depend on P(U|Xt)
-    only.  Each takes a stack of schemes and gives a scheme the same bits
-    alone as in any stack: sums over Xt run in index order
-    (``_sum_over_xt``), and the entropy of a leakage term is taken one scheme
-    at a time.
+    source variable (``_TERMS``).  ``evaluate`` and the leakage descent's
+    ``penalized`` score one scheme from that term list, each taking only the
+    terms of the bounds it reports, and ``penalized`` also gives the
+    gradient.  ``storage`` gives the storage rate and the optimal-map
+    distortion, which depend on P(U|Xt) only; it takes a stack of matrices
+    and gives a matrix the same bits alone as in any stack, since its sums
+    over Xt run in index order (``_sum_over_xt``).
     """
 
     def __init__(self, model: SourceModel, metric: DistortionMetric):
@@ -584,119 +584,84 @@ class _SchemeEvaluator:
         h_uxt = entropy_bits((t * self.p_xt[:, None]).reshape(*lead, -1), axis=-1)
         return np.maximum(h_uy - h_uxt + self.h_xt - self.h_y, 0.0), _least_cost(core[..., :-1])
 
-    def _tables(self, mats: Sequence[np.ndarray], names) -> dict[str, np.ndarray]:
-        tables = {}
-        for name in names:
-            spec, k, src, _ = _TERMS[name]
-            tables[name] = np.einsum(spec, *mats[:k], self.sources[src])
-        return tables
+    def _bound(self, mats: Sequence[np.ndarray], coefs: dict[str, float],
+               tables: dict[str, tuple[np.ndarray, float]]) -> float:
+        """sum_T coefs[T] H(T) for the scheme ``mats``, forming into ``tables``
+        (name -> table and its entropy) each term not there yet."""
+        for name in coefs:
+            if name not in tables:
+                spec, k, src, _ = _TERMS[name]
+                table = np.einsum(spec, *mats[:k], self.sources[src])
+                tables[name] = table, entropy_bits(table)
+        return sum(c * tables[name][1] for name, c in coefs.items())
 
-    def _gradient(self, mats: Sequence[np.ndarray], coefs: dict[str, float]) -> list[np.ndarray]:
-        """Gradient of sum_T coefs[T] H(T) with respect to each matrix, for
-        one scheme or for each scheme of a stack."""
-        grads = [np.zeros_like(m) for m in mats]
-        for name, t in self._tables(mats, coefs).items():
-            _, k, src, adjoints = _TERMS[name]
-            with np.errstate(divide="ignore"):
-                g = np.where(t > 0.0, -coefs[name] * (np.log2(t) + _LOG2E), 0.0)
-            ops = [*mats[:k], self.sources[src]]
-            for i, adjoint in enumerate(adjoints):
-                grads[i] += np.einsum(adjoint, g, *ops[:i], *ops[i + 1:])
-        return grads
+    def _regime(self, mats: Sequence[np.ndarray], r0: float, tables):
+        """The regime at key rate r0 of the scheme ``mats`` (P(U|Xt), P(V|U)
+        and P(Q|V)), with I(U;Xt|Y,V), R', I(U;Xt|Y) and the distortion."""
+        t_high, dist = (float(v) for v in self.storage(mats[0]))
+        t_low = _clamp(self._bound(mats, _T_LOW, tables))
+        rp = min(self._bound(mats, _R_DIFF, tables), 0.0)
+        regime: Regime = ("large_key" if r0 >= t_high else
+                          "middle_key" if r0 >= t_low else "small_key")
+        return regime, t_low, rp, t_high, dist
+
+    def _leakage(self, mats, r0: float, objective: str, regime: Regime, rp: float,
+                 tables) -> float:
+        """The leakage ``objective`` ("rs" or "rl") of ``regime``."""
+        if regime == "large_key":
+            return 0.0
+        shift = rp - r0 if regime == "small_key" else 0.0
+        return _clamp(self._bound(mats, _LEAKAGE[regime, objective], tables)
+                      + self.leak_const[objective] + shift)
 
     def _distortion_gradient(self, pu: np.ndarray) -> np.ndarray:
-        """Subgradient of the distortion at ``pu`` (or at each matrix of a
-        stack): the cost part of ``storage_core`` read at the optimal map and
-        summed over Y."""
-        best = _sum_over_xt(pu, self.storage_core)[..., :-1].argmin(axis=-1)  # (..., U, Y)
-        cost = self.storage_core[:, np.arange(best.shape[-1]), best]  # (Xt, ..., U, Y)
-        return np.moveaxis(cost.sum(axis=-1), 0, -2)
-
-    def bounds(self, mats: Sequence[np.ndarray], r0: float):
-        """The bounds of ``evaluate`` for each scheme of the stacks ``mats``
-        (P(U|Xt), P(V|U) and P(Q|V) with a leading stack axis), at key rate
-        r0: the list of regimes and a dict of arrays over the stack, "t_low",
-        "r_prime", "rw" (= t_high), "rs", "rl" and "d".  Each table is formed
-        for the whole stack and its entropy taken one scheme at a time, so a
-        scheme gets the bits it gets alone; only the terms of the bounds some
-        scheme reports are taken."""
-        h: dict[str, np.ndarray] = {}
-
-        def bound(coefs: dict[str, float]) -> np.ndarray:
-            new = self._tables(mats, [name for name in coefs if name not in h])
-            h.update((name, np.array([entropy_bits(t) for t in tables]))
-                     for name, tables in new.items())
-            return sum(c * h[name] for name, c in coefs.items())
-
-        t_high, dist = self.storage(mats[0])
-        t_low = bound(_T_LOW)
-        t_low = np.where(t_low > 0.0, t_low, 0.0)
-        rp = bound(_R_DIFF)
-        rp = np.where(0.0 < rp, 0.0, rp)
-        keyed = r0 < t_high
-        small = keyed & ~(r0 >= t_low)
-        regimes: list[Regime] = ["small_key" if s else "middle_key" if k else "large_key"
-                                 for k, s in zip(keyed, small)]
-        shift = np.where(small, rp - r0, 0.0)
-        out = {"t_low": t_low, "r_prime": rp, "rw": t_high, "d": dist}
-        for o in ("rs", "rl"):
-            leak = np.zeros(len(t_high))
-            for regime, members in (("small_key", small), ("middle_key", keyed & ~small)):
-                if members.any():
-                    leak = np.where(members,
-                                    bound(_LEAKAGE[regime, o]) + self.leak_const[o] + shift, leak)
-            out[o] = np.where(leak > 0.0, leak, 0.0)
-        return regimes, out
+        """Subgradient of the distortion at ``pu``: the cost part of
+        ``storage_core`` read at the optimal map and summed over Y."""
+        best = _sum_over_xt(pu, self.storage_core)[..., :-1].argmin(axis=-1)  # (U, Y)
+        return self.storage_core[:, np.arange(best.shape[-1]), best].sum(axis=-1)
 
     def evaluate(
         self, pu: np.ndarray, pv: np.ndarray, pq: np.ndarray, r0: float
     ) -> RegimeReport:
-        """``lossy_point`` for the scheme with these rows, at key rate r0."""
-        (regime,), b = self.bounds([pu[None], pv[None], pq[None]], r0)
-        b = {name: float(v[0]) for name, v in b.items()}
-        return RegimeReport(regime, b["t_low"], b["rw"], b["r_prime"],
-                            RateTuple(rw=b["rw"], rs=b["rs"], rl=b["rl"], d=b["d"]))
+        """``lossy_point`` for the scheme with these rows, at key rate r0,
+        taking only the terms of the bounds it reports."""
+        mats, tables = (pu, pv, pq), {}
+        regime, t_low, rp, t_high, dist = self._regime(mats, r0, tables)
+        rs, rl = (self._leakage(mats, r0, o, regime, rp, tables) for o in ("rs", "rl"))
+        return RegimeReport(regime, t_low, t_high, rp, RateTuple(rw=t_high, rs=rs, rl=rl, d=dist))
 
-    def penalized(self, mats: Sequence[np.ndarray], r0: float, objectives: Sequence[str],
-                  target_d: float, penalty: np.ndarray):
-        """The leakage descent's objective for a stack of schemes: the leakage
-        ``objectives[i]`` ("rs" or "rl") of scheme i of ``mats`` (stacks of
-        P(U|Xt), P(V|U) and P(Q|V) with a leading stack axis) plus
-        ``penalty[i] * max(0, d - D)``.
+    def penalized(self, mats: Sequence[np.ndarray], r0: float, objective: str,
+                  target_d: float, penalty: float):
+        """The leakage descent's objective for the scheme ``mats``: its
+        leakage ``objective`` ("rs" or "rl") plus ``penalty * max(0, d - D)``.
 
-        Returns the values and distortions, arrays over the stack, and a
-        function that gives, for the stack members ``idx``, the gradient with
-        respect to each matrix.  Only the active regime's terms enter; R'
-        enters when it is negative and a clamped rate not at all.  Each
-        member gets the bits it would get alone (``bounds``), and the
-        gradient is taken at once for the members that share their terms.
-        (The einsum adjoint into a 1 x 1 matrix may round otherwise in a
-        stack; a one-column matrix never moves, so the descent's iterates
-        keep their bits.)
+        Returns the value, the distortion and a function that gives the
+        gradient with respect to each matrix.  Only the active regime's terms
+        of that leakage enter; R' enters when it is negative and a clamped
+        rate not at all.
         """
-        regimes, b = self.bounds(mats, r0)
-        rate, dist = np.where([o == "rs" for o in objectives], b["rs"], b["rl"]), b["d"]
-        terms = []
-        for regime, objective, r, leak in zip(regimes, objectives, b["r_prime"], rate):
-            coefs = dict(_LEAKAGE.get((regime, objective), {}))
-            if regime == "small_key" and r < 0.0:
-                coefs.update(_R_DIFF)
-            terms.append(tuple(coefs.items()) if leak > 0.0 else ())
+        tables: dict[str, tuple[np.ndarray, float]] = {}
+        regime, _, rp, _, dist = self._regime(mats, r0, tables)
+        rate = self._leakage(mats, r0, objective, regime, rp, tables)
+        coefs = dict(_LEAKAGE[regime, objective]) if rate > 0.0 else {}
+        if coefs and regime == "small_key" and rp < 0.0:
+            coefs.update(_R_DIFF)
 
-        def gradient(idx: np.ndarray) -> list[np.ndarray]:
-            sub = [m[idx] for m in mats]
-            grads = [np.zeros_like(m) for m in sub]
-            for coefs in dict.fromkeys(terms[i] for i in idx if terms[i]):
-                members = [j for j, i in enumerate(idx) if terms[i] == coefs]
-                for grad, g in zip(grads, self._gradient([m[members] for m in sub], dict(coefs))):
-                    grad[members] = g
-            hot = dist[idx] > target_d
-            if hot.any():
-                grads[0][hot] += (penalty[idx][hot, None, None]
-                                  * self._distortion_gradient(sub[0][hot]))
+        def gradient() -> list[np.ndarray]:
+            grads = [np.zeros_like(m) for m in mats]
+            for name, c in coefs.items():
+                _, k, src, adjoints = _TERMS[name]
+                t = tables[name][0]
+                with np.errstate(divide="ignore"):
+                    g = np.where(t > 0.0, -c * (np.log2(t) + _LOG2E), 0.0)
+                ops = [*mats[:k], self.sources[src]]
+                for i, adjoint in enumerate(adjoints):
+                    grads[i] += np.einsum(adjoint, g, *ops[:i], *ops[i + 1:])
+            if dist > target_d:
+                grads[0] += penalty * self._distortion_gradient(mats[0])
             return grads
 
-        return rate + penalty * np.maximum(0.0, dist - target_d), dist, gradient
+        return rate + penalty * max(0.0, dist - target_d), dist, gradient
 
 
 def _anchor_u_rows(nxt: int, nu: int) -> np.ndarray:
@@ -708,80 +673,53 @@ def _anchor_u_rows(nxt: int, nu: int) -> np.ndarray:
     return t
 
 
-def _exp_step(m: np.ndarray, g: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """M * exp(-eta G) with rows renormalized, for each matrix of a stack with
-    its own step size (``eta`` broadcast against the stack); exact zeros stay
-    zero."""
+def _exp_step(m: np.ndarray, g: np.ndarray, eta: float) -> np.ndarray:
+    """M * exp(-eta G) with rows renormalized, for one matrix of the scheme
+    that a start, descending alone, has reached; exact zeros stay zero."""
     z = np.where(m > 0.0, -eta * g, -np.inf)
     w = m * np.exp(z - z.max(axis=-1, keepdims=True))
     return w / w.sum(axis=-1, keepdims=True)
 
 
 def _mirror_descent(
-    obj: _SchemeEvaluator, mats: list[np.ndarray], r0: float, objectives: Sequence[str],
+    obj: _SchemeEvaluator, mats: list[np.ndarray], r0: float, objective: str,
     target_d: float,
 ) -> list[np.ndarray]:
-    """Exponentiated-gradient (KL mirror) descent of ``obj.penalized`` over
-    row-stochastic matrices, all of a scheme's matrices moved at once by
-    ``_exp_step``, from every start of the stacks ``mats`` (a leading start
-    axis) together, start i descending ``objectives[i]``.
+    """Exponentiated-gradient (KL mirror) descent of ``obj.penalized`` for
+    the leakage ``objective`` over row-stochastic matrices, from the start
+    ``mats`` (P(U|Xt), P(V|U), P(Q|V)), all of its matrices moved at once by
+    ``_exp_step``.
 
     Each step tries twice the last accepted size and halves it until the
-    Armijo condition holds.  A start stops after ``_MAX_ITERS`` steps or
-    once a step gains less than ``_CONVERGENCE_TOL``; while its result
-    misses the target, its penalty (from 32) grows eightfold, up to six
-    times.  Each start keeps its own value, distortion, penalty, step size
-    and counts, and the starts move in lockstep ticks: one ``penalized``
-    call scores every trial point and every start entering a penalty level,
-    and one gradient call serves the starts that accepted a step or entered
-    a level.  A start leaves the stack when its last level ends, with the
-    bits it would get descended alone.
+    Armijo condition holds.  A penalty level stops after ``_MAX_ITERS`` steps,
+    once a step gains less than ``_CONVERGENCE_TOL`` or once no step size
+    above 1e-12 decreases the objective; while the result misses the target,
+    the penalty (from 32) grows eightfold, up to six times.
     """
-    mats = [m.copy() for m in mats]
-    trial = [np.empty_like(m) for m in mats]
-    grads = [np.empty_like(m) for m in mats]
-    n = len(mats[0])
-    value, dist = np.empty(n), np.empty(n)
-    penalty, eta = np.full(n, 32.0), np.ones(n)
-    iters, levels = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
-    entering, stepping = np.arange(n), np.arange(0)  # to score at the point, at the trial
-    while entering.size or stepping.size:
-        k = entering.size
-        scored = np.concatenate([entering, stepping])
-        p_value, p_dist, gradient = obj.penalized(
-            [np.concatenate([m[entering], t[stepping]]) for m, t in zip(mats, trial)],
-            r0, [objectives[i] for i in scored], target_d, penalty[scored])
-        value[entering], dist[entering] = p_value[:k], p_dist[:k]
-        t_value, t_dist = p_value[k:], p_dist[k:]
-        # The Armijo test of each trial point against its start's point.
-        slope = sum((g[stepping] * (m[stepping] - t[stepping])).reshape(len(stepping), m[0].size)
-                    .sum(axis=1) for g, m, t in zip(grads, mats, trial))
-        ok = t_value <= value[stepping] - 1e-4 * slope
-        accepted, rejected = stepping[ok], stepping[~ok]
-        gain = value[accepted] - t_value[ok]
-        for m, t in zip(mats, trial):
-            m[accepted] = t[accepted]
-        value[accepted], dist[accepted] = t_value[ok], t_dist[ok]
-        iters[accepted] += 1
-        going = (gain >= _CONVERGENCE_TOL) & (iters[accepted] < _MAX_ITERS)
-        # A gradient where a start entered a level or goes on stepping.
-        fresh = np.concatenate([np.arange(k), k + np.flatnonzero(ok)[going]])
-        moved = scored[fresh]
-        for g, new in zip(grads, gradient(fresh)):
-            g[moved] = new
-        eta[moved] *= 2.0
-        eta[rejected] *= 0.5
-        tried = np.concatenate([rejected, moved])
-        live = eta[tried] > 1e-12
-        stepping = tried[live]
-        for m, g, t in zip(mats, grads, trial):
-            t[stepping] = _exp_step(m[stepping], g[stepping], eta[stepping, None, None])
-        # Starts whose level ended: done once on target or after six levels.
-        ended = np.concatenate([accepted[~going], tried[~live]])
-        levels[ended] += 1
-        entering = ended[(dist[ended] > target_d + 1e-9) & (levels[ended] < 6)]
-        penalty[entering] *= 8.0
-        iters[entering] = 0
+    penalty, eta = 32.0, 1.0
+    for _ in range(6):  # penalty levels
+        value, dist, gradient = obj.penalized(mats, r0, objective, target_d, penalty)
+        for _ in range(_MAX_ITERS):
+            grads = gradient()
+            eta *= 2.0
+            while eta > 1e-12:
+                trial = [_exp_step(m, g, eta) for m, g in zip(mats, grads)]
+                t_value, t_dist, t_gradient = obj.penalized(trial, r0, objective, target_d,
+                                                            penalty)
+                # The Armijo test of the trial point against the current one.
+                slope = sum(float(np.sum(g * (m - t))) for g, m, t in zip(grads, mats, trial))
+                if t_value <= value - 1e-4 * slope:
+                    break
+                eta *= 0.5
+            else:
+                break  # no step size decreases the objective
+            gain = value - t_value
+            mats, value, dist, gradient = trial, t_value, t_dist, t_gradient
+            if gain < _CONVERGENCE_TOL:
+                break
+        if dist <= target_d + 1e-9:
+            break
+        penalty *= 8.0
     return mats
 
 
@@ -1043,10 +981,10 @@ def trace_region(
     """Minimize the configured rate over auxiliary schemes for each target
     distortion and report the attendant bounds.
 
-    Points are returned in ascending target order.  The previous target's
-    argmin (feasible by monotonicity of the constraint set) stays the first
-    candidate and the first of least rate wins, so the minimized rate is
-    non-increasing in D.
+    Points are returned in ascending target order.  For the LP and the
+    descent, the previous target's argmin (feasible by monotonicity of the
+    constraint set) stays the first candidate and the first of least rate
+    wins, so the minimized rate is non-increasing in D.
 
     The storage search (objective "rw", method "descent") needs
     ``u_size >= |Xt|+1`` and reads neither ``cfg.restarts`` nor
@@ -1055,16 +993,17 @@ def trace_region(
     symbols to |Xt|+1 U symbols, with one-symbol V and Q and the LP's
     certified ``lower_bound``.  Time sharing is inside the LP, so the traced
     points lie on the lower convex envelope up to that gap.  The grid method
-    takes the oracle's argmin instead.
+    (storage only) reports instead the oracle's argmin at each target, with
+    uniform V and Q rows, and keeps no previous target's scheme.
 
     A leakage search descends, deterministically given ``cfg.seed``, from the
     previous argmin, the anchor mixed with uniform rows and ``cfg.restarts``
     Dirichlet draws, every start for both leakages, and keeps the least
     requested one, so it never returns a scheme worse than one the other
-    leakage's search finds.  All (start, objective) pairs descend as one
-    stack, each with the bits it would get alone, in the order of start, then
-    objective.  Every scheme that misses its target, the LP's included, is
-    blended toward the anchor until it meets it.
+    leakage's search finds.  Each (start, objective) pair descends alone, in
+    the order of start, then objective.  Every scheme that misses its target,
+    the LP's included, is blended toward the anchor until it meets it, the
+    descent's misses all together.
     """
     if not targets:
         raise ValueError("targets must be non-empty")
@@ -1088,11 +1027,12 @@ def trace_region(
         objectives = (cfg.objective, "rl" if cfg.objective == "rs" else "rs")
 
     def rates(candidates: list[list[np.ndarray]]) -> np.ndarray:
-        """The configured rate of every candidate, scored as one stack."""
-        stack = [np.stack(m) for m in zip(*candidates)]
+        """The configured rate of every candidate, the storage rates scored as
+        one stack."""
         if cfg.objective == "rw":
-            return obj.storage(stack[0])[0]
-        return obj.bounds(stack, r0)[1][cfg.objective]
+            return obj.storage(np.stack([c[0] for c in candidates]))[0]
+        return np.array([getattr(obj.evaluate(*c, r0).bounds, cfg.objective)
+                         for c in candidates])
 
     points: list[TracePoint] = []
     carry: Optional[list[np.ndarray]] = None
@@ -1120,20 +1060,17 @@ def trace_region(
                 if restart == 0:
                     starts.append([0.5 * anchor + 0.5 / nu, *mats[1:]])
                 starts.append(mats)
-            # Every (start, objective) pair descends in one stack.
-            pairs = [(start, objective) for start in starts for objective in objectives]
-            run = _mirror_descent(obj, [np.stack([start[j] for start, _ in pairs])
-                                        for j in range(3)],
-                                  r0, [objective for _, objective in pairs], target)
-            repaired = _repair_feasibility(obj, run[0], anchor, target)
-            candidates += [[pu, run[1][i], run[2][i]] for i, pu in enumerate(repaired)
-                           if pu is not None]
+            # Each (start, objective) pair descends alone.
+            runs = [_mirror_descent(obj, start, r0, objective, target)
+                    for start in starts for objective in objectives]
+            repaired = _repair_feasibility(obj, np.stack([run[0] for run in runs]), anchor, target)
+            candidates += [[pu, *run[1:]] for pu, run in zip(repaired, runs) if pu is not None]
         if not candidates:
             raise InfeasibleTargetError(
                 f"no feasible scheme found for distortion target {target} "
                 f"with |U| = {nu}"
             )
-        carry = candidates[int(np.argmin(rates(candidates)))]  # the first least, as min() picks
+        carry = candidates[int(np.argmin(rates(candidates)))]  # the first of least rate
         scheme = AuxScheme(*(StochasticMatrix(m) for m in carry))
         report = lossy_point(extend_with_auxiliaries(joint, scheme), r0, metric)
         points.append(TracePoint(target, report.bounds, scheme, report, lower_bound))

@@ -25,7 +25,9 @@ from secsource.binning import (
     run_experiment,
 )
 from secsource.probability import (
+    DimensionError,
     JointPmf,
+    ModelError,
     Pmf,
     SourceModel,
     StochasticMatrix,
@@ -157,6 +159,21 @@ class TestEncode:
             encode(code, np.zeros(5, dtype=int), (0,), seed=1)
         with pytest.raises(ValueError):
             encode(code, np.zeros(6, dtype=int), (1,), seed=1)  # key out of range
+
+    @pytest.mark.parametrize("bad", [-1, 0.5, 2, np.nan])
+    def test_symbols_outside_the_alphabet_refused(self, binary_full6, bad):
+        # On a binary n = 12 code, -1 once wrapped to the last symbol and 0.5
+        # was truncated to 0, and both gave a message or a decode; 2 died in
+        # a bare IndexError.
+        code = design_code(binary_full6, n=12, epsilon=0.15, r0=0.0, seed=3)
+        seq = np.zeros(12)
+        msg = encode(code, seq, (0,), seed=1)
+        assert decode(code, seq.astype(int), (0,), msg)[0].shape == (12,)
+        seq[5] = bad
+        with pytest.raises(ModelError, match=r"Xt symbols must be integers in \[0, 2\)"):
+            encode(code, seq, (0,), seed=1)
+        with pytest.raises(ModelError, match=r"Y symbols must be integers in \[0, 2\)"):
+            decode(code, seq, (0,), msg)
 
 
 class TestDecode:
@@ -364,6 +381,15 @@ class TestRunExperiment:
             run_experiment(code, binary_model, trials=0)
         rep = run_experiment(code, binary_model, trials=1, seed=3)
         assert rep.error_rate in (0.0, 1.0)
+
+    def test_metric_rows_must_match_xtilde(self, binary_model, binary_full6):
+        # A one-row metric once died in a bare IndexError, and a three-row
+        # metric for a binary Xt was accepted.
+        code = design_code(binary_full6, n=8, epsilon=0.15, r0=0.0, seed=2)
+        for table in ([[0.0, 1.0]], np.ones((3, 2)) - np.eye(3, 2)):
+            with pytest.raises(DimensionError, match="distortion table rows must match"):
+                run_experiment(code, binary_model, trials=2, seed=3,
+                               metric=DistortionMetric(np.array(table)))
 
     def test_reliability_improves_with_n(self, binary_model, binary_full6):
         rates = None

@@ -257,17 +257,12 @@ class TestLossyPoint:
                 for r0, target in ((0.25 * lo, d - 0.01), (0.5 * (lo + hi), d + 0.01),
                                    (hi + 0.1, d - 0.01)):
                     seen.add(evaluator.evaluate(*mats, r0).regime)
-                    for objective, ms in (("rs", mats), ("rl", mats)):
-                        # A stack of one scheme (views, so the steps below show).
-                        stack = [m[None] for m in ms]
-
+                    for objective in ("rs", "rl"):
                         def value():
-                            return evaluator.penalized(stack, r0, [objective], target,
-                                                       np.array([3.0]))[0][0]
+                            return evaluator.penalized(mats, r0, objective, target, 3.0)[0]
 
-                        grads = evaluator.penalized(stack, r0, [objective], target,
-                                                    np.array([3.0]))[2]([0])
-                        for m, g in zip(ms, (g[0] for g in grads)):
+                        grads = evaluator.penalized(mats, r0, objective, target, 3.0)[2]()
+                        for m, g in zip(mats, grads):
                             for idx in np.ndindex(m.shape):
                                 x = m[idx]
                                 m[idx] = x + step

@@ -236,6 +236,12 @@ def test_search_config_validation():
         for size in (0, -1):
             with pytest.raises(ModelError, match=f"{name} must be >= 1, got {size}"):
                 SearchConfig(**{name: size})
+    # The grid oracle minimizes the storage rate; a leakage search on it once
+    # reported the storage argmin's leakage (binary instance, |U| = 3,
+    # D = 0.15: rs 0.29920) as if it were a leakage minimum.
+    for objective in ("rs", "rl"):
+        with pytest.raises(ModelError, match="method='grid' minimizes the storage rate only"):
+            SearchConfig(method="grid", objective=objective)
 
 
 def test_sizes_above_sufficient_bounds_refused_before_search(binary_model, monkeypatch):
@@ -252,72 +258,65 @@ def test_sizes_above_sufficient_bounds_refused_before_search(binary_model, monke
             trace_region(binary_model, 0.0, METRIC, [0.1], cfg)
 
 
-def _starts(rng, sizes, count):
-    """``count`` starts (Dirichlet rows of P(U|Xt), P(V|U), P(Q|V)) as stacks,
-    the first nearly the anchor, as the search starts."""
-    mats = [rng.dirichlet(np.ones(n_out), size=(count, n_in))
-            for n_in, n_out in zip(sizes, sizes[1:])]
-    mats[0][0] = 0.999 * regions._anchor_u_rows(sizes[0], sizes[1]) + 1e-3 / sizes[1]
-    return mats
+# trace_region's leakage searches as the stacked descent (every start of a
+# target moved in lockstep) returned them: leakage_boundary's two searches on
+# the binary instance and one ternary case.  Per case: (rw, rs, rl, d), the
+# regime, threshold_low, threshold_high, r_prime and the rows of P(U|Xt),
+# P(V|U) and P(Q|V).
+_BINARY_SCHEME = (
+    [[2.8303642385993398e-05, 0.10456876788364024, 0.8954029284739737],
+     [2.6116411279836585e-05, 0.9045569079475142, 0.0954169756412059]],
+    [[0.0034682116283697223, 0.9965317883716303], [0.6548929001813895, 0.3451070998186106],
+     [0.6356241055470802, 0.3643758944529199]],
+    [[0.45593284043153776, 0.5440671595684622], [0.8945691424583793, 0.10543085754162072]],
+)
+_PINNED_LEAKAGE_SEARCHES = {
+    "binary-rs": (
+        (0.4219527607114233, 0.4219767297406266, 0.210829213209638, 0.09999994636939963),
+        "small_key", 0.4218086392593743, 0.4219527607114233, -0.061326064194025864,
+        _BINARY_SCHEME),
+    "binary-rl": (
+        (0.4219527607114233, 0.32197672974062663, 0.11082921320963798, 0.09999994636939963),
+        "small_key", 0.4218086392593743, 0.4219527607114233, -0.061326064194025864,
+        _BINARY_SCHEME),
+    "ternary": (
+        (0.8924281903463689, 0.8425802693618261, 0.0, 0.14999998050021413),
+        "small_key", 0.7781413530179546, 0.8924281903463689, -0.0032604888746239347,
+        ([[0.9479717209655856, 0.014691085940291611, 0.02081189224138248,
+           0.016525300852740333],
+          [0.14044262613335368, 0.30639725379271077, 0.4283885651966431, 0.1247715548772924],
+          [0.011193108562300913, 0.011896521844668134, 0.01633493414049242,
+           0.9605754354525385]],
+         [[0.0948125379509998, 0.9051874620490002], [0.4156879126609016, 0.5843120873390985],
+          [0.862294965758558, 0.137705034241442], [0.4337044934218526, 0.5662955065781475]],
+         [[0.979603722969453, 0.020396277030546993], [0.12996430813168056, 0.8700356918683194]])),
+}
 
 
-def _descend_alone(obj, mats, r0, objective, target_d):
-    """One start's descent, step by step: the rule that the stacked
-    ``_mirror_descent`` applies to every start of its stack."""
-    def penalized(ms, penalty):
-        value, dist, gradient = obj.penalized([m[None] for m in ms], r0, [objective], target_d,
-                                              np.array([penalty]))
-        return value[0], dist[0], lambda: [g[0] for g in gradient([0])]
-
-    penalty, eta = 32.0, 1.0
-    for _ in range(6):  # penalty levels
-        value, dist, gradient = penalized(mats, penalty)
-        for _ in range(regions._MAX_ITERS):
-            grads = gradient()
-            eta *= 2.0
-            while eta > 1e-12:
-                trial = [regions._exp_step(m, g, eta) for m, g in zip(mats, grads)]
-                t_value, t_dist, t_gradient = penalized(trial, penalty)
-                slope = sum(float(np.sum(g * (m - t))) for g, m, t in zip(grads, mats, trial))
-                if t_value <= value - 1e-4 * slope:
-                    break
-                eta *= 0.5
-            else:
-                break  # no step size decreases the objective
-            gain = value - t_value
-            mats, value, dist, gradient = trial, t_value, t_dist, t_gradient
-            if gain < regions._CONVERGENCE_TOL:
-                break
-        if dist <= target_d + 1e-9:
-            break
-        penalty *= 8.0
-    return mats
-
-
-@pytest.mark.parametrize("case", ["binary-u3", "binary-default", "ternary"])
-def test_stacked_descent_matches_each_start_alone(binary_model, case):
-    # All starts of a target move as one stack, and each must end on the
-    # matrices it reaches descended alone, bit for bit, for both leakages,
-    # which move all three matrices (the search stacks the two leakages
-    # together).  The cases take a start through penalty levels and rejected
-    # steps, and let the starts leave the stack at different ticks.
-    rng = np.random.default_rng(61)
-    model, (nu, nv, nq) = {
-        "binary-u3": (binary_model, (3, 2, 2)),
-        "binary-default": (binary_model, regions.default_cardinalities(2)),
-        "ternary": (random_model(rng, nx=3, nxt=3, ny=3), (4, 2, 2)),
+@pytest.mark.parametrize("case", sorted(_PINNED_LEAKAGE_SEARCHES))
+def test_leakage_search_matches_recorded_outputs(case):
+    # Each (start, objective) pair descends alone; the searches must return
+    # what they returned when all pairs of a target descended as one stack.
+    # The ternary case takes two restarts and a key rate.
+    model, r0, target, cfg = {
+        "binary-rs": (modelio.parse_model(INSTANCE), 0.0, 0.1, SearchConfig(
+            restarts=1, seed=7, u_size=3, v_size=2, q_size=2, objective="rs")),
+        "binary-rl": (modelio.parse_model(INSTANCE), 0.1, 0.1, SearchConfig(
+            restarts=1, seed=7, u_size=3, v_size=2, q_size=2, objective="rl")),
+        "ternary": (random_model(np.random.default_rng(61), nx=3, nxt=3, ny=3), 0.05, 0.15,
+                    SearchConfig(restarts=2, seed=5, u_size=4, v_size=2, q_size=2,
+                                 objective="rs")),
     }[case]
-    nxt = model.xtilde_size
-    obj = regions._SchemeEvaluator(model, DistortionMetric.hamming(nxt))
-    mats = _starts(rng, (nxt, nu, nv, nq), 5)
-    for r0, objectives, target in ((0.0, ["rs", "rl", "rs", "rl", "rs"], 0.05),
-                                   (0.1, ["rl", "rs", "rl", "rs", "rl"], 0.15)):
-        stack = regions._mirror_descent(obj, mats, r0, objectives, target)
-        for i, objective in enumerate(objectives):
-            alone = _descend_alone(obj, [m[i] for m in mats], r0, objective, target)
-            for m, a in zip(stack, alone):
-                np.testing.assert_array_equal(m[i], a)
-        assert not np.array_equal(stack[0], mats[0])  # the starts moved
+    rates, regime, t_low, t_high, rp, scheme = _PINNED_LEAKAGE_SEARCHES[case]
+    [p] = trace_region(model, r0, DistortionMetric.hamming(model.xtilde_size), [target], cfg)
+    got = (p.rates.rw, p.rates.rs, p.rates.rl, p.rates.d)
+    np.testing.assert_allclose(got, rates, rtol=0.0, atol=1e-12)
+    assert p.report.regime == regime
+    np.testing.assert_allclose((p.report.threshold_low, p.report.threshold_high,
+                                p.report.r_prime), (t_low, t_high, rp), rtol=0.0, atol=1e-12)
+    mats = (p.scheme.p_u_given_xtilde, p.scheme.p_v_given_u, p.scheme.p_q_given_v)
+    for m, want in zip(mats, scheme):
+        np.testing.assert_allclose(m.rows, want, rtol=0.0, atol=1e-12)
 
 
 def _repair_alone(obj, t, anchor, target_d):
@@ -364,10 +363,8 @@ def test_stacked_repair_matches_each_alone(binary_model):
 
 def test_empty_stack(binary_model):
     obj = regions._SchemeEvaluator(binary_model, METRIC)
-    empty = [np.empty((0, 2, 3)), np.empty((0, 3, 2)), np.empty((0, 2, 2))]
-    out = regions._mirror_descent(obj, empty, 0.0, [], 0.1)
-    assert [m.shape for m in out] == [m.shape for m in empty]
-    assert regions._repair_feasibility(obj, empty[0], regions._anchor_u_rows(2, 3), 0.1) == []
+    empty = np.empty((0, 2, 3))
+    assert regions._repair_feasibility(obj, empty, regions._anchor_u_rows(2, 3), 0.1) == []
 
 
 def test_generic_objective_path(binary_model):
