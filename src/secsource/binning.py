@@ -507,7 +507,7 @@ def encode(
             "simulates such codes"
         )
     xt = _symbols(code, xtilde_seq, code.p_u_given_xtilde.shape[0], "Xt")
-    _check_key(code, key)
+    key = _check_key(code, key)
     draws = np.random.default_rng(seed).random((1, 2 * code.n))
     v, u = _sample_layers(code, xt.reshape(1, -1), draws)
     fields = _message_fields(code, _seq_indices(v, code.v_size), _seq_indices(u, code.u_size), key)
@@ -526,13 +526,20 @@ def _symbols(code: BinningCode, seq: Sequence[int], size: int, name: str) -> np.
     return arr.astype(int)
 
 
-def _check_key(code: BinningCode, key: tuple[int, ...]) -> None:
+def _check_key(code: BinningCode, key: tuple[int, ...]) -> tuple[int, ...]:
+    """``key`` as integers, refusing a fraction (numpy's bit operations fail
+    on it) or a component outside its field's bit width."""
     widths = code.key_bit_widths()
     if len(key) != len(widths):
         raise ValueError(f"key must have {len(widths)} component(s)")
+    arr = np.asarray(key, dtype=float)
+    if not np.all(arr == np.floor(arr)):  # NaN fails too
+        raise ModelError("key components must be integers")
+    key = tuple(int(k) for k in key)
     for k, b in zip(key, widths):
         if not 0 <= k < (1 << b):
             raise ValueError("key component out of range")
+    return key
 
 
 def decode(
@@ -558,7 +565,7 @@ def decode(
             "decoder exactly in distribution at large blocklengths"
         )
     y = _symbols(code, y_seq, code.reconstruction.shape[1], "Y")
-    _check_key(code, key)
+    key = _check_key(code, key)
     received = _pad(code, [np.array([f]) for f in astuple(message)], key, -1)
     _, u_hat, unique = _decode_block(code, y.reshape(1, -1), received)
     return code.reconstruction[u_hat[0], y], bool(unique[0])

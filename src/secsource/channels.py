@@ -76,26 +76,29 @@ class LessNoisyVerdict:
         return self.i_l_y - self.i_l_z
 
 
-def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, basis: Optional[np.ndarray] = None):
     """Maximize c.x subject to a x <= b, x >= 0, for b >= 0.
 
-    Revised simplex from the slack basis, which b >= 0 makes feasible.  Each
-    pivot solves the basis systems afresh from ``a``, so no rounding carries
-    over from one pivot to the next.  The entering column has the largest
-    reduced cost (Dantzig) and the leaving row the largest pivot among ratio
-    ties; after a degenerate pivot both follow Bland's smallest-index rule,
-    which cannot cycle.  Returns the primal x and the row duals y; a singular
-    basis or the pivot cap raises RuntimeError.
+    Revised simplex from ``basis``, a primal feasible basis given as indices
+    into the columns of [a | I], or else from the slack basis, which b >= 0
+    makes feasible.  Each pivot solves the basis systems afresh from ``a``,
+    so no rounding carries over from one pivot to the next.  The entering
+    column has the largest reduced cost (Dantzig) and the leaving row the
+    largest pivot among ratio ties; after a degenerate pivot both follow
+    Bland's smallest-index rule, which cannot cycle.  Returns the primal x,
+    the row duals y and the final basis; a singular basis or the pivot cap
+    raises RuntimeError.
 
     Two LPs use it: the degradedness test here and the storage LP of
     ``regions._StorageLP``.  The latter has equality rows sum_j x_j q_j = p;
     it adds one constant to every c_j, so that an optimum leaves no slack in
-    those rows, and checks that they came out tight.
+    those rows, checks that they came out tight, and solves again from its
+    last basis after adding columns.
     """
     m, n = a.shape
     full = np.hstack([a, np.eye(m)])
     cost = np.concatenate([c, np.zeros(m)])
-    basis = np.arange(n, n + m)
+    basis = np.arange(n, n + m) if basis is None else np.array(basis)
     bland = False
     try:
         for _ in range(_MAX_PIVOTS_PER_DIM * (m + n)):
@@ -107,7 +110,7 @@ def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, n
             if entering.size == 0:
                 x = np.zeros(n + m)
                 x[basis] = np.linalg.solve(b_mat, b)
-                return x[:n], y
+                return x[:n], y, basis
             q = entering[0] if bland else entering[np.argmax(reduced[entering])]
             x_b, w = np.linalg.solve(b_mat, np.column_stack([b, full[:, q]])).T
             rows = np.flatnonzero(w > _PIVOT_TOL)
@@ -164,7 +167,7 @@ def check_stochastic_degraded(
     b = np.concatenate([t0 - r0, t0 + r0, np.ones(nz)])
     c = np.zeros(a.shape[1])
     c[-1] = 1.0
-    x, y = _simplex(a, b, c)
+    x, y, _ = _simplex(a, b, c)
 
     w = np.clip(x[:-1], 0.0, None).reshape(nz, ny - 1)
     t = np.clip(np.hstack([w, 1.0 - w.sum(axis=1, keepdims=True)]), 0.0, None)

@@ -15,24 +15,25 @@ numerically by ``trace_region``.  The storage rate is minimized by a linear
 program over posteriors P(Xt | U = u) (``_StorageLP``): under U - Xt - Y the
 rate and the optimal-map distortion are linear in the posteriors' weights,
 so time sharing and the |Xt|+1 cardinality bound come with the LP, and its
-duals certify a lower bound on the least rate.  Each leakage is minimized
-over the rows of the conditional-pmf matrices with multi-start
-exponentiated-gradient (KL mirror) descent, each start descending alone.
-``_SchemeEvaluator`` computes the same bounds as ``lossy_point`` from the
-raw matrices and three source tables taken straight from the
-``SourceModel``, building no joint, each term as the entropy of a table
-linear in each matrix, and gives the descent their analytic gradient.  Its
-storage form scores a stack of P(U|Xt) matrices and gives each the same bits
-alone as in any stack.  The no-key form, the search and the exhaustive
-simplex-grid oracle, ``grid_minimum_storage``, take the model; the oracle is
-kept as a reference for the storage search, scoring the grid a block of
-cells at a time, and its first argmin is the one a cell-by-cell scan
-returns, bit for bit.
+duals certify a lower bound on the least rate.  Its columns grow by
+bisection from the simplex split at P(Xt), each re-solve starting from the
+last basis.  Each leakage is minimized over the rows of the conditional-pmf
+matrices with multi-start exponentiated-gradient (KL mirror) descent, each
+start descending alone.  ``_SchemeEvaluator`` computes the same bounds as
+``lossy_point`` from the raw matrices and three source tables taken straight
+from the ``SourceModel``, building no joint, each term as the entropy of a
+table linear in each matrix, and gives the descent their analytic gradient.
+Its storage form scores a stack of P(U|Xt) matrices and gives each the same
+bits alone as in any stack; it scores distortion as the least one, P(Xt)
+times the metric's row minima, plus the cost above those minima.  The no-key
+form, the search and the exhaustive simplex-grid oracle,
+``grid_minimum_storage``, take the model; the oracle is kept as a reference
+for the storage search, scoring the grid a block of cells at a time, and its
+first argmin is the one a cell-by-cell scan returns, bit for bit.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -74,11 +75,9 @@ _GRID_BLOCK = 1024
 # less than _CONVERGENCE_TOL, per penalty level.
 _MAX_ITERS = 200
 _CONVERGENCE_TOL = 1e-7
-# The storage LP (``_StorageLP``): grid points it starts from, the columns
-# the refinement may add per target, the certified gap it refines to and its
-# objective offset.
-_LP_GRID_POINTS = 2048
-_LP_MAX_ADDED = 4 * _LP_GRID_POINTS
+# The storage LP (``_StorageLP``): the columns the refinement may add per
+# target, the certified gap it refines to and its objective offset.
+_LP_MAX_ADDED = 10_240
 _LP_GAP = 1e-7
 _LP_OFFSET = 1.0
 # The LP aims this far below the target, so that rounding leaves the realized
@@ -487,7 +486,7 @@ def corollary_point(
 # matrix, so the gradient of its entropy is the adjoint einsum applied to
 # -(log2 T + 1/ln 2).  Terms are named by their output subscripts.
 _TERM_SPECS = (
-    "au,a->au", "au,ay->uy", "au,az->uz", "au,ak->uk", "au,uv,a->auv", "au,uv,a->av",
+    "au,a->au", "au,az->uz", "au,ak->uk", "au,uv,a->auv", "au,uv,a->av",
     "au,uv,ay->uvy", "au,uv,ay->vy", "au,uv,az->vz", "au,uv,ak->vk",
     "au,uv,vq,ay->uvqy", "au,uv,vq,ay->vqy", "au,uv,vq,az->uvqz", "au,uv,vq,az->vqz",
 )
@@ -563,10 +562,15 @@ class _SchemeEvaluator:
         self.p_xt = self.p_xt_y.sum(axis=1)
         self.h_y = entropy_bits(self.p_xt_y.sum(axis=0))
         self.h_xt = entropy_bits(self.p_xt)
-        # storage_core[xt, y] = (P(xt, y) d(xt, xhat) for each xhat, P(xt, y)):
-        # one pass over Xt gives the distortion costs and P(U, Y).
+        # The distortion is d_floor = P(Xt).m, m the row minima of the metric,
+        # plus the cost under the metric less m, which is exactly 0 at U = Xt.
+        # storage_core[xt, y] = (P(xt, y) (d(xt, xhat) - m(xt)) for each xhat,
+        # P(xt, y)): one pass over Xt gives those costs and P(U, Y).
+        floor = metric.table.min(axis=1)
+        self.d_floor = float(self.p_xt @ floor)
         self.storage_core = np.concatenate(
-            [np.einsum("ay,ab->ayb", self.p_xt_y, metric.table), self.p_xt_y[:, :, None]], axis=2
+            [np.einsum("ay,ab->ayb", self.p_xt_y, metric.table - floor[:, None]),
+             self.p_xt_y[:, :, None]], axis=2
         )
         self.p_xt_xz = p_xt_x_z.reshape(self.p_xt.size, -1)
         self.h_z = entropy_bits(self.p_xt_z.sum(axis=0))
@@ -582,7 +586,8 @@ class _SchemeEvaluator:
         core = _sum_over_xt(t, self.storage_core)  # (..., U, Y, Xhat + 1)
         h_uy = entropy_bits(core[..., -1].reshape(*lead, -1), axis=-1)
         h_uxt = entropy_bits((t * self.p_xt[:, None]).reshape(*lead, -1), axis=-1)
-        return np.maximum(h_uy - h_uxt + self.h_xt - self.h_y, 0.0), _least_cost(core[..., :-1])
+        return (np.maximum(h_uy - h_uxt + self.h_xt - self.h_y, 0.0),
+                self.d_floor + _least_cost(core[..., :-1]))
 
     def _bound(self, mats: Sequence[np.ndarray], coefs: dict[str, float],
                tables: dict[str, tuple[np.ndarray, float]]) -> float:
@@ -666,8 +671,8 @@ class _SchemeEvaluator:
 
 def _anchor_u_rows(nxt: int, nu: int) -> np.ndarray:
     """The deterministic U-channel that sends source symbol i to auxiliary
-    symbol i mod |U|.  With |U| >= |Xt| the symbols stay apart, so its
-    optimal distortion is zero under any metric with a zero diagonal."""
+    symbol i mod |U|.  With |U| >= |Xt| the symbols stay apart, so the
+    evaluator scores its distortion as exactly the least one, ``d_floor``."""
     t = np.zeros((nxt, nu))
     t[np.arange(nxt), np.arange(nxt) % nu] = 1.0
     return t
@@ -727,15 +732,15 @@ def _repair_feasibility(
     obj: _SchemeEvaluator, t: np.ndarray, anchor: np.ndarray, target_d: float
 ) -> list[Optional[np.ndarray]]:
     """Blend each P(U|Xt) matrix of the stack ``t`` that misses the target
-    toward the zero-distortion anchor until it meets it exactly, so that
-    rounding in the reported distortion stays far inside the 1e-9 the
-    searches allow; None where even the anchor misses.  All the misses are
-    bisected together, 60 steps each, with the bits each gets alone.  Each
-    step reads the distortion half of ``obj.storage`` alone: the rate's
-    entropies would double its cost."""
+    toward the anchor until it meets it exactly, so that rounding in the
+    reported distortion stays far inside the 1e-9 the searches allow; None
+    where even the anchor misses.  All the misses are bisected together, 60
+    steps each, with the bits each gets alone.  Each step reads the
+    distortion half of ``obj.storage`` alone: the rate's entropies would
+    double its cost."""
 
     def dist(m: np.ndarray) -> np.ndarray:
-        return _least_cost(_sum_over_xt(m, obj.storage_core)[..., :-1])
+        return obj.d_floor + _least_cost(_sum_over_xt(m, obj.storage_core)[..., :-1])
 
     out: list[Optional[np.ndarray]] = list(t)
     miss = np.flatnonzero(dist(t) > target_d) if out else []
@@ -752,40 +757,6 @@ def _repair_feasibility(
     return out
 
 
-def _lp_ticks(parts: int) -> int:
-    """The grid rule of the storage LP: the largest k whose step-1/k grid on
-    the ``parts``-simplex has at most ``_LP_GRID_POINTS`` points."""
-    if parts == 1:
-        return 1
-    k = int((_LP_GRID_POINTS * math.factorial(parts - 1)) ** (1.0 / (parts - 1)))
-    while math.comb(k + parts - 1, parts - 1) > _LP_GRID_POINTS:
-        k -= 1
-    return k
-
-
-def _kuhn_cells(k: int, parts: int) -> np.ndarray:
-    """The Kuhn (Freudenthal) triangulation of the step-1/k grid on the
-    ``parts``-simplex, one row of vertex indices into ``compositions(k,
-    parts)`` per cell.  A cell starts at a grid point whose last part is at
-    least 1 and takes ``parts - 1`` steps, each moving one unit from part j
-    to part j - 1 for j = 1 .. parts - 1 in some order, none leaving a part
-    negative."""
-    d = parts - 1
-    moves = np.zeros((d, parts), dtype=np.int64)
-    moves[np.arange(d), np.arange(d)] = 1
-    moves[np.arange(d), np.arange(1, parts)] = -1
-    perms = np.array(list(itertools.permutations(range(d))), dtype=np.int64).reshape(
-        math.factorial(d), d)
-    paths = np.concatenate([np.zeros((len(perms), 1, parts), dtype=np.int64),
-                            np.cumsum(moves[perms], axis=1)], axis=1)
-    base = compositions(k - 1, parts) + np.eye(parts, dtype=np.int64)[-1]
-    verts = base[:, None, None, :] + paths[None]  # (base, perm, vertex, part)
-    verts = verts[(verts >= 0).all(axis=(2, 3))]
-    # Lexicographic order of compositions is the order of these keys.
-    weights = (k + 1) ** np.arange(d, -1, -1, dtype=np.int64)
-    return np.searchsorted(compositions(k, parts) @ weights, verts @ weights)
-
-
 class _StorageLP:
     """The least storage rate at each distortion target as a linear program
     over posteriors q = P(Xt | U = u), with a certified lower bound.
@@ -793,51 +764,44 @@ class _StorageLP:
     Under U - Xt - Y, I(U;Xt|Y) = H(Xt|Y) - sum_u P(u) psi(q_u), where psi(q)
     is H(Xt|Y) under q(xt) P(y|xt), and the optimal-map distortion is
     sum_u P(u) delta(q_u) with delta(q) = sum_y min_xhat sum_xt q(xt) P(y|xt)
-    d(xt, xhat).  So the least rw at d <= D is H(Xt|Y) minus
-    max sum w psi(q) subject to sum w q = P(Xt), sum w delta(q) <= D, w >= 0,
-    over columns q: a grid on the simplex over the symbols of positive
-    probability (``_lp_ticks``) plus P(Xt).  The metric less each row's least
-    entry, and D less P(Xt) times those minima, leave every scheme's standing
-    as it is and make a vertex column cost nothing; then, with
-    ``_LP_OFFSET`` added to every psi, the optimum of ``channels._simplex``
-    (rows a x <= b) fills the mass rows.
+    d(xt, xhat) - m(xt), m(xt) the least entry of row xt (the evaluator's
+    costs, under which a vertex costs nothing).  So the least rw at d <= D is
+    H(Xt|Y) minus max sum w psi(q) subject to sum w q = P(Xt),
+    sum w delta(q) <= D - d_floor and w >= 0, over columns q on the simplex
+    over the symbols of positive probability; d_floor = P(Xt).m is the
+    distortion of U = Xt.  With ``_LP_OFFSET`` added to every psi, the
+    optimum of ``channels._simplex`` (rows a x <= b) fills the mass rows.
 
     Certificate: for the duals (lambda, s) and eps >= max_q g(q),
     g(q) = psi(q) - lambda.q - s delta(q), every scheme with d <= D has
-    rw >= H(Xt|Y) - (lambda.P(Xt) + s D) - eps.  Cells whose vertices are
-    columns cover the simplex (the grid's Kuhn triangulation, then longest-
-    edge bisection).  On a cell, psi lies below its tangent plane at the
+    rw >= H(Xt|Y) - (lambda.P(Xt) + s (D - d_floor)) - eps.  Cells whose
+    vertices are columns cover the simplex: first the vertices and P(Xt),
+    the simplex split at P(Xt) into one cell per vertex, with P(Xt) in that
+    vertex's place.  On a cell, psi lies below its tangent plane at the
     barycenter (psi is concave, with a finite slope inside the simplex), and
     the tangent plane less lambda.q + s delta(q) is convex (delta is
     concave), so g is at most the largest g(v) plus the tangent's overshoot
     at a vertex v; the overshoots are kept with the cell.  Cells above half
-    of ``_LP_GAP`` are bisected, their midpoints become columns, and the LP
-    is solved again when one of them prices in, until eps is below that or
-    the target would add more than ``_LP_MAX_ADDED`` columns.  Columns and
-    cells carry over from one target to the next.
+    of ``_LP_GAP`` are bisected on their longest edge, their midpoints become
+    columns, and the LP is solved again from its last basis when one of them
+    prices in, until eps is below that or the target would add more than
+    ``_LP_MAX_ADDED`` columns.  Columns and cells carry over from one target
+    to the next.
     """
 
-    def __init__(self, obj: _SchemeEvaluator, metric: DistortionMetric):
+    def __init__(self, obj: _SchemeEvaluator):
         # No posterior puts mass on a symbol of probability zero, so the
         # columns live on the simplex over the others, ``live``.
         self.live = np.flatnonzero(obj.p_xt > 0.0)
-        self.p_xt = obj.p_xt[self.live]
-        p_xt_y, table = obj.p_xt_y[self.live], metric.table[self.live]
+        n, p_xt_y = len(self.live), obj.p_xt_y[self.live]
+        self.p_xt, self.d_floor = obj.p_xt[self.live], obj.d_floor
         self.cond = p_xt_y / self.p_xt[:, None]  # P(y|xt)
         self.h_y_given_xt = entropy_bits(self.cond, axis=1)
-        floor = table.min(axis=1)
-        # The least distortion, P(Xt) times the row minima, is the anchor's
-        # (U = Xt).  Scored as _repair_feasibility scores it, bit for bit, so
-        # that the repair meets every target at or above it.
-        self.anchor = _anchor_u_rows(len(obj.p_xt), len(obj.p_xt) + 1)
-        self.d_floor = float(obj.storage(self.anchor)[1])
-        self.cost = (self.cond[:, :, None] * (table - floor[:, None])[:, None, :]
-                     ).reshape(len(self.live), -1)
+        self.cost = (obj.storage_core[self.live, :, :-1] / self.p_xt[:, None, None]).reshape(n, -1)
         self.h_xt_given_y = entropy_bits(p_xt_y) - obj.h_y
-        k = _lp_ticks(len(self.live))
-        self.q = np.vstack([compositions(k, len(self.live)) / k, self.p_xt])
+        self.q = np.vstack([np.eye(n), self.p_xt])
         self.psi, self.delta = self._values(self.q)
-        self.cells = _kuhn_cells(k, len(self.live))
+        self.cells = np.where(np.eye(n, dtype=bool), n, np.arange(n))
         self.over = self._overshoots(self.cells)
 
     def _values(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -873,12 +837,11 @@ class _StorageLP:
         psi, delta = self._values(mids)
         self.q = np.vstack([self.q, mids])
         self.psi, self.delta = np.append(self.psi, psi), np.append(self.delta, delta)
-        first, second = cells.copy(), cells.copy()
-        first[rows, i[edge]] = new
-        second[rows, j[edge]] = new
-        self.cells = np.vstack([self.cells[~hot], first, second])
-        self.over = np.vstack([self.over[~hot], self._overshoots(first),
-                               self._overshoots(second)])
+        halves = np.vstack([cells, cells])
+        halves[rows, i[edge]] = new
+        halves[len(cells) + rows, j[edge]] = new
+        self.cells = np.vstack([self.cells[~hot], halves])
+        self.over = np.vstack([self.over[~hot], self._overshoots(halves)])
 
     def solve(self, target_d: float) -> tuple[np.ndarray, float]:
         """The optimal weights over the columns ``self.q`` at distortion
@@ -889,9 +852,10 @@ class _StorageLP:
                 f"no scheme meets distortion target {target_d}: the least distortion, "
                 f"reached by U = Xt, is {self.d_floor}")
         b = np.append(self.p_xt, max(budget - _LP_MARGIN, 0.0))
-        cap = len(self.q) + _LP_MAX_ADDED
+        cap, basis = len(self.q) + _LP_MAX_ADDED, None
         while True:
-            w, y = _simplex(np.vstack([self.q.T, self.delta]), b, self.psi + _LP_OFFSET)
+            w, y, basis = _simplex(np.vstack([self.q.T, self.delta]), b, self.psi + _LP_OFFSET,
+                                   basis)
             if abs(w.sum() - 1.0) > 1e-12:
                 raise RuntimeError(f"storage LP left mass {w.sum()!r} instead of 1")
             lam, s = y[:-1] - _LP_OFFSET, max(float(y[-1]), 0.0)
@@ -910,6 +874,8 @@ class _StorageLP:
                     return weights, max(bound, 0.0)
                 priced = len(self.q)
                 self._split(hot)
+            # The slack columns follow the structural ones, which grew.
+            basis = np.where(basis >= len(w), basis + len(self.q) - len(w), basis)
 
 
 def simplex_grid(size: int, step: float) -> np.ndarray:
@@ -1018,11 +984,10 @@ def trace_region(
                          "its schemes use up to |Xt|+1 posteriors")
     obj = _SchemeEvaluator(model, metric)
     joint = build_joint(model)  # for lossy_point's reports only
+    anchor = _anchor_u_rows(nxt, nxt + 1 if lp_search else nu)
     if lp_search:
-        lp = _StorageLP(obj, metric)
-        anchor, constant = lp.anchor, [np.ones((nxt + 1, 1)), np.ones((1, 1))]
+        lp, constant = _StorageLP(obj), [np.ones((nxt + 1, 1)), np.ones((1, 1))]
     else:
-        anchor = _anchor_u_rows(nxt, nu)
         uniform = [np.full((nu, nv), 1.0 / nv), np.full((nv, nq), 1.0 / nq)]
         objectives = (cfg.objective, "rl" if cfg.objective == "rs" else "rs")
 

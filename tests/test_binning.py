@@ -175,6 +175,21 @@ class TestEncode:
         with pytest.raises(ModelError, match=r"Y symbols must be integers in \[0, 2\)"):
             decode(code, seq, (0,), msg)
 
+    @pytest.mark.parametrize("key", [(0.5, 0.5), (0, 1.5), (0, np.nan)])
+    def test_fractional_key_refused(self, binary_full6, key):
+        # The pad-all code at n = 8 has key widths (0, 9), so each of these
+        # keys is in range; a fraction once died in a bare TypeError from
+        # numpy's bitwise_and, in encode and in decode alike.
+        code = design_code(binary_full6, n=8, epsilon=0.1, r0=3.0, seed=3)
+        assert code.mode == "pad_all" and code.key_bit_widths() == (0, 9)
+        seq = np.zeros(8, dtype=int)
+        msg = encode(code, seq, (0, 1), seed=1)
+        assert decode(code, seq, (0.0, 1.0), msg)[0].shape == (8,)
+        with pytest.raises(ModelError, match="key components must be integers"):
+            encode(code, seq, key, seed=1)
+        with pytest.raises(ModelError, match="key components must be integers"):
+            decode(code, seq, key, msg)
+
 
 class TestDecode:
     def test_noiseless_side_information(self):

@@ -106,9 +106,11 @@ class TestDegradedness:
     def test_unproven_answer_raises(self, monkeypatch):
         # The slack basis with zero duals: the witness is the start map and
         # the dual bound is 0, far below it.
-        monkeypatch.setattr(
-            channels, "_simplex", lambda a, b, c: (np.zeros(a.shape[1]), np.zeros(a.shape[0]))
-        )
+        def slack_basis(a, b, c):
+            m, n = a.shape
+            return np.zeros(n), np.zeros(m), np.arange(n, n + m)
+
+        monkeypatch.setattr(channels, "_simplex", slack_basis)
         with pytest.raises(RuntimeError, match="witness residual .* dual lower bound"):
             check_stochastic_degraded(bsc(0.1), bsc(0.3))
 
