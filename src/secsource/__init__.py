@@ -26,7 +26,6 @@ from .regions import (
     lossy_point,
     optimal_reconstruction,
     r_prime,
-    reconstruction_distortion,
     trace_region,
 )
 from .channels import (

@@ -5,7 +5,7 @@ An auxiliary scheme is a layered test channel Xt -> U -> V -> Q together with
 a reconstruction map (U, Y) -> Xhat.  ``lossy_point`` evaluates the storage,
 secrecy-leakage and privacy-leakage bounds of the general lossy region for a
 fixed scheme and private-key rate from the joint over all seven variables; it
-is the reference, and every reported ``TracePoint`` comes from it.
+is the reference that the scheme evaluator below is tested against.
 ``lossless_point`` is its U = Xt specialization; ``corollary_point`` is the
 no-key form that is tight when the eavesdropper's channel is less noisy than
 the decoder's.
@@ -57,7 +57,6 @@ from .probability import (
     SourceModel,
     StochasticMatrix,
     _frozen_array,
-    build_joint,
     compositions,
     entropy_bits,
 )
@@ -328,7 +327,7 @@ def extend_with_auxiliaries(joint: JointPmf, aux: AuxScheme) -> JointPmf:
 
 
 # ``bench/workloads.py`` calls this name; it goes with the benchmark change
-# that deletes that call (ROADMAP item 5).
+# that deletes that call (ROADMAP item 1).
 extend_with_vu = extend_with_auxiliaries
 
 
@@ -360,23 +359,6 @@ def optimal_reconstruction(
     expected = float(np.min(cost, axis=2).sum())
     recon.setflags(write=False)
     return recon, expected
-
-
-def reconstruction_distortion(
-    full: JointPmf, metric: DistortionMetric, reconstruction: np.ndarray
-) -> float:
-    """Expected distortion of a user-supplied (U, Y) -> Xhat map, whose
-    entries must be integers in the metric's reconstruction alphabet."""
-    _require_axes(full, FULL_AXES, "reconstruction_distortion")
-    recon = _reconstruction_map(reconstruction)
-    p = full.marginal_table((AX_U, AX_XT, AX_Y))
-    if recon.shape != (p.shape[0], p.shape[2]):
-        raise DimensionError("reconstruction map must be (|U|, |Y|)")
-    if recon.size and recon.max() >= metric.table.shape[1]:
-        raise DimensionError(f"reconstruction entries must be below |Xhat| = "
-                             f"{metric.table.shape[1]}")
-    d = metric.table[:, recon]  # (Xt, U, Y)
-    return float(np.einsum("uay,auy->", p, d))
 
 
 def _clamp(v: float) -> float:
@@ -947,10 +929,13 @@ def trace_region(
     """Minimize the configured rate over auxiliary schemes for each target
     distortion and report the attendant bounds.
 
-    Points are returned in ascending target order.  For the LP and the
-    descent, the previous target's argmin (feasible by monotonicity of the
-    constraint set) stays the first candidate and the first of least rate
-    wins, so the minimized rate is non-increasing in D.
+    Points are returned in ascending target order.  Every candidate scheme
+    of a target is scored once by ``_SchemeEvaluator.evaluate``; the first of
+    least rate wins and its report is the one returned, so the reported
+    distortion is the one that met the target (``lossy_point`` on the 7-axis
+    joint is the reference it agrees with).  For the LP and the descent, the
+    previous target's argmin (feasible by monotonicity of the constraint set)
+    stays the first candidate, so the minimized rate is non-increasing in D.
 
     The storage search (objective "rw", method "descent") needs
     ``u_size >= |Xt|+1`` and reads neither ``cfg.restarts`` nor
@@ -973,9 +958,9 @@ def trace_region(
     """
     if not targets:
         raise ValueError("targets must be non-empty")
-    if not math.isfinite(r0) or not all(math.isfinite(d) for d in targets):
-        raise ModelError(f"r0 and the distortion targets must be finite, got r0={r0!r} "
-                         f"and targets {list(targets)}")
+    if not (math.isfinite(r0) and r0 >= 0.0) or not all(math.isfinite(d) for d in targets):
+        raise ModelError(f"r0 must be finite and >= 0 and the distortion targets finite, "
+                         f"got r0={r0!r} and targets {list(targets)}")
     nxt = model.xtilde_size
     nu, nv, nq = cfg.resolved_sizes(nxt)
     lp_search = cfg.objective == "rw" and cfg.method == "descent"
@@ -983,21 +968,12 @@ def trace_region(
         raise ModelError(f"the storage search needs u_size >= |Xt|+1 = {nxt + 1}, got {nu}: "
                          "its schemes use up to |Xt|+1 posteriors")
     obj = _SchemeEvaluator(model, metric)
-    joint = build_joint(model)  # for lossy_point's reports only
     anchor = _anchor_u_rows(nxt, nxt + 1 if lp_search else nu)
     if lp_search:
         lp, constant = _StorageLP(obj), [np.ones((nxt + 1, 1)), np.ones((1, 1))]
     else:
         uniform = [np.full((nu, nv), 1.0 / nv), np.full((nv, nq), 1.0 / nq)]
         objectives = (cfg.objective, "rl" if cfg.objective == "rs" else "rs")
-
-    def rates(candidates: list[list[np.ndarray]]) -> np.ndarray:
-        """The configured rate of every candidate, the storage rates scored as
-        one stack."""
-        if cfg.objective == "rw":
-            return obj.storage(np.stack([c[0] for c in candidates]))[0]
-        return np.array([getattr(obj.evaluate(*c, r0).bounds, cfg.objective)
-                         for c in candidates])
 
     points: list[TracePoint] = []
     carry: Optional[list[np.ndarray]] = None
@@ -1035,8 +1011,9 @@ def trace_region(
                 f"no feasible scheme found for distortion target {target} "
                 f"with |U| = {nu}"
             )
-        carry = candidates[int(np.argmin(rates(candidates)))]  # the first of least rate
+        reports = [obj.evaluate(*c, r0) for c in candidates]
+        best = int(np.argmin([getattr(rep.bounds, cfg.objective) for rep in reports]))
+        carry, report = candidates[best], reports[best]  # the first of least rate
         scheme = AuxScheme(*(StochasticMatrix(m) for m in carry))
-        report = lossy_point(extend_with_auxiliaries(joint, scheme), r0, metric)
         points.append(TracePoint(target, report.bounds, scheme, report, lower_bound))
     return points

@@ -355,6 +355,7 @@ class TestCommands:
         ([[0, -1], [1, 1]], "reconstruction entries must be non-negative integers"),
         ([[0, 5], [1, 1]], "reconstruction map entry 5 is outside the metric's 2"),
         ([[0.9, 0.2], [1.7, 1]], "reconstruction entries must be non-negative integers"),
+        ([[0, float("nan")], [1, 1]], "reconstruction entries must be non-negative integers"),
     ])
     def test_simulate_rejects_malformed_reconstruction_map(self, tmp_path, capsys, recon,
                                                            message):

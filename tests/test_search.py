@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import h2, random_model
-from secsource import channels, modelio, regions
+from secsource import channels, modelio, probability, regions
 from secsource.probability import (
     DimensionError, JointPmf, ModelError, SourceModel, StochasticMatrix, bsc, build_joint,
 )
@@ -25,6 +25,12 @@ from secsource.regions import (
 
 METRIC = DistortionMetric.hamming(2)
 CFG = SearchConfig(restarts=4, seed=13, u_size=3, v_size=1, q_size=1)
+# One search of each kind: the storage LP, the grid oracle and a leakage descent.
+SEARCHES = (
+    CFG,
+    SearchConfig(u_size=3, v_size=1, q_size=1, method="grid", grid_step=0.1),
+    SearchConfig(restarts=1, seed=13, u_size=3, v_size=2, q_size=2, objective="rs"),
+)
 
 
 def _d_max(joint):
@@ -74,11 +80,26 @@ def test_deterministic_given_seed(binary_model):
 
 
 def test_reported_point_matches_regime_report(binary_model):
-    pts = trace_region(binary_model, 0.1, METRIC, [0.05], CFG)
-    p = pts[0]
-    full = extend_with_auxiliaries(build_joint(binary_model), p.scheme)
-    rep = lossy_point(full, 0.1, METRIC)
-    assert rep.bounds == p.rates
+    # A traced point reports the evaluator's scoring of the scheme it returns,
+    # the one that chose it, and lossy_point on the 7-axis joint agrees.
+    obj = regions._SchemeEvaluator(binary_model, METRIC)
+    for cfg in SEARCHES:
+        [p] = trace_region(binary_model, 0.1, METRIC, [0.05], cfg)
+        s = p.scheme
+        rep = obj.evaluate(s.p_u_given_xtilde.rows, s.p_v_given_u.rows, s.p_q_given_v.rows, 0.1)
+        assert p.report == rep and p.rates == rep.bounds
+        ref = lossy_point(extend_with_auxiliaries(build_joint(binary_model), s), 0.1, METRIC)
+        assert ref.regime == rep.regime
+        for name in ("rw", "rs", "rl", "d"):
+            assert getattr(rep.bounds, name) == pytest.approx(getattr(ref.bounds, name),
+                                                              abs=1e-12)
+
+
+def test_negative_key_rate_refused(binary_model):
+    # The scheme evaluator scores any r0, so the search refuses it up front.
+    for cfg in SEARCHES:
+        with pytest.raises(ModelError, match="must be finite and >= 0"):
+            trace_region(binary_model, -0.1, METRIC, [0.05], cfg)
 
 
 def test_grid_method_matches_oracle(binary_model):
@@ -114,7 +135,7 @@ def test_storage_search_at_the_least_distortion():
             [p] = trace_region(model, 0.0, metric, [d],
                                SearchConfig(u_size=nxt + 1, v_size=1, q_size=1))
             assert obj.storage(p.scheme.p_u_given_xtilde.rows)[1] <= d
-            assert p.rates.d <= d + 1e-15
+            assert p.rates.d <= d
 
 
 @pytest.mark.parametrize("nxt", [2, 3])
@@ -138,7 +159,7 @@ def test_storage_search_where_every_scheme_has_the_least_distortion(nxt):
         assert p.rates.rw == pytest.approx(0.0, abs=1e-12)
         assert p.lower_bound == 0.0
         assert obj.storage(p.scheme.p_u_given_xtilde.rows)[1] <= least
-        assert p.rates.d <= least + 1e-15
+        assert p.rates.d <= least
 
 
 def test_storage_search_refuses_fewer_than_xt_plus_one_symbols(binary_model):
@@ -219,17 +240,19 @@ def test_grid_oracle_matches_scalar_enumeration(binary_model):
 
 
 def test_scheme_scoring_builds_no_joint(binary_model, monkeypatch):
-    # The no-key form and the grid oracle score from the source channels:
-    # neither forms the (Xt, X, Y, Z) joint nor reads a marginal of one.
+    # The no-key form, the grid oracle and every search score from the source
+    # channels: none forms the (Xt, X, Y, Z) joint nor reads a marginal of one.
     def never(*args, **kwargs):
         raise AssertionError("a joint was built")
 
-    monkeypatch.setattr(regions, "build_joint", never)
+    monkeypatch.setattr(probability, "build_joint", never)
     monkeypatch.setattr(JointPmf, "marginal_table", never)
     monkeypatch.setattr(JointPmf, "__post_init__", never)
     pt = regions.corollary_point(binary_model, bsc(0.15), METRIC)
     best, _ = grid_minimum_storage(binary_model, METRIC, 0.1, u_size=3, step=0.1)
     assert pt.rw > 0.0 and best > 0.0
+    for cfg in SEARCHES:
+        assert trace_region(binary_model, 0.0, METRIC, [0.1], cfg)[0].rates.rw > 0.0
 
 
 def test_metric_rows_must_match_xtilde(binary_model):
