@@ -15,9 +15,10 @@ numerically by ``trace_region``.  The storage rate is minimized by a linear
 program over posteriors P(Xt | U = u) (``_StorageLP``): under U - Xt - Y the
 rate and the optimal-map distortion are linear in the posteriors' weights,
 so time sharing and the |Xt|+1 cardinality bound come with the LP, and its
-duals certify a lower bound on the least rate.  Its columns grow by
-bisection from the simplex split at P(Xt), each re-solve starting from the
-last basis.  Each leakage is minimized over the rows of the conditional-pmf
+duals certify a lower bound on the least rate.  Columns enter by exact
+pricing, a concave ascent per reconstruction map Y -> Xhat whose
+Frank-Wolfe bound certifies the price, each re-solve starting from the last
+basis.  Each leakage is minimized over the rows of the conditional-pmf
 matrices with multi-start exponentiated-gradient (KL mirror) descent, each
 start descending alone.  ``_SchemeEvaluator`` computes the same bounds as
 ``lossy_point`` from the raw matrices and three source tables taken straight
@@ -74,10 +75,12 @@ _GRID_BLOCK = 1024
 # less than _CONVERGENCE_TOL, per penalty level.
 _MAX_ITERS = 200
 _CONVERGENCE_TOL = 1e-7
-# The storage LP (``_StorageLP``): the columns the refinement may add per
-# target, the certified gap it refines to and its objective offset.
-_LP_MAX_ADDED = 10_240
+# The storage LP (``_StorageLP``): the certified gap it prices to, the ascent
+# steps it may take per target, the most reconstruction maps it prices over
+# and its objective offset.
 _LP_GAP = 1e-7
+_LP_MAX_STEPS = 1_000
+_LP_MAX_MAPS = 2**16
 _LP_OFFSET = 1.0
 # The LP aims this far below the target, so that rounding leaves the realized
 # scheme's distortion at or below it: the anchor blend of _repair_feasibility
@@ -756,35 +759,53 @@ class _StorageLP:
 
     Certificate: for the duals (lambda, s) and eps >= max_q g(q),
     g(q) = psi(q) - lambda.q - s delta(q), every scheme with d <= D has
-    rw >= H(Xt|Y) - (lambda.P(Xt) + s (D - d_floor)) - eps.  Cells whose
-    vertices are columns cover the simplex: first the vertices and P(Xt),
-    the simplex split at P(Xt) into one cell per vertex, with P(Xt) in that
-    vertex's place.  On a cell, psi lies below its tangent plane at the
-    barycenter (psi is concave, with a finite slope inside the simplex), and
-    the tangent plane less lambda.q + s delta(q) is convex (delta is
-    concave), so g is at most the largest g(v) plus the tangent's overshoot
-    at a vertex v; the overshoots are kept with the cell.  Cells above half
-    of ``_LP_GAP`` are bisected on their longest edge, their midpoints become
-    columns, and the LP is solved again from its last basis when one of them
-    prices in, until eps is below that or the target would add more than
-    ``_LP_MAX_ADDED`` columns.  Columns and cells carry over from one target
-    to the next.
+    rw >= H(Xt|Y) - (lambda.P(Xt) + s (D - d_floor)) - eps.  Pricing is
+    exact (Dantzig-Wolfe column generation): delta(q) is the least c_k.q over
+    reconstruction maps k: Y -> Xhat, c_k(xt) = sum_y P(y|xt) (d(xt, k(y)) -
+    m(xt)), so with s >= 0, max g is the largest over maps of max g_k,
+    g_k(q) = psi(q) - (lambda + s c_k).q, each concave.  Every map keeps an
+    interior point, carried over from step to step and target to target,
+    that the minorize-maximize step q <- normalize(2^(h - lambda - s c_k +
+    W log2(qW))) raises, monotone as in Blahut-Arimoto; W = P(y|xt) over the
+    Y that occur and h(xt) = H(Y | Xt = xt).  That exponent less log2 q is the
+    gradient of g_k, and g_k(q) = q.grad, so the Frank-Wolfe bound
+    g_k(q) + max grad - q.grad is max grad: at any interior q it caps max g_k
+    (Jaggi 2013), and eps is its largest over maps.  Entries are kept at
+    1e-300 or above, so that a step that underflows leaves q interior.
+    After each step the (up to) three points of highest g above the simplex's
+    reduced-cost tolerance become columns, which keeps the LP small, and the
+    LP is solved again from its last basis.  A column has its entries below
+    1e-12 set to 0 and its psi and delta taken there: left in, such entries
+    broke the simplex's mass rows and left realized schemes above their
+    targets.  This stops once eps is at most half of ``_LP_GAP``, or
+    after ``_LP_MAX_STEPS`` steps per target with the wider bound, which is
+    still valid.  Columns carry over from one target to the next.  The
+    |Xhat|^|Y| maps over the Y that occur are enumerated; more than
+    ``_LP_MAX_MAPS`` are refused with ``ModelError``.
     """
 
     def __init__(self, obj: _SchemeEvaluator):
         # No posterior puts mass on a symbol of probability zero, so the
         # columns live on the simplex over the others, ``live``.
         self.live = np.flatnonzero(obj.p_xt > 0.0)
-        n, p_xt_y = len(self.live), obj.p_xt_y[self.live]
+        p_xt_y = obj.p_xt_y[self.live]
+        occur = p_xt_y.sum(axis=0) > 0.0
+        n, ny, nxh = len(self.live), int(occur.sum()), obj.storage_core.shape[2] - 1
+        if nxh**ny > _LP_MAX_MAPS:
+            raise ModelError(f"the storage LP prices over |Xhat|^|Y| = {nxh}^{ny} = {nxh**ny} "
+                             f"reconstruction maps, above the limit of {_LP_MAX_MAPS}")
         self.p_xt, self.d_floor = obj.p_xt[self.live], obj.d_floor
-        self.cond = p_xt_y / self.p_xt[:, None]  # P(y|xt)
+        self.cond = p_xt_y[:, occur] / self.p_xt[:, None]  # P(y|xt)
         self.h_y_given_xt = entropy_bits(self.cond, axis=1)
-        self.cost = (obj.storage_core[self.live, :, :-1] / self.p_xt[:, None, None]).reshape(n, -1)
+        cost = obj.storage_core[self.live][:, occur, :-1] / self.p_xt[:, None, None]
+        self.cost = cost.reshape(n, -1)
         self.h_xt_given_y = entropy_bits(p_xt_y) - obj.h_y
+        # c_k of every map k, the maps in lexicographic order of (k(y))_y.
+        self.map_cost = reduce(lambda c, k: (c[:, None] + k.T).reshape(-1, n),
+                               cost.transpose(1, 0, 2), np.zeros((1, n)))
+        self.points = np.tile(self.p_xt, (len(self.map_cost), 1))
         self.q = np.vstack([np.eye(n), self.p_xt])
         self.psi, self.delta = self._values(self.q)
-        self.cells = np.where(np.eye(n, dtype=bool), n, np.arange(n))
-        self.over = self._overshoots(self.cells)
 
     def _values(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """psi and delta of each row of ``q``."""
@@ -792,38 +813,6 @@ class _StorageLP:
                - entropy_bits(np.einsum("na,ay->ny", q, self.cond), axis=1))
         cost = np.einsum("na,ak->nk", q, self.cost).reshape(len(q), 1, self.cond.shape[1], -1)
         return psi, _least_cost(cost)
-
-    def _overshoots(self, cells: np.ndarray) -> np.ndarray:
-        """How far psi's tangent plane at each cell's barycenter lies above
-        psi at each of the cell's vertices (non-negative by concavity)."""
-        verts = self.q[cells]
-        c = verts.mean(axis=1)  # inside the simplex, where the slope is finite
-        r = np.einsum("ca,ay->cy", c, self.cond)
-        slope = (self.h_y_given_xt - np.log2(c)
-                 + np.einsum("cy,ay->ca", np.log2(np.where(r > 0.0, r, 1.0)), self.cond))
-        psi_c = self._values(c)[0]
-        tangent = psi_c[:, None] + np.einsum("ca,cva->cv", slope, verts - c[:, None])
-        return np.maximum(tangent - self.psi[cells], 0.0)
-
-    def _split(self, hot: np.ndarray) -> None:
-        """Bisect the longest edge of each cell flagged in ``hot``."""
-        cells = self.cells[hot]
-        pts = self.q[cells]
-        i, j = np.triu_indices(cells.shape[1], 1)
-        edge = ((pts[:, i] - pts[:, j]) ** 2).sum(axis=2).argmax(axis=1)
-        rows = np.arange(len(cells))
-        # A shared edge gives each of its cells its own copy of the midpoint:
-        # a repeated column changes neither the LP nor the certificate.
-        mids = 0.5 * (pts[rows, i[edge]] + pts[rows, j[edge]])
-        new = len(self.q) + rows
-        psi, delta = self._values(mids)
-        self.q = np.vstack([self.q, mids])
-        self.psi, self.delta = np.append(self.psi, psi), np.append(self.delta, delta)
-        halves = np.vstack([cells, cells])
-        halves[rows, i[edge]] = new
-        halves[len(cells) + rows, j[edge]] = new
-        self.cells = np.vstack([self.cells[~hot], halves])
-        self.over = np.vstack([self.over[~hot], self._overshoots(halves)])
 
     def solve(self, target_d: float) -> tuple[np.ndarray, float]:
         """The optimal weights over the columns ``self.q`` at distortion
@@ -834,30 +823,38 @@ class _StorageLP:
                 f"no scheme meets distortion target {target_d}: the least distortion, "
                 f"reached by U = Xt, is {self.d_floor}")
         b = np.append(self.p_xt, max(budget - _LP_MARGIN, 0.0))
-        cap, basis = len(self.q) + _LP_MAX_ADDED, None
+        basis, steps = None, 0
         while True:
             w, y, basis = _simplex(np.vstack([self.q.T, self.delta]), b, self.psi + _LP_OFFSET,
                                    basis)
             if abs(w.sum() - 1.0) > 1e-12:
                 raise RuntimeError(f"storage LP left mass {w.sum()!r} instead of 1")
             lam, s = y[:-1] - _LP_OFFSET, max(float(y[-1]), 0.0)
-            priced = len(self.q)
+            a = self.h_y_given_xt - lam - s * self.map_cost
             while True:
-                g = self.psi - self.q @ lam - s * self.delta
-                if g[priced:].max(initial=-math.inf) > _COST_TOL:
-                    break  # a new column prices in: solve again
-                ub = (g[self.cells] + self.over).max(axis=1)
-                hot = ub > 0.5 * _LP_GAP
-                if not hot.any() or len(self.q) + hot.sum() > cap:
-                    eps = max(float(ub.max()), 0.0)
+                # The MM step's exponent; less log2 q, it is the gradient of
+                # g_k, and g_k(q) = q.grad.
+                e = a + np.log2(self.points @ self.cond) @ self.cond.T
+                grad = e - np.log2(self.points)
+                g = (self.points * grad).sum(axis=1)
+                eps = max(float(grad.max()), 0.0)
+                if eps <= 0.5 * _LP_GAP or steps == _LP_MAX_STEPS:
                     bound = self.h_xt_given_y - (float(lam @ self.p_xt) + s * budget) - eps
-                    weights = np.zeros(len(self.q))  # columns added after the solve get 0
-                    weights[:len(w)] = np.maximum(w, 0.0)
-                    return weights, max(bound, 0.0)
-                priced = len(self.q)
-                self._split(hot)
+                    return np.maximum(w, 0.0), max(bound, 0.0)
+                priced = np.flatnonzero(g > _COST_TOL)
+                new = self.points[priced[np.argsort(-g[priced], kind="stable")[:3]]]
+                steps += 1
+                step = np.exp2(e - e.max(axis=1, keepdims=True))
+                self.points = np.maximum(step / step.sum(axis=1, keepdims=True), 1e-300)
+                if len(new):
+                    break
+            new = np.where(new < 1e-12, 0.0, new)
+            new /= new.sum(axis=1, keepdims=True)
+            psi, delta = self._values(new)
+            self.q = np.vstack([self.q, new])
+            self.psi, self.delta = np.append(self.psi, psi), np.append(self.delta, delta)
             # The slack columns follow the structural ones, which grew.
-            basis = np.where(basis >= len(w), basis + len(self.q) - len(w), basis)
+            basis = np.where(basis >= len(w), basis + len(new), basis)
 
 
 def simplex_grid(size: int, step: float) -> np.ndarray:

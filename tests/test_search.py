@@ -484,7 +484,8 @@ def _random_storage_case(nxt, seed):
     return model, DistortionMetric.hamming(nxt)
 
 
-@pytest.mark.parametrize("nxt, seed", [(2, 7), (2, 3), (3, 7), (3, 3)])
+@pytest.mark.parametrize("nxt, seed", [(2, 7), (2, 3), (3, 7), (3, 3), (4, 3), (4, 7), (5, 3),
+                                       (5, 7)])
 def test_storage_lp_certificate_on_random_models(nxt, seed):
     model, metric = _random_storage_case(nxt, seed)
     targets = (0.1, 0.2)
@@ -516,6 +517,37 @@ def test_storage_lp_certificate_on_random_models(nxt, seed):
             assert want is None or p.rates.rw <= want
 
 
+@pytest.mark.parametrize("nxt", [4, 5])
+def test_storage_lp_certified_on_metrics_with_zero_entries(nxt):
+    # Random models with 1-5 Y symbols and 2-4 reconstruction symbols, under
+    # metrics with about 40 % of their entries zero, at the least distortion,
+    # 30 % of the way to D_max and at D_max.  Each point is certified to the
+    # LP's gap and raises nothing; a certificate from tangent-plane bounds on
+    # bisected cells left 13 and 16 of these 30 points above it, by up to
+    # 0.011 and 0.30 bits.
+    for seed in range(2000, 2030, 3):
+        rng = np.random.default_rng(seed)
+        ny, nxh = rng.integers(1, 6), rng.integers(2, 5)
+        model = random_model(rng, nx=rng.integers(2, 5), nxt=nxt, ny=ny)
+        table = rng.uniform(0.0, 1.0, size=(nxt, nxh)) * (rng.uniform(size=(nxt, nxh)) > 0.4)
+        metric = DistortionMetric(table)
+        obj = regions._SchemeEvaluator(model, metric)
+        d_max = float(obj.storage(np.ones((nxt, 1)))[1])
+        targets = [obj.d_floor + f * (d_max - obj.d_floor) for f in (0.0, 0.3, 1.0)]
+        for p in trace_region(model, 0.0, metric, targets,
+                              SearchConfig(u_size=nxt + 1, v_size=1, q_size=1)):
+            assert 0.0 <= p.rates.rw - p.lower_bound <= regions._LP_GAP
+            assert p.rates.d <= p.target_d
+
+
+def test_storage_lp_refuses_more_reconstruction_maps_than_its_limit():
+    # 17 Y symbols and a binary reconstruction give 2^17 maps to price over.
+    model = random_model(np.random.default_rng(0), nxt=2, ny=17)
+    with pytest.raises(ModelError, match=r"2\^17 = 131072 reconstruction maps, above the "
+                                         r"limit of 65536"):
+        trace_region(model, 0.0, METRIC, [0.1], CFG)
+
+
 def test_storage_lp_ignores_symbols_of_probability_zero(binary_model):
     # A third Xt symbol that never occurs leaves the storage search's answer
     # and certificate as they are; its row of P(U|Xt) is the anchor's.
@@ -534,13 +566,15 @@ def test_storage_lp_ignores_symbols_of_probability_zero(binary_model):
 
 def test_storage_lp_resumes_from_its_basis():
     # The storage LP solves again from its last basis after adding columns,
-    # the slack indices shifted past the new ones.  On the binary instance's
-    # refined columns, half of them solved cold and then the rest appended,
-    # that warm solve reaches the cold optimum over all of them with a
-    # primal feasible x.  At D = 0.1 it pivots to new columns; at D = 0.3,
-    # above D_max, the distortion row's slack is in the basis.
+    # the slack indices shifted past the new ones.  On the columns that
+    # pricing adds over the README sweep of the binary instance, half of them
+    # solved cold and then the rest appended, that warm solve reaches the
+    # cold optimum over all of them with a primal feasible x.  At D = 0.1 it
+    # pivots to new columns; at D = 0.3, above D_max, the distortion row's
+    # slack is in the basis.
     lp = regions._StorageLP(regions._SchemeEvaluator(modelio.parse_model(INSTANCE), METRIC))
-    lp.solve(0.1)
+    for d in (0.05, 0.1, 0.15):
+        lp.solve(d)
     a, c = np.vstack([lp.q.T, lp.delta]), lp.psi + regions._LP_OFFSET
     n, k = a.shape[1], a.shape[1] // 2
     assert n > 20
@@ -551,6 +585,22 @@ def test_storage_lp_resumes_from_its_basis():
         cold, _, _ = channels._simplex(a, b, c)
         assert c @ x == pytest.approx(c @ cold, abs=1e-12)
         assert x.min() >= -1e-15 and np.all(a @ x <= b + 1e-12)
+
+
+@pytest.mark.parametrize("steps", [0, 3, 10])
+def test_storage_lp_interval_holds_at_its_step_cap(monkeypatch, steps):
+    # Stopped by its cap on ascent steps, the storage LP returns a wider
+    # interval, which still holds the Wyner-Ziv rate of the binary instance.
+    monkeypatch.setattr(regions, "_LP_MAX_STEPS", steps)
+    model = modelio.parse_model(INSTANCE)
+    pair = build_joint(model).marginal_table(("Xt", "Y"))
+    p0 = float(pair[0, 1] + pair[1, 0])
+    points = trace_region(model, 0.0, METRIC, [0.05, 0.10, 0.15], CFG)
+    assert max(p.rates.rw - p.lower_bound for p in points) > regions._LP_GAP
+    for p in points:
+        wz = _wyner_ziv_dsbs(p0, p.target_d)
+        assert p.lower_bound <= wz + 1e-9
+        assert p.rates.rw >= wz - 1e-9
 
 
 @pytest.mark.parametrize("nxt, seed", [(2, 7), (3, 3)])
