@@ -35,7 +35,11 @@ competitor shares the transmitted bin" from its exact Binomial law (bins are
 i.i.d. uniform and independent of everything else).  That reproduces the
 ML-in-bin error event exactly in distribution, with fresh bin randomness per
 trial, i.e. the reported error rate estimates the expectation over random
-bin assignments - the quantity the achievability analysis controls.
+bin assignments - the quantity the achievability analysis controls.  The
+count runs once per block of trials (``_layer_success_block``): each
+distinct side-information group of the block has its composition types
+formed once, and each distinct group merged last is sorted once, with the
+same bits per trial as the one-trial ``log2_competitor_count``.
 
 Each trial of ``run_experiment`` owns its random stream: trial t draws from
 ``default_rng([seed, 7, t])``, in this order, 3n uniforms (X^n, Xt^n,
@@ -43,7 +47,8 @@ Each trial of ``run_experiment`` owns its random stream: trial t draws from
 engine's V-layer and U-layer decisions).  Trials are simulated in blocks
 whose arrays stay within ``_BLOCK_CELLS`` cells: the draws fill rows of the
 block buffers, and sampling, the pooled type, the in-bin search and the
-distortion run once per block, so a report does not depend on the blocking.
+distortion run once per block, and so do both engines' decisions, so a
+report does not depend on the blocking.
 ``encode`` and ``decode`` run the same routines on a block of one.
 
 Leakage reporting
@@ -566,7 +571,8 @@ def decode(
         )
     y = _symbols(code, y_seq, code.reconstruction.shape[1], "Y")
     key = _check_key(code, key)
-    received = _pad(code, [np.array([f]) for f in astuple(message)], key, -1)
+    fields = (message.f_v, message.w_v, message.f_u, message.w_u, message.key_slot)
+    received = _pad(code, [np.array([f]) for f in fields], key, -1)
     _, u_hat, unique = _decode_block(code, y.reshape(1, -1), received)
     return code.reconstruction[u_hat[0], y], bool(unique[0])
 
@@ -676,6 +682,81 @@ def _log_factorials(bits: int) -> np.ndarray:
     return table
 
 
+def _type_tables(
+    logp_rows: np.ndarray, sizes: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per group g of ``sizes[g]`` positions whose symbols have
+    log-probabilities ``logp_rows[g]``: (ll, logcnt), the log-likelihood and
+    the ln multiplicity of each composition type (``compositions`` order).
+    Every group's types are formed together, one symbol at a time, so each
+    type's sums run over the symbols in order.  A type using an impossible
+    symbol has log-likelihood -inf."""
+    comps = [compositions(int(s), logp_rows.shape[1]) for s in sizes]
+    counts = [c.shape[0] for c in comps]
+    log_fact = _log_factorials(int(sizes.max()).bit_length())
+    ll = logcnt = 0.0
+    for j, lp in enumerate(logp_rows.T):
+        c = np.concatenate([t[:, j] for t in comps])
+        with np.errstate(invalid="ignore"):  # 0 * -inf, for a symbol the type does not use
+            ll = ll + np.where(c > 0, c * np.repeat(lp, counts), 0.0)
+        logcnt = logcnt + log_fact[c]
+    logcnt = np.repeat(log_fact[sizes], counts) - logcnt
+    bounds = np.cumsum([0] + counts).tolist()
+    return [(ll[a:b], logcnt[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _cross_types(types) -> tuple[np.ndarray, np.ndarray]:
+    """(log-likelihoods, ln counts) of the cross product of the groups'
+    ``types``, a sequence of (ll, logcnt) pairs in merge order; raises
+    ``BinningScaleError`` beyond ``ENUMERATION_BUDGET`` cells.  The first
+    group's arrays are taken as they are: ``_type_tables`` yields no -0, so
+    adding them to the empty product's 0 would change no bit."""
+    lls = logcounts = np.zeros(1)
+    for i, (ll_g, logcnt_g) in enumerate(types):
+        if lls.size * ll_g.size > ENUMERATION_BUDGET:
+            raise BinningScaleError(
+                "composition enumeration exceeds the desk-scale budget "
+                "(too many side-information groups or too large an alphabet)"
+            )
+        lls = ll_g if i == 0 else (lls[:, None] + ll_g[None, :]).ravel()
+        logcounts = logcnt_g if i == 0 else (logcounts[:, None] + logcnt_g[None, :]).ravel()
+    return lls, logcounts
+
+
+def _log2_counts(types: list, true_ll: np.ndarray, last: np.ndarray, merged: list) -> np.ndarray:
+    """log2 of each trial's count of sequences at least as likely as its
+    truth, the truth included.
+
+    Trial t's truth has log-likelihood ``true_ll[t]``; ``merged[t]`` is the
+    cross product of its other groups' types (``_cross_types``), and it
+    merges group ``last[t]``, whose types are ``types[last[t]]``, last.  Each
+    distinct last group is sorted once, and every merged type finds the
+    qualifying types by binary search against suffix log-sums of their
+    counts, so it costs |A| log |B| rather than |A| |B|; the trials that
+    merge one group last share one search.
+    """
+    order = np.argsort(last, kind="stable")
+    merged = [merged[t] for t in order.tolist()]
+    lens = [lls.size for lls, _ in merged]
+    needles = np.repeat(true_ll[order] - _LL_TIE_TOL, lens) - np.concatenate([m[0] for m in merged])
+    keys, head = np.unique(last[order], return_index=True)
+    cuts = np.append(np.cumsum([0] + lens)[head], needles.size).tolist()
+    first = np.empty(needles.size, dtype=np.intp)
+    suffixes, offset = [], 0
+    for key, a, b in zip(keys.tolist(), cuts[:-1], cuts[1:]):
+        ll, logcnt = types[key]
+        ranked = np.argsort(ll, kind="stable")
+        suffix = np.full(ll.size + 1, -np.inf)  # ln of the summed counts from each rank on
+        np.logaddexp.accumulate(logcnt[ranked[::-1]], out=suffix[-2::-1])
+        first[a:b] = np.searchsorted(ll[ranked], needles[a:b], side="left") + offset
+        suffixes.append(suffix)
+        offset += suffix.size
+    terms = np.concatenate([m[1] for m in merged]) + np.concatenate(suffixes)[first]
+    out = np.empty(true_ll.size)
+    out[order] = _log2_sum_exps(terms, lens)
+    return out
+
+
 def log2_competitor_count(
     per_pos_logp: np.ndarray, true_seq: np.ndarray, groups: np.ndarray
 ) -> float:
@@ -689,50 +770,31 @@ def log2_competitor_count(
     sorted once and each type of the cross product of the other groups
     (budget-guarded) finds the qualifying ones by binary search against
     suffix log-sums of their counts, so it costs |A| log |B| rather than
-    |A| |B|.
+    |A| |B|.  This is the one-trial entry point: ``run_experiment``'s
+    collision engine counts a block of trials at once with the same type
+    enumeration, merge and search.
     """
-    q = per_pos_logp.shape[1]
     true_ll = float(per_pos_logp[groups, true_seq].sum())
     if not math.isfinite(true_ll):
         raise ValueError("the true sequence must have positive probability")
-
     sizes = np.bincount(groups, minlength=per_pos_logp.shape[0])
-    types = []
-    for g in np.flatnonzero(sizes):
-        n_g = int(sizes[g])
-        comps = compositions(n_g, q)
-        lp = per_pos_logp[g]
-        with np.errstate(invalid="ignore"):  # 0 * -inf; such types are set to -inf below
-            ll_g = np.where(comps > 0, comps * lp[None, :], 0.0).sum(axis=1)
-        ll_g[np.any((comps > 0) & np.isneginf(lp)[None, :], axis=1)] = -np.inf
-        log_fact = _log_factorials(n_g.bit_length())
-        logcnt_g = log_fact[n_g] - log_fact[comps].sum(axis=1)
-        types.append((ll_g, logcnt_g))
-
-    ll_last, logcnt_last = types.pop(max(range(len(types)), key=lambda i: types[i][0].size))
-    lls = np.zeros(1)
-    logcounts = np.zeros(1)
-    for ll_g, logcnt_g in types:
-        if lls.size * ll_g.size > ENUMERATION_BUDGET:
-            raise BinningScaleError(
-                "composition enumeration exceeds the desk-scale budget "
-                "(too many side-information groups or too large an alphabet)"
-            )
-        lls = (lls[:, None] + ll_g[None, :]).ravel()
-        logcounts = (logcounts[:, None] + logcnt_g[None, :]).ravel()
-
-    order = np.argsort(ll_last, kind="stable")
-    suffix = np.append(np.logaddexp.accumulate(logcnt_last[order][::-1])[::-1], -np.inf)
-    first = np.searchsorted(ll_last[order], true_ll - _LL_TIE_TOL - lls, side="left")
-    return _log2_sum_exp(logcounts + suffix[first])
+    present = np.flatnonzero(sizes)
+    types = _type_tables(per_pos_logp[present], sizes[present])
+    last = int(np.argmax(sizes[present]))  # most types: the first of the largest groups
+    merged = _cross_types(types[:last] + types[last + 1:])
+    return float(_log2_counts(types, np.array([true_ll]), np.array([last]), [merged])[0])
 
 
-def _log2_sum_exp(terms: np.ndarray) -> float:
-    """log2(sum(exp(terms))) by a max-shifted sum; -inf when every term is."""
-    peak = float(terms.max())
-    if peak == -math.inf:
-        return -math.inf
-    return (peak + math.log(np.exp(terms - peak).sum())) / math.log(2.0)
+def _log2_sum_exps(terms: np.ndarray, lens: Sequence[int]) -> list[float]:
+    """log2(sum(exp(segment))) of each of the consecutive segments of
+    ``terms`` of lengths ``lens`` (each at least 1), by max-shifted sums;
+    -inf for a segment whose every term is."""
+    starts = np.cumsum(lens) - lens
+    peaks = np.maximum.reduceat(terms, starts)
+    with np.errstate(invalid="ignore"):  # -inf - -inf in a segment of -inf terms
+        shifted = np.exp(terms - np.repeat(peaks, lens))
+    return [(peak + math.log(shifted[a:a + k].sum())) / math.log(2.0) if peak > -math.inf
+            else -math.inf for peak, a, k in zip(peaks.tolist(), starts.tolist(), lens)]
 
 
 def collision_free_probability(log2_count_including_truth: float, bits: int) -> float:
@@ -754,37 +816,56 @@ def collision_free_probability(log2_count_including_truth: float, bits: int) -> 
     return math.exp(-(2.0 ** min(log2_comp + log2_rate, 64.0)))
 
 
-def _layer_success_probability(
+def _layer_success_block(
     log_p: np.ndarray, true_seq: np.ndarray, side: tuple[np.ndarray, ...], bits: int
-) -> float:
-    """P(the layer decodes) for one trial of the collision engine.
+) -> np.ndarray:
+    """P(the layer decodes) for each trial of a block of the collision engine.
 
-    ``log_p[s, c...]`` is ln P(symbol s | side symbols c...) and ``side`` the
-    side-information sequences; positions with equal side symbols form one
-    group of the competitor count.  A one-symbol layer always decodes.
+    ``log_p[s, c...]`` is ln P(symbol s | side symbols c...), ``true_seq``
+    and ``side`` the (trials, n) true and side-information sequences.  In
+    each trial, positions with equal side symbols form one group of the
+    competitor count, as in ``log2_competitor_count``, which takes one trial.
+    Here the block's groups are labelled at once (trial-offset labels give
+    their sizes in one ``bincount``), the truths' log-likelihoods are one row
+    sum, and each distinct (label, size) group has its types formed once.
+    Per trial there remain the cross product of the other groups and a
+    segment of the log-sum.  The search takes runs of consecutive trials,
+    each ending at the first trial that brings its merged types to
+    ``_BLOCK_CELLS``, so a run exceeds that by at most one trial's.  A
+    one-symbol layer always decodes.
     """
-    if log_p.shape[0] == 1:
-        return 1.0
-    labels, groups = np.unique(np.ravel_multi_index(side, log_p.shape[1:]), return_inverse=True)
-    table = log_p.reshape(log_p.shape[0], -1)[:, labels].T  # (groups, alphabet)
-    return collision_free_probability(log2_competitor_count(table, true_seq, groups), bits)
+    trials, n = true_seq.shape
+    p = np.ones(trials)
+    if log_p.shape[0] == 1 or trials == 0:
+        return p
+    flat = log_p.reshape(log_p.shape[0], -1)
+    label = np.ravel_multi_index(side, log_p.shape[1:])
+    true_ll = flat[true_seq, label].sum(axis=1)
+    if not np.isfinite(true_ll).all():
+        raise ValueError("the true sequence must have positive probability")
+    sizes = np.bincount((label + flat.shape[1] * np.arange(trials)[:, None]).ravel(),
+                        minlength=trials * flat.shape[1]).reshape(trials, -1)
+    trial, group = np.nonzero(sizes)  # per trial, its groups in label order
+    keys, key_of = np.unique(group * (n + 1) + sizes[trial, group], return_inverse=True)
+    types = _type_tables(flat[:, keys // (n + 1)].T, keys % (n + 1))
+    is_last = group == np.argmax(sizes, axis=1)[trial]  # most types: the first of the largest
+    last = key_of[is_last]
+    others = np.split(key_of[~is_last], np.cumsum(np.count_nonzero(sizes, axis=1) - 1)[:-1])
+    run, merged, cells = [], [], 0
+    for t in range(trials):
+        run.append(t)
+        merged.append(_cross_types([types[k] for k in others[t].tolist()]))
+        cells += merged[-1][0].size
+        if cells >= _BLOCK_CELLS or t == trials - 1:
+            counts = _log2_counts(types, true_ll[run], last[run], merged)
+            p[run] = [collision_free_probability(c, bits) for c in counts.tolist()]
+            run, merged, cells = [], [], 0
+    return p
 
 
 # ---------------------------------------------------------------------------
 # Experiments
 # ---------------------------------------------------------------------------
-
-
-def _collision_success(code: BinningCode, v: np.ndarray, u: np.ndarray, y: np.ndarray,
-                       uniforms: np.ndarray) -> bool:
-    """One collision-engine trial: the V layer decodes when ``uniforms[0]``
-    falls below its success probability, then the U layer when
-    ``uniforms[1]`` does (its probability is only computed if V decoded)."""
-    p_v = _layer_success_probability(code.log_v_y, v, (y,), code.bits.f_v + code.bits.w_v)
-    if not uniforms[0] < p_v:
-        return False
-    p_u = _layer_success_probability(code.log_u_vy, u, (v, y), code.bits.u_layer_total())
-    return bool(uniforms[1] < p_u)
 
 
 def run_experiment(
@@ -813,7 +894,9 @@ def run_experiment(
     and distortion run once per block.  A block holds as many trials as keep
     its (trial, position) cells, and for the explicit engine its (trial,
     candidate, position) cells at the largest bin, within ``_BLOCK_CELLS``
-    (at least one trial).  The collision engine counts competitors per trial.
+    (at least one trial).  The collision engine counts the competitors of
+    a block at once, layer by layer, and the U layer only in the trials
+    whose V layer decoded.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -861,8 +944,11 @@ def run_experiment(
             v_hat, u_hat, unique = _decode_block(code, y, _pad(code, fields, block_keys, -1))
             ok = unique & (v_hat == v).all(axis=1) & (u_hat == u).all(axis=1)
         else:
-            ok = np.array([_collision_success(code, v[i], u[i], y[i], layers[i, 2 * n:])
-                           for i in range(rows)], dtype=bool)
+            ok = layers[:rows, 2 * n] < _layer_success_block(
+                code.log_v_y, v, (y,), code.bits.f_v + code.bits.w_v)
+            tried = np.flatnonzero(ok)  # the U layer is counted where V decoded
+            ok[tried] = layers[tried, 2 * n + 1] < _layer_success_block(
+                code.log_u_vy, u[tried], (v[tried], y[tried]), code.bits.u_layer_total())
         errors += rows - int(np.count_nonzero(ok))
         xhat = code.reconstruction[u[ok], y[ok]]
         distortions.append(metric.table[xt[ok], xhat].mean(axis=1))

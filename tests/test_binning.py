@@ -10,7 +10,7 @@ import pytest
 from conftest import h2, random_model, star
 from secsource import binning
 from secsource.binning import (
-    _log2_sum_exp,
+    _log2_sum_exps,
     BinningRates,
     BinningScaleError,
     DecodeSearchError,
@@ -351,12 +351,19 @@ class TestCollisionMath:
     def test_log2_sum_exp_matches_scipy(self):
         logsumexp = pytest.importorskip("scipy.special").logsumexp
         rng = np.random.default_rng(4)
+        segments = []
         for size in (1, 7, 200):
             terms = rng.normal(scale=300.0, size=size)
             terms[1:][rng.random(size - 1) < 0.3] = -np.inf
             want = logsumexp(terms) / math.log(2.0)
-            assert _log2_sum_exp(terms) == pytest.approx(want, rel=1e-14, abs=1e-12)
-        assert _log2_sum_exp(np.full(4, -np.inf)) == -math.inf
+            assert _log2_sum_exps(terms, [size])[0] == pytest.approx(want, rel=1e-14, abs=1e-12)
+            segments.append(terms)
+        segments.append(np.full(4, -np.inf))
+        alone = [_log2_sum_exps(t, [t.size])[0] for t in segments]
+        assert alone[-1] == -math.inf
+        # Each segment of a concatenation gets the same bits as alone.
+        lens = [t.size for t in segments]
+        assert _log2_sum_exps(np.concatenate(segments), lens) == alone
 
     def test_collision_free_probability_limits(self):
         assert collision_free_probability(0.0, 10) == 1.0
@@ -387,6 +394,109 @@ class TestCollisionMath:
         assert explicit.engine == "explicit" and collision.engine == "collision"
         se = math.sqrt(0.25 / trials)
         assert abs(explicit.error_rate - collision.error_rate) <= 6 * se
+
+
+    @staticmethod
+    def _block(rng, q, shape, n, trials, side=None):
+        """A random layer: ln P(symbol | side symbols) over ``shape`` side
+        symbols, its first side cell never emitting symbol 0, and a block of
+        true and side sequences drawn from it (the side ones unless given)."""
+        pmf = rng.dirichlet(np.ones(q), size=math.prod(shape))
+        pmf[0, 0] = 0.0
+        pmf[0] /= pmf[0].sum()
+        with np.errstate(divide="ignore"):
+            log_p = np.log(pmf).T.reshape((q,) + shape)
+        if side is None:
+            side = tuple(rng.integers(0, k, size=(trials, n)) for k in shape)
+        cdf = np.cumsum(pmf, axis=1)[np.ravel_multi_index(side, shape)]
+        true = np.minimum((rng.random((trials, n))[..., None] >= cdf).sum(axis=-1), q - 1)
+        return log_p, true, side
+
+    def test_block_probabilities_equal_one_trial_path(self):
+        # Binary and ternary layers, constant and live V ahead of Y (one to
+        # six groups), an impossible symbol, and bit counts around the
+        # collision threshold: every trial's probability is the one-trial
+        # path's, bit for bit.
+        rng = np.random.default_rng(31)
+        seen = set()
+        for case in range(40):
+            q = 2 + case % 2
+            shape = ((1, 2), (2, 2), (1, 3), (2, 3))[case // 2 % 4]
+            n = int(rng.choice([20, 60, 150]))
+            log_p, true, side = self._block(rng, q, shape, n, trials=int(rng.integers(1, 9)))
+            bits = int(n * math.log2(q) * rng.uniform(0.5, 1.0))
+            try:
+                got = binning._layer_success_block(log_p, true, side, bits).tolist()
+            except BinningScaleError:
+                with pytest.raises(BinningScaleError):
+                    for t in range(true.shape[0]):
+                        _layer_success_probability(log_p, true[t], tuple(s[t] for s in side), bits)
+                seen.add("scale")
+                continue
+            want = [_layer_success_probability(log_p, true[t], tuple(s[t] for s in side), bits)
+                    for t in range(true.shape[0])]
+            assert got == want, case
+            seen.update(("ternary" if q == 3 else "binary", f"{math.prod(shape)} cells"))
+            seen.update("decides" for p in got if 0.0 < p < 1.0)
+        assert seen >= {"binary", "ternary", "4 cells", "6 cells", "decides", "scale"}
+        # Groups of equal size, the first of them merged last, at a bit count
+        # near the first trial's count, where the probability keeps its bits.
+        for q in (2, 3):
+            side = (np.tile(np.arange(60) % 2, (30, 1)),)
+            log_p, true, side = self._block(rng, q, (2,), 60, trials=30, side=side)
+            bits = round(log2_competitor_count(log_p.T, true[0], side[0][0]))
+            got = binning._layer_success_block(log_p, true, side, bits).tolist()
+            assert got == [_layer_success_probability(log_p, true[t], (side[0][t],), bits)
+                           for t in range(30)]
+            assert 0.0 < got[0] < 1.0
+
+    def test_type_tables_equal_per_group_row_sums(self):
+        # The types' sums run over the symbols in order: the same bits as a
+        # row sum per group, which one-trial counts took before.
+        rng = np.random.default_rng(32)
+        for q in (2, 3, 4):
+            rows = np.log(rng.dirichlet(np.ones(q), size=4))
+            rows[1, 0] = -np.inf
+            sizes = np.array([1, 9, 40, 9])
+            types = binning._type_tables(rows, sizes)
+            for g, ((ll, logcnt), n_g) in enumerate(zip(types, sizes.tolist())):
+                comps = compositions(n_g, q)
+                with np.errstate(invalid="ignore"):
+                    want = np.where(comps > 0, comps * rows[g], 0.0).sum(axis=1)
+                log_fact = np.array([math.lgamma(k + 1) for k in range(n_g + 1)])
+                assert ll.tolist() == want.tolist()
+                want_cnt = log_fact[n_g] - log_fact[comps].sum(axis=1)
+                assert logcnt.tolist() == want_cnt.tolist()
+
+    def test_block_with_an_over_budget_trial_raises(self):
+        # Trial 1 spreads over six ternary groups, beyond the budget; the
+        # others count alone.
+        rng = np.random.default_rng(33)
+        side = (np.stack([np.zeros(120, dtype=int), np.arange(120) % 6, np.arange(120) % 2]),)
+        log_p, true, side = self._block(rng, 3, (6,), 120, trials=3, side=side)
+        alone = [_layer_success_probability(log_p, true[t], (side[0][t],), 150) for t in (0, 2)]
+        with pytest.raises(BinningScaleError):
+            _layer_success_probability(log_p, true[1], (side[0][1],), 150)
+        with pytest.raises(BinningScaleError):
+            binning._layer_success_block(log_p, true, side, 150)
+        got = binning._layer_success_block(log_p, true[[0, 2]], (side[0][[0, 2]],), 150)
+        assert got.tolist() == alone
+
+    def test_over_budget_u_layer_counts_only_where_v_decoded(self, binary_model):
+        # A live V ahead of binary Y puts the U layer in four groups, whose
+        # cross product at n = 800 is beyond the budget.  With no V bits the
+        # V layer never decodes, so the U layer is never counted.
+        live_v = AuxScheme(bsc(0.2), bsc(0.1), StochasticMatrix.constant(2, 1))
+        full = _full6(binary_model, live_v)
+        recon = np.tile([0, 1], (2, 1))
+        for rv, raises in ((0.0, False), (1.0, True)):
+            code = design_code(full, n=800, epsilon=0.05, r0=0.0, seed=3, reconstruction=recon,
+                               rate_override=BinningRates(rv, 0.0, 0.5, 0.5, 0.0))
+            if raises:
+                with pytest.raises(BinningScaleError):
+                    run_experiment(code, binary_model, 3, seed=0)
+            else:
+                assert run_experiment(code, binary_model, 3, seed=0).error_rate == 1.0
 
 
 class TestRunExperiment:
@@ -809,6 +919,17 @@ def _ref_decode(code, y, key, message, events):
     return code.reconstruction[u_hat, y], unique
 
 
+def _layer_success_probability(log_p, true_seq, side, bits):
+    """P(the layer decodes) for one collision-engine trial, by the one-trial
+    path: positions with equal side symbols form one group of
+    ``log2_competitor_count``."""
+    if log_p.shape[0] == 1:
+        return 1.0
+    labels, groups = np.unique(np.ravel_multi_index(side, log_p.shape[1:]), return_inverse=True)
+    table = log_p.reshape(log_p.shape[0], -1)[:, labels].T  # (groups, alphabet)
+    return collision_free_probability(log2_competitor_count(table, true_seq, groups), bits)
+
+
 def _ref_run_experiment(code, model, trials, seed, metric=None):
     metric = metric if metric is not None else DistortionMetric.hamming(model.xtilde_size)
     engine = "explicit" if code.materialized else "collision"
@@ -832,12 +953,12 @@ def _ref_run_experiment(code, model, trials, seed, metric=None):
             v_hat, u_hat, unique = _ref_decode_layers(code, y, key, msg, events)
             ok = unique and np.array_equal(v_hat, v_seq) and np.array_equal(u_hat, u_seq)
         else:
-            p_v = binning._layer_success_probability(code.log_v_y, v_seq, (y,),
-                                                     code.bits.f_v + code.bits.w_v)
+            p_v = _layer_success_probability(code.log_v_y, v_seq, (y,),
+                                             code.bits.f_v + code.bits.w_v)
             ok = bool(rng.random() < p_v)
             if ok:
-                p_u = binning._layer_success_probability(code.log_u_vy, u_seq, (v_seq, y),
-                                                         code.bits.u_layer_total())
+                p_u = _layer_success_probability(code.log_u_vy, u_seq, (v_seq, y),
+                                                 code.bits.u_layer_total())
                 ok = bool(rng.random() < p_u)
         if ok:
             xhat = code.reconstruction[u_seq, y]
@@ -893,6 +1014,15 @@ def _stream_case(case, binary_model):
         metric = DistortionMetric(np.random.default_rng(19).random((3, 3)))
         code = design_code(_full6(model), n=6, epsilon=0.1, r0=0.4, seed=19, metric=metric)
         return code, model, 700, metric
+    if case == "live_v_collision":
+        # The U layer's side information (v, y) forms four groups.
+        code = design_code(_full6(binary_model, live_v), n=120, epsilon=0.05, r0=0.0, seed=3,
+                           reconstruction=recon)
+        return code, binary_model, 150, None
+    if case == "ternary_collision":
+        # H(Xt|Y) = 1.486 bits; the U layer's rate is 1.5.
+        model = random_model(np.random.default_rng(18), nx=2, nxt=3, ny=2, nz=2)
+        return _sw_code(model, 150, 1.5), model, 120, None
     if case == "one_trial_blocks_explicit":
         # A U layer of 0 bits: all 2^13 sequences share one bin.
         return _sw_code(binary_model, 13, 0.0), binary_model, 3, None
@@ -915,8 +1045,8 @@ def _block_trials(code):
 
 class TestTrialStreams:
     CASES = ["explicit", "collision", "key_slot_explicit", "key_slot_collision",
-             "pad_u_stochastic", "pad_all", "ternary_lossy",
-             "one_trial_blocks_explicit", "one_trial_blocks_collision"]
+             "pad_u_stochastic", "pad_all", "ternary_lossy", "live_v_collision",
+             "ternary_collision", "one_trial_blocks_explicit", "one_trial_blocks_collision"]
 
     @pytest.mark.parametrize("case", CASES)
     def test_report_equals_per_trial_loop(self, case, binary_model):
@@ -932,6 +1062,10 @@ class TestTrialStreams:
             assert code.mode == "pad_u" and code.v_size == 2 and code.bits.f_v + code.bits.w_v > 0
         if case == "pad_all":
             assert code.mode == "pad_all"
+        if case == "live_v_collision":  # both collision layers count
+            assert code.v_size == 2 and code.bits.f_v + code.bits.w_v > 0
+        if case == "ternary_collision":
+            assert code.u_size == 3
         assert code.materialized == ("collision" not in case)
         for seed in (0, 5):
             got = run_experiment(code, model, trials, seed=seed, metric=metric)
