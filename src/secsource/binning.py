@@ -35,11 +35,11 @@ competitor shares the transmitted bin" from its exact Binomial law (bins are
 i.i.d. uniform and independent of everything else).  That reproduces the
 ML-in-bin error event exactly in distribution, with fresh bin randomness per
 trial, i.e. the reported error rate estimates the expectation over random
-bin assignments - the quantity the achievability analysis controls.  The
-count runs once per block of trials (``_layer_success_block``): each
-distinct side-information group of the block has its composition types
-formed once, and each distinct group merged last is sorted once, with the
-same bits per trial as the one-trial ``log2_competitor_count``.
+bin assignments - the quantity the achievability analysis controls.  A
+block of trials (``_layer_success_block``) forms each distinct
+side-information group's composition types once, and sorts a group merged
+last once; each trial then counts with the routine of the one-trial
+``log2_competitor_count`` (``_log2_count``), with the same bits.
 
 Each trial of ``run_experiment`` owns its random stream: trial t draws from
 ``default_rng([seed, 7, t])``, in this order, 3n uniforms (X^n, Xt^n,
@@ -708,53 +708,43 @@ def _type_tables(
 def _cross_types(types) -> tuple[np.ndarray, np.ndarray]:
     """(log-likelihoods, ln counts) of the cross product of the groups'
     ``types``, a sequence of (ll, logcnt) pairs in merge order; raises
-    ``BinningScaleError`` beyond ``ENUMERATION_BUDGET`` cells.  The first
-    group's arrays are taken as they are: ``_type_tables`` yields no -0, so
-    adding them to the empty product's 0 would change no bit."""
+    ``BinningScaleError`` beyond ``ENUMERATION_BUDGET`` cells.  Adding the
+    first group to the empty product's 0 changes no bit: ``_type_tables``
+    yields no -0."""
     lls = logcounts = np.zeros(1)
-    for i, (ll_g, logcnt_g) in enumerate(types):
+    for ll_g, logcnt_g in types:
         if lls.size * ll_g.size > ENUMERATION_BUDGET:
             raise BinningScaleError(
                 "composition enumeration exceeds the desk-scale budget "
                 "(too many side-information groups or too large an alphabet)"
             )
-        lls = ll_g if i == 0 else (lls[:, None] + ll_g[None, :]).ravel()
-        logcounts = logcnt_g if i == 0 else (logcounts[:, None] + logcnt_g[None, :]).ravel()
+        lls = (lls[:, None] + ll_g[None, :]).ravel()
+        logcounts = (logcounts[:, None] + logcnt_g[None, :]).ravel()
     return lls, logcounts
 
 
-def _log2_counts(types: list, true_ll: np.ndarray, last: np.ndarray, merged: list) -> np.ndarray:
-    """log2 of each trial's count of sequences at least as likely as its
-    truth, the truth included.
+def _log2_count(types: list, last: int, others: list, true_ll: float, ranked: dict) -> float:
+    """log2 of the count of sequences at least as likely as the truth, whose
+    log-likelihood is ``true_ll``, the truth included.
 
-    Trial t's truth has log-likelihood ``true_ll[t]``; ``merged[t]`` is the
-    cross product of its other groups' types (``_cross_types``), and it
-    merges group ``last[t]``, whose types are ``types[last[t]]``, last.  Each
-    distinct last group is sorted once, and every merged type finds the
-    qualifying types by binary search against suffix log-sums of their
-    counts, so it costs |A| log |B| rather than |A| |B|; the trials that
-    merge one group last share one search.
+    ``types[k]`` holds group k's (ll, logcnt) from ``_type_tables``.  Group
+    ``last`` is merged last: its log-likelihoods are sorted, and the suffix
+    log-sums of their counts formed, on its first use and kept in
+    ``ranked`` under ``last``, so the callers that share ``ranked`` sort
+    each group once.  Each type of the cross product of the groups
+    ``others`` (``_cross_types``) finds the qualifying ones by binary
+    search, so it costs |A| log |B| rather than |A| |B|.
     """
-    order = np.argsort(last, kind="stable")
-    merged = [merged[t] for t in order.tolist()]
-    lens = [lls.size for lls, _ in merged]
-    needles = np.repeat(true_ll[order] - _LL_TIE_TOL, lens) - np.concatenate([m[0] for m in merged])
-    keys, head = np.unique(last[order], return_index=True)
-    cuts = np.append(np.cumsum([0] + lens)[head], needles.size).tolist()
-    first = np.empty(needles.size, dtype=np.intp)
-    suffixes, offset = [], 0
-    for key, a, b in zip(keys.tolist(), cuts[:-1], cuts[1:]):
-        ll, logcnt = types[key]
-        ranked = np.argsort(ll, kind="stable")
+    if last not in ranked:
+        ll, logcnt = types[last]
+        order = np.argsort(ll, kind="stable")
         suffix = np.full(ll.size + 1, -np.inf)  # ln of the summed counts from each rank on
-        np.logaddexp.accumulate(logcnt[ranked[::-1]], out=suffix[-2::-1])
-        first[a:b] = np.searchsorted(ll[ranked], needles[a:b], side="left") + offset
-        suffixes.append(suffix)
-        offset += suffix.size
-    terms = np.concatenate([m[1] for m in merged]) + np.concatenate(suffixes)[first]
-    out = np.empty(true_ll.size)
-    out[order] = _log2_sum_exps(terms, lens)
-    return out
+        np.logaddexp.accumulate(logcnt[order[::-1]], out=suffix[-2::-1])
+        ranked[last] = ll[order], suffix
+    ll_sorted, suffix = ranked[last]
+    lls, logcounts = _cross_types([types[k] for k in others])
+    first = np.searchsorted(ll_sorted, true_ll - _LL_TIE_TOL - lls, side="left")
+    return _log2_sum_exp(logcounts + suffix[first])
 
 
 def log2_competitor_count(
@@ -766,13 +756,9 @@ def log2_competitor_count(
     (positions sharing the same side-information symbol form a group);
     ``groups[i]`` labels position i.  Counts by enumerating composition types
     per group, which is exact; the count includes the true sequence itself.
-    The group with the most types is merged last: its log-likelihoods are
-    sorted once and each type of the cross product of the other groups
-    (budget-guarded) finds the qualifying ones by binary search against
-    suffix log-sums of their counts, so it costs |A| log |B| rather than
-    |A| |B|.  This is the one-trial entry point: ``run_experiment``'s
-    collision engine counts a block of trials at once with the same type
-    enumeration, merge and search.
+    The group with the most types is merged last (``_log2_count``, which
+    ``run_experiment``'s collision engine runs per trial over type tables
+    formed once per block of trials).
     """
     true_ll = float(per_pos_logp[groups, true_seq].sum())
     if not math.isfinite(true_ll):
@@ -781,20 +767,16 @@ def log2_competitor_count(
     present = np.flatnonzero(sizes)
     types = _type_tables(per_pos_logp[present], sizes[present])
     last = int(np.argmax(sizes[present]))  # most types: the first of the largest groups
-    merged = _cross_types(types[:last] + types[last + 1:])
-    return float(_log2_counts(types, np.array([true_ll]), np.array([last]), [merged])[0])
+    others = [k for k in range(len(types)) if k != last]
+    return _log2_count(types, last, others, true_ll, {})
 
 
-def _log2_sum_exps(terms: np.ndarray, lens: Sequence[int]) -> list[float]:
-    """log2(sum(exp(segment))) of each of the consecutive segments of
-    ``terms`` of lengths ``lens`` (each at least 1), by max-shifted sums;
-    -inf for a segment whose every term is."""
-    starts = np.cumsum(lens) - lens
-    peaks = np.maximum.reduceat(terms, starts)
-    with np.errstate(invalid="ignore"):  # -inf - -inf in a segment of -inf terms
-        shifted = np.exp(terms - np.repeat(peaks, lens))
-    return [(peak + math.log(shifted[a:a + k].sum())) / math.log(2.0) if peak > -math.inf
-            else -math.inf for peak, a, k in zip(peaks.tolist(), starts.tolist(), lens)]
+def _log2_sum_exp(terms: np.ndarray) -> float:
+    """log2(sum(exp(terms))) by a max-shifted sum; -inf when every term is."""
+    peak = float(terms.max())
+    if peak == -math.inf:
+        return -math.inf
+    return (peak + math.log(np.exp(terms - peak).sum())) / math.log(2.0)
 
 
 def collision_free_probability(log2_count_including_truth: float, bits: int) -> float:
@@ -827,17 +809,14 @@ def _layer_success_block(
     competitor count, as in ``log2_competitor_count``, which takes one trial.
     Here the block's groups are labelled at once (trial-offset labels give
     their sizes in one ``bincount``), the truths' log-likelihoods are one row
-    sum, and each distinct (label, size) group has its types formed once.
-    Per trial there remain the cross product of the other groups and a
-    segment of the log-sum.  The search takes runs of consecutive trials,
-    each ending at the first trial that brings its merged types to
-    ``_BLOCK_CELLS``, so a run exceeds that by at most one trial's.  A
-    one-symbol layer always decodes.
+    sum, and each distinct (label, size) group has its types formed once,
+    and once sorted if some trial merges it last.  Per trial there remain
+    the cross product of the other groups, one search, one log-sum and
+    ``collision_free_probability``.  A one-symbol layer always decodes.
     """
     trials, n = true_seq.shape
-    p = np.ones(trials)
     if log_p.shape[0] == 1 or trials == 0:
-        return p
+        return np.ones(trials)
     flat = log_p.reshape(log_p.shape[0], -1)
     label = np.ravel_multi_index(side, log_p.shape[1:])
     true_ll = flat[true_seq, label].sum(axis=1)
@@ -849,18 +828,11 @@ def _layer_success_block(
     keys, key_of = np.unique(group * (n + 1) + sizes[trial, group], return_inverse=True)
     types = _type_tables(flat[:, keys // (n + 1)].T, keys % (n + 1))
     is_last = group == np.argmax(sizes, axis=1)[trial]  # most types: the first of the largest
-    last = key_of[is_last]
     others = np.split(key_of[~is_last], np.cumsum(np.count_nonzero(sizes, axis=1) - 1)[:-1])
-    run, merged, cells = [], [], 0
-    for t in range(trials):
-        run.append(t)
-        merged.append(_cross_types([types[k] for k in others[t].tolist()]))
-        cells += merged[-1][0].size
-        if cells >= _BLOCK_CELLS or t == trials - 1:
-            counts = _log2_counts(types, true_ll[run], last[run], merged)
-            p[run] = [collision_free_probability(c, bits) for c in counts.tolist()]
-            run, merged, cells = [], [], 0
-    return p
+    ranked: dict = {}
+    return np.array([
+        collision_free_probability(_log2_count(types, last, other.tolist(), ll, ranked), bits)
+        for last, other, ll in zip(key_of[is_last].tolist(), others, true_ll.tolist())])
 
 
 # ---------------------------------------------------------------------------

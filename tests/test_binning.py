@@ -10,7 +10,7 @@ import pytest
 from conftest import h2, random_model, star
 from secsource import binning
 from secsource.binning import (
-    _log2_sum_exps,
+    _log2_sum_exp,
     BinningRates,
     BinningScaleError,
     DecodeSearchError,
@@ -297,6 +297,26 @@ class TestCollisionMath:
                     want += 1
             got = log2_competitor_count(logp, true_seq, groups)
             assert got == pytest.approx(math.log2(want), abs=1e-9)
+        # Blocks of several trials, binary and ternary, over two and four
+        # side cells (an impossible symbol in the first): each trial's
+        # probability is the one its enumerated count gives.
+        decided = 0
+        for q, shape, n in itertools.product((2, 3), ((2,), (2, 2)), (8, 10)):
+            log_p, true, side = self._block(rng, q, shape, n, trials=int(rng.integers(3, 7)))
+            seqs = np.array(list(itertools.product(range(q), repeat=n)))
+            flat = log_p.reshape(q, -1)
+            label = np.ravel_multi_index(side, shape)
+            counts = []
+            for t in range(true.shape[0]):
+                t_ll = sum(flat[a, c] for a, c in zip(true[t], label[t]))
+                lls = flat[seqs, label[t]].sum(axis=1)
+                counts.append(int(np.count_nonzero(lls >= t_ll - 1e-6)))
+            bits = round(math.log2(np.median(counts)))
+            want = [collision_free_probability(math.log2(c), bits) for c in counts]
+            got = binning._layer_success_block(log_p, true, side, bits).tolist()
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (q, shape, n)
+            decided += sum(0.0 < p < 1.0 for p in got)
+        assert decided >= 20
 
     def test_competitor_count_ternary_cross_product(self):
         # Three ternary groups of about 16 positions: the sorted merge of the
@@ -351,19 +371,12 @@ class TestCollisionMath:
     def test_log2_sum_exp_matches_scipy(self):
         logsumexp = pytest.importorskip("scipy.special").logsumexp
         rng = np.random.default_rng(4)
-        segments = []
         for size in (1, 7, 200):
             terms = rng.normal(scale=300.0, size=size)
             terms[1:][rng.random(size - 1) < 0.3] = -np.inf
             want = logsumexp(terms) / math.log(2.0)
-            assert _log2_sum_exps(terms, [size])[0] == pytest.approx(want, rel=1e-14, abs=1e-12)
-            segments.append(terms)
-        segments.append(np.full(4, -np.inf))
-        alone = [_log2_sum_exps(t, [t.size])[0] for t in segments]
-        assert alone[-1] == -math.inf
-        # Each segment of a concatenation gets the same bits as alone.
-        lens = [t.size for t in segments]
-        assert _log2_sum_exps(np.concatenate(segments), lens) == alone
+            assert _log2_sum_exp(terms) == pytest.approx(want, rel=1e-14, abs=1e-12)
+        assert _log2_sum_exp(np.full(4, -np.inf)) == -math.inf
 
     def test_collision_free_probability_limits(self):
         assert collision_free_probability(0.0, 10) == 1.0
@@ -850,6 +863,68 @@ class TestRateViolation:
         assert not code.sw_u_ok
         rep = run_experiment(code, binary_model, trials=200, seed=7)
         assert rep.error_rate >= 0.5
+
+
+def _uniform_u(model, u_size):
+    """``model``'s 7-axis joint with U uniform over ``u_size`` symbols."""
+    aux = AuxScheme.from_channels(StochasticMatrix.constant(model.xtilde_size, u_size))
+    return _full6(model, aux)
+
+
+def _ternary_xt_binary_u(n):
+    """A code of blocklength ``n`` with binary U on a ternary-Xt model, and
+    the model: its bins are materialized, its Xt^n space is 3^n."""
+    model = random_model(np.random.default_rng(0), nxt=3)
+    return design_code(_uniform_u(model, 2), n=n, epsilon=0.1, r0=0.0,
+                       reconstruction=np.zeros((2, 2), int)), model
+
+
+_NO_SYMBOL_1 = np.array([[0.0], [-np.inf]])  # ln P(symbol | one side cell)
+
+# case: (error, message, (module constant, value) or None, call(model, full))
+_REFUSALS = {
+    "impossible_truth": (
+        ValueError, "must have positive probability", None,
+        lambda m, f: log2_competitor_count(_NO_SYMBOL_1.T, np.array([1, 0]), np.zeros(2, int))),
+    "impossible_truth_in_a_block": (
+        ValueError, "must have positive probability", None,
+        lambda m, f: binning._layer_success_block(_NO_SYMBOL_1, np.array([[0, 0], [1, 0]]),
+                                                  (np.zeros((2, 2), int),), 1)),
+    "model_alphabet": (
+        DimensionError, "model Xt alphabet does not match the code", None,
+        lambda m, f: run_experiment(design_code(f, n=8, epsilon=0.1, r0=0.0),
+                                    random_model(np.random.default_rng(0), nxt=3), 1)),
+    "alphabet_above_255": (
+        BinningScaleError, "alphabets beyond 255 symbols are not supported", None,
+        lambda m, f: design_code(_uniform_u(m, 256), n=4, epsilon=0.1, r0=0.0)),
+    "no_reconstruction_map": (
+        ModelError, r"no reconstruction map: pass `reconstruction` or `metric` when \|U\| != \|Xt\|",
+        None, lambda m, f: design_code(_uniform_u(m, 3), n=4, epsilon=0.1, r0=0.0)),
+    "key_components": (
+        ValueError, r"key must have 1 component\(s\)", None,
+        lambda m, f: encode(design_code(f, n=6, epsilon=0.1, r0=0.0), np.zeros(6, int), (0, 0))),
+    "xt_sequences_above_materialize_limit": (
+        BinningScaleError, r"sequence space 3\^10 exceeds the enumeration limit", None,
+        lambda m, f: exact_message_table(*_ternary_xt_binary_u(10))),
+    "enumeration_budget": (
+        BinningScaleError, "exact message enumeration exceeds the budget",
+        ("ENUMERATION_BUDGET", 63),
+        lambda m, f: exact_message_table(design_code(f, n=6, epsilon=0.1, r0=0.0), m)),
+    "leakage_cell_limit": (
+        BinningScaleError, "exact leakage working arrays exceed the budget",
+        ("LEAKAGE_CELL_LIMIT", 1),
+        lambda m, f: exact_leakage(design_code(f, n=6, epsilon=0.1, r0=0.3, seed=21), m)),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_refusals(case, binary_model, binary_full6, monkeypatch):
+    error, message, patch, call = _REFUSALS[case]
+    if patch is not None:
+        monkeypatch.setattr(binning, *patch)
+    with pytest.raises(error, match=message) as raised:
+        call(binary_model, binary_full6)
+    assert type(raised.value) is error
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,38 @@ class TestModelIO:
         with pytest.raises(ModelError, match="schema"):
             modelio.parse_model(path)
 
+    @pytest.mark.parametrize("case, message", [
+        ("malformed_json", "malformed model file"),
+        ("not_an_object", "must hold a JSON object"),
+        ("missing_matrix", "model file is missing 'p_yz_given_x'"),
+        ("non_numeric_matrix", r"p_xtilde_given_x: not a numeric matrix"),
+        ("missing_p_x", "model file is missing 'p_x'"),
+        ("fractional_y_size", "model file needs integer 'y_size' and 'z_size'"),
+        ("channel_inputs_differ", "channel pair must share the input alphabet"),
+    ])
+    def test_malformed_files_refused(self, tmp_path, case, message):
+        data = json.loads(Path(DEMO_MODEL).read_text())
+        parse = modelio.parse_model
+        if case == "missing_matrix":
+            del data["p_yz_given_x"]
+        elif case == "non_numeric_matrix":
+            data["p_xtilde_given_x"] = [["a", "b"], ["c", "d"]]
+        elif case == "missing_p_x":
+            del data["p_x"]
+        elif case == "fractional_y_size":
+            data["y_size"] = 2.0
+        elif case == "channel_inputs_differ":
+            data = {"schema": 1, "p_y_given_x": [[0.7, 0.3], [0.3, 0.7]],
+                    "p_z_given_x": [[0.9, 0.1], [0.1, 0.9], [0.5, 0.5]]}
+            parse = modelio.parse_channel_pair
+        text = {"malformed_json": "{\"schema\": 1,", "not_an_object": "[1, 2]"}.get(
+            case, json.dumps(data))
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ModelError, match=message) as raised:
+            parse(path)
+        assert type(raised.value) is ModelError
+
 
 class TestCommands:
     def test_gaussian_alpha_one_row(self, tmp_path):

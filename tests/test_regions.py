@@ -15,6 +15,8 @@ from secsource.regions import (
     AuxScheme,
     DistortionMetric,
     RateTuple,
+    RegimeReport,
+    SearchConfig,
     corollary_point,
     extend_with_auxiliaries,
     lossless_point,
@@ -22,9 +24,10 @@ from secsource.regions import (
     optimal_reconstruction,
     r_prime,
     simplex_grid,
+    trace_region,
     _SchemeEvaluator,
 )
-from secsource.probability import ModelError
+from secsource.probability import DimensionError, ModelError
 
 
 def _random_aux(rng, nxt, nu=None, nv=2, nq=2) -> AuxScheme:
@@ -458,3 +461,63 @@ def test_rate_tuple_validation():
         RateTuple(rw=-0.1, rs=0.0, rl=0.0, d=0.0)
     with pytest.raises(ModelError):
         RateTuple(rw=math.inf, rs=0.0, rl=0.0, d=0.0)
+
+
+_ZERO_RATES = RateTuple(rw=0.0, rs=0.0, rl=0.0, d=0.0)
+_HALVES = StochasticMatrix.constant(3, 2)  # three inputs, two outputs
+
+# case: (error, message, call(model, joint))
+_MALFORMED = {
+    "no_targets": (
+        ValueError, "targets must be non-empty",
+        lambda m, j: trace_region(m, 0.0, DistortionMetric.hamming(2), [], SearchConfig())),
+    "p_v_given_u_size": (
+        DimensionError, r"P\(V\|U\) input size must equal \|U\|",
+        lambda m, j: AuxScheme(bsc(0.1), _HALVES, StochasticMatrix.constant(2))),
+    "p_q_given_v_size": (
+        DimensionError, r"P\(Q\|V\) input size must equal \|V\|",
+        lambda m, j: AuxScheme(bsc(0.1), bsc(0.1), _HALVES)),
+    "reconstruction_rows": (
+        DimensionError, r"reconstruction map must be \(\|U\|, \|Y\|\)",
+        lambda m, j: AuxScheme.from_channels(bsc(0.1), reconstruction=np.zeros((3, 2)))),
+    "reconstruction_not_2d": (
+        DimensionError, r"reconstruction map must be \(\|U\|, \|Y\|\)",
+        lambda m, j: AuxScheme.from_channels(bsc(0.1), reconstruction=np.zeros(2))),
+    "metric_not_2d": (
+        DimensionError, "distortion table must be 2-D and non-empty",
+        lambda m, j: DistortionMetric(np.zeros(2))),
+    "metric_negative": (
+        ModelError, "distortion entries must be finite and non-negative",
+        lambda m, j: DistortionMetric(np.array([[0.0, -1.0], [1.0, 0.0]]))),
+    "unknown_regime": (
+        ModelError, "unknown regime 'no_key'",
+        lambda m, j: RegimeReport("no_key", 0.0, 0.0, 0.0, _ZERO_RATES)),
+    "positive_r_prime": (
+        ModelError, "r_prime must be non-positive",
+        lambda m, j: RegimeReport("small_key", 0.0, 0.0, 0.1, _ZERO_RATES)),
+    "lossy_point_of_a_4_axis_joint": (
+        DimensionError, "lossy_point expects axes",
+        lambda m, j: lossy_point(j, 0.0, DistortionMetric.hamming(2))),
+    "reconstruction_metric_rows": (
+        DimensionError, r"distortion table rows must match \|Xt\|",
+        lambda m, j: optimal_reconstruction(extend_with_auxiliaries(j, AuxScheme.identity(2)),
+                                            DistortionMetric.hamming(3))),
+    "lossless_p_v_size": (
+        DimensionError, r"P\(V\|Xt\) input size must equal \|Xt\|",
+        lambda m, j: lossless_point(j, StochasticMatrix.constant(3), StochasticMatrix.constant(1),
+                                    0.0)),
+    "corollary_p_u_size": (
+        DimensionError, r"P\(U\|Xt\) input size must equal \|Xt\|",
+        lambda m, j: corollary_point(m, _HALVES, DistortionMetric.hamming(2))),
+    "grid_step": (
+        ModelError, "grid_step must divide 1",
+        lambda m, j: simplex_grid(3, 0.3)),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_malformed_inputs_refused(case, binary_model, binary_joint):
+    error, message, call = _MALFORMED[case]
+    with pytest.raises(error, match=message) as raised:
+        call(binary_model, binary_joint)
+    assert type(raised.value) is error
