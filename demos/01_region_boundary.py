@@ -29,7 +29,7 @@ metric = DistortionMetric.hamming(2)
 # The storage search is a linear program over the posteriors P(Xt | U = u);
 # its duals certify an interval [lower bound, rw] for the least storage rate.
 targets = np.linspace(0.0, 0.35, 8)
-cfg = SearchConfig(u_size=3, v_size=1, q_size=1)
+cfg = SearchConfig(u_size=3, v_size=1)
 points = trace_region(model, 0.0, metric, list(targets), cfg)
 
 print("distortion  certified rw interval     rs        rl        regime")

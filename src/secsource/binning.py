@@ -294,10 +294,9 @@ def design_code(
 ) -> BinningCode:
     """Design a layered binning code for the single-letter law ``full``.
 
-    ``full`` is the 7-axis joint over (Q, V, U, Xt, X, Y, Z) that
+    ``full`` is the 6-axis joint over (V, U, Xt, X, Y, Z) that
     ``regions.extend_with_auxiliaries`` builds, with the chain
-    (Q, V) - U - Xt - X - (Y, Z); the codec has no time-sharing layer, so Q
-    is summed out.  The reconstruction map is taken from
+    V - U - Xt - X - (Y, Z).  The reconstruction map is taken from
     ``reconstruction`` if given, computed distortion-optimally from ``metric``
     if given, and defaults to xhat = u when |U| matches |Xt| (the lossless
     choice).  ``rate_override`` substitutes explicit rates for the standard
@@ -888,7 +887,7 @@ def run_experiment(
     source = np.empty((block, 3 * n))
     layers = np.empty((block, 2 * n + 2))
     keys = np.zeros((block, len(code.key_bit_widths())), dtype=np.int64)
-    # The pooled type of (v, u, xt, x, y, z); Q has one symbol.
+    # The pooled type of (v, u, xt, x, y, z).
     shape = (code.v_size, code.u_size, model.xtilde_size, model.x_size,
              model.y_size, model.z_size)
     counts = np.zeros(math.prod(shape), dtype=np.int64)
@@ -926,7 +925,7 @@ def run_experiment(
         distortions.append(metric.table[xt[ok], xhat].mean(axis=1))
 
     # The region's leakage bounds for the regime the pad mode realizes.
-    emp = JointPmf(FULL_AXES, counts.reshape((1,) + shape) / counts.sum())
+    emp = JointPmf(FULL_AXES, counts.reshape(shape) / counts.sum())
     leak_s, leak_p = _leakages(emp, _PADS[code.mode][0], r_prime(emp), code.bits.k_u / code.n)
     decoded = np.concatenate(distortions)
     return SimulationReport(
@@ -973,6 +972,8 @@ def exact_message_table(code: BinningCode, model: SourceModel) -> ExactMessageTa
     """
     if not code.materialized:
         raise BinningScaleError("exact enumeration needs a materialized code")
+    if model.xtilde_size != code.p_u_given_xtilde.shape[0]:
+        raise DimensionError("model Xt alphabet does not match the code")
     q = model.xtilde_size
     n = code.n
     seqs = _all_sequences(q, n)

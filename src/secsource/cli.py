@@ -3,7 +3,7 @@
 Subcommands
 -----------
 compute-region    trace the lossy boundary over distortion targets
-lossless-region   evaluate the lossless bounds for a fixed (V, Q) scheme
+lossless-region   evaluate the lossless bounds for a fixed V scheme
 gaussian          sweep the closed-form Gaussian boundary over an alpha grid
 simulate          run the random-binning codec and report empirical measures
 check-channel     degradedness certificate / less-noisy falsification
@@ -71,15 +71,14 @@ def _run_lossless_region(args: argparse.Namespace) -> int:
     joint = build_joint(model)
     if args.aux is not None:
         scheme = modelio.parse_aux(args.aux)
-        aux_v, aux_q = scheme.p_v_given_u, scheme.p_q_given_v
+        aux_v = scheme.p_v_given_u
         if aux_v.input_size != model.xtilde_size:
             raise ModelError("lossless aux file must give P(V|Xt): rows over Xt")
     else:
         from .probability import StochasticMatrix
 
         aux_v = StochasticMatrix.constant(model.xtilde_size, 1)
-        aux_q = StochasticMatrix.constant(1, 1)
-    report = regions.lossless_point(joint, aux_v, aux_q, args.r0)
+    report = regions.lossless_point(joint, aux_v, args.r0)
     rows = [[0.0, report.bounds.rw, report.bounds.rs, report.bounds.rl, report.regime]]
     _write_csv(args.output, REGION_HEADER, rows)
     print(
@@ -111,11 +110,7 @@ def _run_gaussian(args: argparse.Namespace) -> int:
 def _run_simulate(args: argparse.Namespace) -> int:
     model = modelio.parse_model(args.model)
     scheme = modelio.parse_aux(args.aux)
-    joint = build_joint(model)
-    # The codec has no time-sharing layer; a one-symbol Q keeps every
-    # marginal it reads exactly the sum over (V, U, Xt, X, Y, Z).
-    layers = regions.AuxScheme.from_channels(scheme.p_u_given_xtilde, scheme.p_v_given_u)
-    full = regions.extend_with_auxiliaries(joint, layers)
+    full = regions.extend_with_auxiliaries(build_joint(model), scheme)
     code = binning.design_code(
         full,
         n=args.n,
@@ -201,7 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "linear program, or the grid oracle) draws no random numbers")
     cr.add_argument("--u-size", type=int, default=None)
     cr.add_argument("--v-size", type=int, default=None)
-    cr.add_argument("--q-size", type=int, default=None)
+    cr.add_argument("--q-size", type=int, default=None,
+                    help="refused below 1 and otherwise read by nothing: no bound "
+                         "depends on Q")
     cr.add_argument("--grid", action="store_true",
                     help="use the exhaustive simplex-grid oracle")
     cr.add_argument("--grid-step", type=float, default=0.05)

@@ -11,10 +11,11 @@ Model file (schema version 1)::
       "y_size": 2, "z_size": 2,                           # Y-major: col = y*|Z|+z
     }
 
-Auxiliary file: conditional matrices ``p_u_given_xtilde`` (required),
-``p_v_given_u``, ``p_q_given_v`` (optional; default constant) and an optional
-integer ``reconstruction`` map of shape (|U|, |Y|).  Channel-pair file:
-``p_y_given_x`` and ``p_z_given_x``.  JSON floats round-trip exactly, so an
+Auxiliary file: conditional matrices ``p_u_given_xtilde`` (required) and
+``p_v_given_u`` (optional; default constant) and an optional integer
+``reconstruction`` map of shape (|U|, |Y|).  A ``p_q_given_v`` key is
+accepted only as the constant (|V|, 1) matrix, since no bound depends on Q.
+Channel-pair file: ``p_y_given_x`` and ``p_z_given_x``.  JSON floats round-trip exactly, so an
 emitted model re-parses to the identical object.
 """
 
@@ -98,8 +99,12 @@ def parse_aux(path: PathLike) -> AuxScheme:
     data = _load(path, "aux")
     p_u = _matrix(data, "p_u_given_xtilde", "aux")
     p_v = _matrix(data, "p_v_given_u", "aux") if "p_v_given_u" in data else None
-    p_q = _matrix(data, "p_q_given_v", "aux") if "p_q_given_v" in data else None
-    return AuxScheme.from_channels(p_u, p_v, p_q, data.get("reconstruction"))
+    scheme = AuxScheme.from_channels(p_u, p_v, reconstruction=data.get("reconstruction"))
+    if ("p_q_given_v" in data
+            and _matrix(data, "p_q_given_v", "aux").rows.shape != (scheme.v_size, 1)):
+        raise ModelError("p_q_given_v: only the constant (|V|, 1) matrix is accepted; "
+                         "no bound depends on Q")
+    return scheme
 
 
 def parse_channel_pair(path: PathLike) -> tuple[StochasticMatrix, StochasticMatrix]:

@@ -35,7 +35,6 @@ JOINT_ATOL = 1e-10
 # Canonical axis names used by the region machinery.  "Xt" is the encoder's
 # measurement of the remote source X; Y and Z are the decoder's and the
 # eavesdropper's measurements.
-AX_Q = "Q"
 AX_V = "V"
 AX_U = "U"
 AX_XT = "Xt"

@@ -1,14 +1,20 @@
 """Single-letter rate bounds for secure/private source coding and the search
 over auxiliary schemes that traces achievable-region boundaries.
 
-An auxiliary scheme is a layered test channel Xt -> U -> V -> Q together with
-a reconstruction map (U, Y) -> Xhat.  ``lossy_point`` evaluates the storage,
+An auxiliary scheme is a layered test channel Xt -> U -> V together with a
+reconstruction map (U, Y) -> Xhat.  ``lossy_point`` evaluates the storage,
 secrecy-leakage and privacy-leakage bounds of the general lossy region for a
-fixed scheme and private-key rate from the joint over all seven variables; it
+fixed scheme and private-key rate from the joint over all six variables; it
 is the reference that the scheme evaluator below is tested against.
 ``lossless_point`` is its U = Xt specialization; ``corollary_point`` is the
 no-key form that is tight when the eavesdropper's channel is less noisy than
 the decoder's.
+
+A further layer Q drawn from P(Q|V) would change no bound: given V it is
+independent of (U, Y, Z), so I(U;Z|V,Q) = I(U;Z|V) and I(U;Y|V,Q) =
+I(U;Y|V), and the schemes here have no Q.  Read instead as a time-sharing
+variable that U and V depend on, Q is the convexification that the storage
+LP below already takes over its columns.
 
 The "for some scheme" existential in the region statement is resolved
 numerically by ``trace_region``.  The storage rate is minimized by a linear
@@ -36,7 +42,7 @@ first argmin is the one a cell-by-cell scan returns, bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import Literal, Optional, Sequence
 
@@ -44,7 +50,6 @@ import numpy as np
 
 from .channels import _COST_TOL, _simplex
 from .probability import (
-    AX_Q,
     AX_U,
     AX_V,
     AX_X,
@@ -62,7 +67,7 @@ from .probability import (
     entropy_bits,
 )
 
-FULL_AXES = (AX_Q, AX_V, AX_U) + SOURCE_AXES
+FULL_AXES = (AX_V, AX_U) + SOURCE_AXES
 
 Regime = Literal["small_key", "middle_key", "large_key"]
 
@@ -145,7 +150,8 @@ def _reconstruction_map(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AuxScheme:
-    """Layered auxiliary channels plus an optional reconstruction map.
+    """Layered auxiliary channels P(U|Xt) and P(V|U) plus an optional
+    reconstruction map, which is keyword-only.
 
     ``reconstruction``, when present, is an integer array of shape
     (|U|, |Y|) with values in the reconstruction alphabet.  Only the codec
@@ -157,14 +163,11 @@ class AuxScheme:
 
     p_u_given_xtilde: StochasticMatrix
     p_v_given_u: StochasticMatrix
-    p_q_given_v: StochasticMatrix
-    reconstruction: Optional[np.ndarray] = None
+    reconstruction: Optional[np.ndarray] = field(default=None, kw_only=True)
 
     def __post_init__(self):
         if self.p_v_given_u.input_size != self.u_size:
             raise DimensionError("P(V|U) input size must equal |U|")
-        if self.p_q_given_v.input_size != self.v_size:
-            raise DimensionError("P(Q|V) input size must equal |V|")
         if self.reconstruction is not None:
             recon = _reconstruction_map(self.reconstruction)
             if recon.ndim != 2 or recon.shape[0] != self.u_size:
@@ -179,36 +182,33 @@ class AuxScheme:
     def v_size(self) -> int:
         return self.p_v_given_u.output_size
 
+    # ``bench/workloads.py`` reads this name; it goes with the benchmark
+    # change that deletes that read (ROADMAP item 1).
     @property
-    def q_size(self) -> int:
-        return self.p_q_given_v.output_size
+    def p_q_given_v(self) -> StochasticMatrix:
+        return StochasticMatrix.constant(self.v_size, 1)
 
     @staticmethod
     def from_channels(
         p_u_given_xtilde: StochasticMatrix,
         p_v_given_u: Optional[StochasticMatrix] = None,
-        p_q_given_v: Optional[StochasticMatrix] = None,
+        *,
         reconstruction: Optional[np.ndarray] = None,
     ) -> "AuxScheme":
-        """Fill missing layers with constant (single-symbol) channels."""
+        """Fill a missing P(V|U) with the constant (single-symbol) channel."""
         u = p_u_given_xtilde.output_size
         pv = p_v_given_u if p_v_given_u is not None else StochasticMatrix.constant(u, 1)
-        pq = (
-            p_q_given_v
-            if p_q_given_v is not None
-            else StochasticMatrix.constant(pv.output_size, 1)
-        )
-        return AuxScheme(p_u_given_xtilde, pv, pq, reconstruction)
+        return AuxScheme(p_u_given_xtilde, pv, reconstruction=reconstruction)
 
     @staticmethod
     def identity(xtilde_size: int) -> "AuxScheme":
-        """U = Xt with constant V and Q (the lossless choice)."""
+        """U = Xt with constant V (the lossless choice)."""
         return AuxScheme.from_channels(StochasticMatrix.identity(xtilde_size))
 
 
-def default_cardinalities(xtilde_size: int) -> tuple[int, int, int]:
-    """Sufficient alphabet sizes (|U|, |V|, |Q|) for the lossy region."""
-    return (xtilde_size + 3) ** 2, xtilde_size + 3, 2
+def default_cardinalities(xtilde_size: int) -> tuple[int, int]:
+    """Sufficient alphabet sizes (|U|, |V|) for the lossy region."""
+    return (xtilde_size + 3) ** 2, xtilde_size + 3
 
 
 @dataclass(frozen=True)
@@ -217,7 +217,7 @@ class RegimeReport:
 
     ``threshold_low``  is I(U;Xt|Y,V) and ``threshold_high`` is I(U;Xt|Y);
     equality with a threshold selects the higher-key regime.  ``r_prime`` is
-    the non-positive correction [I(U;Z|V,Q) - I(U;Y|V,Q)]^- that enters the
+    the non-positive correction [I(U;Z|V) - I(U;Y|V)]^- that enters the
     small-key leakage bounds.
     """
 
@@ -238,18 +238,18 @@ class RegimeReport:
 class SearchConfig:
     """Controls for the auxiliary-scheme search.
 
-    ``u_size``/``v_size``/``q_size`` default to the sufficient cardinality
-    bounds of the region (they may be lowered for speed; ``resolved_sizes``
-    refuses sizes above the bounds, which would buy nothing).  Alphabet sizes
-    below 1 are refused.  With ``method="descent"`` the storage objective
-    ("rw") is solved as a linear program: it needs ``u_size >= |Xt|+1``,
-    and its schemes have |Xt|+1 U symbols and constant (one-symbol) V and Q
-    whatever the sizes; the leakage objectives ("rs", "rl") descend.
-    ``restarts`` and ``seed`` drive only the leakage searches.
-    ``method="grid"`` runs the exhaustive simplex-grid oracle at
-    ``grid_step`` instead, over P(U|Xt) with uniform V and Q rows, as a
-    reference for the storage objective; it is refused with a leakage
-    objective, which the oracle does not minimize.
+    ``u_size``/``v_size`` default to the sufficient cardinality bounds of
+    the region (they may be lowered for speed; ``resolved_sizes`` refuses
+    sizes above the bounds, which would buy nothing).  Alphabet sizes below 1
+    are refused.  With ``method="descent"`` the storage objective ("rw") is
+    solved as a linear program: it needs ``u_size >= |Xt|+1``, and its
+    schemes have |Xt|+1 U symbols and a constant (one-symbol) V whatever the
+    sizes; the leakage objectives ("rs", "rl") descend.  ``restarts`` and
+    ``seed`` drive only the leakage searches.  ``method="grid"`` runs the
+    exhaustive simplex-grid oracle at ``grid_step`` instead, over P(U|Xt)
+    with uniform V rows, as a reference for the storage objective; it is
+    refused with a leakage objective, which the oracle does not minimize.
+    ``q_size`` is refused below 1 and read by nothing else.
     """
 
     restarts: int = 8
@@ -257,6 +257,8 @@ class SearchConfig:
     seed: int = 0
     u_size: Optional[int] = None
     v_size: Optional[int] = None
+    # ``bench/workloads.py`` passes this field; it goes with the benchmark
+    # change that deletes that use (ROADMAP item 1).
     q_size: Optional[int] = None
     objective: Literal["rw", "rs", "rl"] = "rw"
     method: Literal["descent", "grid"] = "descent"
@@ -274,10 +276,10 @@ class SearchConfig:
             if size is not None and size < 1:
                 raise ModelError(f"{name} must be >= 1, got {size}")
 
-    def resolved_sizes(self, xtilde_size: int) -> tuple[int, int, int]:
+    def resolved_sizes(self, xtilde_size: int) -> tuple[int, int]:
         bounds = default_cardinalities(xtilde_size)
-        sizes = (self.u_size, self.v_size, self.q_size)
-        for name, size, bound in zip(("u_size", "v_size", "q_size"), sizes, bounds):
+        sizes = (self.u_size, self.v_size)
+        for name, size, bound in zip(("u_size", "v_size"), sizes, bounds):
             if size is not None and size > bound:
                 raise ModelError(f"{name}={size} exceeds the sufficient bound {bound} "
                                  f"for |Xt| = {xtilde_size}")
@@ -312,16 +314,14 @@ def _require_axes(joint: JointPmf, names: tuple[str, ...], what: str) -> None:
 
 
 def extend_with_auxiliaries(joint: JointPmf, aux: AuxScheme) -> JointPmf:
-    """Joint over (Q, V, U, Xt, X, Y, Z) factorizing as
-    P(q|v)P(v|u)P(u|xt)P(xt,x,y,z); the chain (Q,V)-U-Xt-X-(Y,Z) holds by
-    construction.
+    """Joint over (V, U, Xt, X, Y, Z) factorizing as
+    P(v|u)P(u|xt)P(xt,x,y,z); the chain V-U-Xt-X-(Y,Z) holds by construction.
     """
     _require_axes(joint, SOURCE_AXES, "extend_with_auxiliaries")
     if aux.p_u_given_xtilde.input_size != joint.size_of(AX_XT):
         raise DimensionError("P(U|Xt) input size must equal |Xt|")
     table = np.einsum(
-        "vq,uv,au,axyz->qvuaxyz",
-        aux.p_q_given_v.rows,
+        "uv,au,axyz->vuaxyz",
         aux.p_v_given_u.rows,
         aux.p_u_given_xtilde.rows,
         joint.table,
@@ -335,10 +335,10 @@ extend_with_vu = extend_with_auxiliaries
 
 
 def r_prime(full: JointPmf) -> float:
-    """[I(U;Z|V,Q) - I(U;Y|V,Q)]^- from the fully extended joint."""
+    """[I(U;Z|V) - I(U;Y|V)]^- from the fully extended joint."""
     _require_axes(full, FULL_AXES, "r_prime")
-    diff = full.mutual_information((AX_U,), (AX_Z,), (AX_V, AX_Q)) - full.mutual_information(
-        (AX_U,), (AX_Y,), (AX_V, AX_Q)
+    diff = full.mutual_information((AX_U,), (AX_Z,), (AX_V,)) - full.mutual_information(
+        (AX_U,), (AX_Y,), (AX_V,)
     )
     return min(diff, 0.0)
 
@@ -408,12 +408,7 @@ def lossy_point(full: JointPmf, r0: float, metric: DistortionMetric) -> RegimeRe
     )
 
 
-def lossless_point(
-    joint: JointPmf,
-    aux_v: StochasticMatrix,
-    aux_q: StochasticMatrix,
-    r0: float,
-) -> RegimeReport:
+def lossless_point(joint: JointPmf, aux_v: StochasticMatrix, r0: float) -> RegimeReport:
     """Lossless region bounds: the U = Xt specialization of ``lossy_point``.
 
     rw = H(Xt|Y); regimes are keyed on H(Xt|Y,V) and H(Xt|Y); distortion is
@@ -423,12 +418,10 @@ def lossless_point(
     nxt = joint.size_of(AX_XT)
     if aux_v.input_size != nxt:
         raise DimensionError("P(V|Xt) input size must equal |Xt|")
-    if aux_v.output_size > nxt + 2 or aux_q.output_size > 2:
+    if aux_v.output_size > nxt + 2:
         raise ModelError(
-            "the lossless region needs |V| <= |Xt|+2 and |Q| <= 2, got "
-            f"|V| = {aux_v.output_size} and |Q| = {aux_q.output_size}"
-        )
-    aux = AuxScheme(StochasticMatrix.identity(nxt), aux_v, aux_q)
+            f"the lossless region needs |V| <= |Xt|+2, got |V| = {aux_v.output_size}")
+    aux = AuxScheme(StochasticMatrix.identity(nxt), aux_v)
     return lossy_point(extend_with_auxiliaries(joint, aux), r0, DistortionMetric.hamming(nxt))
 
 
@@ -440,16 +433,14 @@ def corollary_point(
 
     The caller is responsible for the less-noisy ordering (see
     ``channels.check_stochastic_degraded`` for a sufficient certificate);
-    under it this equals the small-key ``lossy_point`` with constant V, Q and
+    under it this equals the small-key ``lossy_point`` with constant V and
     r0 = 0.  Evaluated by the scheme evaluator, which builds no joint, so it
     stays cheap on the finely quantized models of the Gaussian bridge.
     """
     if aux_u.input_size != model.xtilde_size:
         raise DimensionError("P(U|Xt) input size must equal |Xt|")
     nu = aux_u.output_size
-    rep = _SchemeEvaluator(model, metric).evaluate(
-        aux_u.rows, np.ones((nu, 1)), np.ones((1, 1)), 0.0
-    )
+    rep = _SchemeEvaluator(model, metric).evaluate(aux_u.rows, np.ones((nu, 1)), 0.0)
     # At r0 = 0 the small-key leakages are the corollary's plus R'.  In the
     # other regimes I(U;Xt|Y) = 0, the leakages are zero and the corollary's
     # equal -R'.  Either way subtracting R' recovers them.
@@ -465,15 +456,14 @@ def corollary_point(
 
 
 # Every entropy the scheme evaluator takes, as the einsum that forms its table
-# from the rows of P(U|Xt) (au), P(V|U) (uv) and P(Q|V) (vq), in that order,
-# and one source table: P(Xt) (a), P(Xt,Y) (ay), P(Xt,Z) (az) or P(Xt,(X,Z))
-# (ak).  The chain (Q,V) - U - Xt - X - (Y,Z) makes each table linear in each
-# matrix, so the gradient of its entropy is the adjoint einsum applied to
+# from the rows of P(U|Xt) (au) and P(V|U) (uv), in that order, and one
+# source table: P(Xt) (a), P(Xt,Y) (ay), P(Xt,Z) (az) or P(Xt,(X,Z)) (ak).
+# The chain V - U - Xt - X - (Y,Z) makes each table linear in each matrix, so
+# the gradient of its entropy is the adjoint einsum applied to
 # -(log2 T + 1/ln 2).  Terms are named by their output subscripts.
 _TERM_SPECS = (
     "au,a->au", "au,az->uz", "au,ak->uk", "au,uv,a->auv", "au,uv,a->av",
-    "au,uv,ay->uvy", "au,uv,ay->vy", "au,uv,az->vz", "au,uv,ak->vk",
-    "au,uv,vq,ay->uvqy", "au,uv,vq,ay->vqy", "au,uv,vq,az->uvqz", "au,uv,vq,az->vqz",
+    "au,uv,ay->uvy", "au,uv,ay->vy", "au,uv,az->uvz", "au,uv,az->vz", "au,uv,ak->vk",
 )
 
 
@@ -491,7 +481,7 @@ _TERMS = dict(_term(spec) for spec in _TERM_SPECS)
 _LOG2E = 1.0 / math.log(2.0)
 # The bounds as signed sums of the terms; source entropies are added apart.
 _T_LOW = {"uvy": 1.0, "vy": -1.0, "auv": -1.0, "av": 1.0}         # I(U;Xt|Y,V)
-_R_DIFF = {"vqz": 1.0, "uvqz": -1.0, "vqy": -1.0, "uvqy": 1.0}    # I(U;Z|V,Q) - I(U;Y|V,Q)
+_R_DIFF = {"vz": 1.0, "uvz": -1.0, "vy": -1.0, "uvy": 1.0}        # I(U;Z|V) - I(U;Y|V)
 _LEAKAGE = {  # each leakage by (regime, objective), less its source entropies
     ("small_key", "rs"): {"uz": 1.0, "au": -1.0},                 # I(U;Xt|Z)
     ("small_key", "rl"): {"uz": 1.0, "uk": -1.0},                 # I(U;X|Z)
@@ -522,8 +512,8 @@ def _least_cost(cost: np.ndarray) -> np.ndarray:
 
 
 class _SchemeEvaluator:
-    """The bounds of ``lossy_point`` straight from the raw rows of P(U|Xt),
-    P(V|U) and P(Q|V), without forming the joint with the auxiliaries.
+    """The bounds of ``lossy_point`` straight from the raw rows of P(U|Xt)
+    and P(V|U), without forming the joint with the auxiliaries.
 
     Built once per (model, metric) from P(Xt,Y), P(Xt,Z) and P(Xt,X,Z), each
     one einsum over the source channels (the largest has |Xt|·|X|·|Z| cells);
@@ -586,8 +576,8 @@ class _SchemeEvaluator:
         return sum(c * tables[name][1] for name, c in coefs.items())
 
     def _regime(self, mats: Sequence[np.ndarray], r0: float, tables):
-        """The regime at key rate r0 of the scheme ``mats`` (P(U|Xt), P(V|U)
-        and P(Q|V)), with I(U;Xt|Y,V), R', I(U;Xt|Y) and the distortion."""
+        """The regime at key rate r0 of the scheme ``mats`` (P(U|Xt) and
+        P(V|U)), with I(U;Xt|Y,V), R', I(U;Xt|Y) and the distortion."""
         t_high, dist = (float(v) for v in self.storage(mats[0]))
         t_low = _clamp(self._bound(mats, _T_LOW, tables))
         rp = min(self._bound(mats, _R_DIFF, tables), 0.0)
@@ -610,12 +600,10 @@ class _SchemeEvaluator:
         best = _sum_over_xt(pu, self.storage_core)[..., :-1].argmin(axis=-1)  # (U, Y)
         return self.storage_core[:, np.arange(best.shape[-1]), best].sum(axis=-1)
 
-    def evaluate(
-        self, pu: np.ndarray, pv: np.ndarray, pq: np.ndarray, r0: float
-    ) -> RegimeReport:
+    def evaluate(self, pu: np.ndarray, pv: np.ndarray, r0: float) -> RegimeReport:
         """``lossy_point`` for the scheme with these rows, at key rate r0,
         taking only the terms of the bounds it reports."""
-        mats, tables = (pu, pv, pq), {}
+        mats, tables = (pu, pv), {}
         regime, t_low, rp, t_high, dist = self._regime(mats, r0, tables)
         rs, rl = (self._leakage(mats, r0, o, regime, rp, tables) for o in ("rs", "rl"))
         return RegimeReport(regime, t_low, t_high, rp, RateTuple(rw=t_high, rs=rs, rl=rl, d=dist))
@@ -677,8 +665,7 @@ def _mirror_descent(
 ) -> list[np.ndarray]:
     """Exponentiated-gradient (KL mirror) descent of ``obj.penalized`` for
     the leakage ``objective`` over row-stochastic matrices, from the start
-    ``mats`` (P(U|Xt), P(V|U), P(Q|V)), all of its matrices moved at once by
-    ``_exp_step``.
+    ``mats`` (P(U|Xt), P(V|U)), both matrices moved at once by ``_exp_step``.
 
     Each step tries twice the last accepted size and halves it until the
     Armijo condition holds.  A penalty level stops after ``_MAX_ITERS`` steps,
@@ -929,7 +916,7 @@ def trace_region(
     Points are returned in ascending target order.  Every candidate scheme
     of a target is scored once by ``_SchemeEvaluator.evaluate``; the first of
     least rate wins and its report is the one returned, so the reported
-    distortion is the one that met the target (``lossy_point`` on the 7-axis
+    distortion is the one that met the target (``lossy_point`` on the 6-axis
     joint is the reference it agrees with).  For the LP and the descent, the
     previous target's argmin (feasible by monotonicity of the constraint set)
     stays the first candidate, so the minimized rate is non-increasing in D.
@@ -938,11 +925,11 @@ def trace_region(
     ``u_size >= |Xt|+1`` and reads neither ``cfg.restarts`` nor
     ``cfg.seed``: at each target it solves ``_StorageLP`` and reports
     P(u|xt) = w_u q_u(xt) / P(xt) over the LP's support, padded with unused
-    symbols to |Xt|+1 U symbols, with one-symbol V and Q and the LP's
+    symbols to |Xt|+1 U symbols, with a one-symbol V and the LP's
     certified ``lower_bound``.  Time sharing is inside the LP, so the traced
     points lie on the lower convex envelope up to that gap.  The grid method
     (storage only) reports instead the oracle's argmin at each target, with
-    uniform V and Q rows, and keeps no previous target's scheme.
+    uniform V rows, and keeps no previous target's scheme.
 
     A leakage search descends, deterministically given ``cfg.seed``, from the
     previous argmin, the anchor mixed with uniform rows and ``cfg.restarts``
@@ -959,7 +946,7 @@ def trace_region(
         raise ModelError(f"r0 must be finite and >= 0 and the distortion targets finite, "
                          f"got r0={r0!r} and targets {list(targets)}")
     nxt = model.xtilde_size
-    nu, nv, nq = cfg.resolved_sizes(nxt)
+    nu, nv = cfg.resolved_sizes(nxt)
     lp_search = cfg.objective == "rw" and cfg.method == "descent"
     if lp_search and nu < nxt + 1:
         raise ModelError(f"the storage search needs u_size >= |Xt|+1 = {nxt + 1}, got {nu}: "
@@ -967,9 +954,9 @@ def trace_region(
     obj = _SchemeEvaluator(model, metric)
     anchor = _anchor_u_rows(nxt, nxt + 1 if lp_search else nu)
     if lp_search:
-        lp, constant = _StorageLP(obj), [np.ones((nxt + 1, 1)), np.ones((1, 1))]
+        lp, constant = _StorageLP(obj), np.ones((nxt + 1, 1))
     else:
-        uniform = [np.full((nu, nv), 1.0 / nv), np.full((nv, nq), 1.0 / nq)]
+        uniform = np.full((nu, nv), 1.0 / nv)
         objectives = (cfg.objective, "rl" if cfg.objective == "rs" else "rs")
 
     points: list[TracePoint] = []
@@ -985,24 +972,24 @@ def trace_region(
             # A symbol of probability zero gets the anchor's row.
             t = np.where(t.sum(axis=1, keepdims=True) > 0.0, t, anchor)
             [t] = _repair_feasibility(obj, (t / t.sum(axis=1, keepdims=True))[None], anchor, target)
-            candidates.append([t, *constant])
+            candidates.append([t, constant])
         elif cfg.method == "grid":
             _, best_t = grid_minimum_storage(model, metric, target, nu, cfg.grid_step)
-            candidates = [[best_t, *uniform]]
+            candidates = [[best_t, uniform]]
         else:
             starts = list(candidates)
             for restart in range(cfg.restarts):
                 rng = np.random.default_rng([cfg.seed, restart])
                 mats = [rng.dirichlet(np.ones(n_out), size=n_in)
-                        for n_in, n_out in ((nxt, nu), (nu, nv), (nv, nq))]
+                        for n_in, n_out in ((nxt, nu), (nu, nv))]
                 if restart == 0:
-                    starts.append([0.5 * anchor + 0.5 / nu, *mats[1:]])
+                    starts.append([0.5 * anchor + 0.5 / nu, mats[1]])
                 starts.append(mats)
             # Each (start, objective) pair descends alone.
             runs = [_mirror_descent(obj, start, r0, objective, target)
                     for start in starts for objective in objectives]
             repaired = _repair_feasibility(obj, np.stack([run[0] for run in runs]), anchor, target)
-            candidates += [[pu, *run[1:]] for pu, run in zip(repaired, runs) if pu is not None]
+            candidates += [[pu, run[1]] for pu, run in zip(repaired, runs) if pu is not None]
         if not candidates:
             raise InfeasibleTargetError(
                 f"no feasible scheme found for distortion target {target} "

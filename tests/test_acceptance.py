@@ -49,12 +49,11 @@ def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
     print(f"criterion {number} [{name}]: {status}{suffix}")
 
 
-def _random_aux(rng, nxt, nu=None, nv=2, nq=2) -> AuxScheme:
+def _random_aux(rng, nxt, nu=None, nv=2) -> AuxScheme:
     nu = nu if nu is not None else nxt + 1
     return AuxScheme(
         StochasticMatrix(rng.dirichlet(np.ones(nu), size=nxt)),
         StochasticMatrix(rng.dirichlet(np.ones(nv), size=nu)),
-        StochasticMatrix(rng.dirichlet(np.ones(nq), size=nv)),
     )
 
 
@@ -109,12 +108,9 @@ def test_criterion_3_cross_formula_consistency():
         model = random_model(rng, nx=2, nxt=nxt, ny=2, nz=2)
         joint = build_joint(model)
         aux_v = StochasticMatrix(rng.dirichlet(np.ones(2), size=nxt))
-        aux_q = StochasticMatrix(rng.dirichlet(np.ones(2), size=2))
         r0 = float(rng.uniform(0.0, 1.2))
-        lossless = lossless_point(joint, aux_v, aux_q, r0)
-        full = extend_with_auxiliaries(
-            joint, AuxScheme(StochasticMatrix.identity(nxt), aux_v, aux_q)
-        )
+        lossless = lossless_point(joint, aux_v, r0)
+        full = extend_with_auxiliaries(joint, AuxScheme(StochasticMatrix.identity(nxt), aux_v))
         lossy = lossy_point(full, r0, DistortionMetric.hamming(nxt))
         for attr in ("rw", "rs", "rl", "d"):
             ok &= abs(getattr(lossless.bounds, attr) - getattr(lossy.bounds, attr)) <= 1e-9
@@ -155,7 +151,7 @@ def test_criterion_4_search_oracle_equivalence(binary_model):
         d: grid_minimum_storage(binary_model, metric, d, u_size=3, step=0.05)[0]
         for d in targets
     }
-    cfg = SearchConfig(restarts=12, seed=2024, u_size=3, v_size=1, q_size=1)
+    cfg = SearchConfig(restarts=12, seed=2024, u_size=3, v_size=1)
     points = trace_region(binary_model, 0.0, metric, list(targets), cfg)
     elapsed = time.monotonic() - start
 
@@ -268,7 +264,7 @@ def test_criterion_8_information_property_suite(binary_joint):
     for _ in range(100):
         scheme = _random_aux(rng, 2, nu=3)
         full = extend_with_auxiliaries(binary_joint, scheme)
-        ok &= full.mutual_information(("Q", "V"), ("X", "Y", "Z"), ("U", "Xt")) <= 1e-9
+        ok &= full.mutual_information(("V",), ("X", "Y", "Z"), ("U", "Xt")) <= 1e-9
         ok &= full.mutual_information(("U",), ("X", "Y", "Z"), ("Xt",)) <= 1e-9
         i_uy = full.mutual_information(("U",), ("Y",))
         i_ux = full.mutual_information(("U",), ("X",))

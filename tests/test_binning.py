@@ -100,7 +100,7 @@ class TestDesign:
     def test_storage_accounting_nondegenerate_v(self, binary_model, binary_joint):
         # With a live V layer, r0 + r_v + r_u telescopes to I(U;Xt|Y) + 4 eps.
         n, eps = 50, 0.1
-        aux = AuxScheme(bsc(0.2), bsc(0.1), StochasticMatrix.constant(2, 1))
+        aux = AuxScheme(bsc(0.2), bsc(0.1))
         full = _full6(binary_model, aux)
         code = design_code(full, n=n, epsilon=eps, r0=0.0, seed=2,
                            reconstruction=np.tile([0, 1], (2, 1)))
@@ -499,7 +499,7 @@ class TestCollisionMath:
         # A live V ahead of binary Y puts the U layer in four groups, whose
         # cross product at n = 800 is beyond the budget.  With no V bits the
         # V layer never decodes, so the U layer is never counted.
-        live_v = AuxScheme(bsc(0.2), bsc(0.1), StochasticMatrix.constant(2, 1))
+        live_v = AuxScheme(bsc(0.2), bsc(0.1))
         full = _full6(binary_model, live_v)
         recon = np.tile([0, 1], (2, 1))
         for rv, raises in ((0.0, False), (1.0, True)):
@@ -583,7 +583,7 @@ class TestRunExperiment:
         # P(V|U), whose targets are I(V;Xt|Z) and I(V;X|Z) of the design joint.
         i_xt_x_z = binary_joint.mutual_information(("Xt",), ("X",), ("Z",))
         live_v = _full6(binary_model,
-                        AuxScheme(bsc(0.2), bsc(0.1), StochasticMatrix.constant(2, 1)))
+                        AuxScheme(bsc(0.2), bsc(0.1)))
         cases = [
             (binary_full6, 0.2, "key_slot", 200,
              lambda k: (target - k, i_xt_x_z + min(i_xtz - i_xty, 0.0) - k)),
@@ -758,15 +758,15 @@ class TestExactSmallN:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
-    def test_budget_guard(self, binary_full6, binary_model):
+    def test_unmaterialized_code_refused(self, binary_full6, binary_model):
         code = design_code(binary_full6, n=100, epsilon=0.15, r0=0.0, seed=5)
-        with pytest.raises(BinningScaleError):
+        with pytest.raises(BinningScaleError, match="exact enumeration needs a materialized code"):
             exact_message_table(code, binary_model)
 
 
 def _leakage_case(case, binary_model, n):
     """A small materialized code and its model, one per exact-analysis case."""
-    live_v = AuxScheme(bsc(0.2), bsc(0.1), StochasticMatrix.constant(2, 1))
+    live_v = AuxScheme(bsc(0.2), bsc(0.1))
     recon = np.tile([0, 1], (2, 1))
     if case == "ternary":
         model = random_model(np.random.default_rng(18), nx=2, nxt=3, ny=2, nz=2)
@@ -866,7 +866,7 @@ class TestRateViolation:
 
 
 def _uniform_u(model, u_size):
-    """``model``'s 7-axis joint with U uniform over ``u_size`` symbols."""
+    """``model``'s 6-axis joint with U uniform over ``u_size`` symbols."""
     aux = AuxScheme.from_channels(StochasticMatrix.constant(model.xtilde_size, u_size))
     return _full6(model, aux)
 
@@ -894,6 +894,14 @@ _REFUSALS = {
         DimensionError, "model Xt alphabet does not match the code", None,
         lambda m, f: run_experiment(design_code(f, n=8, epsilon=0.1, r0=0.0),
                                     random_model(np.random.default_rng(0), nxt=3), 1)),
+    "exact_leakage_model_alphabet": (
+        DimensionError, "model Xt alphabet does not match the code", None,
+        lambda m, f: exact_leakage(design_code(f, n=4, epsilon=0.1, r0=0.0),
+                                   random_model(np.random.default_rng(0), nxt=4))),
+    "padded_indices_model_alphabet": (
+        DimensionError, "model Xt alphabet does not match the code", None,
+        lambda m, f: padded_indices_mutual_information(
+            design_code(f, n=6, epsilon=0.1, r0=0.0), random_model(np.random.default_rng(0), nxt=3))),
     "alphabet_above_255": (
         BinningScaleError, "alphabets beyond 255 symbols are not supported", None,
         lambda m, f: design_code(_uniform_u(m, 256), n=4, epsilon=0.1, r0=0.0)),
@@ -1008,7 +1016,7 @@ def _layer_success_probability(log_p, true_seq, side, bits):
 def _ref_run_experiment(code, model, trials, seed, metric=None):
     metric = metric if metric is not None else DistortionMetric.hamming(model.xtilde_size)
     engine = "explicit" if code.materialized else "collision"
-    counts = np.zeros((1, code.v_size, code.u_size, model.xtilde_size,
+    counts = np.zeros((code.v_size, code.u_size, model.xtilde_size,
                        model.x_size, model.y_size, model.z_size))
     errors = 0
     distortions = []
@@ -1022,7 +1030,7 @@ def _ref_run_experiment(code, model, trials, seed, metric=None):
         key = code.draw_key(rng)
         u_seq = _ref_sample_categorical(code.p_u_given_xtilde, xt, rng)
         v_seq = _ref_sample_categorical(code.p_v_given_u, u_seq, rng)
-        np.add.at(counts, (0, v_seq, u_seq, xt, x, y, z), 1.0)
+        np.add.at(counts, (v_seq, u_seq, xt, x, y, z), 1.0)
         if engine == "explicit":
             msg = _ref_message(code, v_seq, u_seq, key)
             v_hat, u_hat, unique = _ref_decode_layers(code, y, key, msg, events)
@@ -1063,7 +1071,7 @@ def _stream_case(case, binary_model):
     """(code, model, trials, metric) per batching case; every case but the
     one-trial blocks crosses at least one block boundary."""
     full = _full6(binary_model)
-    live_v = AuxScheme(bsc(0.2), bsc(0.1), StochasticMatrix.constant(2, 1))
+    live_v = AuxScheme(bsc(0.2), bsc(0.1))
     recon = np.tile([0, 1], (2, 1))
     if case == "explicit":
         return _sw_code(binary_model, 12, 0.8475), binary_model, 400, None

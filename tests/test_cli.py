@@ -139,6 +139,22 @@ class TestModelIO:
             parse(path)
         assert type(raised.value) is ModelError
 
+    def test_aux_identity_file_parses(self):
+        # Its p_q_given_v is the one form an aux file may hold, the constant.
+        scheme = modelio.parse_aux(DEMO_AUX)
+        assert scheme.u_size == 2 and scheme.v_size == 1
+        assert scheme.p_q_given_v.rows.tolist() == [[1.0]]
+
+    def test_aux_file_with_a_live_p_q_given_v_refused(self, tmp_path):
+        # No bound depends on Q, so a two-column P(Q|V) is refused by name
+        # rather than dropped.
+        data = json.loads(Path(DEMO_AUX).read_text())
+        path = tmp_path / "aux.json"
+        path.write_text(json.dumps({**data, "p_q_given_v": [[0.5, 0.5]]}))
+        with pytest.raises(ModelError, match="p_q_given_v") as raised:
+            modelio.parse_aux(path)
+        assert type(raised.value) is ModelError
+
 
 class TestCommands:
     def test_gaussian_alpha_one_row(self, tmp_path):

@@ -196,7 +196,6 @@ class TestPropertySuite:
             aux = AuxScheme(
                 StochasticMatrix(rng.dirichlet(np.ones(3), size=3)),
                 StochasticMatrix(rng.dirichlet(np.ones(2), size=3)),
-                StochasticMatrix(rng.dirichlet(np.ones(2), size=2)),
             )
             full = extend_with_auxiliaries(joint, aux)
             i_uy = full.mutual_information(("U",), ("Y",))

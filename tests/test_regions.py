@@ -5,6 +5,7 @@ import pytest
 
 from conftest import h2, mi_oracle, random_model, star
 from secsource.probability import (
+    JointPmf,
     Pmf,
     SourceModel,
     StochasticMatrix,
@@ -30,12 +31,11 @@ from secsource.regions import (
 from secsource.probability import DimensionError, ModelError
 
 
-def _random_aux(rng, nxt, nu=None, nv=2, nq=2) -> AuxScheme:
+def _random_aux(rng, nxt, nu=None, nv=2) -> AuxScheme:
     nu = nu if nu is not None else nxt + 1
     return AuxScheme(
         StochasticMatrix(rng.dirichlet(np.ones(nu), size=nxt)),
         StochasticMatrix(rng.dirichlet(np.ones(nv), size=nu)),
-        StochasticMatrix(rng.dirichlet(np.ones(nq), size=nv)),
     )
 
 
@@ -61,7 +61,7 @@ class TestExtension:
         rng = np.random.default_rng(11)
         for _ in range(25):
             full = extend_with_auxiliaries(binary_joint, _random_aux(rng, 2))
-            assert full.mutual_information(("Q", "V"), ("Xt", "X", "Y", "Z"), ("U",)) <= 1e-9
+            assert full.mutual_information(("V",), ("Xt", "X", "Y", "Z"), ("U",)) <= 1e-9
             assert full.mutual_information(("U",), ("X", "Y", "Z"), ("Xt",)) <= 1e-9
 
     def test_dimension_mismatch(self, binary_joint):
@@ -78,7 +78,7 @@ class TestRPrime:
 
     def test_negative_branch_value(self, binary_joint):
         full = extend_with_auxiliaries(binary_joint, AuxScheme.identity(2))
-        # Oracle: with V, Q constant, R' = I(Xt;Z) - I(Xt;Y) < 0 here.
+        # Oracle: with V constant, R' = I(Xt;Z) - I(Xt;Y) < 0 here.
         i_xtz = binary_joint.mutual_information(("Xt",), ("Z",))
         i_xty = binary_joint.mutual_information(("Xt",), ("Y",))
         assert i_xtz < i_xty
@@ -89,6 +89,30 @@ class TestRPrime:
         for _ in range(50):
             full = extend_with_auxiliaries(binary_joint, _random_aux(rng, 2))
             assert r_prime(full) <= 0.0
+
+    def test_q_drawn_from_v_changes_no_bound(self):
+        # A Q drawn from P(Q|V) is independent of (U, Y, Z) given V, so
+        # conditioning on it moves neither R' nor I(U;Xt|Y,V): the reason
+        # the schemes carry no Q.  The 7-axis joint is built here alone.
+        rng = np.random.default_rng(73)
+        negative = 0
+        for trial in range(24):
+            nxt, nq = 2 + trial % 2, 2 + (trial // 2) % 2
+            model = random_model(rng, nx=3, nxt=nxt, ny=3, nz=3)
+            aux = _random_aux(rng, nxt, nv=3)
+            p_q = rng.dirichlet(np.ones(nq), size=3)
+            seven = JointPmf(("Q", "V", "U", "Xt", "X", "Y", "Z"), np.einsum(
+                "vq,uv,au,axyz->qvuaxyz", p_q, aux.p_v_given_u.rows,
+                aux.p_u_given_xtilde.rows, build_joint(model).table))
+            diff = (seven.mutual_information(("U",), ("Z",), ("V", "Q"))
+                    - seven.mutual_information(("U",), ("Y",), ("V", "Q")))
+            t_low = seven.mutual_information(("U",), ("Xt",), ("Y", "V", "Q"))
+            full = extend_with_auxiliaries(build_joint(model), aux)
+            assert r_prime(full) == pytest.approx(min(diff, 0.0), abs=1e-12)
+            rep = lossy_point(full, 0.0, DistortionMetric.hamming(nxt))
+            assert rep.threshold_low == pytest.approx(max(t_low, 0.0), abs=1e-12)
+            negative += diff < -1e-6
+        assert negative >= 5
 
     def test_less_noisy_degraded_gives_zero(self):
         # Z strictly better than Y (degraded), any aux: R' = 0.
@@ -157,15 +181,15 @@ class TestLossyPoint:
 
     def test_scheme_evaluator_matches_reference(self, binary_model, binary_joint):
         # The searches score schemes with _SchemeEvaluator; it must reproduce
-        # lossy_point on the 7-axis joint in every regime.
+        # lossy_point on the 6-axis joint in every regime.
         rng = np.random.default_rng(41)
         metric = DistortionMetric.hamming(2)
         evaluator = _SchemeEvaluator(binary_model, metric)
         seen = set()
-        for nu, nv, nq in ((3, 2, 2), (25, 5, 2)):
+        for nu, nv in ((3, 2), (25, 5)):
             for _ in range(8):
-                aux = _random_aux(rng, 2, nu=nu, nv=nv, nq=nq)
-                mats = (aux.p_u_given_xtilde.rows, aux.p_v_given_u.rows, aux.p_q_given_v.rows)
+                aux = _random_aux(rng, 2, nu=nu, nv=nv)
+                mats = (aux.p_u_given_xtilde.rows, aux.p_v_given_u.rows)
                 full = extend_with_auxiliaries(binary_joint, aux)
                 ref = lossy_point(full, 0.0, metric)
                 lo, hi = ref.threshold_low, ref.threshold_high
@@ -232,11 +256,11 @@ class TestLossyPoint:
         seen = set()
         for model, negative_rp in ((binary_model, True), (swapped, False)):
             evaluator = _SchemeEvaluator(model, metric)
-            for nu, nv, nq in ((3, 2, 2), (25, 5, 2)):
+            for nu, nv in ((3, 2), (25, 5)):
                 # Rows half uniform: central differences lose accuracy on
                 # tiny probabilities (the third derivative of p log p is 1/p^2).
                 mats = [0.5 * rng.dirichlet(np.ones(n), size=m) + 0.5 / n
-                        for m, n in ((2, nu), (nu, nv), (nv, nq))]
+                        for m, n in ((2, nu), (nu, nv))]
                 ref = evaluator.evaluate(*mats, 0.0)
                 assert ref.r_prime < -1e-6 if negative_rp else ref.r_prime == 0.0
                 # Away from ties of the optimal map, where d has a gradient: a
@@ -337,10 +361,7 @@ class TestLossyPoint:
 
 class TestLosslessPoint:
     def test_constant_v_specialization(self, binary_joint):
-        rep = lossless_point(
-            binary_joint, StochasticMatrix.constant(2, 1),
-            StochasticMatrix.constant(1, 1), 0.0,
-        )
+        rep = lossless_point(binary_joint, StochasticMatrix.constant(2, 1), 0.0)
         h_xt_z = binary_joint.entropy(("Xt", "Z")) - binary_joint.entropy(("Z",))
         i_xtz = binary_joint.mutual_information(("Xt",), ("Z",))
         i_xty = binary_joint.mutual_information(("Xt",), ("Y",))
@@ -350,10 +371,7 @@ class TestLosslessPoint:
 
     def test_large_key_zeroes(self, binary_joint):
         h_xt_y = binary_joint.entropy(("Xt", "Y")) - binary_joint.entropy(("Y",))
-        rep = lossless_point(
-            binary_joint, StochasticMatrix.constant(2, 1),
-            StochasticMatrix.constant(1, 1), h_xt_y + 0.01,
-        )
+        rep = lossless_point(binary_joint, StochasticMatrix.constant(2, 1), h_xt_y + 0.01)
         assert rep.regime == "large_key"
         assert rep.bounds.rs == 0.0 and rep.bounds.rl == 0.0
 
@@ -364,12 +382,9 @@ class TestLosslessPoint:
             model = random_model(rng, nx=2, nxt=nxt, ny=2, nz=2)
             joint = build_joint(model)
             aux_v = StochasticMatrix(rng.dirichlet(np.ones(2), size=nxt))
-            aux_q = StochasticMatrix(rng.dirichlet(np.ones(2), size=2))
             r0 = float(rng.uniform(0.0, 1.2))
-            lossless = lossless_point(joint, aux_v, aux_q, r0)
-            full = extend_with_auxiliaries(
-                joint, AuxScheme(StochasticMatrix.identity(nxt), aux_v, aux_q)
-            )
+            lossless = lossless_point(joint, aux_v, r0)
+            full = extend_with_auxiliaries(joint, AuxScheme(StochasticMatrix.identity(nxt), aux_v))
             lossy = lossy_point(full, r0, DistortionMetric.hamming(nxt))
             for attr in ("rw", "rs", "rl", "d"):
                 assert getattr(lossless.bounds, attr) == pytest.approx(
@@ -379,12 +394,7 @@ class TestLosslessPoint:
 
     def test_cardinality_default_enforced(self, binary_joint):
         with pytest.raises(ModelError):
-            lossless_point(
-                binary_joint,
-                StochasticMatrix(np.full((2, 5), 0.2)),
-                StochasticMatrix.constant(5, 1),
-                0.0,
-            )
+            lossless_point(binary_joint, StochasticMatrix(np.full((2, 5), 0.2)), 0.0)
 
 
 class TestCorollaryPoint:
@@ -473,10 +483,12 @@ _MALFORMED = {
         lambda m, j: trace_region(m, 0.0, DistortionMetric.hamming(2), [], SearchConfig())),
     "p_v_given_u_size": (
         DimensionError, r"P\(V\|U\) input size must equal \|U\|",
-        lambda m, j: AuxScheme(bsc(0.1), _HALVES, StochasticMatrix.constant(2))),
-    "p_q_given_v_size": (
-        DimensionError, r"P\(Q\|V\) input size must equal \|V\|",
-        lambda m, j: AuxScheme(bsc(0.1), bsc(0.1), _HALVES)),
+        lambda m, j: AuxScheme(bsc(0.1), _HALVES)),
+    # A P(Q|V) passed third is refused: the reconstruction map is
+    # keyword-only, so the matrix never reaches the map's integer check.
+    "positional_p_q_given_v": (
+        TypeError, "takes 3 positional arguments but 4 were given",
+        lambda m, j: AuxScheme(bsc(0.1), bsc(0.1), StochasticMatrix.constant(2))),
     "reconstruction_rows": (
         DimensionError, r"reconstruction map must be \(\|U\|, \|Y\|\)",
         lambda m, j: AuxScheme.from_channels(bsc(0.1), reconstruction=np.zeros((3, 2)))),
@@ -504,8 +516,7 @@ _MALFORMED = {
                                             DistortionMetric.hamming(3))),
     "lossless_p_v_size": (
         DimensionError, r"P\(V\|Xt\) input size must equal \|Xt\|",
-        lambda m, j: lossless_point(j, StochasticMatrix.constant(3), StochasticMatrix.constant(1),
-                                    0.0)),
+        lambda m, j: lossless_point(j, StochasticMatrix.constant(3), 0.0)),
     "corollary_p_u_size": (
         DimensionError, r"P\(U\|Xt\) input size must equal \|Xt\|",
         lambda m, j: corollary_point(m, _HALVES, DistortionMetric.hamming(2))),

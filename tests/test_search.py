@@ -24,12 +24,12 @@ from secsource.regions import (
 )
 
 METRIC = DistortionMetric.hamming(2)
-CFG = SearchConfig(restarts=4, seed=13, u_size=3, v_size=1, q_size=1)
+CFG = SearchConfig(restarts=4, seed=13, u_size=3, v_size=1)
 # One search of each kind: the storage LP, the grid oracle and a leakage descent.
 SEARCHES = (
     CFG,
-    SearchConfig(u_size=3, v_size=1, q_size=1, method="grid", grid_step=0.1),
-    SearchConfig(restarts=1, seed=13, u_size=3, v_size=2, q_size=2, objective="rs"),
+    SearchConfig(u_size=3, v_size=1, method="grid", grid_step=0.1),
+    SearchConfig(restarts=1, seed=13, u_size=3, v_size=2, objective="rs"),
 )
 
 
@@ -68,12 +68,12 @@ def test_monotone_and_feasible(binary_model):
 
 
 def test_deterministic_given_seed(binary_model):
-    leakage = SearchConfig(restarts=2, seed=13, u_size=3, v_size=2, q_size=2, objective="rs")
+    leakage = SearchConfig(restarts=2, seed=13, u_size=3, v_size=2, objective="rs")
     for cfg in (CFG, leakage):
         a = trace_region(binary_model, 0.0, METRIC, [0.08], cfg)
         b = trace_region(binary_model, 0.0, METRIC, [0.08], cfg)
         assert a[0].rates == b[0].rates
-        for name in ("p_u_given_xtilde", "p_v_given_u", "p_q_given_v"):
+        for name in ("p_u_given_xtilde", "p_v_given_u"):
             np.testing.assert_array_equal(
                 getattr(a[0].scheme, name).rows, getattr(b[0].scheme, name).rows
             )
@@ -81,12 +81,12 @@ def test_deterministic_given_seed(binary_model):
 
 def test_reported_point_matches_regime_report(binary_model):
     # A traced point reports the evaluator's scoring of the scheme it returns,
-    # the one that chose it, and lossy_point on the 7-axis joint agrees.
+    # the one that chose it, and lossy_point on the 6-axis joint agrees.
     obj = regions._SchemeEvaluator(binary_model, METRIC)
     for cfg in SEARCHES:
         [p] = trace_region(binary_model, 0.1, METRIC, [0.05], cfg)
         s = p.scheme
-        rep = obj.evaluate(s.p_u_given_xtilde.rows, s.p_v_given_u.rows, s.p_q_given_v.rows, 0.1)
+        rep = obj.evaluate(s.p_u_given_xtilde.rows, s.p_v_given_u.rows, 0.1)
         assert p.report == rep and p.rates == rep.bounds
         ref = lossy_point(extend_with_auxiliaries(build_joint(binary_model), s), 0.1, METRIC)
         assert ref.regime == rep.regime
@@ -103,7 +103,7 @@ def test_negative_key_rate_refused(binary_model):
 
 
 def test_grid_method_matches_oracle(binary_model):
-    cfg = SearchConfig(restarts=1, seed=0, u_size=3, v_size=1, q_size=1,
+    cfg = SearchConfig(restarts=1, seed=0, u_size=3, v_size=1,
                        method="grid", grid_step=0.1)
     pts = trace_region(binary_model, 0.0, METRIC, [0.1], cfg)
     best, _ = grid_minimum_storage(binary_model, METRIC, 0.1, u_size=3, step=0.1)
@@ -133,7 +133,7 @@ def test_storage_search_at_the_least_distortion():
         least = float(obj.p_xt @ metric.table.min(axis=1))
         for d in (least, np.nextafter(least, 1.0)):
             [p] = trace_region(model, 0.0, metric, [d],
-                               SearchConfig(u_size=nxt + 1, v_size=1, q_size=1))
+                               SearchConfig(u_size=nxt + 1, v_size=1))
             assert obj.storage(p.scheme.p_u_given_xtilde.rows)[1] <= d
             assert p.rates.d <= d
 
@@ -155,7 +155,7 @@ def test_storage_search_where_every_scheme_has_the_least_distortion(nxt):
         obj = regions._SchemeEvaluator(model, metric)
         least = float(obj.p_xt @ table.min(axis=1))
         [p] = trace_region(model, 0.0, metric, [least],
-                           SearchConfig(u_size=nxt + 1, v_size=1, q_size=1))
+                           SearchConfig(u_size=nxt + 1, v_size=1))
         assert p.rates.rw == pytest.approx(0.0, abs=1e-12)
         assert p.lower_bound == 0.0
         assert obj.storage(p.scheme.p_u_given_xtilde.rows)[1] <= least
@@ -164,7 +164,7 @@ def test_storage_search_where_every_scheme_has_the_least_distortion(nxt):
 
 def test_storage_search_refuses_fewer_than_xt_plus_one_symbols(binary_model):
     # A basic solution of the storage LP may use |Xt|+1 posteriors.
-    cfg = SearchConfig(u_size=2, v_size=1, q_size=1)
+    cfg = SearchConfig(u_size=2, v_size=1)
     with pytest.raises(ModelError, match=r"u_size >= \|Xt\|\+1 = 3, got 2"):
         trace_region(binary_model, 0.0, METRIC, [0.1], cfg)
     model = random_model(np.random.default_rng(7), nx=3, nxt=3, ny=3)
@@ -293,7 +293,9 @@ def test_sizes_above_sufficient_bounds_refused_before_search(binary_model, monke
     monkeypatch.setattr(regions, "_mirror_descent", never)
     bounds = regions.default_cardinalities(binary_model.xtilde_size)
     assert SearchConfig().resolved_sizes(binary_model.xtilde_size) == bounds
-    for name, bound in zip(("u_size", "v_size", "q_size"), bounds):
+    # No bound depends on Q, so q_size is bounded by nothing.
+    assert SearchConfig(q_size=3).resolved_sizes(binary_model.xtilde_size) == bounds
+    for name, bound in zip(("u_size", "v_size"), bounds):
         cfg = SearchConfig(**{name: bound + 1})
         with pytest.raises(ModelError, match=f"{name}={bound + 1} exceeds the sufficient "
                                              f"bound {bound}"):
@@ -303,14 +305,14 @@ def test_sizes_above_sufficient_bounds_refused_before_search(binary_model, monke
 # trace_region's leakage searches as the stacked descent (every start of a
 # target moved in lockstep) returned them: leakage_boundary's two searches on
 # the binary instance and one ternary case.  Per case: (rw, rs, rl, d), the
-# regime, threshold_low, threshold_high, r_prime and the rows of P(U|Xt),
-# P(V|U) and P(Q|V).
+# regime, threshold_low, threshold_high, r_prime, the rows of P(U|Xt) and
+# P(V|U), and the constant (|V|, 1) P(Q|V) that the scheme reports.
 _BINARY_SCHEME = (
     [[2.8303642385993398e-05, 0.10456876788364024, 0.8954029284739737],
      [2.6116411279836585e-05, 0.9045569079475142, 0.0954169756412059]],
     [[0.0034682116283697223, 0.9965317883716303], [0.6548929001813895, 0.3451070998186106],
      [0.6356241055470802, 0.3643758944529199]],
-    [[0.45593284043153776, 0.5440671595684622], [0.8945691424583793, 0.10543085754162072]],
+    [[1.0], [1.0]],
 )
 _PINNED_LEAKAGE_SEARCHES = {
     "binary-rs": (
@@ -331,7 +333,7 @@ _PINNED_LEAKAGE_SEARCHES = {
            0.9605754354525385]],
          [[0.0948125379509998, 0.9051874620490002], [0.4156879126609016, 0.5843120873390985],
           [0.862294965758558, 0.137705034241442], [0.4337044934218526, 0.5662955065781475]],
-         [[0.979603722969453, 0.020396277030546993], [0.12996430813168056, 0.8700356918683194]])),
+         [[1.0], [1.0]])),
 }
 
 
@@ -342,11 +344,11 @@ def test_leakage_search_matches_recorded_outputs(case):
     # The ternary case takes two restarts and a key rate.
     model, r0, target, cfg = {
         "binary-rs": (modelio.parse_model(INSTANCE), 0.0, 0.1, SearchConfig(
-            restarts=1, seed=7, u_size=3, v_size=2, q_size=2, objective="rs")),
+            restarts=1, seed=7, u_size=3, v_size=2, objective="rs")),
         "binary-rl": (modelio.parse_model(INSTANCE), 0.1, 0.1, SearchConfig(
-            restarts=1, seed=7, u_size=3, v_size=2, q_size=2, objective="rl")),
+            restarts=1, seed=7, u_size=3, v_size=2, objective="rl")),
         "ternary": (random_model(np.random.default_rng(61), nx=3, nxt=3, ny=3), 0.05, 0.15,
-                    SearchConfig(restarts=2, seed=5, u_size=4, v_size=2, q_size=2,
+                    SearchConfig(restarts=2, seed=5, u_size=4, v_size=2,
                                  objective="rs")),
     }[case]
     rates, regime, t_low, t_high, rp, scheme = _PINNED_LEAKAGE_SEARCHES[case]
@@ -411,7 +413,7 @@ def test_empty_stack(binary_model):
 
 def test_generic_objective_path(binary_model):
     for objective, r0 in (("rs", 0.0), ("rl", 0.1)):
-        cfg = SearchConfig(restarts=2, seed=5, u_size=2, v_size=1, q_size=1,
+        cfg = SearchConfig(restarts=2, seed=5, u_size=2, v_size=1,
                            objective=objective)
         pts = trace_region(binary_model, r0, METRIC, [0.2], cfg)
         assert pts[0].rates.d <= 0.2 + 1e-9
@@ -445,7 +447,7 @@ def test_wyner_ziv_closed_form():
 
 
 @pytest.mark.parametrize("size, bounds", [
-    ({"u_size": 3, "v_size": 1, "q_size": 1}, (-1e-9, 1e-7)),
+    ({"u_size": 3, "v_size": 1}, (-1e-9, 1e-7)),
     ({}, (-1e-9, 1e-7)),
 ])
 def test_storage_search_near_wyner_ziv(size, bounds):
@@ -490,7 +492,7 @@ def test_storage_lp_certificate_on_random_models(nxt, seed):
     model, metric = _random_storage_case(nxt, seed)
     targets = (0.1, 0.2)
     points = trace_region(model, 0.0, metric, list(targets),
-                          SearchConfig(u_size=nxt + 1, v_size=1, q_size=1))
+                          SearchConfig(u_size=nxt + 1, v_size=1))
     obj = regions._SchemeEvaluator(model, metric)
     anchor = regions._anchor_u_rows(nxt, nxt + 1)
     draws = np.random.default_rng(seed + 1).dirichlet(np.ones(nxt + 1), size=(500, nxt))
@@ -499,7 +501,7 @@ def test_storage_lp_certificate_on_random_models(nxt, seed):
         # (a) the certified interval holds rw, within the LP's stated gap.
         assert 0.0 <= p.rates.rw - p.lower_bound <= regions._LP_GAP
         assert p.rates.d <= d and p.scheme.u_size == nxt + 1
-        assert p.scheme.v_size == p.scheme.q_size == 1
+        assert p.scheme.v_size == 1
         # (b) no feasible scheme scores below the lower bound: the draws that
         # meet D as they are, and every draw blended toward the anchor.
         feasible = np.stack(regions._repair_feasibility(obj, draws, anchor, d))
@@ -535,7 +537,7 @@ def test_storage_lp_certified_on_metrics_with_zero_entries(nxt):
         d_max = float(obj.storage(np.ones((nxt, 1)))[1])
         targets = [obj.d_floor + f * (d_max - obj.d_floor) for f in (0.0, 0.3, 1.0)]
         for p in trace_region(model, 0.0, metric, targets,
-                              SearchConfig(u_size=nxt + 1, v_size=1, q_size=1)):
+                              SearchConfig(u_size=nxt + 1, v_size=1)):
             assert 0.0 <= p.rates.rw - p.lower_bound <= regions._LP_GAP
             assert p.rates.d <= p.target_d
 
@@ -556,7 +558,7 @@ def test_storage_lp_ignores_symbols_of_probability_zero(binary_model):
     targets = [0.0, 0.05, 0.2]
     want = trace_region(binary_model, 0.0, METRIC, targets, CFG)
     got = trace_region(model, 0.0, DistortionMetric.hamming(3), targets,
-                       SearchConfig(u_size=4, v_size=1, q_size=1))
+                       SearchConfig(u_size=4, v_size=1))
     for p, w in zip(got, want):
         assert p.rates.rw == pytest.approx(w.rates.rw, abs=1e-12)
         assert p.lower_bound == pytest.approx(w.lower_bound, abs=1e-12)
@@ -627,7 +629,7 @@ def test_leakage_searches_reach_the_lower_leakage():
     # descent stopped at rs = 0.455343 although the rl search found a scheme
     # with rs = 0.4236; it reached rl = 0.111692.
     model = modelio.parse_model(INSTANCE)
-    sizes = dict(restarts=1, seed=7, u_size=3, v_size=2, q_size=2)
+    sizes = dict(restarts=1, seed=7, u_size=3, v_size=2)
     found = {}
     for objective, r0 in (("rs", 0.0), ("rl", 0.0), ("rl", 0.1)):
         cfg = SearchConfig(objective=objective, **sizes)
