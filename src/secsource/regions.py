@@ -88,9 +88,12 @@ _LP_MAX_STEPS = 1_000
 _LP_MAX_MAPS = 2**16
 _LP_OFFSET = 1.0
 # The LP aims this far below the target, so that rounding leaves the realized
-# scheme's distortion at or below it: the anchor blend of _repair_feasibility
-# is concave in the blend, and on the binary instance at D = 0.1 it costs
-# 2.3e-3 bits to undo a 3e-17 overshoot.
+# scheme's distortion at or below it.  The simplex may break its distortion
+# row by about as much (its Harris slack), so where the realized scheme still
+# misses, the LP is solved again with the margin 16 times as wide.  A scheme
+# is never blended toward the anchor instead: the optimal-map distortion is
+# concave along that segment, and at D_max undoing a 6e-17 overshoot that way
+# cost up to 1.0 bit.
 _LP_MARGIN = 1e-12
 
 
@@ -801,15 +804,16 @@ class _StorageLP:
         cost = np.einsum("na,ak->nk", q, self.cost).reshape(len(q), 1, self.cond.shape[1], -1)
         return psi, _least_cost(cost)
 
-    def solve(self, target_d: float) -> tuple[np.ndarray, float]:
+    def solve(self, target_d: float, margin: float = _LP_MARGIN) -> tuple[np.ndarray, float]:
         """The optimal weights over the columns ``self.q`` at distortion
-        target ``target_d``, and the certified lower bound on the least rw."""
+        target ``target_d`` less ``margin`` (at least ``d_floor``), and the
+        certified lower bound on the least rw at ``target_d`` itself."""
         budget = target_d - self.d_floor
         if budget < 0.0:
             raise InfeasibleTargetError(
                 f"no scheme meets distortion target {target_d}: the least distortion, "
                 f"reached by U = Xt, is {self.d_floor}")
-        b = np.append(self.p_xt, max(budget - _LP_MARGIN, 0.0))
+        b = np.append(self.p_xt, max(budget - margin, 0.0))
         basis, steps = None, 0
         while True:
             w, y, basis = _simplex(np.vstack([self.q.T, self.delta]), b, self.psi + _LP_OFFSET,
@@ -936,9 +940,12 @@ def trace_region(
     Dirichlet draws, every start for both leakages, and keeps the least
     requested one, so it never returns a scheme worse than one the other
     leakage's search finds.  Each (start, objective) pair descends alone, in
-    the order of start, then objective.  Every scheme that misses its target,
-    the LP's included, is blended toward the anchor until it meets it, the
-    descent's misses all together.
+    the order of start, then objective.  Every descended scheme that misses
+    its target is blended toward the anchor until it meets it, all the misses
+    together.  An LP scheme that rounding leaves above its target is solved
+    for again with a wider margin (``_LP_MARGIN``); U = Xt, which meets every
+    feasible target, is taken only if a row lowered to the least distortion
+    still misses.
     """
     if not targets:
         raise ValueError("targets must be non-empty")
@@ -965,13 +972,21 @@ def trace_region(
         candidates = [carry] if carry is not None else []
         lower_bound = None
         if lp_search:
-            w, lower_bound = lp.solve(target)
-            support = np.flatnonzero(w)
-            t = np.zeros((nxt, nxt + 1))
-            t[lp.live, :len(support)] = lp.q[support].T * w[support]
-            # A symbol of probability zero gets the anchor's row.
-            t = np.where(t.sum(axis=1, keepdims=True) > 0.0, t, anchor)
-            [t] = _repair_feasibility(obj, (t / t.sum(axis=1, keepdims=True))[None], anchor, target)
+            margin = _LP_MARGIN
+            while True:
+                w, lower_bound = lp.solve(target, margin)
+                support = np.flatnonzero(w)
+                t = np.zeros((nxt, nxt + 1))
+                t[lp.live, :len(support)] = lp.q[support].T * w[support]
+                # A symbol of probability zero gets the anchor's row.
+                t = np.where(t.sum(axis=1, keepdims=True) > 0.0, t, anchor)
+                t /= t.sum(axis=1, keepdims=True)
+                if obj.storage(t)[1] <= target:
+                    break
+                if margin >= target - obj.d_floor:  # the row was at d_floor already
+                    t = anchor
+                    break
+                margin *= 16.0
             candidates.append([t, constant])
         elif cfg.method == "grid":
             _, best_t = grid_minimum_storage(model, metric, target, nu, cfg.grid_step)

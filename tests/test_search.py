@@ -519,20 +519,31 @@ def test_storage_lp_certificate_on_random_models(nxt, seed):
             assert want is None or p.rates.rw <= want
 
 
-@pytest.mark.parametrize("nxt", [4, 5])
-def test_storage_lp_certified_on_metrics_with_zero_entries(nxt):
+@pytest.mark.parametrize("nxt, seeds, hamming", [
+    pytest.param(4, range(2000, 2030, 3), False, id="4"),
+    pytest.param(5, range(2000, 2030, 3), False, id="5"),
+    pytest.param(2, (35, 95, 262), False, id="d_max-2"),
+    pytest.param(3, (5, 28, 180, 196, 265, 290), False, id="d_max-3"),
+    pytest.param(4, (35, 41, 137, 160, 177, 294), False, id="d_max-4"),
+    pytest.param(2, (5, 16, 26, 32, 39, 52, 85, 96, 115, 178, 222, 229, 244, 247), True,
+                 id="d_max-hamming-2"),
+])
+def test_storage_lp_certified_on_metrics_with_zero_entries(nxt, seeds, hamming):
     # Random models with 1-5 Y symbols and 2-4 reconstruction symbols, under
-    # metrics with about 40 % of their entries zero, at the least distortion,
-    # 30 % of the way to D_max and at D_max.  Each point is certified to the
-    # LP's gap and raises nothing; a certificate from tangent-plane bounds on
-    # bisected cells left 13 and 16 of these 30 points above it, by up to
-    # 0.011 and 0.30 bits.
-    for seed in range(2000, 2030, 3):
+    # metrics with about 40 % of their entries zero (or Hamming), at the least
+    # distortion, 30 % of the way to D_max and at D_max.  Each point is
+    # certified to the LP's gap and raises nothing; a certificate from
+    # tangent-plane bounds on bisected cells left 13 and 16 of the 30 points
+    # of seeds 2000-2027 above it, by up to 0.011 and 0.30 bits.  The other
+    # seeds are those of seeds 0-299 whose D_max scheme came out of the LP a
+    # rounding error above D_max; blended toward U = Xt to meet it, it lay up
+    # to 0.48 bits (0.12 under Hamming) above its bound.
+    for seed in seeds:
         rng = np.random.default_rng(seed)
         ny, nxh = rng.integers(1, 6), rng.integers(2, 5)
         model = random_model(rng, nx=rng.integers(2, 5), nxt=nxt, ny=ny)
         table = rng.uniform(0.0, 1.0, size=(nxt, nxh)) * (rng.uniform(size=(nxt, nxh)) > 0.4)
-        metric = DistortionMetric(table)
+        metric = DistortionMetric.hamming(nxt) if hamming else DistortionMetric(table)
         obj = regions._SchemeEvaluator(model, metric)
         d_max = float(obj.storage(np.ones((nxt, 1)))[1])
         targets = [obj.d_floor + f * (d_max - obj.d_floor) for f in (0.0, 0.3, 1.0)]
@@ -540,6 +551,28 @@ def test_storage_lp_certified_on_metrics_with_zero_entries(nxt):
                               SearchConfig(u_size=nxt + 1, v_size=1)):
             assert 0.0 <= p.rates.rw - p.lower_bound <= regions._LP_GAP
             assert p.rates.d <= p.target_d
+
+
+def test_storage_search_widens_its_margin_until_u_equals_xt(binary_model, monkeypatch):
+    # An LP scheme that misses its target is solved for again with a margin
+    # 16 times as wide, and never blended toward the anchor.  One that still
+    # misses with its distortion row at the least distortion gives way to
+    # U = Xt.  Here every solve returns the constant U, whose distortion
+    # (D_max, about 0.26) misses D = 0.1 at every margin.
+    margins = []
+
+    def solve(self, target_d, margin=regions._LP_MARGIN):
+        margins.append(margin)
+        w = np.zeros(len(self.q))
+        w[len(self.live)] = 1.0  # the column P(Xt)
+        return w, 0.0
+
+    monkeypatch.setattr(regions._StorageLP, "solve", solve)
+    [p] = trace_region(binary_model, 0.0, METRIC, [0.1], CFG)
+    assert margins == [regions._LP_MARGIN * 16.0**k for k in range(11)]
+    assert margins[-2] < 0.1 <= margins[-1]
+    np.testing.assert_array_equal(p.scheme.p_u_given_xtilde.rows, regions._anchor_u_rows(2, 3))
+    assert p.rates.d == 0.0
 
 
 def test_storage_lp_refuses_more_reconstruction_maps_than_its_limit():
