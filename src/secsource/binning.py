@@ -1098,9 +1098,8 @@ def exact_leakage(code: BinningCode, model: SourceModel) -> ExactLeakage:
     n = code.n
     q = model.xtilde_size
     m = max(q, model.z_size, model.x_size)
-    p_x_xt = model.px.probs[:, None] * model.meas_enc.rows        # (X, Xt)
-    p_xt_z = p_x_xt.T @ model.p_z_given_x().rows                   # (Xt, Z)
-    p_xt = p_x_xt.sum(axis=0)
+    p_xt_x, _, p_xt_z = model.pairwise_tables()
+    p_xt = p_xt_x.sum(axis=1)
     joint_cells = t.p_sequence[t.row] * t.prob
     h_xt_w = entropy_bits(joint_cells)
     spread, firsts, rank, sub, value, count = _cells_by_spread(t, joint_cells, p_xt, n)
@@ -1109,9 +1108,9 @@ def exact_leakage(code: BinningCode, model: SourceModel) -> ExactLeakage:
 
     # The factors outside D_w: sum_s count[s] H(A | Xt = s).
     h_z_w = float(count @ entropy_bits(_conditional(p_xt_z), axis=1))
-    h_x_w = float(count @ entropy_bits(_conditional(p_x_xt.T), axis=1))
+    h_x_w = float(count @ entropy_bits(_conditional(p_xt_x), axis=1))
     to_z = _letter_powers(p_xt_z, n)
-    to_x = _letter_powers(p_x_xt.T, n)
+    to_x = _letter_powers(p_xt_x, n)
     widths, group_ends = np.unique(spread, return_index=True)
     for d, g0, g1 in zip(widths.tolist(), group_ends, np.append(group_ends[1:], spread.size)):
         step = max(1, _BLOCK_CELLS // m**d)

@@ -1,7 +1,7 @@
 """Finite-alphabet probability tables and the information functionals built on them.
 
 All distributions are dense float64 arrays over small alphabets (intended
-scale is at most ~16 symbols per axis, ~32 for the Gaussian quantization
+scale is at most ~16 symbols per axis, 128 for the Gaussian quantization
 bridge).  Logarithms are base 2 everywhere, so every entropy or mutual
 information is in bits.  The conventions 0*log(0) = 0 and "conditioning on
 a zero-probability event contributes zero" are applied throughout; they are
@@ -177,6 +177,11 @@ class SourceModel:
 
     def p_z_given_x(self) -> StochasticMatrix:
         return StochasticMatrix(self.yz_table().sum(axis=1))
+
+    def pairwise_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """P(Xt, X), and from it P(Xt, Y) and P(Xt, Z) under Xt - X - (Y, Z)."""
+        p_xt_x = (self.px.probs[:, None] * self.meas_enc.rows).T
+        return p_xt_x, p_xt_x @ self.p_y_given_x().rows, p_xt_x @ self.p_z_given_x().rows
 
     @staticmethod
     def from_channels(

@@ -27,9 +27,9 @@ Frank-Wolfe bound certifies the price, each re-solve starting from the last
 basis.  Each leakage is minimized over the rows of the conditional-pmf
 matrices with multi-start exponentiated-gradient (KL mirror) descent, each
 start descending alone.  ``_SchemeEvaluator`` computes the same bounds as
-``lossy_point`` from the raw matrices and three source tables taken straight
-from the ``SourceModel``, building no joint, each term as the entropy of a
-table linear in each matrix, and gives the descent their analytic gradient.
+``lossy_point`` from the raw matrices and the pairwise tables P(Xt,X), P(Xt,Y)
+and P(Xt,Z), building no joint, each term as the entropy of a table linear
+in each matrix, and gives the descent their analytic gradient.
 Its storage form scores a stack of P(U|Xt) matrices and gives each the same
 bits alone as in any stack; it scores distortion as the least one, P(Xt)
 times the metric's row minima, plus the cost above those minima.  The no-key
@@ -460,13 +460,13 @@ def corollary_point(
 
 # Every entropy the scheme evaluator takes, as the einsum that forms its table
 # from the rows of P(U|Xt) (au) and P(V|U) (uv), in that order, and one
-# source table: P(Xt) (a), P(Xt,Y) (ay), P(Xt,Z) (az) or P(Xt,(X,Z)) (ak).
+# source table: P(Xt) (a), P(Xt,X) (ax), P(Xt,Y) (ay) or P(Xt,Z) (az).
 # The chain V - U - Xt - X - (Y,Z) makes each table linear in each matrix, so
 # the gradient of its entropy is the adjoint einsum applied to
 # -(log2 T + 1/ln 2).  Terms are named by their output subscripts.
 _TERM_SPECS = (
-    "au,a->au", "au,az->uz", "au,ak->uk", "au,uv,a->auv", "au,uv,a->av",
-    "au,uv,ay->uvy", "au,uv,ay->vy", "au,uv,az->uvz", "au,uv,az->vz", "au,uv,ak->vk",
+    "au,a->au", "au,az->uz", "au,ax->ux", "au,uv,a->auv", "au,uv,a->av",
+    "au,uv,ay->uvy", "au,uv,ay->vy", "au,uv,az->uvz", "au,uv,az->vz", "au,uv,ax->vx",
 )
 
 
@@ -487,9 +487,9 @@ _T_LOW = {"uvy": 1.0, "vy": -1.0, "auv": -1.0, "av": 1.0}         # I(U;Xt|Y,V)
 _R_DIFF = {"vz": 1.0, "uvz": -1.0, "vy": -1.0, "uvy": 1.0}        # I(U;Z|V) - I(U;Y|V)
 _LEAKAGE = {  # each leakage by (regime, objective), less its source entropies
     ("small_key", "rs"): {"uz": 1.0, "au": -1.0},                 # I(U;Xt|Z)
-    ("small_key", "rl"): {"uz": 1.0, "uk": -1.0},                 # I(U;X|Z)
+    ("small_key", "rl"): {"uz": 1.0, "ux": -1.0},                 # I(U;X|Z)
     ("middle_key", "rs"): {"vz": 1.0, "av": -1.0},                # I(V;Xt|Z)
-    ("middle_key", "rl"): {"vz": 1.0, "vk": -1.0},                # I(V;X|Z)
+    ("middle_key", "rl"): {"vz": 1.0, "vx": -1.0},                # I(V;X|Z)
 }
 
 
@@ -518,27 +518,25 @@ class _SchemeEvaluator:
     """The bounds of ``lossy_point`` straight from the raw rows of P(U|Xt)
     and P(V|U), without forming the joint with the auxiliaries.
 
-    Built once per (model, metric) from P(Xt,Y), P(Xt,Z) and P(Xt,X,Z), each
-    one einsum over the source channels (the largest has |Xt|·|X|·|Z| cells);
-    every term is the entropy of a small table over the auxiliaries and one
-    source variable (``_TERMS``).  ``evaluate`` and the leakage descent's
-    ``penalized`` score one scheme from that term list, each taking only the
-    terms of the bounds it reports, and ``penalized`` also gives the
-    gradient.  ``storage`` gives the storage rate and the optimal-map
-    distortion, which depend on P(U|Xt) only; it takes a stack of matrices
-    and gives a matrix the same bits alone as in any stack, since its sums
-    over Xt run in index order (``_sum_over_xt``).
+    Built once per (model, metric) from ``SourceModel.pairwise_tables``: no
+    bound conditions on Y and Z together, as I(U;X|Z) = H(U,Z) - H(U,X) +
+    H(X) - H(Z) under U - X - Z, and likewise with V.  Every term is the
+    entropy of a table over the auxiliaries and one source variable
+    (``_TERMS``); ``evaluate`` and the leakage descent's ``penalized`` score
+    one scheme from them, each taking only the terms of the bounds it
+    reports, and ``penalized`` also gives the gradient.  ``storage`` gives
+    the storage rate and the optimal-map distortion, which depend on P(U|Xt)
+    only; it takes a stack of matrices and gives a matrix the same bits
+    alone as in any stack, since its sums over Xt run in index order
+    (``_sum_over_xt``).
     """
 
     def __init__(self, model: SourceModel, metric: DistortionMetric):
         if metric.xtilde_size != model.xtilde_size:
             raise DimensionError("distortion table rows must match |Xt|")
-        # Sums of build_joint's cells P(x)P(xt|x)P(y,z|x), none of them held.
-        self.p_xt_y, self.p_xt_z, p_xt_x_z = (
-            np.einsum("x,xa,xyz->" + out, model.px.probs, model.meas_enc.rows, model.yz_table())
-            for out in ("ay", "az", "axz"))
-        self.p_xt = self.p_xt_y.sum(axis=1)
-        self.h_y = entropy_bits(self.p_xt_y.sum(axis=0))
+        self.p_xt_x, self.p_xt_y, self.p_xt_z = model.pairwise_tables()
+        self.p_xt = self.p_xt_x.sum(axis=1)
+        self.h_y, h_z = (entropy_bits(p.sum(axis=0)) for p in (self.p_xt_y, self.p_xt_z))
         self.h_xt = entropy_bits(self.p_xt)
         # The distortion is d_floor = P(Xt).m, m the row minima of the metric,
         # plus the cost under the metric less m, which is exactly 0 at U = Xt.
@@ -550,12 +548,9 @@ class _SchemeEvaluator:
             [np.einsum("ay,ab->ayb", self.p_xt_y, metric.table - floor[:, None]),
              self.p_xt_y[:, :, None]], axis=2
         )
-        self.p_xt_xz = p_xt_x_z.reshape(self.p_xt.size, -1)
-        self.h_z = entropy_bits(self.p_xt_z.sum(axis=0))
-        self.sources = {"a": self.p_xt, "ay": self.p_xt_y, "az": self.p_xt_z, "ak": self.p_xt_xz}
-        # The source entropies of each leakage: H(Xt) - H(Z) and H(X,Z) - H(Z).
-        self.leak_const = {"rs": self.h_xt - self.h_z,
-                           "rl": entropy_bits(self.p_xt_xz.sum(axis=0)) - self.h_z}
+        self.sources = {"a": self.p_xt, "ax": self.p_xt_x, "ay": self.p_xt_y, "az": self.p_xt_z}
+        # The source entropies of each leakage: H(Xt) - H(Z) and H(X) - H(Z).
+        self.leak_const = {"rs": self.h_xt - h_z, "rl": entropy_bits(model.px.probs) - h_z}
 
     def storage(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """I(U;Xt|Y) and the optimal-map distortion of P(U|Xt) = ``t``, or of

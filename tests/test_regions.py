@@ -211,15 +211,57 @@ class TestLossyPoint:
                 assert at_low.regime == "middle_key" and at_high.regime == "large_key"
         assert seen == {"small_key", "middle_key", "large_key"}
 
-    def test_source_tables_have_the_joint_marginals_bits(self, binary_model, binary_joint):
-        # The evaluator sums build_joint's cells without holding them.  On the
-        # binary instance its tables keep the bits of the joint's marginals,
-        # so the searches return what they returned when built from the joint.
+    def test_source_tables_match_the_joint_marginals(self, binary_model, binary_joint):
+        # The evaluator's source tables are products of two channel tables,
+        # not sums of build_joint's cells, so they agree with the joint's
+        # marginals to rounding rather than bit for bit.
         evaluator = _SchemeEvaluator(binary_model, DistortionMetric.hamming(2))
-        for table, axes in ((evaluator.p_xt_y, ("Xt", "Y")), (evaluator.p_xt_z, ("Xt", "Z")),
-                            (evaluator.p_xt_xz, ("Xt", "X", "Z"))):
+        for table, axes in ((evaluator.p_xt_x, ("Xt", "X")), (evaluator.p_xt_y, ("Xt", "Y")),
+                            (evaluator.p_xt_z, ("Xt", "Z"))):
             want = binary_joint.marginal_table(axes)
-            np.testing.assert_array_equal(table, want.reshape(table.shape))
+            np.testing.assert_allclose(table, want, rtol=0.0, atol=1e-15)
+
+    def test_coupled_side_information_reads_only_its_marginals(self):
+        # P(y,z|x) need not be a product: the decoder's and the eavesdropper's
+        # measurements may be coupled given X.  No bound conditions on Y and Z
+        # together, so the evaluator reads only P(y|x) and P(z|x).  Entries
+        # are multiples of 1/64, so the product of the marginals has exactly
+        # the coupled model's marginals, and the evaluator gives both models
+        # the same bits.  On the coupled joint it agrees with lossy_point.
+        rng = np.random.default_rng(71)
+        metric = DistortionMetric.hamming(2)
+        seen = set()
+        for nx, ny, nz in ((2, 2, 2), (3, 2, 3), (3, 3, 2)):
+            # Most of the mass where z = y mod |Z|.
+            weight = np.where(np.arange(ny)[:, None] % nz == np.arange(nz), 4.0, 0.2)
+            counts = rng.multinomial(64, rng.dirichlet(weight.ravel()), size=nx)
+            coupled = SourceModel(Pmf(rng.dirichlet(np.ones(nx))),
+                                  StochasticMatrix(rng.dirichlet(np.ones(2), size=nx)),
+                                  StochasticMatrix(counts / 64.0), ny, nz)
+            py, pz = coupled.p_y_given_x(), coupled.p_z_given_x()
+            product = SourceModel.from_channels(coupled.px, coupled.meas_enc, py, pz)
+            np.testing.assert_array_equal(product.p_y_given_x().rows, py.rows)
+            np.testing.assert_array_equal(product.p_z_given_x().rows, pz.rows)
+            assert np.abs(coupled.yz_table() - product.yz_table()).max() > 0.05
+            on_coupled = _SchemeEvaluator(coupled, metric)
+            on_product = _SchemeEvaluator(product, metric)
+            joint = build_joint(coupled)
+            for _ in range(6):
+                aux = _random_aux(rng, 2, nu=3, nv=2)
+                mats = (aux.p_u_given_xtilde.rows, aux.p_v_given_u.rows)
+                full = extend_with_auxiliaries(joint, aux)
+                lo, hi = (lambda r: (r.threshold_low, r.threshold_high))(
+                    lossy_point(full, 0.0, metric))
+                for r0 in (0.5 * lo, 0.5 * (lo + hi), hi + 0.1):
+                    got = on_coupled.evaluate(*mats, r0)
+                    assert got == on_product.evaluate(*mats, r0)
+                    want = lossy_point(full, r0, metric)
+                    assert got.regime == want.regime
+                    seen.add(got.regime)
+                    for attr in ("rs", "rl"):
+                        assert getattr(got.bounds, attr) == pytest.approx(
+                            getattr(want.bounds, attr), abs=1e-12)
+        assert seen == {"small_key", "middle_key", "large_key"}
 
     def test_storage_same_bits_alone_and_in_a_stack(self):
         # The grid oracle scores blocks of cells at once; its argmin is the

@@ -418,7 +418,12 @@ def test_generic_objective_path(binary_model):
         pts = trace_region(binary_model, r0, METRIC, [0.2], cfg)
         assert pts[0].rates.d <= 0.2 + 1e-9
         full = extend_with_auxiliaries(build_joint(binary_model), pts[0].scheme)
-        assert lossy_point(full, r0, METRIC) == pts[0].report
+        want, got = lossy_point(full, r0, METRIC), pts[0].report
+        assert got.regime == want.regime
+        for attr in ("threshold_low", "threshold_high", "r_prime"):
+            assert getattr(got, attr) == pytest.approx(getattr(want, attr), abs=1e-12)
+        for attr in ("rw", "rs", "rl", "d"):
+            assert getattr(got.bounds, attr) == pytest.approx(getattr(want.bounds, attr), abs=1e-12)
 
 
 INSTANCE = Path(__file__).resolve().parents[1] / "demos" / "models" / "binary_instance.json"
