@@ -89,11 +89,11 @@ def _simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, basis: Optional[np.nda
     the row duals y and the final basis; a singular basis or the pivot cap
     raises RuntimeError.
 
-    Two LPs use it: the degradedness test here and the storage LP of
-    ``regions._StorageLP``.  The latter has equality rows sum_j x_j q_j = p;
-    it adds one constant to every c_j, so that an optimum leaves no slack in
-    those rows, checks that they came out tight, and solves again from its
-    last basis after adding columns.
+    Two LPs use it: the degradedness test here and the posterior LPs of
+    ``regions._PosteriorLP``.  The latter have equality rows sum_j x_j q_j =
+    p; they add one constant to every c_j, so that an optimum leaves no slack
+    in those rows, check that they came out tight, and solve again from
+    their last basis after adding columns.
     """
     m, n = a.shape
     full = np.hstack([a, np.eye(m)])

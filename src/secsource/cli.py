@@ -53,7 +53,7 @@ def _run_compute_region(args: argparse.Namespace) -> int:
         u_size=args.u_size,
         v_size=args.v_size,
         q_size=args.q_size,
-        method="grid" if args.grid else "descent",
+        method="grid" if args.grid else "lp",
         grid_step=args.grid_step,
     )
     points = regions.trace_region(model, args.r0, metric, args.targets, search)

@@ -17,19 +17,21 @@ variable that U and V depend on, Q is the convexification that the storage
 LP below already takes over its columns.
 
 The "for some scheme" existential in the region statement is resolved
-numerically by ``trace_region``.  The storage rate is minimized by a linear
-program over posteriors P(Xt | U = u) (``_StorageLP``): under U - Xt - Y the
-rate and the optimal-map distortion are linear in the posteriors' weights,
-so time sharing and the |Xt|+1 cardinality bound come with the LP, and its
-duals certify a lower bound on the least rate.  Columns enter by exact
-pricing, a concave ascent per reconstruction map Y -> Xhat whose
-Frank-Wolfe bound certifies the price, each re-solve starting from the last
-basis.  Each leakage is minimized over the rows of the conditional-pmf
-matrices with multi-start exponentiated-gradient (KL mirror) descent, each
-start descending alone.  ``_SchemeEvaluator`` computes the same bounds as
-``lossy_point`` from the raw matrices and the pairwise tables P(Xt,X), P(Xt,Y)
-and P(Xt,Z), building no joint, each term as the entropy of a table linear
-in each matrix, and gives the descent their analytic gradient.
+numerically by ``trace_region``, each objective by a linear program over
+posteriors P(Xt | U = u) (``_PosteriorLP``).  Under U - Xt - (X, Y, Z) the
+storage rate I(U;Xt|Y) and the optimal-map distortion are linear in the
+posteriors' weights, so time sharing and the |Xt|+1 cardinality bound come
+with the LP, and its duals certify a lower bound on the least rate.  With a
+one-symbol V the small-key leakages are rs = [min(I(U;Xt|Z), I(U;Xt|Y)) -
+r0]^+ and rl = [min(I(U;X|Z), I(U;X|Y)) - r0]^+, with no middle-key regime,
+and each of the four informations is the same LP with another concave
+function of the posterior.  Columns enter by exact pricing, a concave ascent
+per reconstruction map Y -> Xhat whose Frank-Wolfe bound certifies the
+price, each re-solve starting from the last basis.  The leakage bounds are
+certified over constant-V schemes only: a live V can go lower.
+``_SchemeEvaluator`` computes the same bounds as ``lossy_point`` from the raw
+matrices and the pairwise tables P(Xt,X), P(Xt,Y) and P(Xt,Z), building no
+joint, each term as the entropy of a table linear in each matrix.
 Its storage form scores a stack of P(U|Xt) matrices and gives each the same
 bits alone as in any stack; it scores distortion as the least one, P(Xt)
 times the metric's row minima, plus the cost above those minima.  The no-key
@@ -76,17 +78,16 @@ Regime = Literal["small_key", "middle_key", "large_key"]
 GRID_CELL_LIMIT = 5_000_000
 # Cells the grid oracle scores per block.
 _GRID_BLOCK = 1024
-# Every descent stops after _MAX_ITERS steps, or earlier once a step gains
-# less than _CONVERGENCE_TOL, per penalty level.
-_MAX_ITERS = 200
-_CONVERGENCE_TOL = 1e-7
-# The storage LP (``_StorageLP``): the certified gap it prices to, the ascent
-# steps it may take per target, the most reconstruction maps it prices over
-# and its objective offset.
+# The posterior LP (``_PosteriorLP``): the certified gap it prices to, the
+# ascent steps it may take per target, the most reconstruction maps it prices
+# over and its objective offset.
 _LP_GAP = 1e-7
 _LP_MAX_STEPS = 1_000
 _LP_MAX_MAPS = 2**16
 _LP_OFFSET = 1.0
+# Safeguarded Newton steps of the line search in the LP's pairwise pricing
+# step (``_PosteriorLP._pairwise_step``).
+_LP_LINE_STEPS = 20
 # The LP aims this far below the target, so that rounding leaves the realized
 # scheme's distortion at or below it.  The simplex may break its distortion
 # row by about as much (its Harris slack), so where the realized scheme still
@@ -244,15 +245,16 @@ class SearchConfig:
     ``u_size``/``v_size`` default to the sufficient cardinality bounds of
     the region (they may be lowered for speed; ``resolved_sizes`` refuses
     sizes above the bounds, which would buy nothing).  Alphabet sizes below 1
-    are refused.  With ``method="descent"`` the storage objective ("rw") is
-    solved as a linear program: it needs ``u_size >= |Xt|+1``, and its
-    schemes have |Xt|+1 U symbols and a constant (one-symbol) V whatever the
-    sizes; the leakage objectives ("rs", "rl") descend.  ``restarts`` and
-    ``seed`` drive only the leakage searches.  ``method="grid"`` runs the
+    are refused.  With ``method="lp"`` every objective ("rw", "rs" or "rl")
+    is solved by certified linear programs (``trace_region``): it needs
+    ``u_size >= |Xt|+1``, and its schemes have |Xt|+1 U symbols and a
+    constant (one-symbol) V whatever the sizes.  ``method="grid"`` runs the
     exhaustive simplex-grid oracle at ``grid_step`` instead, over P(U|Xt)
-    with uniform V rows, as a reference for the storage objective; it is
-    refused with a leakage objective, which the oracle does not minimize.
-    ``q_size`` is refused below 1 and read by nothing else.
+    with uniform V rows over ``v_size`` symbols, as a reference for the
+    storage objective; it is refused with a leakage objective, which the
+    oracle does not minimize.  No search draws random numbers, so ``seed``
+    and ``restarts`` are read by nothing, nor is ``q_size``: no bound depends
+    on Q.  The benchmark passes all three, so they stay, with their checks.
     """
 
     restarts: int = 8
@@ -260,17 +262,17 @@ class SearchConfig:
     seed: int = 0
     u_size: Optional[int] = None
     v_size: Optional[int] = None
-    # ``bench/workloads.py`` passes this field; it goes with the benchmark
-    # change that deletes that use (ROADMAP item 1).
     q_size: Optional[int] = None
     objective: Literal["rw", "rs", "rl"] = "rw"
-    method: Literal["descent", "grid"] = "descent"
+    method: Literal["lp", "grid"] = "lp"
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ModelError("restarts must be >= 1")
         if not 0.0 < self.grid_step <= 0.5:
             raise ModelError("grid_step must lie in (0, 0.5]")
+        if self.method not in ("lp", "grid"):
+            raise ModelError(f"method must be 'lp' or 'grid', got {self.method!r}")
         if self.method == "grid" and self.objective != "rw":
             raise ModelError(f"method='grid' minimizes the storage rate only, not "
                              f"objective={self.objective!r}")
@@ -293,10 +295,12 @@ class SearchConfig:
 class TracePoint:
     """One traced boundary point: target distortion, bounds, and the argmin.
 
-    ``lower_bound`` is the storage LP's certified lower bound on the least
-    storage rate at distortion at most ``target_d``, so rw - lower_bound is
-    the certified gap of ``rates.rw``; None for the leakage searches and the
-    grid oracle.
+    ``lower_bound`` is the LP search's certified lower bound on the least
+    value of the searched rate (``SearchConfig.objective``) at distortion at
+    most ``target_d``, so that rate less ``lower_bound`` is its certified gap;
+    None for the grid oracle.  For the storage rate it bounds every scheme.
+    For a leakage it is [min over A in {Y, Z} of the LP bound - r0]^+ and
+    bounds the constant-V schemes only: a live V can leak less.
     """
 
     target_d: float
@@ -461,27 +465,22 @@ def corollary_point(
 # Every entropy the scheme evaluator takes, as the einsum that forms its table
 # from the rows of P(U|Xt) (au) and P(V|U) (uv), in that order, and one
 # source table: P(Xt) (a), P(Xt,X) (ax), P(Xt,Y) (ay) or P(Xt,Z) (az).
-# The chain V - U - Xt - X - (Y,Z) makes each table linear in each matrix, so
-# the gradient of its entropy is the adjoint einsum applied to
-# -(log2 T + 1/ln 2).  Terms are named by their output subscripts.
+# The chain V - U - Xt - X - (Y,Z) makes each table linear in each matrix.
+# Terms are named by their output subscripts.
 _TERM_SPECS = (
     "au,a->au", "au,az->uz", "au,ax->ux", "au,uv,a->auv", "au,uv,a->av",
     "au,uv,ay->uvy", "au,uv,ay->vy", "au,uv,az->uvz", "au,uv,az->vz", "au,uv,ax->vx",
 )
 
 
-def _term(spec: str) -> tuple[str, tuple[str, int, str, list[str]]]:
-    """name -> (spec, number of matrices, source subscripts, adjoint spec per
-    matrix)."""
+def _term(spec: str) -> tuple[str, tuple[str, int, str]]:
+    """name -> (spec, number of matrices, source subscripts)."""
     ins, out = spec.split("->")
     *mats, src = ins.split(",")
-    return out, (spec, len(mats), src, [
-        ",".join([out, *mats[:i], *mats[i + 1:], src]) + "->" + mats[i]
-        for i in range(len(mats))])
+    return out, (spec, len(mats), src)
 
 
 _TERMS = dict(_term(spec) for spec in _TERM_SPECS)
-_LOG2E = 1.0 / math.log(2.0)
 # The bounds as signed sums of the terms; source entropies are added apart.
 _T_LOW = {"uvy": 1.0, "vy": -1.0, "auv": -1.0, "av": 1.0}         # I(U;Xt|Y,V)
 _R_DIFF = {"vz": 1.0, "uvz": -1.0, "vy": -1.0, "uvy": 1.0}        # I(U;Z|V) - I(U;Y|V)
@@ -522,13 +521,13 @@ class _SchemeEvaluator:
     bound conditions on Y and Z together, as I(U;X|Z) = H(U,Z) - H(U,X) +
     H(X) - H(Z) under U - X - Z, and likewise with V.  Every term is the
     entropy of a table over the auxiliaries and one source variable
-    (``_TERMS``); ``evaluate`` and the leakage descent's ``penalized`` score
-    one scheme from them, each taking only the terms of the bounds it
-    reports, and ``penalized`` also gives the gradient.  ``storage`` gives
-    the storage rate and the optimal-map distortion, which depend on P(U|Xt)
-    only; it takes a stack of matrices and gives a matrix the same bits
-    alone as in any stack, since its sums over Xt run in index order
-    (``_sum_over_xt``).
+    (``_TERMS``); ``evaluate`` scores one scheme from them, taking only the
+    terms of the bounds it reports.  It scores every candidate of
+    ``trace_region``, so each traced point reports the scoring that chose
+    it.  ``storage`` gives the storage rate and the optimal-map distortion,
+    which depend on P(U|Xt) only; it takes a stack of matrices and gives a
+    matrix the same bits alone as in any stack, since its sums over Xt run
+    in index order (``_sum_over_xt``).  The posterior LPs read its tables.
     """
 
     def __init__(self, model: SourceModel, metric: DistortionMetric):
@@ -563,81 +562,30 @@ class _SchemeEvaluator:
                 self.d_floor + _least_cost(core[..., :-1]))
 
     def _bound(self, mats: Sequence[np.ndarray], coefs: dict[str, float],
-               tables: dict[str, tuple[np.ndarray, float]]) -> float:
-        """sum_T coefs[T] H(T) for the scheme ``mats``, forming into ``tables``
-        (name -> table and its entropy) each term not there yet."""
+               entropies: dict[str, float]) -> float:
+        """sum_T coefs[T] H(T) for the scheme ``mats``, adding to
+        ``entropies`` (name -> entropy) each term not there yet."""
         for name in coefs:
-            if name not in tables:
-                spec, k, src, _ = _TERMS[name]
-                table = np.einsum(spec, *mats[:k], self.sources[src])
-                tables[name] = table, entropy_bits(table)
-        return sum(c * tables[name][1] for name, c in coefs.items())
-
-    def _regime(self, mats: Sequence[np.ndarray], r0: float, tables):
-        """The regime at key rate r0 of the scheme ``mats`` (P(U|Xt) and
-        P(V|U)), with I(U;Xt|Y,V), R', I(U;Xt|Y) and the distortion."""
-        t_high, dist = (float(v) for v in self.storage(mats[0]))
-        t_low = _clamp(self._bound(mats, _T_LOW, tables))
-        rp = min(self._bound(mats, _R_DIFF, tables), 0.0)
-        regime: Regime = ("large_key" if r0 >= t_high else
-                          "middle_key" if r0 >= t_low else "small_key")
-        return regime, t_low, rp, t_high, dist
-
-    def _leakage(self, mats, r0: float, objective: str, regime: Regime, rp: float,
-                 tables) -> float:
-        """The leakage ``objective`` ("rs" or "rl") of ``regime``."""
-        if regime == "large_key":
-            return 0.0
-        shift = rp - r0 if regime == "small_key" else 0.0
-        return _clamp(self._bound(mats, _LEAKAGE[regime, objective], tables)
-                      + self.leak_const[objective] + shift)
-
-    def _distortion_gradient(self, pu: np.ndarray) -> np.ndarray:
-        """Subgradient of the distortion at ``pu``: the cost part of
-        ``storage_core`` read at the optimal map and summed over Y."""
-        best = _sum_over_xt(pu, self.storage_core)[..., :-1].argmin(axis=-1)  # (U, Y)
-        return self.storage_core[:, np.arange(best.shape[-1]), best].sum(axis=-1)
+            if name not in entropies:
+                spec, k, src = _TERMS[name]
+                entropies[name] = entropy_bits(np.einsum(spec, *mats[:k], self.sources[src]))
+        return sum(c * entropies[name] for name, c in coefs.items())
 
     def evaluate(self, pu: np.ndarray, pv: np.ndarray, r0: float) -> RegimeReport:
         """``lossy_point`` for the scheme with these rows, at key rate r0,
         taking only the terms of the bounds it reports."""
-        mats, tables = (pu, pv), {}
-        regime, t_low, rp, t_high, dist = self._regime(mats, r0, tables)
-        rs, rl = (self._leakage(mats, r0, o, regime, rp, tables) for o in ("rs", "rl"))
+        mats, entropies = (pu, pv), {}
+        t_high, dist = (float(v) for v in self.storage(pu))
+        t_low = _clamp(self._bound(mats, _T_LOW, entropies))
+        rp = min(self._bound(mats, _R_DIFF, entropies), 0.0)
+        regime: Regime = ("large_key" if r0 >= t_high else
+                          "middle_key" if r0 >= t_low else "small_key")
+        rs = rl = 0.0
+        if regime != "large_key":
+            shift = rp - r0 if regime == "small_key" else 0.0
+            rs, rl = (_clamp(self._bound(mats, _LEAKAGE[regime, o], entropies)
+                             + self.leak_const[o] + shift) for o in ("rs", "rl"))
         return RegimeReport(regime, t_low, t_high, rp, RateTuple(rw=t_high, rs=rs, rl=rl, d=dist))
-
-    def penalized(self, mats: Sequence[np.ndarray], r0: float, objective: str,
-                  target_d: float, penalty: float):
-        """The leakage descent's objective for the scheme ``mats``: its
-        leakage ``objective`` ("rs" or "rl") plus ``penalty * max(0, d - D)``.
-
-        Returns the value, the distortion and a function that gives the
-        gradient with respect to each matrix.  Only the active regime's terms
-        of that leakage enter; R' enters when it is negative and a clamped
-        rate not at all.
-        """
-        tables: dict[str, tuple[np.ndarray, float]] = {}
-        regime, _, rp, _, dist = self._regime(mats, r0, tables)
-        rate = self._leakage(mats, r0, objective, regime, rp, tables)
-        coefs = dict(_LEAKAGE[regime, objective]) if rate > 0.0 else {}
-        if coefs and regime == "small_key" and rp < 0.0:
-            coefs.update(_R_DIFF)
-
-        def gradient() -> list[np.ndarray]:
-            grads = [np.zeros_like(m) for m in mats]
-            for name, c in coefs.items():
-                _, k, src, adjoints = _TERMS[name]
-                t = tables[name][0]
-                with np.errstate(divide="ignore"):
-                    g = np.where(t > 0.0, -c * (np.log2(t) + _LOG2E), 0.0)
-                ops = [*mats[:k], self.sources[src]]
-                for i, adjoint in enumerate(adjoints):
-                    grads[i] += np.einsum(adjoint, g, *ops[:i], *ops[i + 1:])
-            if dist > target_d:
-                grads[0] += penalty * self._distortion_gradient(mats[0])
-            return grads
-
-        return rate + penalty * max(0.0, dist - target_d), dist, gradient
 
 
 def _anchor_u_rows(nxt: int, nu: int) -> np.ndarray:
@@ -649,117 +597,50 @@ def _anchor_u_rows(nxt: int, nu: int) -> np.ndarray:
     return t
 
 
-def _exp_step(m: np.ndarray, g: np.ndarray, eta: float) -> np.ndarray:
-    """M * exp(-eta G) with rows renormalized, for one matrix of the scheme
-    that a start, descending alone, has reached; exact zeros stay zero."""
-    z = np.where(m > 0.0, -eta * g, -np.inf)
-    w = m * np.exp(z - z.max(axis=-1, keepdims=True))
-    return w / w.sum(axis=-1, keepdims=True)
+class _PosteriorLP:
+    """The least I(U;B|A) at each distortion target as a linear program over
+    posteriors q = P(Xt | U = u), with a certified lower bound; B is Xt or X
+    and A is Y or Z.  I(U;Xt|Y) is the storage rate, and at a one-symbol V
+    the small-key leakages are [min over A of I(U;Xt|A) - r0]^+ (rs) and
+    [min over A of I(U;X|A) - r0]^+ (rl).
 
-
-def _mirror_descent(
-    obj: _SchemeEvaluator, mats: list[np.ndarray], r0: float, objective: str,
-    target_d: float,
-) -> list[np.ndarray]:
-    """Exponentiated-gradient (KL mirror) descent of ``obj.penalized`` for
-    the leakage ``objective`` over row-stochastic matrices, from the start
-    ``mats`` (P(U|Xt), P(V|U)), both matrices moved at once by ``_exp_step``.
-
-    Each step tries twice the last accepted size and halves it until the
-    Armijo condition holds.  A penalty level stops after ``_MAX_ITERS`` steps,
-    once a step gains less than ``_CONVERGENCE_TOL`` or once no step size
-    above 1e-12 decreases the objective; while the result misses the target,
-    the penalty (from 32) grows eightfold, up to six times.
-    """
-    penalty, eta = 32.0, 1.0
-    for _ in range(6):  # penalty levels
-        value, dist, gradient = obj.penalized(mats, r0, objective, target_d, penalty)
-        for _ in range(_MAX_ITERS):
-            grads = gradient()
-            eta *= 2.0
-            while eta > 1e-12:
-                trial = [_exp_step(m, g, eta) for m, g in zip(mats, grads)]
-                t_value, t_dist, t_gradient = obj.penalized(trial, r0, objective, target_d,
-                                                            penalty)
-                # The Armijo test of the trial point against the current one.
-                slope = sum(float(np.sum(g * (m - t))) for g, m, t in zip(grads, mats, trial))
-                if t_value <= value - 1e-4 * slope:
-                    break
-                eta *= 0.5
-            else:
-                break  # no step size decreases the objective
-            gain = value - t_value
-            mats, value, dist, gradient = trial, t_value, t_dist, t_gradient
-            if gain < _CONVERGENCE_TOL:
-                break
-        if dist <= target_d + 1e-9:
-            break
-        penalty *= 8.0
-    return mats
-
-
-def _repair_feasibility(
-    obj: _SchemeEvaluator, t: np.ndarray, anchor: np.ndarray, target_d: float
-) -> list[Optional[np.ndarray]]:
-    """Blend each P(U|Xt) matrix of the stack ``t`` that misses the target
-    toward the anchor until it meets it exactly, so that rounding in the
-    reported distortion stays far inside the 1e-9 the searches allow; None
-    where even the anchor misses.  All the misses are bisected together, 60
-    steps each, with the bits each gets alone.  Each step reads the
-    distortion half of ``obj.storage`` alone: the rate's entropies would
-    double its cost."""
-
-    def dist(m: np.ndarray) -> np.ndarray:
-        return obj.d_floor + _least_cost(_sum_over_xt(m, obj.storage_core)[..., :-1])
-
-    out: list[Optional[np.ndarray]] = list(t)
-    miss = np.flatnonzero(dist(t) > target_d) if out else []
-    if not len(miss) or dist(anchor) > target_d:
-        return [None if i in miss else m for i, m in enumerate(out)]
-    ends = t[miss]
-    lo, hi = np.zeros(len(miss)), np.ones(len(miss))
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        ok = dist((1.0 - mid)[:, None, None] * ends + mid[:, None, None] * anchor) <= target_d
-        hi, lo = np.where(ok, mid, hi), np.where(ok, lo, mid)
-    for i, m in zip(miss, (1.0 - hi)[:, None, None] * ends + hi[:, None, None] * anchor):
-        out[i] = m
-    return out
-
-
-class _StorageLP:
-    """The least storage rate at each distortion target as a linear program
-    over posteriors q = P(Xt | U = u), with a certified lower bound.
-
-    Under U - Xt - Y, I(U;Xt|Y) = H(Xt|Y) - sum_u P(u) psi(q_u), where psi(q)
-    is H(Xt|Y) under q(xt) P(y|xt), and the optimal-map distortion is
-    sum_u P(u) delta(q_u) with delta(q) = sum_y min_xhat sum_xt q(xt) P(y|xt)
-    d(xt, xhat) - m(xt), m(xt) the least entry of row xt (the evaluator's
-    costs, under which a vertex costs nothing).  So the least rw at d <= D is
-    H(Xt|Y) minus max sum w psi(q) subject to sum w q = P(Xt),
-    sum w delta(q) <= D - d_floor and w >= 0, over columns q on the simplex
-    over the symbols of positive probability; d_floor = P(Xt).m is the
-    distortion of U = Xt.  With ``_LP_OFFSET`` added to every psi, the
-    optimum of ``channels._simplex`` (rows a x <= b) fills the mass rows.
+    Under U - Xt - X - (Y, Z), I(U;B|A) = H(B|A) - sum_u P(u) psi(q_u),
+    where psi(q) is H(B|A) with P(Xt) replaced by q: psi(q) = q.h + H(qM) -
+    H(qW), with W = P(a|xt) over the A that occur, and M the identity and
+    h(xt) = H(A | Xt = xt) for B = Xt, or M = P(x|xt) and h = M H(A|X=x) for
+    B = X.  The optimal-map distortion is sum_u P(u) delta(q_u) with
+    delta(q) = sum_y min_xhat sum_xt q(xt) P(y|xt) (d(xt, xhat) - m(xt)), m(xt)
+    the least entry of row xt (the evaluator's costs, under which a vertex
+    costs nothing).  So the least value at d <= D is H(B|A) minus max
+    sum w psi(q) subject to sum w q = P(Xt), sum w delta(q) <= D - d_floor and
+    w >= 0, over columns q on the simplex over the symbols of positive
+    probability; d_floor = P(Xt).m is the distortion of U = Xt.  With
+    ``_LP_OFFSET`` added to every psi, the optimum of ``channels._simplex``
+    (rows a x <= b) fills the mass rows.
 
     Certificate: for the duals (lambda, s) and eps >= max_q g(q),
-    g(q) = psi(q) - lambda.q - s delta(q), every scheme with d <= D has
-    rw >= H(Xt|Y) - (lambda.P(Xt) + s (D - d_floor)) - eps.  Pricing is
-    exact (Dantzig-Wolfe column generation): delta(q) is the least c_k.q over
-    reconstruction maps k: Y -> Xhat, c_k(xt) = sum_y P(y|xt) (d(xt, k(y)) -
-    m(xt)), so with s >= 0, max g is the largest over maps of max g_k,
-    g_k(q) = psi(q) - (lambda + s c_k).q, each concave.  Every map keeps an
-    interior point, carried over from step to step and target to target,
-    that the minorize-maximize step q <- normalize(2^(h - lambda - s c_k +
-    W log2(qW))) raises, monotone as in Blahut-Arimoto; W = P(y|xt) over the
-    Y that occur and h(xt) = H(Y | Xt = xt).  That exponent less log2 q is the
-    gradient of g_k, and g_k(q) = q.grad, so the Frank-Wolfe bound
-    g_k(q) + max grad - q.grad is max grad: at any interior q it caps max g_k
-    (Jaggi 2013), and eps is its largest over maps.  Entries are kept at
-    1e-300 or above, so that a step that underflows leaves q interior.
+    g(q) = psi(q) - lambda.q - s delta(q), every scheme with d <= D has a
+    value of at least H(B|A) - (lambda.P(Xt) + s (D - d_floor)) - eps.
+    Pricing is exact (Dantzig-Wolfe column generation): delta(q) is the least
+    c_k.q over reconstruction maps k: Y -> Xhat, c_k(xt) = sum_y P(y|xt)
+    (d(xt, k(y)) - m(xt)), so with s >= 0, max g is the largest over maps of
+    max g_k, g_k(q) = psi(q) - (lambda + s c_k).q, each concave.  psi is
+    1-homogeneous, so g_k(q) = q.grad with grad = h - lambda - s c_k +
+    W log2(qW) - M log2(qM), and the Frank-Wolfe bound g_k(q) + max grad -
+    q.grad is max grad: at any interior q it caps max g_k (Jaggi 2013), and
+    eps is its largest over maps.  Every map keeps an interior point, carried
+    over from step to step and target to target, that an ascent step raises.
+    For B = Xt it is the minorize-maximize step of Blahut-Arimoto, q <-
+    normalize(2^(grad + log2 q)), monotone.  For B = X that step is monotone
+    too but stalls: psi is flat along the posteriors that M maps alike, and
+    the maximizers of g_k lie on faces of the simplex, which multiplicative
+    steps reach only geometrically.  So there each step is a pairwise
+    Frank-Wolfe step with a line search (``_pairwise_step``).  Entries are
+    kept at 1e-300 or above, so that q stays interior.
     After each step the (up to) three points of highest g above the simplex's
     reduced-cost tolerance become columns, which keeps the LP small, and the
-    LP is solved again from its last basis.  A column has its entries below
+    LP is solved again from its last basis, or from the slack basis where
+    the warm start cycles to the pivot cap.  A column has its entries below
     1e-12 set to 0 and its psi and delta taken there: left in, such entries
     broke the simplex's mass rows and left realized schemes above their
     targets.  This stops once eps is at most half of ``_LP_GAP``, or
@@ -769,22 +650,37 @@ class _StorageLP:
     ``_LP_MAX_MAPS`` are refused with ``ModelError``.
     """
 
-    def __init__(self, obj: _SchemeEvaluator):
+    def __init__(self, obj: _SchemeEvaluator, p_xt_a: np.ndarray,
+                 p_a_given_x: Optional[np.ndarray] = None):
+        """The LP of I(U;Xt|A), or of I(U;X|A) given the channel P(a|x), for
+        the table P(Xt, A)."""
         # No posterior puts mass on a symbol of probability zero, so the
         # columns live on the simplex over the others, ``live``.
         self.live = np.flatnonzero(obj.p_xt > 0.0)
         p_xt_y = obj.p_xt_y[self.live]
         occur = p_xt_y.sum(axis=0) > 0.0
-        n, ny, nxh = len(self.live), int(occur.sum()), obj.storage_core.shape[2] - 1
-        if nxh**ny > _LP_MAX_MAPS:
-            raise ModelError(f"the storage LP prices over |Xhat|^|Y| = {nxh}^{ny} = {nxh**ny} "
-                             f"reconstruction maps, above the limit of {_LP_MAX_MAPS}")
+        n, self.ny, nxh = len(self.live), int(occur.sum()), obj.storage_core.shape[2] - 1
+        if nxh**self.ny > _LP_MAX_MAPS:
+            raise ModelError(f"the LP search prices over |Xhat|^|Y| = {nxh}^{self.ny} = "
+                             f"{nxh**self.ny} reconstruction maps, above the limit of "
+                             f"{_LP_MAX_MAPS}")
         self.p_xt, self.d_floor = obj.p_xt[self.live], obj.d_floor
-        self.cond = p_xt_y[:, occur] / self.p_xt[:, None]  # P(y|xt)
-        self.h_y_given_xt = entropy_bits(self.cond, axis=1)
+        p_a = p_xt_a[self.live]
+        self.cond = p_a[:, p_a.sum(axis=0) > 0.0] / self.p_xt[:, None]  # W = P(a|xt)
+        h_a = entropy_bits(p_xt_a.sum(axis=0))
+        if p_a_given_x is None:
+            self.mix = None  # M is the identity
+            self.h = entropy_bits(self.cond, axis=1)
+            self.h_b_given_a = entropy_bits(p_a) - h_a
+        else:
+            p_xt_x = obj.p_xt_x[self.live]
+            seen = p_xt_x.sum(axis=0) > 0.0
+            self.mix = p_xt_x[:, seen] / self.p_xt[:, None]  # M = P(x|xt)
+            self.h = self.mix @ entropy_bits(p_a_given_x[seen], axis=1)
+            p_x = obj.p_xt_x.sum(axis=0)
+            self.h_b_given_a = entropy_bits(p_x[:, None] * p_a_given_x) - h_a
         cost = obj.storage_core[self.live][:, occur, :-1] / self.p_xt[:, None, None]
         self.cost = cost.reshape(n, -1)
-        self.h_xt_given_y = entropy_bits(p_xt_y) - obj.h_y
         # c_k of every map k, the maps in lexicographic order of (k(y))_y.
         self.map_cost = reduce(lambda c, k: (c[:, None] + k.T).reshape(-1, n),
                                cost.transpose(1, 0, 2), np.zeros((1, n)))
@@ -794,15 +690,15 @@ class _StorageLP:
 
     def _values(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """psi and delta of each row of ``q``."""
-        psi = (q @ self.h_y_given_xt + entropy_bits(q, axis=1)
+        psi = (q @ self.h + entropy_bits(q if self.mix is None else q @ self.mix, axis=1)
                - entropy_bits(np.einsum("na,ay->ny", q, self.cond), axis=1))
-        cost = np.einsum("na,ak->nk", q, self.cost).reshape(len(q), 1, self.cond.shape[1], -1)
+        cost = np.einsum("na,ak->nk", q, self.cost).reshape(len(q), 1, self.ny, -1)
         return psi, _least_cost(cost)
 
     def solve(self, target_d: float, margin: float = _LP_MARGIN) -> tuple[np.ndarray, float]:
         """The optimal weights over the columns ``self.q`` at distortion
         target ``target_d`` less ``margin`` (at least ``d_floor``), and the
-        certified lower bound on the least rw at ``target_d`` itself."""
+        certified lower bound on the least value at ``target_d`` itself."""
         budget = target_d - self.d_floor
         if budget < 0.0:
             raise InfeasibleTargetError(
@@ -811,27 +707,40 @@ class _StorageLP:
         b = np.append(self.p_xt, max(budget - margin, 0.0))
         basis, steps = None, 0
         while True:
-            w, y, basis = _simplex(np.vstack([self.q.T, self.delta]), b, self.psi + _LP_OFFSET,
-                                   basis)
+            lhs, c = np.vstack([self.q.T, self.delta]), self.psi + _LP_OFFSET
+            try:
+                w, y, basis = _simplex(lhs, b, c, basis)
+            except RuntimeError:
+                if basis is None:
+                    raise
+                # Near-degenerate pivots just above the simplex's tolerance
+                # can cycle from a warm basis; the slack basis escapes them.
+                w, y, basis = _simplex(lhs, b, c)
             if abs(w.sum() - 1.0) > 1e-12:
-                raise RuntimeError(f"storage LP left mass {w.sum()!r} instead of 1")
+                raise RuntimeError(f"posterior LP left mass {w.sum()!r} instead of 1")
             lam, s = y[:-1] - _LP_OFFSET, max(float(y[-1]), 0.0)
-            a = self.h_y_given_xt - lam - s * self.map_cost
+            a = self.h - lam - s * self.map_cost
             while True:
-                # The MM step's exponent; less log2 q, it is the gradient of
-                # g_k, and g_k(q) = q.grad.
+                # The Blahut-Arimoto exponent; less log2 q, it is the
+                # gradient of g_k for B = Xt.
                 e = a + np.log2(self.points @ self.cond) @ self.cond.T
-                grad = e - np.log2(self.points)
+                if self.mix is None:
+                    grad = e - np.log2(self.points)
+                else:
+                    grad = e - np.log2(self.points @ self.mix) @ self.mix.T
                 g = (self.points * grad).sum(axis=1)
                 eps = max(float(grad.max()), 0.0)
                 if eps <= 0.5 * _LP_GAP or steps == _LP_MAX_STEPS:
-                    bound = self.h_xt_given_y - (float(lam @ self.p_xt) + s * budget) - eps
+                    bound = self.h_b_given_a - (float(lam @ self.p_xt) + s * budget) - eps
                     return np.maximum(w, 0.0), max(bound, 0.0)
                 priced = np.flatnonzero(g > _COST_TOL)
                 new = self.points[priced[np.argsort(-g[priced], kind="stable")[:3]]]
                 steps += 1
-                step = np.exp2(e - e.max(axis=1, keepdims=True))
-                self.points = np.maximum(step / step.sum(axis=1, keepdims=True), 1e-300)
+                if self.mix is None:
+                    step = np.exp2(e - e.max(axis=1, keepdims=True))
+                    self.points = np.maximum(step / step.sum(axis=1, keepdims=True), 1e-300)
+                else:
+                    self.points = self._pairwise_step(a, grad)
                 if len(new):
                     break
             new = np.where(new < 1e-12, 0.0, new)
@@ -841,6 +750,86 @@ class _StorageLP:
             self.psi, self.delta = np.append(self.psi, psi), np.append(self.delta, delta)
             # The slack columns follow the structural ones, which grew.
             basis = np.where(basis >= len(w), basis + len(new), basis)
+
+    def _pairwise_step(self, a: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """Each map's point after one pairwise Frank-Wolfe step of g_k, for
+        B = X, where ``a`` = h - lambda - s c_k and ``grad`` is the gradient.
+
+        Mass moves from the symbol of least gradient in the point's support,
+        j, to the symbol of greatest gradient, i, by the amount in [0, q_j]
+        that maximizes g_k along e_i - e_j.  The slope there is decreasing,
+        as g_k is concave; up to ``_LP_LINE_STEPS`` Newton steps on it, kept
+        inside a bracket that bisects where Newton would leave it, find the
+        amount.  g_k rises up to the largest amount at which the slope was
+        positive; the point takes that amount or the last iterate, whichever
+        gives the higher g_k, so g_k never falls.
+        """
+        q, rows = self.points, np.arange(len(self.points))
+        i = grad.argmax(axis=1)
+        j = np.where(q > 1e-300, grad, np.inf).argmin(axis=1)
+        d_a = a[rows, i] - a[rows, j]
+        d_mix, d_cond = self.mix[i] - self.mix[j], self.cond[i] - self.cond[j]
+        q_mix, q_cond = q @ self.mix, q @ self.cond
+
+        def rise(amount: np.ndarray) -> np.ndarray:
+            """g_k at each point moved by ``amount``, less g_k(q) - H(qM) + H(qW)."""
+            return (amount * d_a + entropy_bits(q_mix + amount[:, None] * d_mix, axis=1)
+                    - entropy_bits(q_cond + amount[:, None] * d_cond, axis=1))
+
+        def slope(amount: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """The slope of g_k along e_i - e_j at each point moved by
+            ``amount``, and its derivative times ln 2."""
+            m_mix, m_cond = q_mix + amount[:, None] * d_mix, q_cond + amount[:, None] * d_cond
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return (d_a + (d_cond * np.log2(m_cond)).sum(axis=1)
+                        - (d_mix * np.log2(m_mix)).sum(axis=1),
+                        (d_cond**2 / m_cond).sum(axis=1) - (d_mix**2 / m_mix).sum(axis=1))
+
+        # Where g_k still rises with all of j's mass moved, all of it moves.
+        hi = q[rows, j]
+        lo = amount = np.where(slope(hi)[0] > 0.0, hi, 0.0)
+        for _ in range(_LP_LINE_STEPS):
+            value, curve = slope(amount)
+            up = value > 0.0
+            lo, hi = np.where(up, amount, lo), np.where(up, hi, amount)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = amount - value * math.log(2.0) / curve
+            last, amount = amount, np.where((newton > lo) & (newton < hi), newton, 0.5 * (lo + hi))
+            # An amount off by 1e-12 of q_j costs g_k about 1e-24 q_j^2.
+            if np.all(np.abs(amount - last) <= 1e-12 * q[rows, j]):
+                break
+        amount = np.where(rise(amount) >= rise(lo), amount, lo)
+        t = q.copy()
+        t[rows, i] += amount
+        t[rows, j] -= amount
+        return np.maximum(t, 1e-300)
+
+    def scheme(self, obj: _SchemeEvaluator, target_d: float) -> tuple[np.ndarray, float]:
+        """P(U|Xt) over |Xt|+1 U symbols from the LP's optimum at
+        ``target_d``, with its certified lower bound.
+
+        P(u|xt) = w_u q_u(xt) / P(xt) over the LP's support, padded with
+        unused symbols; a symbol of probability zero gets the anchor's row.
+        A scheme that rounding leaves above its target is solved for again
+        with a wider margin (``_LP_MARGIN``); U = Xt, which meets every
+        feasible target, is taken only if a row lowered to the least
+        distortion still misses.
+        """
+        nxt = len(obj.p_xt)
+        anchor = _anchor_u_rows(nxt, nxt + 1)
+        margin = _LP_MARGIN
+        while True:
+            w, bound = self.solve(target_d, margin)
+            support = np.flatnonzero(w)
+            t = np.zeros((nxt, nxt + 1))
+            t[self.live, :len(support)] = self.q[support].T * w[support]
+            t = np.where(t.sum(axis=1, keepdims=True) > 0.0, t, anchor)
+            t /= t.sum(axis=1, keepdims=True)
+            if obj.storage(t)[1] <= target_d:
+                return t, bound
+            if margin >= target_d - obj.d_floor:  # the row was at d_floor already
+                return anchor, bound
+            margin *= 16.0
 
 
 def simplex_grid(size: int, step: float) -> np.ndarray:
@@ -916,31 +905,23 @@ def trace_region(
     of a target is scored once by ``_SchemeEvaluator.evaluate``; the first of
     least rate wins and its report is the one returned, so the reported
     distortion is the one that met the target (``lossy_point`` on the 6-axis
-    joint is the reference it agrees with).  For the LP and the descent, the
+    joint is the reference it agrees with).  For the LP searches, the
     previous target's argmin (feasible by monotonicity of the constraint set)
     stays the first candidate, so the minimized rate is non-increasing in D.
 
-    The storage search (objective "rw", method "descent") needs
-    ``u_size >= |Xt|+1`` and reads neither ``cfg.restarts`` nor
-    ``cfg.seed``: at each target it solves ``_StorageLP`` and reports
-    P(u|xt) = w_u q_u(xt) / P(xt) over the LP's support, padded with unused
-    symbols to |Xt|+1 U symbols, with a one-symbol V and the LP's
-    certified ``lower_bound``.  Time sharing is inside the LP, so the traced
-    points lie on the lower convex envelope up to that gap.  The grid method
-    (storage only) reports instead the oracle's argmin at each target, with
-    uniform V rows, and keeps no previous target's scheme.
-
-    A leakage search descends, deterministically given ``cfg.seed``, from the
-    previous argmin, the anchor mixed with uniform rows and ``cfg.restarts``
-    Dirichlet draws, every start for both leakages, and keeps the least
-    requested one, so it never returns a scheme worse than one the other
-    leakage's search finds.  Each (start, objective) pair descends alone, in
-    the order of start, then objective.  Every descended scheme that misses
-    its target is blended toward the anchor until it meets it, all the misses
-    together.  An LP scheme that rounding leaves above its target is solved
-    for again with a wider margin (``_LP_MARGIN``); U = Xt, which meets every
-    feasible target, is taken only if a row lowered to the least distortion
-    still misses.
+    The LP searches (method "lp") need ``u_size >= |Xt|+1``.  At each target
+    they solve posterior LPs (``_PosteriorLP``), each carrying its columns
+    from one target to the next, and report a scheme with |Xt|+1 U symbols
+    and a one-symbol V, with a certified ``lower_bound``.  The storage search
+    solves the LP of I(U;Xt|Y).  A leakage search solves four, of I(U;Xt|A)
+    and I(U;X|A) for A in {Y, Z}, and scores all four schemes, so it is
+    never worse than the other leakage's search; its ``lower_bound`` is
+    [min over A of its leakage's LP bounds - r0]^+, a bound over the
+    constant-V schemes only (a live V can go lower).  Time sharing is inside
+    the LP, so the traced points lie on the lower convex envelope up to
+    that gap.  The grid method (storage only) reports instead the oracle's
+    argmin at each target, with uniform V rows, and keeps no previous
+    target's scheme.
     """
     if not targets:
         raise ValueError("targets must be non-empty")
@@ -949,62 +930,32 @@ def trace_region(
                          f"got r0={r0!r} and targets {list(targets)}")
     nxt = model.xtilde_size
     nu, nv = cfg.resolved_sizes(nxt)
-    lp_search = cfg.objective == "rw" and cfg.method == "descent"
-    if lp_search and nu < nxt + 1:
-        raise ModelError(f"the storage search needs u_size >= |Xt|+1 = {nxt + 1}, got {nu}: "
+    if cfg.method == "lp" and nu < nxt + 1:
+        raise ModelError(f"the LP search needs u_size >= |Xt|+1 = {nxt + 1}, got {nu}: "
                          "its schemes use up to |Xt|+1 posteriors")
     obj = _SchemeEvaluator(model, metric)
-    anchor = _anchor_u_rows(nxt, nxt + 1 if lp_search else nu)
-    if lp_search:
-        lp, constant = _StorageLP(obj), np.ones((nxt + 1, 1))
-    else:
+    if cfg.method == "grid":
         uniform = np.full((nu, nv), 1.0 / nv)
-        objectives = (cfg.objective, "rl" if cfg.objective == "rs" else "rs")
+    elif cfg.objective == "rw":
+        lps = [_PosteriorLP(obj, obj.p_xt_y)]
+    else:
+        # I(U;Xt|Y), I(U;Xt|Z), I(U;X|Y), I(U;X|Z): the first two bound rs.
+        sides = ((obj.p_xt_y, model.p_y_given_x().rows), (obj.p_xt_z, model.p_z_given_x().rows))
+        lps = [_PosteriorLP(obj, p_xt_a, channel if b_is_x else None)
+               for b_is_x in (False, True) for p_xt_a, channel in sides]
+        own = slice(0, 2) if cfg.objective == "rs" else slice(2, 4)
+    constant = np.ones((nxt + 1, 1))
 
     points: list[TracePoint] = []
     carry: Optional[list[np.ndarray]] = None
     for target in sorted(targets):
-        candidates = [carry] if carry is not None else []
-        lower_bound = None
-        if lp_search:
-            margin = _LP_MARGIN
-            while True:
-                w, lower_bound = lp.solve(target, margin)
-                support = np.flatnonzero(w)
-                t = np.zeros((nxt, nxt + 1))
-                t[lp.live, :len(support)] = lp.q[support].T * w[support]
-                # A symbol of probability zero gets the anchor's row.
-                t = np.where(t.sum(axis=1, keepdims=True) > 0.0, t, anchor)
-                t /= t.sum(axis=1, keepdims=True)
-                if obj.storage(t)[1] <= target:
-                    break
-                if margin >= target - obj.d_floor:  # the row was at d_floor already
-                    t = anchor
-                    break
-                margin *= 16.0
-            candidates.append([t, constant])
-        elif cfg.method == "grid":
+        if cfg.method == "grid":
             _, best_t = grid_minimum_storage(model, metric, target, nu, cfg.grid_step)
-            candidates = [[best_t, uniform]]
+            candidates, lower_bound = [[best_t, uniform]], None
         else:
-            starts = list(candidates)
-            for restart in range(cfg.restarts):
-                rng = np.random.default_rng([cfg.seed, restart])
-                mats = [rng.dirichlet(np.ones(n_out), size=n_in)
-                        for n_in, n_out in ((nxt, nu), (nu, nv))]
-                if restart == 0:
-                    starts.append([0.5 * anchor + 0.5 / nu, mats[1]])
-                starts.append(mats)
-            # Each (start, objective) pair descends alone.
-            runs = [_mirror_descent(obj, start, r0, objective, target)
-                    for start in starts for objective in objectives]
-            repaired = _repair_feasibility(obj, np.stack([run[0] for run in runs]), anchor, target)
-            candidates += [[pu, run[1]] for pu, run in zip(repaired, runs) if pu is not None]
-        if not candidates:
-            raise InfeasibleTargetError(
-                f"no feasible scheme found for distortion target {target} "
-                f"with |U| = {nu}"
-            )
+            schemes, bounds = zip(*(lp.scheme(obj, target) for lp in lps))
+            candidates = ([carry] if carry is not None else []) + [[t, constant] for t in schemes]
+            lower_bound = bounds[0] if cfg.objective == "rw" else _clamp(min(bounds[own]) - r0)
         reports = [obj.evaluate(*c, r0) for c in candidates]
         best = int(np.argmin([getattr(rep.bounds, cfg.objective) for rep in reports]))
         carry, report = candidates[best], reports[best]  # the first of least rate

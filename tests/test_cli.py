@@ -294,9 +294,9 @@ class TestCommands:
         self, tmp_path, capsys, model_file, monkeypatch
     ):
         def never(*args, **kwargs):
-            raise AssertionError("the descent ran")
+            raise AssertionError("an LP was built")
 
-        monkeypatch.setattr(regions, "_mirror_descent", never)
+        monkeypatch.setattr(regions, "_PosteriorLP", never)
         out = tmp_path / "never.csv"
         rc = cli.main(["compute-region", "--model", str(model_file), "--u-size", "26",
                        "--targets", "0.1", "--output", str(out)])

@@ -25,7 +25,7 @@ from secsource.regions import (
 
 METRIC = DistortionMetric.hamming(2)
 CFG = SearchConfig(restarts=4, seed=13, u_size=3, v_size=1)
-# One search of each kind: the storage LP, the grid oracle and a leakage descent.
+# One search of each kind: the storage LP, the grid oracle and the leakage LPs.
 SEARCHES = (
     CFG,
     SearchConfig(u_size=3, v_size=1, method="grid", grid_step=0.1),
@@ -284,64 +284,65 @@ def test_search_config_validation():
     for objective in ("rs", "rl"):
         with pytest.raises(ModelError, match="method='grid' minimizes the storage rate only"):
             SearchConfig(method="grid", objective=objective)
+    # An unknown method is refused, not run as the LP search.
+    with pytest.raises(ModelError, match="method must be 'lp' or 'grid', got 'descent'"):
+        SearchConfig(method="descent")
 
 
 def test_sizes_above_sufficient_bounds_refused_before_search(binary_model, monkeypatch):
     def never(*args, **kwargs):
-        raise AssertionError("the descent ran")
+        raise AssertionError("an LP was built")
 
-    monkeypatch.setattr(regions, "_mirror_descent", never)
+    monkeypatch.setattr(regions, "_PosteriorLP", never)
     bounds = regions.default_cardinalities(binary_model.xtilde_size)
     assert SearchConfig().resolved_sizes(binary_model.xtilde_size) == bounds
     # No bound depends on Q, so q_size is bounded by nothing.
     assert SearchConfig(q_size=3).resolved_sizes(binary_model.xtilde_size) == bounds
-    for name, bound in zip(("u_size", "v_size"), bounds):
-        cfg = SearchConfig(**{name: bound + 1})
-        with pytest.raises(ModelError, match=f"{name}={bound + 1} exceeds the sufficient "
-                                             f"bound {bound}"):
-            trace_region(binary_model, 0.0, METRIC, [0.1], cfg)
+    for objective in ("rw", "rs", "rl"):
+        for name, bound in zip(("u_size", "v_size"), bounds):
+            cfg = SearchConfig(objective=objective, **{name: bound + 1})
+            with pytest.raises(ModelError, match=f"{name}={bound + 1} exceeds the sufficient "
+                                                 f"bound {bound}"):
+                trace_region(binary_model, 0.0, METRIC, [0.1], cfg)
 
 
-# trace_region's leakage searches as the stacked descent (every start of a
-# target moved in lockstep) returned them: leakage_boundary's two searches on
-# the binary instance and one ternary case.  Per case: (rw, rs, rl, d), the
-# regime, threshold_low, threshold_high, r_prime, the rows of P(U|Xt) and
-# P(V|U), and the constant (|V|, 1) P(Q|V) that the scheme reports.
-_BINARY_SCHEME = (
-    [[2.8303642385993398e-05, 0.10456876788364024, 0.8954029284739737],
-     [2.6116411279836585e-05, 0.9045569079475142, 0.0954169756412059]],
-    [[0.0034682116283697223, 0.9965317883716303], [0.6548929001813895, 0.3451070998186106],
-     [0.6356241055470802, 0.3643758944529199]],
-    [[1.0], [1.0]],
-)
+# trace_region's leakage searches as the four posterior LPs return them:
+# leakage_boundary's two searches on the binary instance and one ternary case.
+# Per case: (rw, rs, rl, d), the regime, threshold_low, threshold_high,
+# r_prime, the rows of P(U|Xt) and P(V|U), and the constant (|V|, 1) P(Q|V)
+# that the scheme reports.  The mirror descent that these LPs replaced
+# returned rs = 0.4219767297406266, rl = 0.11082921320963798 and, on the
+# ternary case, rs = 0.8425802693618261: 1.46e-4, 1.50e-3 and 0.133 bits above.
 _PINNED_LEAKAGE_SEARCHES = {
     "binary-rs": (
-        (0.4219527607114233, 0.4219767297406266, 0.210829213209638, 0.09999994636939963),
-        "small_key", 0.4218086392593743, 0.4219527607114233, -0.061326064194025864,
-        _BINARY_SCHEME),
+        (0.4218305182323452, 0.4218305182323452, 0.21054761727819882, 0.09999999999900004),
+        "small_key", 0.4218305182323452, 0.4218305182323452, -0.06122707552270601,
+        ([[0.01147597015954883, 0.8915077820829339, 0.09701624775751733],
+          [0.01147597015954883, 0.09701624775751733, 0.8915077820829339]],
+         [[1.0], [1.0], [1.0]], [[1.0]])),
     "binary-rl": (
-        (0.4219527607114233, 0.32197672974062663, 0.11082921320963798, 0.09999994636939963),
-        "small_key", 0.4218086392593743, 0.4219527607114233, -0.061326064194025864,
-        _BINARY_SCHEME),
+        (0.4252167272179277, 0.3252167272179277, 0.10932646406016264, 0.099999999999),
+        "small_key", 0.4252167272179277, 0.4252167272179277, -0.06023255250217607,
+        ([[0.13015563348614675, 0.06615953529260175, 0.8036848312212515],
+          [0.13015563348614675, 0.8036848312212513, 0.06615953529260193]],
+         [[1.0], [1.0], [1.0]], [[1.0]])),
     "ternary": (
-        (0.8924281903463689, 0.8425802693618261, 0.0, 0.14999998050021413),
-        "small_key", 0.7781413530179546, 0.8924281903463689, -0.0032604888746239347,
-        ([[0.9479717209655856, 0.014691085940291611, 0.02081189224138248,
-           0.016525300852740333],
-          [0.14044262613335368, 0.30639725379271077, 0.4283885651966431, 0.1247715548772924],
-          [0.011193108562300913, 0.011896521844668134, 0.01633493414049242,
-           0.9605754354525385]],
-         [[0.0948125379509998, 0.9051874620490002], [0.4156879126609016, 0.5843120873390985],
-          [0.862294965758558, 0.137705034241442], [0.4337044934218526, 0.5662955065781475]],
-         [[1.0], [1.0]])),
+        (0.7596464542351389, 0.7096464542351391, 0.0, 0.149999999999),
+        "small_key", 0.7596464542351389, 0.7596464542351389, -0.002563981544197347,
+        ([[0.042228752966077227, 0.8002677184355093, 0.14005916050445721,
+           0.017444368093956227],
+          [0.025097026809758054, 0.04157653935614211, 0.9229590521470145,
+           0.010367381687085475],
+          [0.5422408160786941, 0.07789003458908794, 0.1558871998012968,
+           0.22398194953092115]],
+         [[1.0], [1.0], [1.0], [1.0]], [[1.0]])),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_PINNED_LEAKAGE_SEARCHES))
 def test_leakage_search_matches_recorded_outputs(case):
-    # Each (start, objective) pair descends alone; the searches must return
-    # what they returned when all pairs of a target descended as one stack.
-    # The ternary case takes two restarts and a key rate.
+    # The ternary case takes a key rate; restarts, seed and v_size are read
+    # by nothing.
     model, r0, target, cfg = {
         "binary-rs": (modelio.parse_model(INSTANCE), 0.0, 0.1, SearchConfig(
             restarts=1, seed=7, u_size=3, v_size=2, objective="rs")),
@@ -363,57 +364,25 @@ def test_leakage_search_matches_recorded_outputs(case):
         np.testing.assert_allclose(m.rows, want, rtol=0.0, atol=1e-12)
 
 
-def _repair_alone(obj, t, anchor, target_d):
-    """One matrix's feasibility repair, step by step: the bisection that the
-    stacked ``_repair_feasibility`` applies to every miss of its stack."""
-    def dist(m):
-        return obj.storage(m)[1]
-
-    if dist(t) <= target_d:
-        return t
-    if dist(anchor) > target_d:
-        return None
-    lo, hi = 0.0, 1.0
+def _blend_to_target(obj, t, target_d):
+    """Each P(U|Xt) of the stack ``t`` that misses ``target_d`` blended
+    toward U = Xt (over t's |U| symbols) until its optimal-map distortion
+    meets it, by 60 bisection steps, all at once."""
+    nxt, nu = t.shape[-2:]
+    anchor = np.zeros((nxt, nu))
+    anchor[np.arange(nxt), np.arange(nxt) % nu] = 1.0
+    lo, hi = np.zeros(len(t)), np.where(obj.storage(t)[1] <= target_d, 0.0, 1.0)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if dist((1.0 - mid) * t + mid * anchor) <= target_d:
-            hi = mid
-        else:
-            lo = mid
-    return (1.0 - hi) * t + hi * anchor
-
-
-def test_stacked_repair_matches_each_alone(binary_model):
-    obj = regions._SchemeEvaluator(binary_model, METRIC)
-    rng = np.random.default_rng(67)
-    t = rng.dirichlet(np.ones(3), size=(8, 2))
-    anchor = regions._anchor_u_rows(2, 3)
-    t[3] = anchor  # meets every target as it is
-    dist = obj.storage(t)[1]
-    # The last anchor misses 0.05, so only the matrices that meet it stay.
-    for far, target in ((anchor, 0.0), (anchor, 0.05), (anchor, float(np.median(dist))),
-                        (np.full((2, 3), 1.0 / 3), 0.05)):
-        repaired = regions._repair_feasibility(obj, t, far, target)
-        assert len(repaired) == len(t)
-        for m, r in zip(t, repaired):
-            alone = _repair_alone(obj, m, far, target)
-            if alone is None:
-                assert r is None
-            else:
-                np.testing.assert_array_equal(r, alone)
-                assert obj.storage(r)[1] <= target
-    assert sum(r is None for r in repaired) == np.count_nonzero(dist > 0.05) > 0
-
-
-def test_empty_stack(binary_model):
-    obj = regions._SchemeEvaluator(binary_model, METRIC)
-    empty = np.empty((0, 2, 3))
-    assert regions._repair_feasibility(obj, empty, regions._anchor_u_rows(2, 3), 0.1) == []
+        blend = (1.0 - mid)[:, None, None] * t + mid[:, None, None] * anchor
+        ok = obj.storage(blend)[1] <= target_d
+        hi, lo = np.where(ok, mid, hi), np.where(ok, lo, mid)
+    return (1.0 - hi)[:, None, None] * t + hi[:, None, None] * anchor
 
 
 def test_generic_objective_path(binary_model):
     for objective, r0 in (("rs", 0.0), ("rl", 0.1)):
-        cfg = SearchConfig(restarts=2, seed=5, u_size=2, v_size=1,
+        cfg = SearchConfig(restarts=2, seed=5, u_size=3, v_size=1,
                            objective=objective)
         pts = trace_region(binary_model, r0, METRIC, [0.2], cfg)
         assert pts[0].rates.d <= 0.2 + 1e-9
@@ -499,7 +468,6 @@ def test_storage_lp_certificate_on_random_models(nxt, seed):
     points = trace_region(model, 0.0, metric, list(targets),
                           SearchConfig(u_size=nxt + 1, v_size=1))
     obj = regions._SchemeEvaluator(model, metric)
-    anchor = regions._anchor_u_rows(nxt, nxt + 1)
     draws = np.random.default_rng(seed + 1).dirichlet(np.ones(nxt + 1), size=(500, nxt))
     for p in points:
         d = p.target_d
@@ -509,7 +477,7 @@ def test_storage_lp_certificate_on_random_models(nxt, seed):
         assert p.scheme.v_size == 1
         # (b) no feasible scheme scores below the lower bound: the draws that
         # meet D as they are, and every draw blended toward the anchor.
-        feasible = np.stack(regions._repair_feasibility(obj, draws, anchor, d))
+        feasible = _blend_to_target(obj, draws, d)
         for t in (draws, feasible):
             rw, dist = obj.storage(t)
             assert np.all(rw[dist <= d] >= p.lower_bound)
@@ -532,6 +500,7 @@ def test_storage_lp_certificate_on_random_models(nxt, seed):
     pytest.param(4, (35, 41, 137, 160, 177, 294), False, id="d_max-4"),
     pytest.param(2, (5, 16, 26, 32, 39, 52, 85, 96, 115, 178, 222, 229, 244, 247), True,
                  id="d_max-hamming-2"),
+    pytest.param(4, (110,), True, id="pivot-cap-hamming-4"),
 ])
 def test_storage_lp_certified_on_metrics_with_zero_entries(nxt, seeds, hamming):
     # Random models with 1-5 Y symbols and 2-4 reconstruction symbols, under
@@ -542,7 +511,9 @@ def test_storage_lp_certified_on_metrics_with_zero_entries(nxt, seeds, hamming):
     # of seeds 2000-2027 above it, by up to 0.011 and 0.30 bits.  The other
     # seeds are those of seeds 0-299 whose D_max scheme came out of the LP a
     # rounding error above D_max; blended toward U = Xt to meet it, it lay up
-    # to 0.48 bits (0.12 under Hamming) above its bound.
+    # to 0.48 bits (0.12 under Hamming) above its bound.  On the last case the
+    # simplex, solving again from its last basis, cycled through pivots of
+    # about 1e-12 to its pivot cap; it now solves again from the slack basis.
     for seed in seeds:
         rng = np.random.default_rng(seed)
         ny, nxh = rng.integers(1, 6), rng.integers(2, 5)
@@ -572,7 +543,7 @@ def test_storage_search_widens_its_margin_until_u_equals_xt(binary_model, monkey
         w[len(self.live)] = 1.0  # the column P(Xt)
         return w, 0.0
 
-    monkeypatch.setattr(regions._StorageLP, "solve", solve)
+    monkeypatch.setattr(regions._PosteriorLP, "solve", solve)
     [p] = trace_region(binary_model, 0.0, METRIC, [0.1], CFG)
     assert margins == [regions._LP_MARGIN * 16.0**k for k in range(11)]
     assert margins[-2] < 0.1 <= margins[-1]
@@ -612,7 +583,8 @@ def test_storage_lp_resumes_from_its_basis():
     # cold optimum over all of them with a primal feasible x.  At D = 0.1 it
     # pivots to new columns; at D = 0.3, above D_max, the distortion row's
     # slack is in the basis.
-    lp = regions._StorageLP(regions._SchemeEvaluator(modelio.parse_model(INSTANCE), METRIC))
+    obj = regions._SchemeEvaluator(modelio.parse_model(INSTANCE), METRIC)
+    lp = regions._PosteriorLP(obj, obj.p_xt_y)
     for d in (0.05, 0.1, 0.15):
         lp.solve(d)
     a, c = np.vstack([lp.q.T, lp.delta]), lp.psi + regions._LP_OFFSET
@@ -650,7 +622,8 @@ def test_storage_lp_matches_highs(nxt, seed):
     # feasibility tolerances (1e-7) once left it 1.8e-9 short of the optimum.
     linprog = pytest.importorskip("scipy.optimize").linprog
     model, metric = _random_storage_case(nxt, seed)
-    lp = regions._StorageLP(regions._SchemeEvaluator(model, metric))
+    obj = regions._SchemeEvaluator(model, metric)
+    lp = regions._PosteriorLP(obj, obj.p_xt_y)
     for d in (0.1, 0.2):
         w, _ = lp.solve(d)
         res = linprog(-lp.psi, A_ub=lp.delta[None], b_ub=[d - lp.d_floor], A_eq=lp.q.T,
@@ -661,11 +634,115 @@ def test_storage_lp_matches_highs(nxt, seed):
         assert w @ lp.psi == pytest.approx(-res.fun, abs=1e-9)
 
 
+def _ternary_leakage_model(case):
+    """A ternary model of the leakage battery: two random ones, and one whose
+    eavesdropper (Z) sees X better than the decoder (Y) does."""
+    if case == "z-better":
+        rng = np.random.default_rng(5)
+        mix = np.full((3, 3), 1.0 / 3.0)
+        return SourceModel.from_channels(
+            probability.Pmf(rng.dirichlet(np.ones(3))),
+            StochasticMatrix(0.8 * np.eye(3) + 0.2 * rng.dirichlet(np.ones(3), size=3)),
+            StochasticMatrix(0.4 * np.eye(3) + 0.6 * mix),
+            StochasticMatrix(0.9 * np.eye(3) + 0.1 * mix))
+    return random_model(np.random.default_rng(int(case)), nx=3, nxt=3, ny=3, nz=3)
+
+
+def _grid_leakages(model, metric, d, step):
+    """min over P(U|Xt) of I(U;Xt|A) and of I(U;X|A), A = Y and Z, at
+    distortion at most d, by HiGHS over the posteriors P(Xt | U = u) on the
+    ``step``-grid of the simplex: {(B, A): value}."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    q = simplex_grid(model.xtilde_size, step)
+    p_xt_x = (model.px.probs[:, None] * model.meas_enc.rows).T
+    p_xt = p_xt_x.sum(axis=1)
+    p_x_given_xt = p_xt_x / p_xt[:, None]
+    chan = {"Y": model.p_y_given_x().rows, "Z": model.p_z_given_x().rows}
+    # The optimal-map distortion of each column.
+    cost = np.einsum("na,ay,ab->nyb", q, p_x_given_xt @ chan["Y"], metric.table)
+    delta = cost.min(axis=2).sum(axis=1)
+    out = {}
+    for b in ("Xt", "X"):
+        for a, p_a_given_x in chan.items():
+            def h_b_given_a(weights):  # H(B|A) with P(Xt) = each row of weights
+                if b == "Xt":
+                    joint = weights[:, :, None] * (p_x_given_xt @ p_a_given_x)[None]
+                else:
+                    joint = (weights @ p_x_given_xt)[:, :, None] * p_a_given_x[None]
+                return (probability.entropy_bits(joint.reshape(len(joint), -1), axis=1)
+                        - probability.entropy_bits(joint.sum(axis=1), axis=1))
+            res = linprog(-h_b_given_a(q), A_ub=delta[None], b_ub=[d], A_eq=q.T, b_eq=p_xt,
+                          bounds=(0.0, None), method="highs",
+                          options={"primal_feasibility_tolerance": 1e-10,
+                                   "dual_feasibility_tolerance": 1e-10})
+            assert res.success
+            out[b, a] = float(h_b_given_a(p_xt[None])[0] + res.fun)
+    return out
+
+
+_BATTERY = ("3", "8", "z-better")
+
+
+@pytest.mark.parametrize("case", _BATTERY)
+def test_leakage_lp_certificate_battery(case):
+    # Constant-V leakage searches on ternary models: each point is certified
+    # to the LP's gap, meets its target, and lies below no feasible
+    # constant-V scheme's leakage.
+    model, metric = _ternary_leakage_model(case), DistortionMetric.hamming(3)
+    obj = regions._SchemeEvaluator(model, metric)
+    draws = np.random.default_rng(11).dirichlet(np.ones(4), size=(100, 3))
+    targets = (0.1, 0.2)
+    for r0 in (0.0, 0.1):
+        traced = {objective: trace_region(model, r0, metric, list(targets), SearchConfig(
+            u_size=4, v_size=2, objective=objective)) for objective in ("rs", "rl")}
+        for k, d in enumerate(targets):
+            reps = [obj.evaluate(t, np.ones((4, 1)), r0) for t in _blend_to_target(obj, draws, d)]
+            for objective, points in traced.items():
+                p = points[k]
+                assert getattr(p.rates, objective) - p.lower_bound <= regions._LP_GAP
+                assert p.rates.d <= d and p.scheme.v_size == 1
+                for rep in reps:
+                    assert rep.bounds.d > d or getattr(rep.bounds, objective) >= p.lower_bound
+
+
+@pytest.mark.parametrize("case", _BATTERY)
+def test_leakage_lp_agrees_with_highs_on_a_grid(case):
+    # HiGHS over the 1/80 posterior grid: the grid's columns are schemes too,
+    # so neither end of a search's interval lies above the grid's optimum,
+    # and the grid stays within 1e-3 bits of it (8.3e-4 at most here; 2.0e-3
+    # on the 1/40 grid).
+    model, metric = _ternary_leakage_model(case), DistortionMetric.hamming(3)
+    for d in (0.1, 0.2):
+        grid = _grid_leakages(model, metric, d, 1.0 / 80.0)
+        for objective, b in (("rs", "Xt"), ("rl", "X")):
+            want = min(grid[b, "Y"], grid[b, "Z"])
+            [p] = trace_region(model, 0.0, metric, [d],
+                               SearchConfig(u_size=4, v_size=1, objective=objective))
+            value = getattr(p.rates, objective)
+            assert p.lower_bound <= want + 1e-9 and value <= want + regions._LP_GAP
+            assert want - value <= 1e-3
+        if case == "z-better":  # the eavesdropper's side is the one that binds
+            assert grid["Xt", "Z"] < grid["Xt", "Y"] and grid["X", "Z"] < grid["X", "Y"]
+
+
+def test_leakage_search_refusals(binary_model):
+    # The leakage searches take their schemes from the same posterior LPs as
+    # the storage search, so they refuse what it refuses.
+    for objective in ("rs", "rl"):
+        with pytest.raises(ModelError, match=r"u_size >= \|Xt\|\+1 = 3, got 2"):
+            trace_region(binary_model, 0.0, METRIC, [0.1],
+                         SearchConfig(u_size=2, v_size=1, objective=objective))
+        model = random_model(np.random.default_rng(0), nxt=2, ny=17)
+        with pytest.raises(ModelError, match=r"2\^17 = 131072 reconstruction maps"):
+            trace_region(model, 0.0, METRIC, [0.1], SearchConfig(u_size=3, objective=objective))
+
+
 def test_leakage_searches_reach_the_lower_leakage():
     # Secrecy leakage at r0 = 0 and privacy leakage at r0 = 0.1, D = 0.10,
     # (|U|, |V|, |Q|) = (3, 2, 2), one restart.  The finite-difference
     # descent stopped at rs = 0.455343 although the rl search found a scheme
-    # with rs = 0.4236; it reached rl = 0.111692.
+    # with rs = 0.4236; it reached rl = 0.111692.  The posterior LPs reach
+    # rs = 0.4218305 and rl = 0.1093265.
     model = modelio.parse_model(INSTANCE)
     sizes = dict(restarts=1, seed=7, u_size=3, v_size=2)
     found = {}
