@@ -36,10 +36,9 @@ i.i.d. uniform and independent of everything else).  That reproduces the
 ML-in-bin error event exactly in distribution, with fresh bin randomness per
 trial, i.e. the reported error rate estimates the expectation over random
 bin assignments - the quantity the achievability analysis controls.  A
-block of trials (``_layer_success_block``) forms each distinct
-side-information group's composition types once, and sorts a group merged
-last once; each trial then counts with the routine of the one-trial
-``log2_competitor_count`` (``_log2_count``), with the same bits.
+block of trials (``_log2_counts``) forms each distinct side-information
+group's composition types once, and sorts a group merged last once; the
+one-trial ``log2_competitor_count`` is a block of one trial.
 
 Each trial of ``run_experiment`` owns its random stream: trial t draws from
 ``default_rng([seed, 7, t])``, in this order, 3n uniforms (X^n, Xt^n,
@@ -722,28 +721,54 @@ def _cross_types(types) -> tuple[np.ndarray, np.ndarray]:
     return lls, logcounts
 
 
-def _log2_count(types: list, last: int, others: list, true_ll: float, ranked: dict) -> float:
-    """log2 of the count of sequences at least as likely as the truth, whose
-    log-likelihood is ``true_ll``, the truth included.
+def _log2_counts(
+    log_p: np.ndarray, true_seq: np.ndarray, side: tuple[np.ndarray, ...]
+) -> list[float]:
+    """log2 of the count of sequences at least as likely as the truth, the
+    truth included, for each trial of a block of the collision engine.
 
-    ``types[k]`` holds group k's (ll, logcnt) from ``_type_tables``.  Group
-    ``last`` is merged last: its log-likelihoods are sorted, and the suffix
-    log-sums of their counts formed, on its first use and kept in
-    ``ranked`` under ``last``, so the callers that share ``ranked`` sort
-    each group once.  Each type of the cross product of the groups
-    ``others`` (``_cross_types``) finds the qualifying ones by binary
-    search, so it costs |A| log |B| rather than |A| |B|.
+    ``log_p[s, c...]`` is ln P(symbol s | side symbols c...), ``true_seq``
+    and ``side`` the (trials, n) true and side-information sequences.  In
+    each trial, positions with equal side symbols form one group, and the
+    count enumerates each group's composition types (``_type_tables``),
+    which is exact.  The block's groups are labelled at once (trial-offset
+    labels give their sizes in one ``bincount``), the truths'
+    log-likelihoods are one row sum, and each distinct (label, size) group
+    has its types formed once.  Each trial merges its group with the most
+    types (the first of the largest) last: that group's log-likelihoods are
+    sorted, and the suffix log-sums of their counts formed, once per block.
+    Each type of the cross product of the trial's other groups
+    (``_cross_types``) finds the qualifying ones by binary search, so it
+    costs |A| log |B| rather than |A| |B|.
     """
-    if last not in ranked:
-        ll, logcnt = types[last]
-        order = np.argsort(ll, kind="stable")
-        suffix = np.full(ll.size + 1, -np.inf)  # ln of the summed counts from each rank on
-        np.logaddexp.accumulate(logcnt[order[::-1]], out=suffix[-2::-1])
-        ranked[last] = ll[order], suffix
-    ll_sorted, suffix = ranked[last]
-    lls, logcounts = _cross_types([types[k] for k in others])
-    first = np.searchsorted(ll_sorted, true_ll - _LL_TIE_TOL - lls, side="left")
-    return _log2_sum_exp(logcounts + suffix[first])
+    trials, n = true_seq.shape
+    flat = log_p.reshape(log_p.shape[0], -1)
+    label = np.ravel_multi_index(side, log_p.shape[1:])
+    true_ll = flat[true_seq, label].sum(axis=1)
+    if not np.isfinite(true_ll).all():
+        raise ValueError("the true sequence must have positive probability")
+    sizes = np.bincount((label + flat.shape[1] * np.arange(trials)[:, None]).ravel(),
+                        minlength=trials * flat.shape[1]).reshape(trials, -1)
+    trial, group = np.nonzero(sizes)  # per trial, its groups in label order
+    keys, key_of = np.unique(group * (n + 1) + sizes[trial, group], return_inverse=True)
+    types = _type_tables(flat[:, keys // (n + 1)].T, keys % (n + 1))
+    is_last = group == np.argmax(sizes, axis=1)[trial]
+    others = np.split(key_of[~is_last], np.cumsum(np.count_nonzero(sizes, axis=1) - 1)[:-1])
+    ranked: dict = {}  # last group -> (sorted log-likelihoods, suffix log-sums)
+    counts = []
+    for last, other, ll in zip(key_of[is_last].tolist(), others, true_ll.tolist()):
+        if last not in ranked:
+            ll_last, logcnt = types[last]
+            order = np.argsort(ll_last, kind="stable")
+            # ln of the summed counts from each rank on
+            suffix = np.full(ll_last.size + 1, -np.inf)
+            np.logaddexp.accumulate(logcnt[order[::-1]], out=suffix[-2::-1])
+            ranked[last] = ll_last[order], suffix
+        ll_sorted, suffix = ranked[last]
+        lls, logcounts = _cross_types([types[k] for k in other.tolist()])
+        first = np.searchsorted(ll_sorted, ll - _LL_TIE_TOL - lls, side="left")
+        counts.append(_log2_sum_exp(logcounts + suffix[first]))
+    return counts
 
 
 def log2_competitor_count(
@@ -755,19 +780,10 @@ def log2_competitor_count(
     (positions sharing the same side-information symbol form a group);
     ``groups[i]`` labels position i.  Counts by enumerating composition types
     per group, which is exact; the count includes the true sequence itself.
-    The group with the most types is merged last (``_log2_count``, which
-    ``run_experiment``'s collision engine runs per trial over type tables
-    formed once per block of trials).
+    It is the one-trial block of ``_log2_counts``, the count that
+    ``run_experiment``'s collision engine takes per trial.
     """
-    true_ll = float(per_pos_logp[groups, true_seq].sum())
-    if not math.isfinite(true_ll):
-        raise ValueError("the true sequence must have positive probability")
-    sizes = np.bincount(groups, minlength=per_pos_logp.shape[0])
-    present = np.flatnonzero(sizes)
-    types = _type_tables(per_pos_logp[present], sizes[present])
-    last = int(np.argmax(sizes[present]))  # most types: the first of the largest groups
-    others = [k for k in range(len(types)) if k != last]
-    return _log2_count(types, last, others, true_ll, {})
+    return _log2_counts(per_pos_logp.T, true_seq[None], (groups[None],))[0]
 
 
 def _log2_sum_exp(terms: np.ndarray) -> float:
@@ -800,38 +816,15 @@ def collision_free_probability(log2_count_including_truth: float, bits: int) -> 
 def _layer_success_block(
     log_p: np.ndarray, true_seq: np.ndarray, side: tuple[np.ndarray, ...], bits: int
 ) -> np.ndarray:
-    """P(the layer decodes) for each trial of a block of the collision engine.
-
-    ``log_p[s, c...]`` is ln P(symbol s | side symbols c...), ``true_seq``
-    and ``side`` the (trials, n) true and side-information sequences.  In
-    each trial, positions with equal side symbols form one group of the
-    competitor count, as in ``log2_competitor_count``, which takes one trial.
-    Here the block's groups are labelled at once (trial-offset labels give
-    their sizes in one ``bincount``), the truths' log-likelihoods are one row
-    sum, and each distinct (label, size) group has its types formed once,
-    and once sorted if some trial merges it last.  Per trial there remain
-    the cross product of the other groups, one search, one log-sum and
-    ``collision_free_probability``.  A one-symbol layer always decodes.
+    """P(the layer decodes) for each trial of a block of the collision engine,
+    ``collision_free_probability`` of its competitor count (``_log2_counts``,
+    which takes the same arguments).  A one-symbol layer always decodes.
     """
-    trials, n = true_seq.shape
+    trials = true_seq.shape[0]
     if log_p.shape[0] == 1 or trials == 0:
         return np.ones(trials)
-    flat = log_p.reshape(log_p.shape[0], -1)
-    label = np.ravel_multi_index(side, log_p.shape[1:])
-    true_ll = flat[true_seq, label].sum(axis=1)
-    if not np.isfinite(true_ll).all():
-        raise ValueError("the true sequence must have positive probability")
-    sizes = np.bincount((label + flat.shape[1] * np.arange(trials)[:, None]).ravel(),
-                        minlength=trials * flat.shape[1]).reshape(trials, -1)
-    trial, group = np.nonzero(sizes)  # per trial, its groups in label order
-    keys, key_of = np.unique(group * (n + 1) + sizes[trial, group], return_inverse=True)
-    types = _type_tables(flat[:, keys // (n + 1)].T, keys % (n + 1))
-    is_last = group == np.argmax(sizes, axis=1)[trial]  # most types: the first of the largest
-    others = np.split(key_of[~is_last], np.cumsum(np.count_nonzero(sizes, axis=1) - 1)[:-1])
-    ranked: dict = {}
-    return np.array([
-        collision_free_probability(_log2_count(types, last, other.tolist(), ll, ranked), bits)
-        for last, other, ll in zip(key_of[is_last].tolist(), others, true_ll.tolist())])
+    return np.array([collision_free_probability(count, bits)
+                     for count in _log2_counts(log_p, true_seq, side)])
 
 
 # ---------------------------------------------------------------------------

@@ -206,23 +206,23 @@ def less_noisy_falsify(
     p_y_given_x: StochasticMatrix,
     p_z_given_x: StochasticMatrix,
     trials: int,
-    l_size: Optional[int] = None,
     seed: int = 0,
 ) -> LessNoisyVerdict:
     """Search for a counterexample to "Z is less noisy than Y".
 
-    ``trials`` and ``l_size`` are checked before anything is solved.  A
-    degradedness certificate is checked next: it implies the ordering, so
-    the search is skipped.  Otherwise the canonical candidate L = X under the
-    uniform input law is tried, followed by ``trials`` random (P_X, P_L|X)
-    pairs with Dirichlet(1, ..., 1) rows.  ``l_size`` defaults to |X| + 1.
+    ``trials`` is checked before anything is solved.  A degradedness
+    certificate is checked next: it implies the ordering, so the search is
+    skipped.  Otherwise the canonical candidate L = X under the uniform
+    input law is tried, followed by ``trials`` random (P_X, P_L|X) pairs
+    with Dirichlet(1, ..., 1) rows over |X| + 1 symbols of L.  No witness
+    needs more than two: I(L;Y) - I(L;Z) = g(P_X) - sum_l P(l) g(P_X|l),
+    with g = I(X;Y) - I(X;Z), so a witness exists exactly where g is not
+    convex, and a continuous g that is not convex breaks midpoint convexity
+    on some segment.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     nx = p_y_given_x.input_size
-    l_size = l_size if l_size is not None else nx + 1
-    if l_size < 2:
-        raise ValueError("l_size must be >= 2")
 
     cert = check_stochastic_degraded(p_y_given_x, p_z_given_x)
     if cert.feasible:
@@ -231,14 +231,10 @@ def less_noisy_falsify(
     py, pz = p_y_given_x.rows, p_z_given_x.rows
     rng = np.random.default_rng(seed)
 
-    candidates = []
-    if l_size >= nx:
-        ident = np.zeros((nx, l_size))
-        ident[np.arange(nx), np.arange(nx)] = 1.0
-        candidates.append((np.full(nx, 1.0 / nx), ident))
+    candidates = [(np.full(nx, 1.0 / nx), np.eye(nx, nx + 1))]
     for _ in range(trials):
         candidates.append(
-            (rng.dirichlet(np.ones(nx)), rng.dirichlet(np.ones(l_size), size=nx))
+            (rng.dirichlet(np.ones(nx)), rng.dirichlet(np.ones(nx + 1), size=nx))
         )
 
     run = 0

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import binning, channels, gaussian, modelio, regions
-from .probability import ModelError, build_joint
+from .probability import ModelError, StochasticMatrix, build_joint
 
 DEFAULT_SEED = 2022
 
@@ -75,8 +75,6 @@ def _run_lossless_region(args: argparse.Namespace) -> int:
         if aux_v.input_size != model.xtilde_size:
             raise ModelError("lossless aux file must give P(V|Xt): rows over Xt")
     else:
-        from .probability import StochasticMatrix
-
         aux_v = StochasticMatrix.constant(model.xtilde_size, 1)
     report = regions.lossless_point(joint, aux_v, args.r0)
     rows = [[0.0, report.bounds.rw, report.bounds.rs, report.bounds.rl, report.regime]]
@@ -146,9 +144,7 @@ def _run_check_channel(args: argparse.Namespace) -> int:
     else:
         model = modelio.parse_model(args.model)
         p_y, p_z = model.p_y_given_x(), model.p_z_given_x()
-    verdict = channels.less_noisy_falsify(
-        p_y, p_z, trials=args.trials, l_size=args.l_size, seed=args.seed
-    )
+    verdict = channels.less_noisy_falsify(p_y, p_z, trials=args.trials, seed=args.seed)
     cert = verdict.certificate
     if cert.feasible:
         print("degraded: yes (decoder channel = eavesdropper channel + post-processing)")
@@ -195,7 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="has no effect on this command: its storage search (the "
                          "linear program, or the grid oracle) draws no random numbers")
     cr.add_argument("--u-size", type=int, default=None)
-    cr.add_argument("--v-size", type=int, default=None)
+    cr.add_argument("--v-size", type=int, default=None,
+                    help="checked against 1 and the sufficient bound, and otherwise "
+                         "read by nothing: every search reports a one-symbol V")
     cr.add_argument("--q-size", type=int, default=None,
                     help="refused below 1 and otherwise read by nothing: no bound "
                          "depends on Q")
@@ -239,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--model", type=Path)
     group.add_argument("--channels", type=Path, dest="channel_pair")
     cc.add_argument("--trials", type=int, default=200)
-    cc.add_argument("--l-size", type=int, default=None)
     cc.add_argument("--seed", type=int, default=DEFAULT_SEED)
     cc.set_defaults(run=_run_check_channel)
 

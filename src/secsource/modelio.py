@@ -45,7 +45,8 @@ def _load(path: PathLike, what: str) -> dict:
         raise ModelError(f"malformed {what} file {p}: {exc}") from exc
     if not isinstance(data, dict):
         raise ModelError(f"{what} file {p} must hold a JSON object")
-    if data.get("schema") != SCHEMA_VERSION:
+    # JSON true and 1.0 compare equal to 1; a version is an int, and a bool is not one.
+    if type(data.get("schema")) is not int or data["schema"] != SCHEMA_VERSION:
         raise ModelError(
             f"{what} file {p} has schema {data.get('schema')!r}; expected {SCHEMA_VERSION}"
         )
@@ -76,8 +77,10 @@ def parse_model(path: PathLike) -> SourceModel:
     dec = _matrix(data, "p_yz_given_x", "model")
     y_size = data.get("y_size")
     z_size = data.get("z_size")
-    if not isinstance(y_size, int) or not isinstance(z_size, int):
-        raise ModelError("model file needs integer 'y_size' and 'z_size'")
+    for key, size in (("y_size", y_size), ("z_size", z_size)):
+        if type(size) is not int:  # a JSON true is a bool, not an int
+            raise ModelError(f"model file needs integer 'y_size' and 'z_size', "
+                             f"got {key} = {size!r}")
     return SourceModel(px=px, meas_enc=enc, meas_dec_eve=dec, y_size=y_size, z_size=z_size)
 
 

@@ -31,14 +31,16 @@ price, each re-solve starting from the last basis.  The leakage bounds are
 certified over constant-V schemes only: a live V can go lower.
 ``_SchemeEvaluator`` computes the same bounds as ``lossy_point`` from the raw
 matrices and the pairwise tables P(Xt,X), P(Xt,Y) and P(Xt,Z), building no
-joint, each term as the entropy of a table linear in each matrix.
-Its storage form scores a stack of P(U|Xt) matrices and gives each the same
-bits alone as in any stack; it scores distortion as the least one, P(Xt)
-times the metric's row minima, plus the cost above those minima.  The no-key
-form, the search and the exhaustive simplex-grid oracle,
-``grid_minimum_storage``, take the model; the oracle is kept as a reference
-for the storage search, scoring the grid a block of cells at a time, and its
-first argmin is the one a cell-by-cell scan returns, bit for bit.
+joint: each bound is a signed sum of the entropies of a few tables, each
+linear in each matrix.  Its storage form scores a stack of P(U|Xt) matrices
+and gives each the same bits alone as in any stack; it scores distortion as
+the least one, P(Xt) times the metric's row minima, plus the cost above
+those minima.  The no-key form, the search and the exhaustive simplex-grid
+oracle, ``grid_minimum_storage``, take the model; the oracle is kept as a
+reference for the storage search, scoring the grid a block of cells at a
+time, and its first argmin is the one a cell-by-cell scan returns, bit for
+bit.  Every search reports a one-symbol V: a V independent of everything
+changes no bound.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ _LP_LINE_STEPS = 20
 # scheme's distortion at or below it.  The simplex may break its distortion
 # row by about as much (its Harris slack), so where the realized scheme still
 # misses, the LP is solved again with the margin 16 times as wide.  A scheme
-# is never blended toward the anchor instead: the optimal-map distortion is
+# is never blended toward U = Xt instead: the optimal-map distortion is
 # concave along that segment, and at D_max undoing a 6e-17 overshoot that way
 # cost up to 1.0 bit.
 _LP_MARGIN = 1e-12
@@ -250,11 +252,12 @@ class SearchConfig:
     ``u_size >= |Xt|+1``, and its schemes have |Xt|+1 U symbols and a
     constant (one-symbol) V whatever the sizes.  ``method="grid"`` runs the
     exhaustive simplex-grid oracle at ``grid_step`` instead, over P(U|Xt)
-    with uniform V rows over ``v_size`` symbols, as a reference for the
-    storage objective; it is refused with a leakage objective, which the
-    oracle does not minimize.  No search draws random numbers, so ``seed``
-    and ``restarts`` are read by nothing, nor is ``q_size``: no bound depends
-    on Q.  The benchmark passes all three, so they stay, with their checks.
+    with a one-symbol V, as a reference for the storage objective; it is
+    refused with a leakage objective, which the oracle does not minimize.
+    No search draws random numbers, so ``seed`` and ``restarts`` are read by
+    nothing; nor is ``v_size`` beyond its checks, since every search reports
+    a one-symbol V, nor ``q_size``, since no bound depends on Q.  The
+    benchmark passes all four, so they stay, with their checks.
     """
 
     restarts: int = 8
@@ -462,36 +465,6 @@ def corollary_point(
 # ---------------------------------------------------------------------------
 
 
-# Every entropy the scheme evaluator takes, as the einsum that forms its table
-# from the rows of P(U|Xt) (au) and P(V|U) (uv), in that order, and one
-# source table: P(Xt) (a), P(Xt,X) (ax), P(Xt,Y) (ay) or P(Xt,Z) (az).
-# The chain V - U - Xt - X - (Y,Z) makes each table linear in each matrix.
-# Terms are named by their output subscripts.
-_TERM_SPECS = (
-    "au,a->au", "au,az->uz", "au,ax->ux", "au,uv,a->auv", "au,uv,a->av",
-    "au,uv,ay->uvy", "au,uv,ay->vy", "au,uv,az->uvz", "au,uv,az->vz", "au,uv,ax->vx",
-)
-
-
-def _term(spec: str) -> tuple[str, tuple[str, int, str]]:
-    """name -> (spec, number of matrices, source subscripts)."""
-    ins, out = spec.split("->")
-    *mats, src = ins.split(",")
-    return out, (spec, len(mats), src)
-
-
-_TERMS = dict(_term(spec) for spec in _TERM_SPECS)
-# The bounds as signed sums of the terms; source entropies are added apart.
-_T_LOW = {"uvy": 1.0, "vy": -1.0, "auv": -1.0, "av": 1.0}         # I(U;Xt|Y,V)
-_R_DIFF = {"vz": 1.0, "uvz": -1.0, "vy": -1.0, "uvy": 1.0}        # I(U;Z|V) - I(U;Y|V)
-_LEAKAGE = {  # each leakage by (regime, objective), less its source entropies
-    ("small_key", "rs"): {"uz": 1.0, "au": -1.0},                 # I(U;Xt|Z)
-    ("small_key", "rl"): {"uz": 1.0, "ux": -1.0},                 # I(U;X|Z)
-    ("middle_key", "rs"): {"vz": 1.0, "av": -1.0},                # I(V;Xt|Z)
-    ("middle_key", "rl"): {"vz": 1.0, "vx": -1.0},                # I(V;X|Z)
-}
-
-
 def _sum_over_xt(t: np.ndarray, table: np.ndarray) -> np.ndarray:
     """sum_xt t[..., xt, u] table[xt, ...], of shape (..., |U|, *table.shape[1:]).
 
@@ -519,10 +492,9 @@ class _SchemeEvaluator:
 
     Built once per (model, metric) from ``SourceModel.pairwise_tables``: no
     bound conditions on Y and Z together, as I(U;X|Z) = H(U,Z) - H(U,X) +
-    H(X) - H(Z) under U - X - Z, and likewise with V.  Every term is the
-    entropy of a table over the auxiliaries and one source variable
-    (``_TERMS``); ``evaluate`` scores one scheme from them, taking only the
-    terms of the bounds it reports.  It scores every candidate of
+    H(X) - H(Z) under U - X - Z, and likewise with V.  ``evaluate`` writes
+    each bound of the regime as a signed sum of entropies of tables over the
+    auxiliaries and one source variable.  It scores every candidate of
     ``trace_region``, so each traced point reports the scoring that chose
     it.  ``storage`` gives the storage rate and the optimal-map distortion,
     which depend on P(U|Xt) only; it takes a stack of matrices and gives a
@@ -547,9 +519,8 @@ class _SchemeEvaluator:
             [np.einsum("ay,ab->ayb", self.p_xt_y, metric.table - floor[:, None]),
              self.p_xt_y[:, :, None]], axis=2
         )
-        self.sources = {"a": self.p_xt, "ax": self.p_xt_x, "ay": self.p_xt_y, "az": self.p_xt_z}
         # The source entropies of each leakage: H(Xt) - H(Z) and H(X) - H(Z).
-        self.leak_const = {"rs": self.h_xt - h_z, "rl": entropy_bits(model.px.probs) - h_z}
+        self.rs_const, self.rl_const = self.h_xt - h_z, entropy_bits(model.px.probs) - h_z
 
     def storage(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """I(U;Xt|Y) and the optimal-map distortion of P(U|Xt) = ``t``, or of
@@ -561,40 +532,37 @@ class _SchemeEvaluator:
         return (np.maximum(h_uy - h_uxt + self.h_xt - self.h_y, 0.0),
                 self.d_floor + _least_cost(core[..., :-1]))
 
-    def _bound(self, mats: Sequence[np.ndarray], coefs: dict[str, float],
-               entropies: dict[str, float]) -> float:
-        """sum_T coefs[T] H(T) for the scheme ``mats``, adding to
-        ``entropies`` (name -> entropy) each term not there yet."""
-        for name in coefs:
-            if name not in entropies:
-                spec, k, src = _TERMS[name]
-                entropies[name] = entropy_bits(np.einsum(spec, *mats[:k], self.sources[src]))
-        return sum(c * entropies[name] for name, c in coefs.items())
-
     def evaluate(self, pu: np.ndarray, pv: np.ndarray, r0: float) -> RegimeReport:
-        """``lossy_point`` for the scheme with these rows, at key rate r0,
-        taking only the terms of the bounds it reports."""
-        mats, entropies = (pu, pv), {}
+        """``lossy_point`` for the scheme with these rows, at key rate r0.
+
+        Each bound is a signed sum of entropies of tables over the
+        auxiliaries and one source variable, each table formed by one einsum
+        of P(U|Xt) (au), P(V|U) (uv) and P(Xt) (a), P(Xt,X) (ax), P(Xt,Y)
+        (ay) or P(Xt,Z) (az).  The leakage entropies are taken only in the
+        regime that reports them."""
+        def h(spec: str, *tables: np.ndarray) -> float:
+            return entropy_bits(np.einsum(spec, *tables))
+
         t_high, dist = (float(v) for v in self.storage(pu))
-        t_low = _clamp(self._bound(mats, _T_LOW, entropies))
-        rp = min(self._bound(mats, _R_DIFF, entropies), 0.0)
+        h_uvy = h("au,uv,ay->uvy", pu, pv, self.p_xt_y)
+        h_vy = h("au,uv,ay->vy", pu, pv, self.p_xt_y)
+        h_xtuv = h("au,uv,a->auv", pu, pv, self.p_xt)
+        h_xtv = h("au,uv,a->av", pu, pv, self.p_xt)
+        h_uvz = h("au,uv,az->uvz", pu, pv, self.p_xt_z)
+        h_vz = h("au,uv,az->vz", pu, pv, self.p_xt_z)
+        t_low = _clamp(h_uvy - h_vy - h_xtuv + h_xtv)  # I(U;Xt|Y,V)
+        rp = min(h_vz - h_uvz - h_vy + h_uvy, 0.0)     # [I(U;Z|V) - I(U;Y|V)]^-
         regime: Regime = ("large_key" if r0 >= t_high else
                           "middle_key" if r0 >= t_low else "small_key")
         rs = rl = 0.0
-        if regime != "large_key":
-            shift = rp - r0 if regime == "small_key" else 0.0
-            rs, rl = (_clamp(self._bound(mats, _LEAKAGE[regime, o], entropies)
-                             + self.leak_const[o] + shift) for o in ("rs", "rl"))
+        if regime == "small_key":  # I(U;Xt|Z) + R' - r0 and I(U;X|Z) + R' - r0
+            h_uz = h("au,az->uz", pu, self.p_xt_z)
+            rs = _clamp(h_uz - h("au,a->au", pu, self.p_xt) + self.rs_const + (rp - r0))
+            rl = _clamp(h_uz - h("au,ax->ux", pu, self.p_xt_x) + self.rl_const + (rp - r0))
+        elif regime == "middle_key":  # I(V;Xt|Z) and I(V;X|Z)
+            rs = _clamp(h_vz - h_xtv + self.rs_const)
+            rl = _clamp(h_vz - h("au,uv,ax->vx", pu, pv, self.p_xt_x) + self.rl_const)
         return RegimeReport(regime, t_low, t_high, rp, RateTuple(rw=t_high, rs=rs, rl=rl, d=dist))
-
-
-def _anchor_u_rows(nxt: int, nu: int) -> np.ndarray:
-    """The deterministic U-channel that sends source symbol i to auxiliary
-    symbol i mod |U|.  With |U| >= |Xt| the symbols stay apart, so the
-    evaluator scores its distortion as exactly the least one, ``d_floor``."""
-    t = np.zeros((nxt, nu))
-    t[np.arange(nxt), np.arange(nxt) % nu] = 1.0
-    return t
 
 
 class _PosteriorLP:
@@ -809,14 +777,14 @@ class _PosteriorLP:
         ``target_d``, with its certified lower bound.
 
         P(u|xt) = w_u q_u(xt) / P(xt) over the LP's support, padded with
-        unused symbols; a symbol of probability zero gets the anchor's row.
+        unused symbols; a symbol of probability zero gets its row of U = Xt.
         A scheme that rounding leaves above its target is solved for again
         with a wider margin (``_LP_MARGIN``); U = Xt, which meets every
         feasible target, is taken only if a row lowered to the least
         distortion still misses.
         """
         nxt = len(obj.p_xt)
-        anchor = _anchor_u_rows(nxt, nxt + 1)
+        anchor = np.eye(nxt, nxt + 1)  # U = Xt
         margin = _LP_MARGIN
         while True:
             w, bound = self.solve(target_d, margin)
@@ -920,7 +888,7 @@ def trace_region(
     constant-V schemes only (a live V can go lower).  Time sharing is inside
     the LP, so the traced points lie on the lower convex envelope up to
     that gap.  The grid method (storage only) reports instead the oracle's
-    argmin at each target, with uniform V rows, and keeps no previous
+    argmin at each target, with a one-symbol V, and keeps no previous
     target's scheme.
     """
     if not targets:
@@ -929,29 +897,27 @@ def trace_region(
         raise ModelError(f"r0 must be finite and >= 0 and the distortion targets finite, "
                          f"got r0={r0!r} and targets {list(targets)}")
     nxt = model.xtilde_size
-    nu, nv = cfg.resolved_sizes(nxt)
+    nu, _ = cfg.resolved_sizes(nxt)
     if cfg.method == "lp" and nu < nxt + 1:
         raise ModelError(f"the LP search needs u_size >= |Xt|+1 = {nxt + 1}, got {nu}: "
                          "its schemes use up to |Xt|+1 posteriors")
     obj = _SchemeEvaluator(model, metric)
-    if cfg.method == "grid":
-        uniform = np.full((nu, nv), 1.0 / nv)
-    elif cfg.objective == "rw":
+    constant = np.ones((nu if cfg.method == "grid" else nxt + 1, 1))  # a one-symbol V
+    if cfg.method == "lp" and cfg.objective == "rw":
         lps = [_PosteriorLP(obj, obj.p_xt_y)]
-    else:
+    elif cfg.method == "lp":
         # I(U;Xt|Y), I(U;Xt|Z), I(U;X|Y), I(U;X|Z): the first two bound rs.
         sides = ((obj.p_xt_y, model.p_y_given_x().rows), (obj.p_xt_z, model.p_z_given_x().rows))
         lps = [_PosteriorLP(obj, p_xt_a, channel if b_is_x else None)
                for b_is_x in (False, True) for p_xt_a, channel in sides]
         own = slice(0, 2) if cfg.objective == "rs" else slice(2, 4)
-    constant = np.ones((nxt + 1, 1))
 
     points: list[TracePoint] = []
     carry: Optional[list[np.ndarray]] = None
     for target in sorted(targets):
         if cfg.method == "grid":
             _, best_t = grid_minimum_storage(model, metric, target, nu, cfg.grid_step)
-            candidates, lower_bound = [[best_t, uniform]], None
+            candidates, lower_bound = [[best_t, constant]], None
         else:
             schemes, bounds = zip(*(lp.scheme(obj, target) for lp in lps))
             candidates = ([carry] if carry is not None else []) + [[t, constant] for t in schemes]

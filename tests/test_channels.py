@@ -230,5 +230,3 @@ class TestLessNoisy:
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             less_noisy_falsify(bsc(0.1), bsc(0.3), trials=0)
-        with pytest.raises(ValueError):
-            less_noisy_falsify(bsc(0.1), bsc(0.3), trials=5, l_size=1)

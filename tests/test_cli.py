@@ -102,10 +102,13 @@ class TestModelIO:
         assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
 
     def test_schema_version_checked(self, tmp_path):
-        path = tmp_path / "v2.json"
-        path.write_text(json.dumps({"schema": 2}))
-        with pytest.raises(ModelError, match="schema"):
-            modelio.parse_model(path)
+        # JSON true and 1.0 compare equal to 1 but are not the integer version.
+        data = json.loads(Path(DEMO_MODEL).read_text())
+        path = tmp_path / "v.json"
+        for schema in (2, True, 1.0):
+            path.write_text(json.dumps({**data, "schema": schema}))
+            with pytest.raises(ModelError, match=f"has schema {schema!r}; expected 1"):
+                modelio.parse_model(path)
 
     @pytest.mark.parametrize("case, message", [
         ("malformed_json", "malformed model file"),
@@ -114,6 +117,8 @@ class TestModelIO:
         ("non_numeric_matrix", r"p_xtilde_given_x: not a numeric matrix"),
         ("missing_p_x", "model file is missing 'p_x'"),
         ("fractional_y_size", "model file needs integer 'y_size' and 'z_size'"),
+        ("boolean_y_size", "got y_size = True"),
+        ("boolean_z_size", "got z_size = True"),
         ("channel_inputs_differ", "channel pair must share the input alphabet"),
     ])
     def test_malformed_files_refused(self, tmp_path, case, message):
@@ -127,6 +132,8 @@ class TestModelIO:
             del data["p_x"]
         elif case == "fractional_y_size":
             data["y_size"] = 2.0
+        elif case.startswith("boolean_"):
+            data[case.removeprefix("boolean_")] = True
         elif case == "channel_inputs_differ":
             data = {"schema": 1, "p_y_given_x": [[0.7, 0.3], [0.3, 0.7]],
                     "p_z_given_x": [[0.9, 0.1], [0.1, 0.9], [0.5, 0.5]]}
@@ -265,7 +272,6 @@ class TestCommands:
         for (p_y, p_z), flags, message in (
             (not_degraded, ["--trials", "0"], "trials must be >= 1"),
             (degraded, ["--trials", "0"], "trials must be >= 1"),
-            (degraded, ["--l-size", "1"], "l_size must be >= 2"),
         ):
             path.write_text(json.dumps({"schema": 1, "p_y_given_x": p_y, "p_z_given_x": p_z}))
             rc = cli.main(["check-channel", "--channels", str(path), *flags])

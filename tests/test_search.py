@@ -108,6 +108,12 @@ def test_grid_method_matches_oracle(binary_model):
     pts = trace_region(binary_model, 0.0, METRIC, [0.1], cfg)
     best, _ = grid_minimum_storage(binary_model, METRIC, 0.1, u_size=3, step=0.1)
     assert pts[0].rates.rw == pytest.approx(best, abs=1e-12)
+    # A V independent of everything changes no bound, so at every v_size the
+    # grid reports the one-symbol V of the LP searches, with the same rates.
+    one, two = (trace_region(binary_model, 0.2, METRIC, [0.1], SearchConfig(
+        u_size=3, v_size=v, method="grid", grid_step=0.1))[0] for v in (1, 2))
+    assert two.scheme.v_size == 1 and two.rates == one.rates
+    assert two.report.regime == one.report.regime
 
 
 def test_infeasible_target_reported(binary_model):
@@ -547,7 +553,7 @@ def test_storage_search_widens_its_margin_until_u_equals_xt(binary_model, monkey
     [p] = trace_region(binary_model, 0.0, METRIC, [0.1], CFG)
     assert margins == [regions._LP_MARGIN * 16.0**k for k in range(11)]
     assert margins[-2] < 0.1 <= margins[-1]
-    np.testing.assert_array_equal(p.scheme.p_u_given_xtilde.rows, regions._anchor_u_rows(2, 3))
+    np.testing.assert_array_equal(p.scheme.p_u_given_xtilde.rows, np.eye(2, 3))
     assert p.rates.d == 0.0
 
 
