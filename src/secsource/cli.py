@@ -13,6 +13,9 @@ CSV artifact is reproducible.  CSV columns are fixed per command:
 regions -> (d, rw_bits, rs_bits, rl_bits, regime),
 gaussian -> (alpha, rw_bits, rs_bits, rl_bits, d),
 simulate -> (n, error_rate, distortion, leak_secrecy_bits, leak_privacy_bits).
+
+Each handler imports only the layers its command runs, so ``--help`` and an
+argparse error load no numpy, and ``check-channel`` never loads ``regions``.
 """
 
 from __future__ import annotations
@@ -22,9 +25,6 @@ import csv
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
-
-from . import binning, channels, gaussian, modelio, regions
-from .probability import ModelError, StochasticMatrix, build_joint
 
 DEFAULT_SEED = 2022
 
@@ -46,6 +46,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _run_compute_region(args: argparse.Namespace) -> int:
+    from . import modelio, regions
     model = modelio.parse_model(args.model)
     metric = regions.DistortionMetric.hamming(model.xtilde_size)
     search = regions.SearchConfig(
@@ -67,6 +68,8 @@ def _run_compute_region(args: argparse.Namespace) -> int:
 
 
 def _run_lossless_region(args: argparse.Namespace) -> int:
+    from . import modelio, regions
+    from .probability import ModelError, StochasticMatrix, build_joint
     model = modelio.parse_model(args.model)
     joint = build_joint(model)
     if args.aux is not None:
@@ -87,6 +90,7 @@ def _run_lossless_region(args: argparse.Namespace) -> int:
 
 
 def _run_gaussian(args: argparse.Namespace) -> int:
+    from . import gaussian
     model = gaussian.GaussianModel(args.rho_x, args.rho_y, args.rho_z)
     trace = gaussian.gaussian_trace(model, args.alphas)
     rows = [[a, p.rw, p.rs, p.rl, p.d] for a, p in trace]
@@ -106,6 +110,8 @@ def _run_gaussian(args: argparse.Namespace) -> int:
 
 
 def _run_simulate(args: argparse.Namespace) -> int:
+    from . import binning, modelio, regions
+    from .probability import build_joint
     model = modelio.parse_model(args.model)
     scheme = modelio.parse_aux(args.aux)
     full = regions.extend_with_auxiliaries(build_joint(model), scheme)
@@ -139,6 +145,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
 
 
 def _run_check_channel(args: argparse.Namespace) -> int:
+    from . import channels, modelio
     if args.channel_pair is not None:
         p_y, p_z = modelio.parse_channel_pair(args.channel_pair)
     else:
@@ -246,6 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    from .probability import ModelError  # after parsing: --help loads no numpy
     try:
         for flag in ("seed", "samples"):  # refused before any work or output
             if getattr(args, flag, 0) < 0:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .probability import ModelError, Pmf, SourceModel, StochasticMatrix
 from .regions import RateTuple
@@ -170,6 +169,8 @@ def _gaussian_channel(
     Gauss-Legendre quadrature and renormalizes (the mass beyond 4 sigma is
     folded into the outer cells).
     """
+    from numpy.polynomial.legendre import leggauss  # deferred: only the discrete bridge needs it
+
     edges_a = _quantile_edges(sigma_a, levels)
     edges_b = _quantile_edges(sigma_b, levels)
     slope = cov / sigma_a**2

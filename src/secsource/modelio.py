@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-import numpy as np
+from .probability import ModelError, Pmf, SourceModel, StochasticMatrix, float_array
 
-from .probability import ModelError, Pmf, SourceModel, StochasticMatrix
-from .regions import AuxScheme
+if TYPE_CHECKING:
+    from .regions import AuxScheme
 
 SCHEMA_VERSION = 1
 
@@ -57,7 +57,7 @@ def _matrix(data: dict, key: str, what: str) -> StochasticMatrix:
     if key not in data:
         raise ModelError(f"{what} file is missing {key!r}")
     try:
-        return StochasticMatrix(np.array(data[key], dtype=float))
+        return StochasticMatrix(float_array(data[key]))
     except ModelError as exc:
         raise ModelError(f"{key}: {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -70,7 +70,7 @@ def parse_model(path: PathLike) -> SourceModel:
     if "p_x" not in data:
         raise ModelError("model file is missing 'p_x'")
     try:
-        px = Pmf(np.array(data["p_x"], dtype=float))
+        px = Pmf(float_array(data["p_x"]))
     except ModelError as exc:
         raise ModelError(f"p_x: {exc}") from exc
     enc = _matrix(data, "p_xtilde_given_x", "model")
@@ -99,6 +99,8 @@ def write_model(model: SourceModel, path: PathLike) -> None:
 
 def parse_aux(path: PathLike) -> AuxScheme:
     """Parse an auxiliary-scheme file (missing layers default to constants)."""
+    from .regions import AuxScheme  # deferred: check-channel never loads regions
+
     data = _load(path, "aux")
     p_u = _matrix(data, "p_u_given_xtilde", "aux")
     p_v = _matrix(data, "p_v_given_u", "aux") if "p_v_given_u" in data else None

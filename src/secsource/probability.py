@@ -58,6 +58,20 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _holds_bool(values) -> bool:
+    return isinstance(values, bool) or (
+        isinstance(values, (list, tuple)) and any(map(_holds_bool, values)))
+
+
+def float_array(values) -> np.ndarray:
+    """``values`` (a number, nested lists of them, or an array) as a new float
+    array, refusing a JSON ``true`` or ``false`` in the lists, which a cast
+    would read as 1.0 or 0.0."""
+    if _holds_bool(values):
+        raise ModelError("entries must be numbers, not booleans")
+    return np.array(values, dtype=float)
+
+
 @dataclass(frozen=True)
 class Pmf:
     """Probability mass function over a finite alphabet."""

@@ -69,6 +69,7 @@ from .probability import (
     _frozen_array,
     compositions,
     entropy_bits,
+    float_array,
 )
 
 FULL_AXES = (AX_V, AX_U) + SOURCE_AXES
@@ -146,9 +147,12 @@ class DistortionMetric:
 
 
 def _reconstruction_map(values) -> np.ndarray:
-    """``values`` as a read-only integer array, refusing any entry that is not
-    a non-negative integer (a cast would truncate or wrap it)."""
-    arr = np.asarray(values, dtype=float)
+    """``values`` as a read-only integer array, refusing booleans and any entry
+    that is not a non-negative integer (a cast would truncate or wrap it)."""
+    try:
+        arr = float_array(values)
+    except ModelError as exc:
+        raise ModelError(f"reconstruction {exc}") from exc
     if not np.all((arr >= 0.0) & (arr < 2.0**63) & (arr == np.floor(arr))):  # NaN fails too
         raise ModelError("reconstruction entries must be non-negative integers")
     return _frozen_array(arr, dtype=int)

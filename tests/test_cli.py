@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +122,12 @@ class TestModelIO:
         ("fractional_y_size", "model file needs integer 'y_size' and 'z_size'"),
         ("boolean_y_size", "got y_size = True"),
         ("boolean_z_size", "got z_size = True"),
+        # A cast reads JSON true and false as 1.0 and 0.0, so each of these
+        # once parsed: the pmf [1, 0], the identity channel, the map [[0, 0], [1, 1]].
+        ("boolean_p_x", "p_x: entries must be numbers, not booleans"),
+        ("boolean_p_xtilde_given_x", "p_xtilde_given_x: entries must be numbers, not booleans"),
+        ("boolean_p_y_given_x", "p_y_given_x: entries must be numbers, not booleans"),
+        ("boolean_reconstruction", "reconstruction entries must be numbers, not booleans"),
         ("channel_inputs_differ", "channel pair must share the input alphabet"),
     ])
     def test_malformed_files_refused(self, tmp_path, case, message):
@@ -132,6 +141,18 @@ class TestModelIO:
             del data["p_x"]
         elif case == "fractional_y_size":
             data["y_size"] = 2.0
+        elif case == "boolean_p_x":
+            data["p_x"] = [True, 0.0]
+        elif case == "boolean_p_xtilde_given_x":
+            data["p_xtilde_given_x"] = [[True, False], [False, True]]
+        elif case == "boolean_p_y_given_x":
+            data = {"schema": 1, "p_y_given_x": [[1, False], [0.3, 0.7]],
+                    "p_z_given_x": [[0.9, 0.1], [0.1, 0.9]]}
+            parse = modelio.parse_channel_pair
+        elif case == "boolean_reconstruction":
+            data = {**json.loads(Path(DEMO_AUX).read_text()),
+                    "reconstruction": [[0, False], [1, True]]}
+            parse = modelio.parse_aux
         elif case.startswith("boolean_"):
             data[case.removeprefix("boolean_")] = True
         elif case == "channel_inputs_differ":
@@ -145,6 +166,17 @@ class TestModelIO:
         with pytest.raises(ModelError, match=message) as raised:
             parse(path)
         assert type(raised.value) is ModelError
+
+    def test_integer_entries_accepted(self, tmp_path):
+        # JSON 0 and 1 are numbers; only true and false are refused.
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"schema": 1, "p_y_given_x": [[1, 0], [0, 1]],
+                                    "p_z_given_x": [[1, 0], [0.5, 0.5]]}))
+        p_y, _ = modelio.parse_channel_pair(path)
+        assert p_y.rows.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        data = json.loads(Path(DEMO_AUX).read_text())
+        path.write_text(json.dumps({**data, "reconstruction": [[0, 0], [1, 1]]}))
+        assert modelio.parse_aux(path).reconstruction.tolist() == [[0, 0], [1, 1]]
 
     def test_aux_identity_file_parses(self):
         # Its p_q_given_v is the one form an aux file may hold, the constant.
@@ -453,10 +485,6 @@ class TestImport:
     def test_readme_commands_leave_scipy_unloaded(self, tmp_path):
         # Importing scipy.optimize or scipy.special costs a CLI call up to half
         # a second; no README command may load any part of scipy.
-        import os
-        import subprocess
-        import sys
-
         pair = tmp_path / "pair.json"
         pair.write_text(json.dumps({
             "schema": 1,
@@ -483,3 +511,51 @@ class TestImport:
         res = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
                              capture_output=True, text=True, check=True)
         assert res.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"
+
+    def test_each_command_loads_only_its_layers(self, tmp_path):
+        # A layer is imported on first use: a bare import loads none (and no
+        # numpy), --help loads no numpy, and each command only its own layers.
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        loaded = "sorted(m for m in sys.modules if m == 'numpy' or m.startswith('secsource.'))"
+
+        def run(code, *args):
+            res = subprocess.run([sys.executable, "-c", f"import sys\n{code}", *args], env=env,
+                                 capture_output=True, text=True, check=True)
+            return json.loads(res.stdout.splitlines()[-1])
+
+        assert run(f"import json, secsource; print(json.dumps({loaded}))") == []
+        assert run(
+            "import json, secsource\n"
+            "names = secsource.__all__\n"
+            "ok = [getattr(secsource, n) is getattr(sys.modules[getattr(secsource, n).__module__], n)"
+            " for n in names]\n"
+            "try:\n    secsource.no_such_name\n    unknown = 'resolved'\n"
+            "except AttributeError:\n    unknown = 'AttributeError'\n"
+            "print(json.dumps([len(names), all(ok), set(names) <= set(dir(secsource)), unknown,"
+            " secsource.trace_region is secsource.regions.trace_region]))"
+        ) == [42, True, True, "AttributeError", True]
+        assert run("import json\nfrom secsource.cli import main\ntry:\n    main(['--help'])\n"
+                   f"except SystemExit as exit:\n    print(json.dumps([exit.code, {loaded}]))"
+                   ) == [0, ["secsource.cli"]]
+
+        pair = tmp_path / "pair.json"
+        pair.write_text(json.dumps({"schema": 1, "p_y_given_x": [[0.7, 0.3], [0.3, 0.7]],
+                                    "p_z_given_x": [[0.9, 0.1], [0.1, 0.9]]}))
+        out = str(tmp_path / "out.csv")
+        region = {"cli", "modelio", "probability", "regions", "channels"}
+        channel = {"cli", "modelio", "probability", "channels"}
+        cases = [
+            (["compute-region", "--model", DEMO_MODEL, "--targets", "0.1", "--u-size", "3",
+              "--output", out], region),
+            (["lossless-region", "--model", DEMO_MODEL, "--output", out], region),
+            (["gaussian", *GAUSSIAN_RHOS, "--output", out],
+             {"cli", "gaussian", "probability", "regions", "channels"}),
+            (["simulate", "--model", DEMO_MODEL, "--aux", DEMO_AUX, "--n", "12", "--epsilon",
+              "0.15", "--trials", "2", "--output", out], region | {"binning"}),
+            (["check-channel", "--model", DEMO_MODEL, "--trials", "2"], channel),
+            (["check-channel", "--channels", str(pair), "--trials", "2"], channel),
+        ]
+        for argv, layers in cases:
+            got = run("import json\nfrom secsource.cli import main\nrc = main(sys.argv[1:])\n"
+                      f"print(json.dumps([rc, {loaded}]))", *argv)
+            assert got == [0, sorted({"numpy"} | {f"secsource.{m}" for m in layers})], argv
