@@ -60,8 +60,6 @@ def _matrix(data: dict, key: str, what: str) -> StochasticMatrix:
         return StochasticMatrix(float_array(data[key]))
     except ModelError as exc:
         raise ModelError(f"{key}: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ModelError(f"{key}: not a numeric matrix ({exc})") from exc
 
 
 def parse_model(path: PathLike) -> SourceModel:

@@ -66,10 +66,14 @@ def _holds_bool(values) -> bool:
 def float_array(values) -> np.ndarray:
     """``values`` (a number, nested lists of them, or an array) as a new float
     array, refusing a JSON ``true`` or ``false`` in the lists, which a cast
-    would read as 1.0 or 0.0."""
+    would read as 1.0 or 0.0, and anything a cast refuses (a string, an
+    object, ragged lists) as a ``ModelError``."""
     if _holds_bool(values):
         raise ModelError("entries must be numbers, not booleans")
-    return np.array(values, dtype=float)
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ModelError(f"entries must be numbers ({exc})") from exc
 
 
 @dataclass(frozen=True)

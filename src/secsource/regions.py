@@ -33,14 +33,15 @@ certified over constant-V schemes only: a live V can go lower.
 matrices and the pairwise tables P(Xt,X), P(Xt,Y) and P(Xt,Z), building no
 joint: each bound is a signed sum of the entropies of a few tables, each
 linear in each matrix.  Its storage form scores a stack of P(U|Xt) matrices
-and gives each the same bits alone as in any stack; it scores distortion as
-the least one, P(Xt) times the metric's row minima, plus the cost above
-those minima.  The no-key form, the search and the exhaustive simplex-grid
-oracle, ``grid_minimum_storage``, take the model; the oracle is kept as a
-reference for the storage search, scoring the grid a block of cells at a
-time, and its first argmin is the one a cell-by-cell scan returns, bit for
-bit.  Every search reports a one-symbol V: a V independent of everything
-changes no bound.
+by one stacked matrix product, which runs the same 2-D product on each
+matrix, so each gets the same bits alone as in any stack; it scores
+distortion as the least one, P(Xt) times the metric's row minima, plus the
+cost above those minima.  The no-key form, the search and the exhaustive
+simplex-grid oracle, ``grid_minimum_storage``, take the model; the oracle is
+kept as a reference for the storage search, scoring the grid a block of
+cells at a time, and its first argmin is the one a cell-by-cell scan
+returns, bit for bit.  Every search reports a one-symbol V: a V independent
+of everything changes no bound.
 """
 
 from __future__ import annotations
@@ -469,20 +470,6 @@ def corollary_point(
 # ---------------------------------------------------------------------------
 
 
-def _sum_over_xt(t: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """sum_xt t[..., xt, u] table[xt, ...], of shape (..., |U|, *table.shape[1:]).
-
-    Added up over xt in index order with elementwise operations only (no
-    matmul or einsum, whose summation order may depend on the operands'
-    shapes), so a matrix of a stack gets the bits it gets alone.
-    """
-    pad = (slice(None),) + (None,) * (table.ndim - 1)  # U, then the table's axes
-    out = t[(..., 0, *pad)] * table[0]
-    for a in range(1, len(table)):
-        out += t[(..., a, *pad)] * table[a]
-    return out
-
-
 def _least_cost(cost: np.ndarray) -> np.ndarray:
     """Sum over (u, y) of the minimum over xhat of ``cost[..., u, y, xhat]``."""
     # One xhat at a time (numpy reduces over a short trailing axis slowly).
@@ -501,9 +488,13 @@ class _SchemeEvaluator:
     auxiliaries and one source variable.  It scores every candidate of
     ``trace_region``, so each traced point reports the scoring that chose
     it.  ``storage`` gives the storage rate and the optimal-map distortion,
-    which depend on P(U|Xt) only; it takes a stack of matrices and gives a
-    matrix the same bits alone as in any stack, since its sums over Xt run
-    in index order (``_sum_over_xt``).  The posterior LPs read its tables.
+    which depend on P(U|Xt) only.  It takes a stack of matrices and sums
+    over Xt by one stacked ``np.matmul``, which runs the same 2-D product on
+    each matrix of the stack, so a matrix gets the same bits alone as in any
+    stack.  (One product over all the stack's rows would not: the bits of a
+    row would depend on where it falls among them, and a one-row matrix
+    alone goes through a matrix-vector routine.)  The posterior LPs read its
+    tables.
     """
 
     def __init__(self, model: SourceModel, metric: DistortionMetric):
@@ -530,7 +521,9 @@ class _SchemeEvaluator:
         """I(U;Xt|Y) and the optimal-map distortion of P(U|Xt) = ``t``, or of
         each matrix of a stack ``t`` of shape (..., |Xt|, |U|)."""
         lead = t.shape[:-2]
-        core = _sum_over_xt(t, self.storage_core)  # (..., U, Y, Xhat + 1)
+        nxt, ny, nk = self.storage_core.shape
+        core = np.matmul(np.swapaxes(t, -1, -2), self.storage_core.reshape(nxt, -1))
+        core = core.reshape(*core.shape[:-1], ny, nk)  # (..., U, Y, Xhat + 1)
         h_uy = entropy_bits(core[..., -1].reshape(*lead, -1), axis=-1)
         h_uxt = entropy_bits((t * self.p_xt[:, None]).reshape(*lead, -1), axis=-1)
         return (np.maximum(h_uy - h_uxt + self.h_xt - self.h_y, 0.0),
@@ -830,9 +823,10 @@ def grid_minimum_storage(
 
     The cells are scored ``_GRID_BLOCK`` at a time by
     ``_SchemeEvaluator.storage``, so memory is bounded by the block, not by
-    the grid.  The evaluator gives a matrix the same bits alone as in any
-    block, so the first cell of least rw among those with
-    ``dist <= D + 1e-12`` is the one a cell-by-cell scan returns, bit for bit.
+    the grid.  Its stacked matrix product runs the same 2-D product on each
+    cell of a block as on that cell alone, so the first cell of least rw
+    among those with ``dist <= D + 1e-12`` is the one a cell-by-cell scan
+    returns, bit for bit.
     """
     nxt = model.xtilde_size
     cells = math.comb(int(round(1.0 / step)) + u_size - 1, u_size - 1) ** nxt

@@ -117,7 +117,9 @@ class TestModelIO:
         ("malformed_json", "malformed model file"),
         ("not_an_object", "must hold a JSON object"),
         ("missing_matrix", "model file is missing 'p_yz_given_x'"),
-        ("non_numeric_matrix", r"p_xtilde_given_x: not a numeric matrix"),
+        ("non_numeric_matrix", "p_xtilde_given_x: entries must be numbers"),
+        ("non_numeric_p_x", "p_x: entries must be numbers"),
+        ("non_numeric_reconstruction", "reconstruction entries must be numbers"),
         ("missing_p_x", "model file is missing 'p_x'"),
         ("fractional_y_size", "model file needs integer 'y_size' and 'z_size'"),
         ("boolean_y_size", "got y_size = True"),
@@ -137,6 +139,8 @@ class TestModelIO:
             del data["p_yz_given_x"]
         elif case == "non_numeric_matrix":
             data["p_xtilde_given_x"] = [["a", "b"], ["c", "d"]]
+        elif case == "non_numeric_p_x":
+            data["p_x"] = {"a": 1}
         elif case == "missing_p_x":
             del data["p_x"]
         elif case == "fractional_y_size":
@@ -149,6 +153,9 @@ class TestModelIO:
             data = {"schema": 1, "p_y_given_x": [[1, False], [0.3, 0.7]],
                     "p_z_given_x": [[0.9, 0.1], [0.1, 0.9]]}
             parse = modelio.parse_channel_pair
+        elif case == "non_numeric_reconstruction":
+            data = {**json.loads(Path(DEMO_AUX).read_text()), "reconstruction": "ab"}
+            parse = modelio.parse_aux
         elif case == "boolean_reconstruction":
             data = {**json.loads(Path(DEMO_AUX).read_text()),
                     "reconstruction": [[0, False], [1, True]]}
