@@ -231,18 +231,13 @@ def less_noisy_falsify(
     py, pz = p_y_given_x.rows, p_z_given_x.rows
     rng = np.random.default_rng(seed)
 
-    candidates = [(np.full(nx, 1.0 / nx), np.eye(nx, nx + 1))]
-    for _ in range(trials):
-        candidates.append(
-            (rng.dirichlet(np.ones(nx)), rng.dirichlet(np.ones(nx + 1), size=nx))
-        )
+    def candidates():  # each drawn only when it is tried
+        yield np.full(nx, 1.0 / nx), np.eye(nx, nx + 1)
+        for _ in range(trials):
+            yield rng.dirichlet(np.ones(nx)), rng.dirichlet(np.ones(nx + 1), size=nx)
 
-    run = 0
-    for px, pl in candidates:
-        run += 1
+    for run, (px, pl) in enumerate(candidates(), start=1):
         i_ly, i_lz = _informations(px, pl, py, pz)
         if i_ly > i_lz + FALSIFY_TOL:
-            return LessNoisyVerdict(
-                True, Pmf(px), StochasticMatrix(pl), i_ly, i_lz, run, cert
-            )
-    return LessNoisyVerdict(False, None, None, 0.0, 0.0, run, cert)
+            return LessNoisyVerdict(True, Pmf(px), StochasticMatrix(pl), i_ly, i_lz, run, cert)
+    return LessNoisyVerdict(False, None, None, 0.0, 0.0, trials + 1, cert)

@@ -69,17 +69,15 @@ def _run_compute_region(args: argparse.Namespace) -> int:
 
 def _run_lossless_region(args: argparse.Namespace) -> int:
     from . import modelio, regions
-    from .probability import ModelError, StochasticMatrix, build_joint
+    from .probability import ModelError
     model = modelio.parse_model(args.model)
-    joint = build_joint(model)
-    if args.aux is not None:
-        scheme = modelio.parse_aux(args.aux)
-        aux_v = scheme.p_v_given_u
-        if aux_v.input_size != model.xtilde_size:
-            raise ModelError("lossless aux file must give P(V|Xt): rows over Xt")
-    else:
-        aux_v = StochasticMatrix.constant(model.xtilde_size, 1)
-    report = regions.lossless_point(joint, aux_v, args.r0)
+    lossless = regions.AuxScheme.identity(model.xtilde_size)  # U = Xt and a constant V
+    scheme = lossless if args.aux is None else modelio.parse_aux(args.aux)
+    # P(V|U) is P(V|Xt) only at U = Xt; no other P(U|Xt) is dropped unread.
+    if scheme.p_u_given_xtilde.rows.tolist() != lossless.p_u_given_xtilde.rows.tolist():
+        raise ModelError("lossless aux file must give p_u_given_xtilde as the identity "
+                         "over Xt (U = Xt), so that p_v_given_u reads as P(V|Xt)")
+    report = regions.lossless_point(model, scheme.p_v_given_u, args.r0)
     rows = [[0.0, report.bounds.rw, report.bounds.rs, report.bounds.rl, report.regime]]
     _write_csv(args.output, REGION_HEADER, rows)
     print(
@@ -213,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     lr.add_argument("--model", type=Path, required=True)
     lr.add_argument("--r0", type=float, default=0.0)
     lr.add_argument("--aux", type=Path, default=None,
-                    help="aux file; p_v_given_u is read as P(V|Xt)")
+                    help="aux file whose p_u_given_xtilde is the identity over Xt "
+                         "(U = Xt); its p_v_given_u is read as P(V|Xt)")
     lr.add_argument("--output", type=Path, required=True)
     lr.set_defaults(run=_run_lossless_region)
 

@@ -36,12 +36,12 @@ linear in each matrix.  Its storage form scores a stack of P(U|Xt) matrices
 by one stacked matrix product, which runs the same 2-D product on each
 matrix, so each gets the same bits alone as in any stack; it scores
 distortion as the least one, P(Xt) times the metric's row minima, plus the
-cost above those minima.  The no-key form, the search and the exhaustive
-simplex-grid oracle, ``grid_minimum_storage``, take the model; the oracle is
-kept as a reference for the storage search, scoring the grid a block of
-cells at a time, and its first argmin is the one a cell-by-cell scan
-returns, bit for bit.  Every search reports a one-symbol V: a V independent
-of everything changes no bound.
+cost above those minima.  The lossless and no-key forms, the search and the
+exhaustive simplex-grid oracle, ``grid_minimum_storage``, take the model and
+score with the evaluator; the oracle is kept as a reference for the storage
+search, scoring the grid a block of cells at a time, and its first argmin is
+the one a cell-by-cell scan returns, bit for bit.  Every search reports a
+one-symbol V: a V independent of everything changes no bound.
 """
 
 from __future__ import annotations
@@ -423,21 +423,23 @@ def lossy_point(full: JointPmf, r0: float, metric: DistortionMetric) -> RegimeRe
     )
 
 
-def lossless_point(joint: JointPmf, aux_v: StochasticMatrix, r0: float) -> RegimeReport:
-    """Lossless region bounds: the U = Xt specialization of ``lossy_point``.
+def lossless_point(model: SourceModel, aux_v: StochasticMatrix, r0: float) -> RegimeReport:
+    """Lossless region bounds: the U = Xt specialization of ``lossy_point``,
+    scored by the scheme evaluator, which builds no joint.
 
     rw = H(Xt|Y); regimes are keyed on H(Xt|Y,V) and H(Xt|Y); distortion is
     exactly zero under the Hamming metric.
     """
-    _require_axes(joint, SOURCE_AXES, "lossless_point")
-    nxt = joint.size_of(AX_XT)
+    nxt = model.xtilde_size
     if aux_v.input_size != nxt:
         raise DimensionError("P(V|Xt) input size must equal |Xt|")
     if aux_v.output_size > nxt + 2:
         raise ModelError(
             f"the lossless region needs |V| <= |Xt|+2, got |V| = {aux_v.output_size}")
-    aux = AuxScheme(StochasticMatrix.identity(nxt), aux_v)
-    return lossy_point(extend_with_auxiliaries(joint, aux), r0, DistortionMetric.hamming(nxt))
+    if not math.isfinite(r0) or r0 < 0.0:
+        raise ModelError(f"private-key rate r0={r0!r} must be finite and >= 0")
+    evaluator = _SchemeEvaluator(model, DistortionMetric.hamming(nxt))
+    return evaluator.evaluate(np.eye(nxt), aux_v.rows, r0)
 
 
 def corollary_point(

@@ -103,17 +103,28 @@ def test_criterion_3_cross_formula_consistency():
     rng = np.random.default_rng(3)
     ok = True
 
+    # The lossless bounds against the lossy ones at U = Xt, in every regime:
+    # the midpoint of the thresholds, where they differ, is middle-key.
+    regimes = set()
     for trial in range(20):
         nxt = 2 if trial % 2 == 0 else 3
         model = random_model(rng, nx=2, nxt=nxt, ny=2, nz=2)
         joint = build_joint(model)
         aux_v = StochasticMatrix(rng.dirichlet(np.ones(2), size=nxt))
-        r0 = float(rng.uniform(0.0, 1.2))
-        lossless = lossless_point(joint, aux_v, r0)
+        r0s = [float(rng.uniform(0.0, 1.2))]
         full = extend_with_auxiliaries(joint, AuxScheme(StochasticMatrix.identity(nxt), aux_v))
-        lossy = lossy_point(full, r0, DistortionMetric.hamming(nxt))
-        for attr in ("rw", "rs", "rl", "d"):
-            ok &= abs(getattr(lossless.bounds, attr) - getattr(lossy.bounds, attr)) <= 1e-9
+        metric = DistortionMetric.hamming(nxt)
+        ref = lossy_point(full, 0.0, metric)
+        if ref.threshold_high - ref.threshold_low >= 1e-3:
+            r0s.append(0.5 * (ref.threshold_low + ref.threshold_high))
+        for r0 in r0s:
+            lossless = lossless_point(model, aux_v, r0)
+            lossy = lossy_point(full, r0, metric)
+            ok &= lossless.regime == lossy.regime
+            for attr in ("rw", "rs", "rl", "d"):
+                ok &= abs(getattr(lossless.bounds, attr) - getattr(lossy.bounds, attr)) <= 1e-9
+            regimes.add(lossless.regime)
+    ok &= regimes == {"small_key", "middle_key", "large_key"}
 
     matched = 0
     metric = DistortionMetric.hamming(2)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from secsource import channels, cli, modelio, regions
+from secsource import channels, cli, modelio, probability, regions
 from secsource.probability import ModelError, Pmf, SourceModel, bsc
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -465,9 +465,16 @@ class TestCommands:
         [line] = captured.err.splitlines()
         assert line.startswith("simulate: error: ") and message in line
 
-    def test_lossless_region_identity_aux_matches_default(self, tmp_path):
+    def test_lossless_region_identity_aux_matches_default(self, tmp_path, monkeypatch):
         # The identity aux file's constant P(V|U), read as P(V|Xt), is the
-        # default constant V layer.
+        # default constant V layer.  Neither run builds a joint.
+        def never(*args, **kwargs):
+            raise AssertionError("a joint was built")
+
+        for name in ("extend_with_auxiliaries", "lossy_point"):
+            monkeypatch.setattr(regions, name, never)
+        monkeypatch.setattr(probability, "build_joint", never)
+        monkeypatch.setattr(probability.JointPmf, "__post_init__", never)
         rows = []
         for name, extra in (("plain.csv", []), ("aux.csv", ["--aux", DEMO_AUX])):
             out = tmp_path / name
@@ -475,6 +482,24 @@ class TestCommands:
                              "--output", str(out)]) == 0
             rows.append(out.read_text())
         assert rows[0] == rows[1]
+
+    @pytest.mark.parametrize("p_u", [
+        # A noisy P(U|Xt) was dropped silently: rs came out as at U = Xt.
+        [[0.9, 0.1], [0.1, 0.9]],
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+    ])
+    def test_lossless_region_refuses_aux_other_than_identity(self, tmp_path, capsys, p_u):
+        aux = tmp_path / "aux.json"
+        aux.write_text(json.dumps({"schema": 1, "p_u_given_xtilde": p_u}))
+        out = tmp_path / "never.csv"
+        rc = cli.main(["lossless-region", "--model", DEMO_MODEL, "--aux", str(aux),
+                       "--output", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("lossless-region: error: lossless aux file must give "
+                                       "p_u_given_xtilde as the identity")
 
     def test_oversized_grid_fails_fast(self, tmp_path, capsys, model_file):
         # Without --u-size the grid oracle would enumerate |U| = 25 rows.

@@ -28,6 +28,7 @@ from secsource.regions import (
     trace_region,
     _SchemeEvaluator,
 )
+from secsource import probability, regions
 from secsource.probability import DimensionError, ModelError
 
 
@@ -360,8 +361,8 @@ class TestLossyPoint:
 
 
 class TestLosslessPoint:
-    def test_constant_v_specialization(self, binary_joint):
-        rep = lossless_point(binary_joint, StochasticMatrix.constant(2, 1), 0.0)
+    def test_constant_v_specialization(self, binary_model, binary_joint):
+        rep = lossless_point(binary_model, StochasticMatrix.constant(2, 1), 0.0)
         h_xt_z = binary_joint.entropy(("Xt", "Z")) - binary_joint.entropy(("Z",))
         i_xtz = binary_joint.mutual_information(("Xt",), ("Z",))
         i_xty = binary_joint.mutual_information(("Xt",), ("Y",))
@@ -369,32 +370,55 @@ class TestLosslessPoint:
         assert rep.bounds.rs == pytest.approx(h_xt_z + rpp, abs=1e-12)
         assert rep.bounds.d == 0.0
 
-    def test_large_key_zeroes(self, binary_joint):
+    def test_large_key_zeroes(self, binary_model, binary_joint):
         h_xt_y = binary_joint.entropy(("Xt", "Y")) - binary_joint.entropy(("Y",))
-        rep = lossless_point(binary_joint, StochasticMatrix.constant(2, 1), h_xt_y + 0.01)
+        rep = lossless_point(binary_model, StochasticMatrix.constant(2, 1), h_xt_y + 0.01)
         assert rep.regime == "large_key"
         assert rep.bounds.rs == 0.0 and rep.bounds.rl == 0.0
 
     def test_equals_lossy_with_identity_u(self):
+        # r0 ~ U(0, 1.2) lands in the small- or large-key regime; the midpoint
+        # of the thresholds H(Xt|Y,V) and H(Xt|Y) lands in the middle one.
         rng = np.random.default_rng(101)
+        regimes = set()
         for trial in range(20):
             nxt = 2 if trial % 2 == 0 else 3
             model = random_model(rng, nx=2, nxt=nxt, ny=2, nz=2)
-            joint = build_joint(model)
             aux_v = StochasticMatrix(rng.dirichlet(np.ones(2), size=nxt))
-            r0 = float(rng.uniform(0.0, 1.2))
-            lossless = lossless_point(joint, aux_v, r0)
-            full = extend_with_auxiliaries(joint, AuxScheme(StochasticMatrix.identity(nxt), aux_v))
-            lossy = lossy_point(full, r0, DistortionMetric.hamming(nxt))
-            for attr in ("rw", "rs", "rl", "d"):
-                assert getattr(lossless.bounds, attr) == pytest.approx(
-                    getattr(lossy.bounds, attr), abs=1e-9
-                )
-            assert lossless.regime == lossy.regime
+            r0s = [float(rng.uniform(0.0, 1.2))]
+            full = extend_with_auxiliaries(build_joint(model),
+                                           AuxScheme(StochasticMatrix.identity(nxt), aux_v))
+            metric = DistortionMetric.hamming(nxt)
+            ref = lossy_point(full, 0.0, metric)
+            if ref.threshold_high - ref.threshold_low >= 1e-3:
+                r0s.append(0.5 * (ref.threshold_low + ref.threshold_high))
+            for r0 in r0s:
+                lossless = lossless_point(model, aux_v, r0)
+                lossy = lossy_point(full, r0, metric)
+                assert lossless.regime == lossy.regime
+                for attr in ("rw", "rs", "rl", "d"):
+                    assert getattr(lossless.bounds, attr) == pytest.approx(
+                        getattr(lossy.bounds, attr), abs=1e-12
+                    )
+                regimes.add(lossless.regime)
+        assert regimes == {"small_key", "middle_key", "large_key"}
 
-    def test_cardinality_default_enforced(self, binary_joint):
+    def test_builds_no_joint(self, binary_model, monkeypatch):
+        # The scheme evaluator scores every regime from the source channels.
+        def never(*args, **kwargs):
+            raise AssertionError("a joint was built")
+
+        for name in ("extend_with_auxiliaries", "lossy_point"):
+            monkeypatch.setattr(regions, name, never)
+        monkeypatch.setattr(probability, "build_joint", never)
+        monkeypatch.setattr(JointPmf, "__post_init__", never)
+        aux_v = StochasticMatrix(np.array([[0.8, 0.2], [0.3, 0.7]]))
+        got = {lossless_point(binary_model, aux_v, r0).regime for r0 in (0.0, 0.7, 1.0)}
+        assert got == {"small_key", "middle_key", "large_key"}
+
+    def test_cardinality_default_enforced(self, binary_model):
         with pytest.raises(ModelError):
-            lossless_point(binary_joint, StochasticMatrix(np.full((2, 5), 0.2)), 0.0)
+            lossless_point(binary_model, StochasticMatrix(np.full((2, 5), 0.2)), 0.0)
 
 
 class TestCorollaryPoint:
@@ -516,7 +540,7 @@ _MALFORMED = {
                                             DistortionMetric.hamming(3))),
     "lossless_p_v_size": (
         DimensionError, r"P\(V\|Xt\) input size must equal \|Xt\|",
-        lambda m, j: lossless_point(j, StochasticMatrix.constant(3), 0.0)),
+        lambda m, j: lossless_point(m, StochasticMatrix.constant(3), 0.0)),
     "corollary_p_u_size": (
         DimensionError, r"P\(U\|Xt\) input size must equal \|Xt\|",
         lambda m, j: corollary_point(m, _HALVES, DistortionMetric.hamming(2))),
